@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import betaincinv
 
 from .dynamics import GapStatistics, Trajectory, time_average_scalar
 from .entropy import capped_binary_entropy, g_function
@@ -94,7 +94,9 @@ def optimal_epsilon(stats: GapStatistics, T: float, points: int = 32):
     ``(eps, factor)`` minimizing the equilibration factor.
 
     The inequalities hold for every eps, so optimizing simply reports
-    the tightest bound this grid can certify.
+    the tightest bound this grid can certify. Window counts do not
+    depend on ``T``; ``stats`` keeps each one, so scanning the same grid
+    for further windows only re-weighs them.
     """
     best = (None, math.inf)
     for eps in stats.epsilon_grid(points):
@@ -176,12 +178,13 @@ def averaged_state_entropy_bound(dim: int, min_gap: float, T: float) -> float:
 
 
 def clopper_pearson_upper(successes: int, trials: int, confidence: float = 0.99) -> float:
-    """One-sided upper confidence limit for a binomial proportion."""
+    """One-sided upper confidence limit for a binomial proportion: the
+    ``confidence`` quantile of Beta(successes + 1, trials - successes)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if successes >= trials:
         return 1.0
-    return float(_scipy_stats.beta.ppf(confidence, successes + 1, trials - successes))
+    return float(betaincinv(successes + 1, trials - successes, confidence))
 
 
 def tail_bound_check(

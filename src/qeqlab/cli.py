@@ -24,6 +24,7 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .dynamics import DEFAULT_EXACT_GAP_LIMIT
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -163,7 +164,8 @@ def cmd_verify(args) -> int:
             violated.append(rep)
     (outdir / "verify_report.json").write_text(
         canonical_json([rep.to_json_dict() for rep in reports]) + "\n")
-    _write_manifest(outdir, args.config, {"verify": True, **raw}, {"run": t_run})
+    _write_manifest(outdir, args.config, {"verify": True, **config.resolved_dict()},
+                    {"run": t_run})
     if violated:
         print(f"{len(violated)} violated bound(s):")
         for rep in violated:
@@ -200,9 +202,8 @@ def cmd_sweep(args) -> int:
             "late_window": tuple(float(t) for t in raw.get("late_window", (50.0, 80.0))),
             "axis": str(raw.get("axis", "z")),
             "dimension_cap": int(raw.get("dimension_cap", DEFAULT_DIMENSION_CAP)),
+            "exact_gap_limit": int(raw.get("exact_gap_limit", DEFAULT_EXACT_GAP_LIMIT)),
         }
-        if "exact_gap_limit" in raw:
-            kwargs["exact_gap_limit"] = int(raw["exact_gap_limit"])
     except (TypeError, ValueError) as exc:
         raise ConfigError("sweep", str(exc)) from exc
     t0 = time.monotonic()
@@ -221,7 +222,8 @@ def cmd_sweep(args) -> int:
         "late_window": sweep["late_window"],
     }
     (outdir / "sweep_fits.json").write_text(canonical_json(fits) + "\n")
-    _write_manifest(outdir, args.config, {"sweep": True, **raw}, {"run": t_run})
+    _write_manifest(outdir, args.config, {"sweep": True, "sites": sites, **kwargs},
+                    {"run": t_run})
     print(f"sweep: wrote sweep_summary.csv and sweep_fits.json to {outdir}")
     print(f"delta fit: a={fits['delta_fit']['a']:.4g} b={fits['delta_fit']['b']:.4g}; "
           f"late-time fit: a={fits['late_fit']['a']:.4g} b={fits['late_fit']['b']:.4g}")

@@ -149,7 +149,8 @@ class GapStatistics:
     Gaps are signed differences over ordered pairs of *distinct*
     eigenvalues, counted with multiplicity. ``window_count(eps)`` is the
     maximum number of gaps in any half-open interval of width eps; when
-    the multiset was subsampled the counts are scaled estimates.
+    the multiset was subsampled the counts are scaled estimates. Each
+    count is computed once per width and kept in ``window_counts``.
     """
 
     distinct_count: int
@@ -171,6 +172,14 @@ class GapStatistics:
         """Maximum number of gaps in any half-open window [x, x + eps)."""
         if eps <= 0:
             raise ValueError("window width eps must be positive")
+        eps = float(eps)
+        count = self.window_counts.get(eps)
+        if count is None:
+            count = self._count_window(eps)
+            self.window_counts[eps] = count
+        return count
+
+    def _count_window(self, eps: float) -> int:
         if self._gaps is None or self._gaps.size == 0:
             return 0
         upper = np.searchsorted(self._gaps, self._gaps + eps, side="left")
@@ -215,7 +224,7 @@ def gap_statistics(
             distinct_count=m, min_gap=None, gap_count=0, subsample_factor=1.0, _gaps=np.array([])
         )
         for eps in epsilons:
-            stats.window_counts[float(eps)] = 0
+            stats.window_count(eps)
         return stats
     min_gap = float(np.min(np.diff(values)))  # values ascending
     if m > exact_limit:
@@ -235,7 +244,7 @@ def gap_statistics(
         _gaps=gaps,
     )
     for eps in epsilons:
-        stats.window_counts[float(eps)] = stats.window_count(float(eps))
+        stats.window_count(eps)
     return stats
 
 

@@ -59,8 +59,12 @@ __all__ = [
     "window_average",
 ]
 
-# Max complex entries per trajectory chunk (~256 MiB of amplitudes).
+# Max entries per trajectory chunk: d * times (times r for a POVM). The
+# real path holds three float64 arrays of this size at once (384 MiB).
 _CHUNK_ENTRIES = 2**24
+# Largest imaginary part, after the global phase is divided out, that
+# still counts as round-off of a real state vector.
+_REAL_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +86,10 @@ class PreparedSystem:
     equilibrium: EquilibriumReference
     observable_norm: float | None = None
     amps_eig: np.ndarray | None = field(repr=False, default=None)
-    contraction: np.ndarray | None = field(repr=False, default=None)
     effects_eig: np.ndarray | None = field(repr=False, default=None)
+    # PVM contraction times amps_eig: row j holds the weights that turn the
+    # level phases exp(-i E t) into the measurement-basis amplitude c_j(t)
+    weighted_contraction: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
@@ -107,6 +113,17 @@ def _measurement_in_eigenbasis(measurement, decomp: SpectralDecomposition):
         return basis.conj().T @ U, None
     effects_eig = np.array([U.conj().T @ eff @ U for eff in measurement.effects])
     return None, effects_eig
+
+
+def _strip_global_phase(amplitudes: np.ndarray) -> np.ndarray:
+    """Real amplitudes when the vector is one global phase times a real
+    vector, the amplitudes unchanged otherwise. Populations do not see a
+    global phase, and a real state keeps a real system real."""
+    k = int(np.argmax(np.abs(amplitudes)))
+    rotated = amplitudes * (abs(amplitudes[k]) / amplitudes[k])
+    if np.max(np.abs(rotated.imag)) > _REAL_TOL:
+        return amplitudes
+    return rotated.real
 
 
 def _entropy_rows(pops: np.ndarray, multiplicities: np.ndarray):
@@ -140,7 +157,7 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
     if isinstance(observable, (ProjectiveMeasurement, Povm)):
         measurement = observable
     else:
-        obs_matrix = np.asarray(observable, dtype=complex)
+        obs_matrix = np.asarray(observable)
         measurement = pvm_from_observable(obs_matrix)
         # the outcome values reconstruct the measured operator exactly,
         # so its norm is the extremal value
@@ -148,16 +165,19 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
     stats = gap_statistics(decomp, exact_limit=exact_gap_limit)
     d_eff = effective_dimension(decomp, initial)
 
-    amps_eig = contraction = effects_eig = None
+    amps_eig = effects_eig = weighted = None
     if isinstance(initial, PureState):
-        amps_eig = decomp.eigenvectors.conj().T @ initial.amplitudes
+        amps = _strip_global_phase(initial.amplitudes)
+        amps_eig = decomp.eigenvectors.conj().T @ amps
         contraction, effects_eig = _measurement_in_eigenbasis(measurement, decomp)
+        if contraction is not None:
+            weighted = contraction * amps_eig[None, :]
 
-    if isinstance(initial, PureState) and isinstance(measurement, ProjectiveMeasurement):
+    if weighted is not None:
         # dephased-state populations without materializing omega:
         # accumulate |C[:, block] @ amps[block]|^2 over energy eigenspaces
         edges = [sl.start for sl in decomp.cluster_slices]
-        per_block = np.add.reduceat(contraction * amps_eig[None, :], edges, axis=1)
+        per_block = np.add.reduceat(weighted, edges, axis=1)
         weights = np.sum(np.abs(per_block) ** 2, axis=1)
         p_omega = _clamp_rows(measurement.group_sums(weights)[None, :])[0]
     else:
@@ -185,9 +205,34 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
         equilibrium=equilibrium,
         observable_norm=obs_norm,
         amps_eig=amps_eig,
-        contraction=contraction,
         effects_eig=effects_eig,
+        weighted_contraction=weighted,
     )
+
+
+def _pvm_sq_amplitudes(weighted: np.ndarray, levels: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """``|weighted @ exp(-i E t)|^2`` per measurement-basis state and time,
+    (d, len(ts)). Real weights take two real GEMMs, on ``cos(E t)`` and
+    ``sin(E t)``; complex weights one complex GEMM."""
+    arg = np.outer(levels, ts)
+    if np.iscomplexobj(weighted):
+        return np.abs(weighted @ np.exp(arg * (-1j))) ** 2
+    sq = weighted @ np.cos(arg)
+    np.sin(arg, out=arg)
+    im = weighted @ arg
+    np.square(sq, out=sq)
+    np.square(im, out=im)
+    sq += im
+    return sq
+
+
+def _povm_populations(system: PreparedSystem, ts: np.ndarray) -> np.ndarray:
+    """``<psi(t)|E_i|psi(t)>`` per time and effect, (len(ts), r): one batched
+    GEMM applies the effects, a pairwise contraction takes the overlaps."""
+    phases = np.exp(np.outer(system.decomposition.level_values, ts) * (-1j))
+    amps = phases * system.amps_eig[:, None]
+    applied = system.effects_eig @ amps
+    return np.einsum("jt,ijt->ti", amps.conj(), applied).real
 
 
 def _populations_at(system: PreparedSystem, times: np.ndarray) -> np.ndarray:
@@ -195,17 +240,17 @@ def _populations_at(system: PreparedSystem, times: np.ndarray) -> np.ndarray:
     decomp = system.decomposition
     measurement = system.measurement
     if system.amps_eig is not None:
+        weighted = system.weighted_contraction
         out = np.empty((len(times), measurement.r))
-        chunk = max(256, _CHUNK_ENTRIES // decomp.dim)
+        per_time = decomp.dim * (measurement.r if weighted is None else 1)
+        chunk = max(256, _CHUNK_ENTRIES // per_time)
         for start in range(0, len(times), chunk):
             ts = times[start : start + chunk]
-            phases = np.exp(np.outer(decomp.level_values, ts) * (-1j))
-            amps = phases * system.amps_eig[:, None]
-            if system.contraction is not None:
-                coeffs = system.contraction @ amps
-                raw = measurement.group_sums(np.abs(coeffs) ** 2).T
+            if weighted is not None:
+                sq = _pvm_sq_amplitudes(weighted, decomp.level_values, ts)
+                raw = measurement.group_sums(sq).T
             else:
-                raw = np.einsum("jt,ijk,kt->ti", amps.conj(), system.effects_eig, amps).real
+                raw = _povm_populations(system, ts)
             out[start : start + len(ts)] = raw
         return _clamp_rows(out)
     # mixed initial state: materialize each evolved state (small systems)

@@ -2,9 +2,12 @@
 grouping, eigenspace projectors, and the matrix norms used by the
 inequality checks.
 
-Matrices are plain ``numpy`` arrays (complex128); everything here is
-dense by design -- the target dimensions (up to 2**13) make iterative or
-sparse solvers pointless once density-matrix dynamics enters the game.
+Matrices are plain ``numpy`` arrays in their natural dtype: a real
+(float64) input stays real, so a real symmetric matrix gets a real
+eigensolve and real orthogonal eigenvectors, and anything complex is
+handled as complex128. Everything here is dense by design -- the target
+dimensions (up to 2**13) make iterative or sparse solvers pointless once
+density-matrix dynamics enters the game.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ class NonHermitianError(ValueError):
 
 
 def _as_square_array(matrix) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=complex)
+    """Square float64 array for real input, complex128 otherwise."""
+    arr = np.asarray(matrix)
+    arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -46,7 +51,8 @@ def _as_square_array(matrix) -> np.ndarray:
 
 
 def check_hermitian(matrix, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
-    """Validate Hermiticity and return the matrix as a complex array.
+    """Validate Hermiticity and return the matrix as an array (float64
+    for real input, complex128 otherwise).
 
     Raises :class:`NonHermitianError` reporting the maximal asymmetry
     ``max|M - M^dag|`` when the check fails.
@@ -71,6 +77,7 @@ class SpectralDecomposition:
     ----------
     eigenvalues : (d,) ascending eigenvalues as returned by the solver.
     eigenvectors : (d, d) unitary; column k belongs to ``eigenvalues[k]``.
+        Real orthogonal (float64) when the decomposed matrix was real.
     cluster_slices : one ``slice`` per degenerate cluster, indexing into
         the eigenvalue/eigenvector arrays.
     cluster_values : (m,) representative eigenvalue (cluster mean) per
@@ -162,7 +169,8 @@ def decompose_hermitian(
     Returns
     -------
     SpectralDecomposition with ascending eigenvalues and orthonormal
-    eigenvectors. Deterministic for a fixed input.
+    eigenvectors, real for a real symmetric input. Deterministic for a
+    fixed input.
     """
     if degeneracy_tol <= 0:
         raise ValueError("degeneracy_tol must be positive")

@@ -11,6 +11,11 @@ Conventions (fixed once, used everywhere):
 * ``sigma_y`` has rows/columns ordered (up, down) with entries
   ``((0, -i), (i, 0))``;
 * hbar = 1, energies and times are dimensionless.
+
+Operators are stored in their natural dtype: the chain Hamiltonian and
+the x/z magnetizations are real (float64), the y magnetization is
+complex128. Real operators keep the eigensolve and the propagation in
+real arithmetic downstream.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ __all__ = [
     "tilted_ising_chain",
 ]
 
-# Largest Hilbert-space dimension built by default (dense 8192^2 complex
+# Largest Hilbert-space dimension built by default (dense 8192^2
 # matrices are the practical memory limit); override per call or via the
 # QEQLAB_DIM_CAP environment variable in the CLI.
 DEFAULT_DIMENSION_CAP = 2**13
@@ -204,7 +209,9 @@ def tilted_ising_chain(params: SpinChainParams, dimension_cap: int = DEFAULT_DIM
 
     The edge longitudinal fields are reduced to h-J, which makes the
     model nonintegrable at generic couplings while keeping it
-    reflection-symmetric. Requires at least two sites.
+    reflection-symmetric. Requires at least two sites. Every term is real
+    in the computational basis, so the matrix is real symmetric and is
+    returned as float64.
     """
     n = params.sites
     if n < 2:
@@ -216,7 +223,7 @@ def tilted_ising_chain(params: SpinChainParams, dimension_cap: int = DEFAULT_DIM
         diag += params.h * z[:, 1 : n - 1].sum(axis=1)
     diag += (params.h - params.J) * (z[:, 0] + z[:, n - 1])
     diag += params.J * (z[:, :-1] * z[:, 1:]).sum(axis=1)
-    ham = np.zeros((dim, dim), dtype=complex)
+    ham = np.zeros((dim, dim))
     idx = np.arange(dim)
     ham[idx, idx] = diag
     for site in range(1, n + 1):
@@ -229,12 +236,13 @@ def bulk_magnetization(sites: int, axis: str, dimension_cap: int = DEFAULT_DIMEN
     """Bulk magnetization ``(1/N) sum_i sigma_axis^(i)``.
 
     The spectrum is {(N-2k)/N : k = 0..N} with binomial multiplicities
-    C(N, k), so the observable defines N+1 measurement outcomes.
+    C(N, k), so the observable defines N+1 measurement outcomes. The
+    ``z`` and ``x`` magnetizations are real (float64); ``y`` is complex128.
     """
     if sites < 1:
         raise ValueError("sites must be >= 1")
     dim = _check_cap(sites, dimension_cap)
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim), dtype=complex if axis == "y" else float)
     idx = np.arange(dim)
     if axis == "z":
         out[idx, idx] = _z_values(sites).sum(axis=1) / sites

@@ -109,6 +109,25 @@ class VerifyConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError("verify", str(exc)) from exc
 
+    def resolved_dict(self) -> dict:
+        """Canonical nested form with every default filled in; parsing it
+        back yields an identical configuration."""
+        return {
+            "sites": list(self.sites),
+            "average_grid": list(self.average_grid),
+            "t_max": self.t_max,
+            "fluctuation": {"sites": self.fluctuation_sites, "window": self.fluctuation_window,
+                            "count": self.fluctuation_count},
+            "averaged_state": {"sites": list(self.averaged_state_sites),
+                               "windows": list(self.averaged_state_windows)},
+            "suites": {"shannon_pairs": self.shannon_pairs,
+                       "observational_cases": self.observational_cases,
+                       "von_neumann_cases": self.von_neumann_cases,
+                       "povm_cases": self.povm_cases, "povm_window": self.povm_window},
+            "seed": self.seed,
+            "eps_points": self.eps_points,
+        }
+
 
 # ---------------------------------------------------------------------------
 # random inputs

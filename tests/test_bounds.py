@@ -166,6 +166,26 @@ def test_clopper_pearson_upper_values():
     assert clopper_pearson_upper(10, n) > 10 / n
 
 
+def test_clopper_pearson_upper_matches_beta_ppf():
+    from scipy import stats
+
+    for trials in (1, 2, 7, 100, 1000, 10_000):
+        for successes in sorted({0, trials // 3, trials // 2, trials - 1}):
+            for confidence in (0.9, 0.99):
+                want = stats.beta.ppf(confidence, successes + 1, trials - successes)
+                got = clopper_pearson_upper(successes, trials, confidence)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_package_import_skips_scipy_stats():
+    import subprocess
+    import sys
+
+    probe = "import sys, qeqlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_average_entropy_check_constant_at_equilibrium():
     from qeqlab.dynamics import EquilibriumReference, Trajectory
 

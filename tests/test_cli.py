@@ -174,6 +174,38 @@ def test_verify_report_written(tmp_path):
     assert all(item["status"] in ("holds", "estimated") for item in blob)
 
 
+def _manifest_hash(tmp_path, command, name, payload):
+    out = tmp_path / name
+    config = write_config(tmp_path / f"{name}.json", {**payload, "output_dir": str(out)})
+    assert cli.main([command, config]) == 0
+    return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+
+def test_verify_and_sweep_hash_the_resolved_config(tmp_path):
+    verify = {
+        "sites": [3],
+        "average_grid": [5.0],
+        "t_max": 5.0,
+        "fluctuation": {"sites": 3, "window": 20.0, "count": 50},
+        "averaged_state": {"sites": [2], "windows": [100.0]},
+        "suites": {"shannon_pairs": 10, "observational_cases": 4,
+                   "von_neumann_cases": 4, "povm_cases": 2},
+    }
+    implicit = _manifest_hash(tmp_path, "verify", "v_implicit", verify)
+    explicit = _manifest_hash(tmp_path, "verify", "v_explicit", {**verify, "eps_points": 32})
+    changed = _manifest_hash(tmp_path, "verify", "v_changed", {**verify, "eps_points": 16})
+    assert implicit == explicit != changed
+    from qeqlab.verify import VerifyConfig
+
+    resolved = VerifyConfig.from_dict(verify)
+    assert VerifyConfig.from_dict(resolved.resolved_dict()) == resolved
+
+    sweep = {"sites": [3, 4, 5], "t_max": 20.0, "late_window": [5.0, 15.0]}
+    implicit = _manifest_hash(tmp_path, "sweep", "s_implicit", sweep)
+    explicit = _manifest_hash(tmp_path, "sweep", "s_explicit", {**sweep, "exact_gap_limit": 1024})
+    assert implicit == explicit
+
+
 def test_sweep_outputs(tmp_path):
     config = write_config(tmp_path / "sweep.json", {
         "sites": [3, 4, 5],

@@ -75,6 +75,14 @@ def test_magnetization_hermitian(axis):
     assert np.max(np.abs(M - M.conj().T)) < 1e-12
 
 
+def test_operators_keep_their_natural_dtype():
+    assert tilted_ising_chain(SpinChainParams(sites=4)).dtype == np.float64
+    assert bulk_magnetization(4, "z").dtype == np.float64
+    assert bulk_magnetization(4, "x").dtype == np.float64
+    assert bulk_magnetization(4, "y").dtype == np.complex128
+    assert pvm_from_observable(bulk_magnetization(4, "z")).basis.dtype == np.float64
+
+
 def test_magnetization_small_cases():
     assert np.array_equal(bulk_magnetization(1, "z"), pauli("z"))
     decomp = decompose_hermitian(bulk_magnetization(2, "z"))

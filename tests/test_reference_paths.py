@@ -1,0 +1,159 @@
+"""Fast paths pinned to their reference paths.
+
+The chain Hamiltonian is real, so it is diagonalized, contracted and
+propagated in real arithmetic. The same Hamiltonian cast to complex128
+takes the complex path, which serves as the reference here.
+
+The real and the complex eigensolver return eigenvalues that differ by
+up to about 1e-14 for these chains, and a level phase ``E t`` carries
+that difference times ``t``. Populations of the two decompositions are
+therefore compared over the trajectory span (t <= 100), while the
+propagation arithmetic alone is compared out to t = 1e4 on one shared
+decomposition.
+"""
+
+import numpy as np
+import pytest
+
+from qeqlab.bounds import optimal_epsilon
+from qeqlab.dynamics import gap_statistics
+from qeqlab.harness import (
+    _clamp_rows,
+    _measurement_in_eigenbasis,
+    _populations_at,
+    compute_trajectory,
+    prepare_system,
+)
+from qeqlab.linalg import decompose_hermitian
+from qeqlab.models import SpinChainParams, all_down_state, bulk_magnetization, tilted_ising_chain
+from qeqlab.verify import random_hermitian, random_povm, random_pure_state
+
+TOL = 1e-12
+
+
+def chain_pair(sites, seed=3):
+    ham = tilted_ising_chain(SpinChainParams(sites=sites))
+    obs = bulk_magnetization(sites, "z")
+    initial = all_down_state(sites, seed=seed)
+    real = prepare_system(ham, obs, initial)
+    reference = prepare_system(ham.astype(complex), obs.astype(complex), initial)
+    return real, reference
+
+
+@pytest.mark.parametrize("sites", range(2, 10))
+def test_real_chain_matches_complex_reference(sites):
+    real, reference = chain_pair(sites)
+    assert real.weighted_contraction.dtype == np.float64
+    assert reference.weighted_contraction.dtype == np.complex128
+
+    grid = np.linspace(0.0, 100.0, 1001)
+    rng = np.random.default_rng(sites)
+    scattered = np.sort(rng.uniform(0.0, 100.0, size=300))
+    for times in (grid, scattered):
+        got = compute_trajectory(real, times).populations
+        want = compute_trajectory(reference, times).populations
+        assert np.max(np.abs(got - want)) <= TOL
+    assert np.max(np.abs(real.equilibrium.populations - reference.equilibrium.populations)) <= TOL
+
+    assert abs(real.d_eff - reference.d_eff) <= TOL * reference.d_eff
+    spread = max(1.0, reference.decomposition.spectral_range)
+    assert abs(real.gap_stats.min_gap - reference.gap_stats.min_gap) <= TOL * spread
+    counts = [[s.gap_stats.window_count(float(e)) for e in s.gap_stats.epsilon_grid(32)]
+              for s in (real, reference)]
+    assert counts[0] == counts[1]
+
+
+def _complex_product_populations(system, times):
+    """Populations from the complex amplitudes ``C @ (exp(-i E t) * a)``,
+    formed without the real GEMMs or the stored weights."""
+    phases = np.exp(np.outer(system.decomposition.level_values, times) * (-1j))
+    amps = phases * system.amps_eig[:, None]
+    contraction = _measurement_in_eigenbasis(system.measurement, system.decomposition)[0]
+    coeffs = contraction.astype(complex) @ amps
+    return _clamp_rows(system.measurement.group_sums(np.abs(coeffs) ** 2).T)
+
+
+@pytest.mark.parametrize("sites", [4, 7, 9])
+def test_real_propagation_matches_complex_product(sites):
+    system = chain_pair(sites)[0]
+    rng = np.random.default_rng(sites)
+    times = rng.uniform(0.0, 1.0e4, size=500)
+    got = _populations_at(system, times)
+    assert np.max(np.abs(got - _complex_product_populations(system, times))) <= TOL
+
+
+def test_chain_stays_real_and_complex_input_stays_complex():
+    system = chain_pair(6)[0]
+    assert system.decomposition.eigenvectors.dtype == np.float64
+    contraction = _measurement_in_eigenbasis(system.measurement, system.decomposition)[0]
+    assert contraction.dtype == np.float64
+    assert system.amps_eig.dtype == np.float64
+    assert system.weighted_contraction.dtype == np.float64
+
+    rng = np.random.default_rng(0)
+    decomp = decompose_hermitian(random_hermitian(rng, 12))
+    assert decomp.eigenvectors.dtype == np.complex128
+
+
+def test_complex_state_keeps_complex_amplitudes():
+    # a state that is not a global phase times a real vector stays complex
+    rng = np.random.default_rng(1)
+    ham = tilted_ising_chain(SpinChainParams(sites=3))
+    system = prepare_system(ham, bulk_magnetization(3, "z"), random_pure_state(rng, 8))
+    assert system.weighted_contraction.dtype == np.complex128
+    reference = prepare_system(ham.astype(complex), bulk_magnetization(3, "z").astype(complex),
+                               system.initial)
+    times = np.linspace(0.0, 20.0, 101)
+    got = compute_trajectory(system, times).populations
+    assert np.max(np.abs(got - compute_trajectory(reference, times).populations)) <= TOL
+
+
+def _three_operand_povm_populations(system, times):
+    """The POVM trajectory as one unoptimized three-operand einsum."""
+    phases = np.exp(np.outer(system.decomposition.level_values, times) * (-1j))
+    amps = phases * system.amps_eig[:, None]
+    raw = np.einsum("jt,ijk,kt->ti", amps.conj(), system.effects_eig, amps).real
+    return _clamp_rows(raw)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_povm_trajectory_matches_three_operand_einsum(case):
+    rng = np.random.default_rng(100 + case)
+    dim = int(rng.integers(4, 33))
+    outcomes = int(rng.integers(2, 9))
+    system = prepare_system(random_hermitian(rng, dim), random_povm(rng, dim, outcomes),
+                            random_pure_state(rng, dim))
+    times = np.linspace(0.0, 10.0, 1025)
+    got = _populations_at(system, times)
+    want = _three_operand_povm_populations(system, times)
+    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-12
+
+
+def test_povm_chunks_cover_every_time(monkeypatch):
+    import qeqlab.harness as harness
+
+    rng = np.random.default_rng(7)
+    system = prepare_system(random_hermitian(rng, 8), random_povm(rng, 8, 3),
+                            random_pure_state(rng, 8))
+    times = np.linspace(0.0, 5.0, 1000)
+    whole = _populations_at(system, times)  # one chunk
+    # four chunks: 256 times each at d * r = 24 entries per time
+    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 24 * 256)
+    assert np.max(np.abs(_populations_at(system, times) - whole)) <= TOL
+
+
+def test_window_counts_computed_once_per_width(monkeypatch):
+    decomp = decompose_hermitian(tilted_ising_chain(SpinChainParams(sites=7)))
+    fresh = [optimal_epsilon(gap_statistics(decomp), T) for T in (10.0, 25.0, 50.0, 100.0)]
+
+    stats = gap_statistics(decomp)
+    calls = []
+    original = type(stats)._count_window
+    monkeypatch.setattr(type(stats), "_count_window",
+                        lambda self, eps: calls.append(eps) or original(self, eps))
+    shared = [optimal_epsilon(stats, T) for T in (10.0, 25.0, 50.0, 100.0)]
+    assert shared == fresh
+    assert len(calls) == 32 == len(set(calls)) == len(stats.window_counts)
+    for eps, _ in shared:
+        assert stats.window_count(eps) == stats.window_counts[eps]
+    assert len(calls) == 32
