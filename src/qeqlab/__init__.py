@@ -51,13 +51,13 @@ from .harness import (
     FitResult,
     PreparedSystem,
     build_system,
+    chain_system,
     compute_trajectory,
     evaluate_bounds,
     execute_experiment,
     finite_time_average_curve,
     fit_exponential,
     prepare_system,
-    run_experiment,
     sample_deviations,
     sweep_chain_lengths,
     time_grid,

@@ -203,11 +203,8 @@ class GapStatistics:
         return int(np.max(upper - np.arange(self._gaps.size)))
 
 
-def gap_statistics(
-    decomp: SpectralDecomposition,
-    epsilons=(),
-    exact_limit: int = DEFAULT_EXACT_GAP_LIMIT,
-) -> GapStatistics:
+def gap_statistics(decomp: SpectralDecomposition,
+                   exact_limit: int = DEFAULT_EXACT_GAP_LIMIT) -> GapStatistics:
     """Build gap statistics for a decomposition.
 
     For more than ``exact_limit`` distinct eigenvalues the all-pairs gap
@@ -220,12 +217,9 @@ def gap_statistics(
     m = len(values)
     if m < 2:
         warnings.warn("single distinct eigenvalue: no gaps, window counts are 0")
-        stats = GapStatistics(
+        return GapStatistics(
             distinct_count=m, min_gap=None, gap_count=0, subsample_factor=1.0, _gaps=np.array([])
         )
-        for eps in epsilons:
-            stats.window_count(eps)
-        return stats
     min_gap = float(np.min(np.diff(values)))  # values ascending
     if m > exact_limit:
         picks = np.unique(np.round(np.linspace(0, m - 1, exact_limit)).astype(int))
@@ -236,16 +230,13 @@ def gap_statistics(
         factor = 1.0
     diff = sample[None, :] - sample[:, None]
     gaps = np.sort(diff[~np.eye(len(sample), dtype=bool)])
-    stats = GapStatistics(
+    return GapStatistics(
         distinct_count=m,
         min_gap=min_gap,
         gap_count=m * (m - 1),
         subsample_factor=float(factor),
         _gaps=gaps,
     )
-    for eps in epsilons:
-        stats.window_count(eps)
-    return stats
 
 
 def default_time_step(spectral_range: float) -> float:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .linalg import trace_norm
 from .measurement import population_distance
 
 __all__ = [
@@ -127,8 +128,6 @@ def von_neumann_continuity_bound(rho, sigma) -> float:
     """Trace-distance continuity bound for the von Neumann entropy:
     ``(1/2) ln(d) |rho - sigma|_1 + H2((1/2)|rho - sigma|_1)``.
     """
-    from .linalg import trace_norm
-
     a = getattr(rho, "matrix", rho)
     b = getattr(sigma, "matrix", sigma)
     a = np.asarray(a, dtype=complex)

@@ -9,7 +9,7 @@ seed); reports serialize to JSON through ``to_json_dict`` methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -22,12 +22,19 @@ from .dynamics import (
     default_time_step,
     effective_dimension,
     equilibrium_state,
+    evolve,
     gap_statistics,
     time_average_scalar,
 )
 from .entropy import _xlogx
 from .linalg import SpectralDecomposition, decompose_hermitian
-from .measurement import Povm, ProjectiveMeasurement, populations, pvm_from_observable
+from .measurement import (
+    Povm,
+    ProjectiveMeasurement,
+    clamp_populations,
+    populations,
+    pvm_from_observable,
+)
 from .models import (
     DEFAULT_DIMENSION_CAP,
     DensityMatrix,
@@ -46,13 +53,14 @@ __all__ = [
     "FitResult",
     "PreparedSystem",
     "build_system",
+    "chain_system",
     "compute_trajectory",
     "evaluate_bounds",
     "execute_experiment",
     "finite_time_average_curve",
     "fit_exponential",
+    "fluctuation_checks",
     "prepare_system",
-    "run_experiment",
     "sample_deviations",
     "sweep_chain_lengths",
     "time_grid",
@@ -80,7 +88,6 @@ class PreparedSystem:
     decomposition: SpectralDecomposition
     measurement: ProjectiveMeasurement | Povm
     initial: PureState | DensityMatrix
-    observable: np.ndarray | None
     gap_stats: GapStatistics
     d_eff: float
     equilibrium: EquilibriumReference
@@ -133,16 +140,6 @@ def _entropy_rows(pops: np.ndarray, multiplicities: np.ndarray):
     return shannon, shannon + boltzmann, boltzmann
 
 
-def _clamp_rows(raw: np.ndarray) -> np.ndarray:
-    if raw.min(initial=0.0) < -1e-12:
-        raise ValueError(f"population {raw.min():.3e} below the round-off floor")
-    pops = np.clip(raw, 0.0, None)
-    totals = pops.sum(axis=1)
-    if np.max(np.abs(totals - 1.0)) > 1e-10:
-        raise ValueError("population rows do not sum to 1")
-    return pops / totals[:, None]
-
-
 def prepare_system(hamiltonian, observable, initial, label: str = "",
                    exact_gap_limit: int = DEFAULT_EXACT_GAP_LIMIT) -> PreparedSystem:
     """Diagonalize, build the measurement, and precompute equilibrium
@@ -152,13 +149,11 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
     built from it) or an already constructed measurement.
     """
     decomp = decompose_hermitian(hamiltonian)
-    obs_matrix = None
     obs_norm = None
     if isinstance(observable, (ProjectiveMeasurement, Povm)):
         measurement = observable
     else:
-        obs_matrix = np.asarray(observable)
-        measurement = pvm_from_observable(obs_matrix)
+        measurement = pvm_from_observable(np.asarray(observable))
         # the outcome values reconstruct the measured operator exactly,
         # so its norm is the extremal value
         obs_norm = float(np.max(np.abs(measurement.values)))
@@ -179,7 +174,7 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
         edges = [sl.start for sl in decomp.cluster_slices]
         per_block = np.add.reduceat(weighted, edges, axis=1)
         weights = np.sum(np.abs(per_block) ** 2, axis=1)
-        p_omega = _clamp_rows(measurement.group_sums(weights)[None, :])[0]
+        p_omega = clamp_populations(measurement.group_sums(weights))
     else:
         p_omega = populations(measurement, equilibrium_state(decomp, initial))
 
@@ -199,7 +194,6 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
         decomposition=decomp,
         measurement=measurement,
         initial=initial,
-        observable=obs_matrix,
         gap_stats=stats,
         d_eff=d_eff,
         equilibrium=equilibrium,
@@ -207,6 +201,21 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
         amps_eig=amps_eig,
         effects_eig=effects_eig,
         weighted_contraction=weighted,
+    )
+
+
+def chain_system(params: SpinChainParams, axis: str = "z", seed: int = 0, label: str = "",
+                 dimension_cap: int = DEFAULT_DIMENSION_CAP,
+                 exact_gap_limit: int = DEFAULT_EXACT_GAP_LIMIT) -> PreparedSystem:
+    """The mixed-field Ising chain measured through its bulk magnetization
+    along ``axis`` and started all down (phases drawn from ``seed``)."""
+    n = params.sites
+    return prepare_system(
+        tilted_ising_chain(params, dimension_cap=dimension_cap),
+        bulk_magnetization(n, axis, dimension_cap=dimension_cap),
+        all_down_state(n, seed=seed, dimension_cap=dimension_cap),
+        label=label,
+        exact_gap_limit=exact_gap_limit,
     )
 
 
@@ -252,10 +261,8 @@ def _populations_at(system: PreparedSystem, times: np.ndarray) -> np.ndarray:
             else:
                 raw = _povm_populations(system, ts)
             out[start : start + len(ts)] = raw
-        return _clamp_rows(out)
+        return clamp_populations(out)
     # mixed initial state: materialize each evolved state (small systems)
-    from .dynamics import evolve
-
     rows = [populations(measurement, evolve(decomp, system.initial, float(t))) for t in times]
     return np.array(rows)
 
@@ -304,6 +311,34 @@ def sample_deviations(system: PreparedSystem, window: float, count: int, seed: i
     if kind == "observational":
         return np.abs(observational - eq.observational)
     raise KeyError(f"unknown deviation kind {kind!r}")
+
+
+def fluctuation_checks(system: PreparedSystem, window: float, count: int, seed: int):
+    """Tail checks of the Shannon and observational entropy deviations at
+    ``count`` random times in [0, window]: each deviation may reach the
+    square root of its asymptotic bound with probability at most that
+    square root. The two samples use ``seed`` and ``seed + 1``.
+
+    Returns ``(reports, summary)``.
+    """
+    r = system.r
+    delta = _bounds.asymptotic_shannon_bound(r, system.d_eff)
+    nu = _bounds.asymptotic_observational_bound(r, system.d_eff, system.dim)
+    sh = sample_deviations(system, window, count, seed=seed, kind="shannon")
+    ob = sample_deviations(system, window, count, seed=seed + 1, kind="observational")
+    reports = [
+        _bounds.tail_bound_check(sh, math.sqrt(delta), delta, name="shannon_fluctuation"),
+        _bounds.tail_bound_check(ob, math.sqrt(nu), nu, name="observational_fluctuation"),
+    ]
+    summary = {
+        "window": window,
+        "count": count,
+        "sqrt_delta": math.sqrt(delta),
+        "sqrt_nu": math.sqrt(nu),
+        "max_shannon_deviation": float(sh.max()),
+        "max_observational_deviation": float(ob.max()),
+    }
+    return reports, summary
 
 
 # ---------------------------------------------------------------------------
@@ -476,20 +511,21 @@ class ExperimentConfig:
         _check_keys("fluctuation", raw.get("fluctuation", {}), {"window", "count"})
         times = raw.get("times", {})
         fluct = raw.get("fluctuation", {})
+        default = _field_defaults(cls)
         try:
             return cls(
                 label=str(raw.get("label", "experiment")),
                 model=dict(raw["model"]),
-                observable=dict(raw.get("observable", {"axis": "z"})),
-                t_max=float(times.get("t_max", 100.0)),
+                observable=dict(raw.get("observable", default["observable"])),
+                t_max=float(times.get("t_max", default["t_max"])),
                 dt=None if times.get("dt") is None else float(times["dt"]),
-                average_grid=tuple(float(t) for t in raw.get("average_grid", (10.0, 25.0, 50.0, 100.0))),
-                fluctuation_window=float(fluct.get("window", 1.0e4)),
-                fluctuation_count=int(fluct.get("count", 10_000)),
-                seed=int(raw.get("seed", 0)),
-                dimension_cap=int(raw.get("dimension_cap", DEFAULT_DIMENSION_CAP)),
-                exact_gap_limit=int(raw.get("exact_gap_limit", DEFAULT_EXACT_GAP_LIMIT)),
-                eps_points=int(raw.get("eps_points", 32)),
+                average_grid=tuple(float(t) for t in raw.get("average_grid", default["average_grid"])),
+                fluctuation_window=float(fluct.get("window", default["fluctuation_window"])),
+                fluctuation_count=int(fluct.get("count", default["fluctuation_count"])),
+                seed=int(raw.get("seed", default["seed"])),
+                dimension_cap=int(raw.get("dimension_cap", default["dimension_cap"])),
+                exact_gap_limit=int(raw.get("exact_gap_limit", default["exact_gap_limit"])),
+                eps_points=int(raw.get("eps_points", default["eps_points"])),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError("config", str(exc)) from exc
@@ -527,6 +563,17 @@ def _check_keys(section: str, mapping, allowed: set):
             raise ConfigError(f"{section}.{key}", "unknown configuration key")
 
 
+def _field_defaults(cls) -> dict:
+    """Default value of every field of a config dataclass that has one."""
+    out = {}
+    for f in fields(cls):
+        if f.default is not MISSING:
+            out[f.name] = f.default
+        elif f.default_factory is not MISSING:
+            out[f.name] = f.default_factory()
+    return out
+
+
 def build_system(config: ExperimentConfig) -> PreparedSystem:
     """Construct the model, measurement and initial state of a config."""
     kind = config.model["kind"]
@@ -537,11 +584,10 @@ def build_system(config: ExperimentConfig) -> PreparedSystem:
             h=float(config.model.get("h", SpinChainParams.h)),
             J=float(config.model.get("J", SpinChainParams.J)),
         )
-        ham = tilted_ising_chain(params, dimension_cap=config.dimension_cap)
-        axis = config.observable.get("axis", "z")
-        obs = bulk_magnetization(params.sites, axis, dimension_cap=config.dimension_cap)
-        initial = all_down_state(params.sites, seed=config.seed, dimension_cap=config.dimension_cap)
-    elif kind == "precessing_spin":
+        return chain_system(params, config.observable.get("axis", "z"), seed=config.seed,
+                            label=config.label, dimension_cap=config.dimension_cap,
+                            exact_gap_limit=config.exact_gap_limit)
+    if kind == "precessing_spin":
         ham, initial, obs = precessing_spin(float(config.model.get("g", 1.0)))
     else:
         ham, initial, obs = spin_bath(
@@ -593,13 +639,6 @@ def _oracle_populations(config: ExperimentConfig, times: np.ndarray) -> np.ndarr
     return np.column_stack([up, 1.0 - up])
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run one configured experiment end to end; see
-    :func:`execute_experiment` for the variant that also hands back the
-    working objects."""
-    return execute_experiment(config)[0]
-
-
 def execute_experiment(config: ExperimentConfig):
     """Run one configured experiment end to end.
 
@@ -618,31 +657,11 @@ def execute_experiment(config: ExperimentConfig):
     reports = evaluate_bounds(system, trajectory, config.average_grid, eps_points=config.eps_points)
     reports.append(_bounds.average_entropy_check(trajectory, system.equilibrium.shannon, config.t_max))
 
-    r = system.measurement.r
-    eta_inf = _bounds.population_distance_bound(r, system.d_eff, 1.0) if r >= 2 else None
-    delta = _bounds.asymptotic_shannon_bound(r, system.d_eff) if r >= 2 else None
-    delta_alt = _bounds.asymptotic_shannon_bound(r, system.d_eff, alt_prefactor=True) if r >= 2 else None
-    nu = _bounds.asymptotic_observational_bound(r, system.d_eff, system.dim) if r >= 2 else None
-
-    fluctuations = None
-    if delta is not None and config.fluctuation_count > 0:
-        sh = sample_deviations(system, config.fluctuation_window, config.fluctuation_count,
-                               seed=config.seed, kind="shannon")
-        ob = sample_deviations(system, config.fluctuation_window, config.fluctuation_count,
-                               seed=config.seed + 1, kind="observational")
-        shannon_check = _bounds.tail_bound_check(sh, math.sqrt(delta), delta,
-                                                 name="shannon_fluctuation")
-        obs_check = _bounds.tail_bound_check(ob, math.sqrt(nu), nu,
-                                             name="observational_fluctuation")
-        reports.extend([shannon_check, obs_check])
-        fluctuations = {
-            "window": config.fluctuation_window,
-            "count": config.fluctuation_count,
-            "sqrt_delta": math.sqrt(delta),
-            "sqrt_nu": math.sqrt(nu),
-            "max_shannon_deviation": float(sh.max()),
-            "max_observational_deviation": float(ob.max()),
-        }
+    # evaluate_bounds has rejected measurements with fewer than two outcomes
+    r = system.r
+    checks, fluctuations = fluctuation_checks(system, config.fluctuation_window,
+                                              config.fluctuation_count, config.seed)
+    reports.extend(checks)
 
     late_start = 0.75 * config.t_max
     late_sel = trajectory.times >= late_start
@@ -684,10 +703,10 @@ def execute_experiment(config: ExperimentConfig):
         "min_gap": system.gap_stats.min_gap,
         "spectral_range": system.decomposition.spectral_range,
         "d_eff": system.d_eff,
-        "eta_infinite": eta_inf,
-        "delta": delta,
-        "delta_alt_prefactor": delta_alt,
-        "nu": nu,
+        "eta_infinite": _bounds.population_distance_bound(r, system.d_eff, 1.0),
+        "delta": _bounds.asymptotic_shannon_bound(r, system.d_eff),
+        "delta_alt_prefactor": _bounds.asymptotic_shannon_bound(r, system.d_eff, alt_prefactor=True),
+        "nu": _bounds.asymptotic_observational_bound(r, system.d_eff, system.dim),
         "delta_applicable": system.gap_stats.degenerate_gap_multiplicity() <= 1,
         "gap_stats_estimated": system.gap_stats.estimated,
     }
@@ -725,14 +744,8 @@ def sweep_chain_lengths(sites, seed: int = 0, t_max: float = 100.0,
     entropy deviation, plus exponential fits of both curves."""
     rows = []
     for n in sites:
-        params = SpinChainParams(sites=int(n))
-        system = prepare_system(
-            tilted_ising_chain(params, dimension_cap=dimension_cap),
-            bulk_magnetization(int(n), axis, dimension_cap=dimension_cap),
-            all_down_state(int(n), seed=seed, dimension_cap=dimension_cap),
-            label=f"chain_{n}",
-            exact_gap_limit=exact_gap_limit,
-        )
+        system = chain_system(SpinChainParams(sites=int(n)), axis, seed=seed, label=f"chain_{n}",
+                              dimension_cap=dimension_cap, exact_gap_limit=exact_gap_limit)
         dt = default_time_step(system.decomposition.spectral_range)
         trajectory = compute_trajectory(system, time_grid(t_max, dt))
         late = window_average(trajectory, "shannon_abs_dev", late_window[0], late_window[1])

@@ -25,6 +25,7 @@ from .models import DensityMatrix, PureState
 __all__ = [
     "Povm",
     "ProjectiveMeasurement",
+    "clamp_populations",
     "coarse_grained_state",
     "population_distance",
     "populations",
@@ -86,9 +87,6 @@ class ProjectiveMeasurement:
         """Sum an array over basis columns within each outcome (first axis)."""
         edges = [sl.start for sl in self.outcome_slices]
         return np.add.reduceat(per_level, edges, axis=0)
-
-    def expectation_value(self, pops: np.ndarray) -> float:
-        return float(np.dot(self.values, pops))
 
     def to_json_dict(self, include_effects: bool = False) -> dict:
         out = {
@@ -215,15 +213,18 @@ def _is_diagonal(arr: np.ndarray) -> bool:
     return np.count_nonzero(arr - np.diag(arr.diagonal())) == 0
 
 
-def _clamp_populations(raw: np.ndarray) -> np.ndarray:
+def clamp_populations(raw: np.ndarray) -> np.ndarray:
+    """Clamp round-off negatives to zero and renormalize along the last
+    axis: one distribution (r,) or one per row (times, r)."""
     raw = np.asarray(raw, dtype=float)
     if raw.min(initial=0.0) < _CLAMP_FLOOR:
         raise ValueError(f"population {raw.min():.3e} below round-off floor {_CLAMP_FLOOR:.0e}")
     clamped = np.clip(raw, 0.0, None)
-    total = clamped.sum()
-    if abs(total - 1.0) > _NORM_TOL:
-        raise ValueError(f"populations sum to {total!r}, expected 1")
-    return clamped / total
+    totals = clamped.sum(axis=-1, keepdims=True)
+    off = np.abs(totals - 1.0)
+    if off.max(initial=0.0) > _NORM_TOL:
+        raise ValueError(f"populations sum to {totals.flat[np.argmax(off)]!r}, expected 1")
+    return clamped / totals
 
 
 def populations(measurement, state) -> np.ndarray:
@@ -254,7 +255,7 @@ def populations(measurement, state) -> np.ndarray:
             raw = np.einsum("iab,ba->i", measurement.effects, rho).real
     else:
         raise TypeError(f"unsupported measurement type {type(measurement).__name__}")
-    return _clamp_populations(raw)
+    return clamp_populations(raw)
 
 
 def _state_matrix(state) -> np.ndarray:

@@ -148,15 +148,6 @@ class DensityMatrix:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
 
-def as_density_matrix(state) -> DensityMatrix:
-    """Accept a PureState, DensityMatrix, or raw matrix."""
-    if isinstance(state, DensityMatrix):
-        return state
-    if isinstance(state, PureState):
-        return state.density_matrix()
-    return DensityMatrix(state)
-
-
 def _check_cap(sites: int, dimension_cap: int) -> int:
     dim = 2**sites
     if dim > dimension_cap:

@@ -26,21 +26,20 @@ from .entropy import (
 from .harness import (
     ConfigError,
     _check_keys,
+    _field_defaults,
+    chain_system,
     compute_trajectory,
     evaluate_bounds,
+    fluctuation_checks,
     prepare_system,
-    sample_deviations,
     time_grid,
 )
 from .linalg import trace_norm
-from .measurement import Povm, populations, pvm_from_observable
-from .models import (
-    PureState,
-    SpinChainParams,
-    all_down_state,
-    bulk_magnetization,
-    tilted_ising_chain,
-)
+from .measurement import Povm, ProjectiveMeasurement, populations, pvm_from_observable
+from .models import DensityMatrix, PureState, SpinChainParams
+# not called here: perfbench/tracing.py looks these names up on this module
+from .harness import sample_deviations
+from .models import all_down_state, bulk_magnetization, tilted_ising_chain
 
 __all__ = [
     "VerifyConfig",
@@ -88,23 +87,26 @@ class VerifyConfig:
         suites = raw.get("suites", {})
         _check_keys("suites", suites, {"shannon_pairs", "observational_cases",
                                        "von_neumann_cases", "povm_cases", "povm_window"})
+        default = _field_defaults(cls)
         try:
             return cls(
-                sites=tuple(int(n) for n in raw.get("sites", (5, 6, 7, 8, 9))),
-                average_grid=tuple(float(t) for t in raw.get("average_grid", (10.0, 25.0, 50.0, 100.0))),
-                t_max=float(raw.get("t_max", 100.0)),
-                fluctuation_sites=int(fluct.get("sites", 7)),
-                fluctuation_window=float(fluct.get("window", 1.0e4)),
-                fluctuation_count=int(fluct.get("count", 10_000)),
-                averaged_state_sites=tuple(int(n) for n in avg_state.get("sites", (2, 3, 4, 5, 6))),
-                averaged_state_windows=tuple(float(t) for t in avg_state.get("windows", (1.0e2, 1.0e3, 1.0e4))),
-                shannon_pairs=int(suites.get("shannon_pairs", 10_000)),
-                observational_cases=int(suites.get("observational_cases", 1_000)),
-                von_neumann_cases=int(suites.get("von_neumann_cases", 1_000)),
-                povm_cases=int(suites.get("povm_cases", 1_000)),
-                povm_window=float(suites.get("povm_window", 10.0)),
-                seed=int(raw.get("seed", 0)),
-                eps_points=int(raw.get("eps_points", 32)),
+                sites=tuple(int(n) for n in raw.get("sites", default["sites"])),
+                average_grid=tuple(float(t) for t in raw.get("average_grid", default["average_grid"])),
+                t_max=float(raw.get("t_max", default["t_max"])),
+                fluctuation_sites=int(fluct.get("sites", default["fluctuation_sites"])),
+                fluctuation_window=float(fluct.get("window", default["fluctuation_window"])),
+                fluctuation_count=int(fluct.get("count", default["fluctuation_count"])),
+                averaged_state_sites=tuple(int(n) for n in avg_state.get(
+                    "sites", default["averaged_state_sites"])),
+                averaged_state_windows=tuple(float(t) for t in avg_state.get(
+                    "windows", default["averaged_state_windows"])),
+                shannon_pairs=int(suites.get("shannon_pairs", default["shannon_pairs"])),
+                observational_cases=int(suites.get("observational_cases", default["observational_cases"])),
+                von_neumann_cases=int(suites.get("von_neumann_cases", default["von_neumann_cases"])),
+                povm_cases=int(suites.get("povm_cases", default["povm_cases"])),
+                povm_window=float(suites.get("povm_window", default["povm_window"])),
+                seed=int(raw.get("seed", default["seed"])),
+                eps_points=int(raw.get("eps_points", default["eps_points"])),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError("verify", str(exc)) from exc
@@ -139,8 +141,6 @@ def random_density_matrix(rng, dim: int, rank: int | None = None):
     G = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = G @ G.conj().T
     rho /= np.trace(rho).real
-    from .models import DensityMatrix
-
     return DensityMatrix(rho)
 
 
@@ -175,8 +175,6 @@ def random_partition_pvm(rng, dim: int, outcomes: int):
     cuts = np.sort(rng.choice(np.arange(1, dim), size=outcomes - 1, replace=False))
     edges = np.concatenate([[0], cuts, [dim]])
     values = np.arange(outcomes, 0, -1, dtype=float)  # descending, arbitrary labels
-    from .measurement import ProjectiveMeasurement
-
     slices = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
     return ProjectiveMeasurement(values=values, basis=Q, outcome_slices=slices)
 
@@ -290,13 +288,7 @@ def time_averaged_state_suite(sites, windows, seed: int = 0) -> list:
     averaging window."""
     reports = []
     for n in sites:
-        params = SpinChainParams(sites=int(n))
-        system = prepare_system(
-            tilted_ising_chain(params),
-            bulk_magnetization(int(n), "z"),
-            all_down_state(int(n), seed=seed),
-            label=f"avg_state_{n}",
-        )
+        system = chain_system(SpinChainParams(sites=int(n)), seed=seed, label=f"avg_state_{n}")
         decomp = system.decomposition
         omega = equilibrium_state(decomp, system.initial)
         s_omega = von_neumann_entropy(omega)
@@ -337,13 +329,7 @@ def run_verification(config: VerifyConfig, corrupt_trajectory=None) -> list:
     reports = []
 
     for n in config.sites:
-        params = SpinChainParams(sites=int(n))
-        system = prepare_system(
-            tilted_ising_chain(params),
-            bulk_magnetization(int(n), "z"),
-            all_down_state(int(n), seed=config.seed),
-            label=f"chain_{n}",
-        )
+        system = chain_system(SpinChainParams(sites=int(n)), seed=config.seed, label=f"chain_{n}")
         dt = default_time_step(system.decomposition.spectral_range)
         trajectory = compute_trajectory(system, time_grid(config.t_max, dt))
         if corrupt_trajectory is not None:
@@ -357,23 +343,10 @@ def run_verification(config: VerifyConfig, corrupt_trajectory=None) -> list:
         reports.append(jensen)
 
     n = config.fluctuation_sites
-    params = SpinChainParams(sites=int(n))
-    system = prepare_system(
-        tilted_ising_chain(params),
-        bulk_magnetization(int(n), "z"),
-        all_down_state(int(n), seed=config.seed),
-        label=f"fluct_{n}",
-    )
-    r = system.measurement.r
-    delta = _bounds.asymptotic_shannon_bound(r, system.d_eff)
-    nu = _bounds.asymptotic_observational_bound(r, system.d_eff, system.dim)
-    sh = sample_deviations(system, config.fluctuation_window, config.fluctuation_count,
-                           seed=config.seed, kind="shannon")
-    ob = sample_deviations(system, config.fluctuation_window, config.fluctuation_count,
-                           seed=config.seed + 1, kind="observational")
-    for name, samples, scale in (("shannon_fluctuation", sh, delta),
-                                 ("observational_fluctuation", ob, nu)):
-        report = _bounds.tail_bound_check(samples, math.sqrt(scale), scale, name=name)
+    system = chain_system(SpinChainParams(sites=int(n)), seed=config.seed, label=f"fluct_{n}")
+    checks, _ = fluctuation_checks(system, config.fluctuation_window, config.fluctuation_count,
+                                   config.seed)
+    for report in checks:
         report.parameters["system"] = system.label
         reports.append(report)
 

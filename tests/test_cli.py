@@ -128,6 +128,19 @@ def test_report_config_round_trips(tmp_path):
     assert parsed.resolved_dict() == ExperimentConfig.from_dict(source).resolved_dict()
 
 
+def test_config_defaults_are_the_dataclass_defaults():
+    from qeqlab.harness import ExperimentConfig
+    from qeqlab.verify import VerifyConfig
+
+    assert VerifyConfig.from_dict({}) == VerifyConfig()
+    assert config_hash(VerifyConfig.from_dict({}).resolved_dict()) == config_hash(VerifyConfig().resolved_dict())
+    model = {"kind": "tilted_ising", "sites": 5}
+    parsed = ExperimentConfig.from_dict({"model": model})
+    assert parsed == ExperimentConfig(label="experiment", model=model)
+    assert config_hash(parsed.resolved_dict()) == config_hash(
+        ExperimentConfig(label="experiment", model=model).resolved_dict())
+
+
 def test_verify_exit_codes(tmp_path, monkeypatch):
     config = write_config(tmp_path / "verify.json", {
         "sites": [4],

@@ -225,7 +225,8 @@ def test_gap_statistics_monotone_in_eps():
 def test_gap_statistics_single_eigenvalue():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stats = gap_statistics(decompose_hermitian(np.eye(3, dtype=complex)), epsilons=(0.1,))
+        stats = gap_statistics(decompose_hermitian(np.eye(3, dtype=complex)))
+        stats.window_count(0.1)
     assert stats.min_gap is None
     assert stats.window_counts[0.1] == 0
     assert any("single distinct eigenvalue" in str(w.message) for w in caught)

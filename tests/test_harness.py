@@ -13,7 +13,6 @@ from qeqlab.harness import (
     finite_time_average_curve,
     fit_exponential,
     prepare_system,
-    run_experiment,
     sample_deviations,
     sweep_chain_lengths,
     time_grid,
@@ -238,8 +237,8 @@ def test_run_experiment_deterministic():
         "fluctuation": {"window": 50.0, "count": 200},
         "seed": 11,
     })
-    a = canonical_json(run_experiment(config).to_json_dict())
-    b = canonical_json(run_experiment(config).to_json_dict())
+    a = canonical_json(execute_experiment(config)[0].to_json_dict())
+    b = canonical_json(execute_experiment(config)[0].to_json_dict())
     assert a == b
 
 
@@ -294,7 +293,7 @@ def test_run_experiment_oracle_flag():
         "average_grid": [10.0],
         "fluctuation": {"window": 100.0, "count": 100},
     })
-    report = run_experiment(config)
+    report = execute_experiment(config)[0]
     assert report.oracle is not None
     assert report.oracle["passed"]
     assert report.oracle["max_population_error"] < 1e-8

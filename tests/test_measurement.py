@@ -4,6 +4,7 @@ import pytest
 from qeqlab.entropy import observational_entropy, shannon_entropy, von_neumann_entropy
 from qeqlab.measurement import (
     Povm,
+    clamp_populations,
     coarse_grained_state,
     population_distance,
     populations,
@@ -180,3 +181,28 @@ def test_measurement_serialization():
     blob = povm.to_json_dict()
     assert blob["kind"] == "povm"
     assert blob["multiplicities"] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("block", [False, True])
+def test_clamp_populations_negative_controls(block):
+    """Both error paths and the round-off clamp, on one distribution and on
+    a (times, r) block whose last row carries the defect."""
+    good = [0.5, 0.25, 0.25]
+
+    def shaped(last):
+        return np.array([good, good, last] if block else last)
+
+    with pytest.raises(ValueError, match="below round-off floor"):
+        clamp_populations(shaped([0.5, 0.5 + 2e-12, -2e-12]))
+    with pytest.raises(ValueError, match="sum to"):
+        clamp_populations(shaped([0.5, 0.25, 0.25 + 1e-9]))
+
+    raw = shaped([0.5, 0.5 + 1e-13, -1e-13])
+    pops = clamp_populations(raw)
+    assert pops.shape == raw.shape
+    last = pops.reshape(-1, 3)[-1]
+    assert last[2] == 0.0
+    assert abs(last.sum() - 1.0) <= 1e-15
+    assert np.array_equal(last, np.array([0.5, 0.5 + 1e-13, 0.0]) / (1.0 + 1e-13))
+    if block:
+        assert np.array_equal(pops[:-1], raw[:-1])

@@ -18,13 +18,13 @@ import pytest
 from qeqlab.bounds import optimal_epsilon
 from qeqlab.dynamics import gap_statistics
 from qeqlab.harness import (
-    _clamp_rows,
     _measurement_in_eigenbasis,
     _populations_at,
     compute_trajectory,
     prepare_system,
 )
 from qeqlab.linalg import decompose_hermitian
+from qeqlab.measurement import clamp_populations as _clamp_rows
 from qeqlab.models import SpinChainParams, all_down_state, bulk_magnetization, tilted_ising_chain
 from qeqlab.verify import random_hermitian, random_povm, random_pure_state
 
