@@ -85,7 +85,6 @@ from .models import (
     all_down_state,
     bulk_magnetization,
     pauli,
-    pauli_site,
     precessing_spin,
     spin_bath,
     tilted_ising_chain,

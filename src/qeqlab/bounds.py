@@ -17,7 +17,6 @@ from scipy.special import betaincinv
 
 from .dynamics import GapStatistics, Trajectory, time_average_scalar
 from .entropy import capped_binary_entropy, g_function
-from .linalg import operator_norm
 
 __all__ = [
     "ATOL_BOUND",
@@ -118,14 +117,9 @@ def population_distance_bound(n_outcomes: int, d_eff: float, factor: float) -> f
     return 0.5 * math.sqrt(n_outcomes * factor / d_eff)
 
 
-def expectation_bound(observable, d_eff: float, factor: float) -> float:
+def expectation_bound(norm: float, d_eff: float, factor: float) -> float:
     """Bound on the averaged squared deviation of an expectation value:
-    ``|O|^2 f / d_eff`` with the operator norm.
-
-    ``observable`` is the operator itself, or its precomputed operator
-    norm as a plain float.
-    """
-    norm = float(observable) if np.isscalar(observable) else operator_norm(observable)
+    ``|O|^2 f / d_eff``, given the operator norm ``|O|``."""
     return norm * norm * factor / d_eff
 
 

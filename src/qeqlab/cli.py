@@ -24,15 +24,14 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .dynamics import DEFAULT_EXACT_GAP_LIMIT
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    _check_keys,
     execute_experiment,
     sweep_chain_lengths,
+    sweep_config,
 )
-from .models import DEFAULT_DIMENSION_CAP, DimensionCapError
+from .models import DimensionCapError
 from .serialize import canonical_json, config_hash, write_csv
 from .verify import VerifyConfig, run_verification
 
@@ -192,22 +191,9 @@ def cmd_sweep(args) -> int:
     outdir = _outdir(raw, args)
     raw.pop("output_dir", None)
     _apply_cap_env(raw)
-    _check_keys("sweep", raw, {"label", "seed", "sites", "t_max", "late_window",
-                               "axis", "dimension_cap", "exact_gap_limit"})
-    try:
-        sites = [int(n) for n in raw.get("sites", (5, 6, 7, 8, 9))]
-        kwargs = {
-            "seed": int(raw.get("seed", 0)),
-            "t_max": float(raw.get("t_max", 100.0)),
-            "late_window": tuple(float(t) for t in raw.get("late_window", (50.0, 80.0))),
-            "axis": str(raw.get("axis", "z")),
-            "dimension_cap": int(raw.get("dimension_cap", DEFAULT_DIMENSION_CAP)),
-            "exact_gap_limit": int(raw.get("exact_gap_limit", DEFAULT_EXACT_GAP_LIMIT)),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("sweep", str(exc)) from exc
+    kwargs = sweep_config(raw)
     t0 = time.monotonic()
-    sweep = sweep_chain_lengths(sites, **kwargs)
+    sweep = sweep_chain_lengths(**kwargs)
     t_run = time.monotonic() - t0
 
     header = ["sites", "outcomes", "d_eff", "delta", "late_abs_dev",
@@ -222,7 +208,7 @@ def cmd_sweep(args) -> int:
         "late_window": sweep["late_window"],
     }
     (outdir / "sweep_fits.json").write_text(canonical_json(fits) + "\n")
-    _write_manifest(outdir, args.config, {"sweep": True, "sites": sites, **kwargs},
+    _write_manifest(outdir, args.config, {"sweep": True, **kwargs},
                     {"run": t_run})
     print(f"sweep: wrote sweep_summary.csv and sweep_fits.json to {outdir}")
     print(f"delta fit: a={fits['delta_fit']['a']:.4g} b={fits['delta_fit']['b']:.4g}; "

@@ -155,7 +155,6 @@ class GapStatistics:
 
     distinct_count: int
     min_gap: float | None
-    gap_count: int
     subsample_factor: float
     window_counts: dict = field(default_factory=dict)
     _gaps: np.ndarray = field(repr=False, default=None)
@@ -218,7 +217,7 @@ def gap_statistics(decomp: SpectralDecomposition,
     if m < 2:
         warnings.warn("single distinct eigenvalue: no gaps, window counts are 0")
         return GapStatistics(
-            distinct_count=m, min_gap=None, gap_count=0, subsample_factor=1.0, _gaps=np.array([])
+            distinct_count=m, min_gap=None, subsample_factor=1.0, _gaps=np.array([])
         )
     min_gap = float(np.min(np.diff(values)))  # values ascending
     if m > exact_limit:
@@ -233,7 +232,6 @@ def gap_statistics(decomp: SpectralDecomposition,
     return GapStatistics(
         distinct_count=m,
         min_gap=min_gap,
-        gap_count=m * (m - 1),
         subsample_factor=float(factor),
         _gaps=gaps,
     )
@@ -294,8 +292,6 @@ class Trajectory:
             return np.abs(self.shannon - eq.shannon)
         if name == "observational_abs_dev":
             return np.abs(self.observational - eq.observational)
-        if name == "boltzmann_abs_dev":
-            return np.abs(self.boltzmann - eq.boltzmann)
         if name == "population_distance":
             return 0.5 * np.sum(np.abs(self.populations - eq.populations[None, :]), axis=1)
         if name == "expectation_sq_dev":

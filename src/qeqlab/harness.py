@@ -8,6 +8,7 @@ seed); reports serialize to JSON through ``to_json_dict`` methods.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -22,7 +23,6 @@ from .dynamics import (
     default_time_step,
     effective_dimension,
     equilibrium_state,
-    evolve,
     gap_statistics,
     time_average_scalar,
 )
@@ -37,7 +37,6 @@ from .measurement import (
 )
 from .models import (
     DEFAULT_DIMENSION_CAP,
-    DensityMatrix,
     PureState,
     SpinChainParams,
     all_down_state,
@@ -63,6 +62,7 @@ __all__ = [
     "prepare_system",
     "sample_deviations",
     "sweep_chain_lengths",
+    "sweep_config",
     "time_grid",
     "window_average",
 ]
@@ -87,12 +87,12 @@ class PreparedSystem:
     label: str
     decomposition: SpectralDecomposition
     measurement: ProjectiveMeasurement | Povm
-    initial: PureState | DensityMatrix
+    initial: PureState
     gap_stats: GapStatistics
     d_eff: float
     equilibrium: EquilibriumReference
+    amps_eig: np.ndarray = field(repr=False)
     observable_norm: float | None = None
-    amps_eig: np.ndarray | None = field(repr=False, default=None)
     effects_eig: np.ndarray | None = field(repr=False, default=None)
     # PVM contraction times amps_eig: row j holds the weights that turn the
     # level phases exp(-i E t) into the measurement-basis amplitude c_j(t)
@@ -146,8 +146,11 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
     references and gap statistics.
 
     ``observable`` may be a Hermitian matrix (a projective measurement is
-    built from it) or an already constructed measurement.
+    built from it) or an already constructed measurement; ``initial`` is a
+    :class:`~qeqlab.models.PureState`.
     """
+    if not isinstance(initial, PureState):
+        raise TypeError(f"initial state must be a PureState, got {type(initial).__name__}")
     decomp = decompose_hermitian(hamiltonian)
     obs_norm = None
     if isinstance(observable, (ProjectiveMeasurement, Povm)):
@@ -160,14 +163,9 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
     stats = gap_statistics(decomp, exact_limit=exact_gap_limit)
     d_eff = effective_dimension(decomp, initial)
 
-    amps_eig = effects_eig = weighted = None
-    if isinstance(initial, PureState):
-        amps = _strip_global_phase(initial.amplitudes)
-        amps_eig = decomp.eigenvectors.conj().T @ amps
-        contraction, effects_eig = _measurement_in_eigenbasis(measurement, decomp)
-        if contraction is not None:
-            weighted = contraction * amps_eig[None, :]
-
+    amps_eig = decomp.eigenvectors.conj().T @ _strip_global_phase(initial.amplitudes)
+    contraction, effects_eig = _measurement_in_eigenbasis(measurement, decomp)
+    weighted = None if contraction is None else contraction * amps_eig[None, :]
     if weighted is not None:
         # dephased-state populations without materializing omega:
         # accumulate |C[:, block] @ amps[block]|^2 over energy eigenspaces
@@ -197,8 +195,8 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
         gap_stats=stats,
         d_eff=d_eff,
         equilibrium=equilibrium,
-        observable_norm=obs_norm,
         amps_eig=amps_eig,
+        observable_norm=obs_norm,
         effects_eig=effects_eig,
         weighted_contraction=weighted,
     )
@@ -248,23 +246,19 @@ def _populations_at(system: PreparedSystem, times: np.ndarray) -> np.ndarray:
     """Outcome populations at arbitrary times, (len(times), r)."""
     decomp = system.decomposition
     measurement = system.measurement
-    if system.amps_eig is not None:
-        weighted = system.weighted_contraction
-        out = np.empty((len(times), measurement.r))
-        per_time = decomp.dim * (measurement.r if weighted is None else 1)
-        chunk = max(256, _CHUNK_ENTRIES // per_time)
-        for start in range(0, len(times), chunk):
-            ts = times[start : start + chunk]
-            if weighted is not None:
-                sq = _pvm_sq_amplitudes(weighted, decomp.level_values, ts)
-                raw = measurement.group_sums(sq).T
-            else:
-                raw = _povm_populations(system, ts)
-            out[start : start + len(ts)] = raw
-        return clamp_populations(out)
-    # mixed initial state: materialize each evolved state (small systems)
-    rows = [populations(measurement, evolve(decomp, system.initial, float(t))) for t in times]
-    return np.array(rows)
+    weighted = system.weighted_contraction
+    out = np.empty((len(times), measurement.r))
+    per_time = decomp.dim * (measurement.r if weighted is None else 1)
+    chunk = max(256, _CHUNK_ENTRIES // per_time)
+    for start in range(0, len(times), chunk):
+        ts = times[start : start + chunk]
+        if weighted is not None:
+            sq = _pvm_sq_amplitudes(weighted, decomp.level_values, ts)
+            raw = measurement.group_sums(sq).T
+        else:
+            raw = _povm_populations(system, ts)
+        out[start : start + len(ts)] = raw
+    return clamp_populations(out)
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
@@ -353,7 +347,7 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
     stats = system.gap_stats
     r = system.measurement.r
     dim = system.dim
-    if not system.measurement.bound_eligible:
+    if r < 2:
         raise ValueError("bound evaluation needs a measurement with r >= 2")
     for T in T_grid:
         T = float(T)
@@ -462,6 +456,7 @@ def fit_exponential(points) -> FitResult:
 
 
 _MODEL_KINDS = ("tilted_ising", "precessing_spin", "spin_bath")
+_AXES = ("x", "y", "z")
 
 
 @dataclass
@@ -483,52 +478,53 @@ class ExperimentConfig:
 
     def __post_init__(self):
         kind = self.model.get("kind")
-        if kind not in _MODEL_KINDS:
-            raise ConfigError("model.kind", f"must be one of {_MODEL_KINDS}, got {kind!r}")
-        if kind == "tilted_ising" and "sites" not in self.model:
-            raise ConfigError("model.sites", "required for tilted_ising")
-        if self.t_max <= 0:
-            raise ConfigError("times.t_max", "must be positive")
-        if self.average_grid and max(self.average_grid) > self.t_max * (1 + 1e-12):
-            raise ConfigError("average_grid", "entries must not exceed times.t_max")
-        if self.fluctuation_count < 1:
-            raise ConfigError("fluctuation.count", "must be >= 1")
+        _require(kind in _MODEL_KINDS, "model.kind", f"must be one of {_MODEL_KINDS}, got {kind!r}")
+        model = {"model": self.model}
+        if kind == "tilted_ising":
+            _require("sites" in self.model, "model.sites", "required for tilted_ising")
+            _require(_get(model, "model.sites", int, 0) >= 2, "model.sites", "must be >= 2")
+            for key in ("g", "h", "J"):
+                _get(model, f"model.{key}", float, None)
+            _require(self.observable.get("axis", "z") in _AXES, "observable.axis", f"must be one of {_AXES}")
+        else:
+            _require(_get(model, "model.g", float, 1.0) != 0, "model.g", "must be nonzero")
+        if kind == "spin_bath":
+            _require(_get(model, "model.bath_dim", int, 4) >= 1, "model.bath_dim", "must be >= 1")
+        _require(self.t_max > 0, "times.t_max", "must be positive")
+        _require(self.dt is None or self.dt > 0, "times.dt", "must be positive")
+        _check_windows("average_grid", self.average_grid, self.t_max)
+        _require(self.fluctuation_window > 0, "fluctuation.window", "must be positive")
+        _require(self.fluctuation_count >= 1, "fluctuation.count", "must be >= 1")
+        _require(self.exact_gap_limit >= 2, "exact_gap_limit", "must be >= 2")
+        _require(self.eps_points >= 1, "eps_points", "must be >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {
+        _check_keys("", raw, {
             "label", "model", "observable", "times", "average_grid",
             "fluctuation", "seed", "dimension_cap", "exact_gap_limit", "eps_points",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(sorted(unknown)[0], "unknown configuration key")
+        })
         if "model" not in raw:
             raise ConfigError("model", "missing required key")
         _check_keys("model", raw["model"], {"kind", "sites", "g", "h", "J", "bath_dim"})
         _check_keys("observable", raw.get("observable", {}), {"axis"})
         _check_keys("times", raw.get("times", {}), {"t_max", "dt"})
         _check_keys("fluctuation", raw.get("fluctuation", {}), {"window", "count"})
-        times = raw.get("times", {})
-        fluct = raw.get("fluctuation", {})
         default = _field_defaults(cls)
-        try:
-            return cls(
-                label=str(raw.get("label", "experiment")),
-                model=dict(raw["model"]),
-                observable=dict(raw.get("observable", default["observable"])),
-                t_max=float(times.get("t_max", default["t_max"])),
-                dt=None if times.get("dt") is None else float(times["dt"]),
-                average_grid=tuple(float(t) for t in raw.get("average_grid", default["average_grid"])),
-                fluctuation_window=float(fluct.get("window", default["fluctuation_window"])),
-                fluctuation_count=int(fluct.get("count", default["fluctuation_count"])),
-                seed=int(raw.get("seed", default["seed"])),
-                dimension_cap=int(raw.get("dimension_cap", default["dimension_cap"])),
-                exact_gap_limit=int(raw.get("exact_gap_limit", default["exact_gap_limit"])),
-                eps_points=int(raw.get("eps_points", default["eps_points"])),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("config", str(exc)) from exc
+        return cls(
+            label=str(raw.get("label", "experiment")),
+            model=dict(raw["model"]),
+            observable=dict(raw.get("observable", default["observable"])),
+            t_max=_get(raw, "times.t_max", float, default["t_max"]),
+            dt=_get(raw, "times.dt", lambda dt: None if dt is None else float(dt), None),
+            average_grid=_get(raw, "average_grid", _tuple(float), default["average_grid"]),
+            fluctuation_window=_get(raw, "fluctuation.window", float, default["fluctuation_window"]),
+            fluctuation_count=_get(raw, "fluctuation.count", int, default["fluctuation_count"]),
+            seed=_get(raw, "seed", int, default["seed"]),
+            dimension_cap=_get(raw, "dimension_cap", int, default["dimension_cap"]),
+            exact_gap_limit=_get(raw, "exact_gap_limit", int, default["exact_gap_limit"]),
+            eps_points=_get(raw, "eps_points", int, default["eps_points"]),
+        )
 
     def resolved_dict(self) -> dict:
         """Canonical nested form; parsing it back yields an identical
@@ -555,12 +551,40 @@ class ConfigError(ValueError):
         super().__init__(f"config key {key!r}: {message}")
 
 
+def _require(ok: bool, key: str, message: str):
+    if not ok:
+        raise ConfigError(key, message)
+
+
+def _get(raw: dict, dotted: str, convert, default):
+    """``convert`` applied to the value at a dotted key of ``raw``, or
+    ``default`` when the key is absent; a value that does not convert is a
+    ConfigError naming the dotted key."""
+    *sections, key = dotted.split(".")
+    for section in sections:
+        raw = raw.get(section, {})
+    try:
+        return convert(raw[key]) if key in raw else default
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(dotted, str(exc)) from None
+
+
+def _tuple(convert):
+    return lambda values: tuple(convert(v) for v in values)
+
+
+def _check_windows(key: str, windows, t_max: float = math.inf):
+    """Averaging windows must lie in (0, t_max]."""
+    _require(all(T > 0 for T in windows), key, "entries must be positive")
+    _require(max(windows, default=0.0) <= t_max * (1 + 1e-12), key, "entries must not exceed t_max")
+
+
 def _check_keys(section: str, mapping, allowed: set):
     if not isinstance(mapping, dict):
         raise ConfigError(section, "must be a mapping")
     for key in mapping:
         if key not in allowed:
-            raise ConfigError(f"{section}.{key}", "unknown configuration key")
+            raise ConfigError(f"{section}.{key}" if section else key, "unknown configuration key")
 
 
 def _field_defaults(cls) -> dict:
@@ -735,7 +759,7 @@ def execute_experiment(config: ExperimentConfig):
 # chain-length sweep
 
 
-def sweep_chain_lengths(sites, seed: int = 0, t_max: float = 100.0,
+def sweep_chain_lengths(sites=(5, 6, 7, 8, 9), seed: int = 0, t_max: float = 100.0,
                         late_window: tuple = (50.0, 80.0), axis: str = "z",
                         dimension_cap: int = DEFAULT_DIMENSION_CAP,
                         exact_gap_limit: int = DEFAULT_EXACT_GAP_LIMIT) -> dict:
@@ -770,6 +794,24 @@ def sweep_chain_lengths(sites, seed: int = 0, t_max: float = 100.0,
         "delta_inversions": _count_inversions([row["delta"] for row in rows]),
         "late_inversions": _count_inversions([row["late_abs_dev"] for row in rows]),
     }
+
+
+def sweep_config(raw: dict) -> dict:
+    """Keyword arguments of :func:`sweep_chain_lengths` from a sweep config;
+    an absent key takes the function's default."""
+    default = {name: p.default for name, p in inspect.signature(sweep_chain_lengths).parameters.items()}
+    types = {"sites": _tuple(int), "seed": int, "t_max": float, "late_window": _tuple(float),
+             "axis": str, "dimension_cap": int, "exact_gap_limit": int}
+    _check_keys("", raw, set(types))
+    kw = {key: _get(raw, key, convert, default[key]) for key, convert in types.items()}
+    _require(len(kw["sites"]) >= 3 and min(kw["sites"]) >= 2, "sites",
+             "the fits need at least 3 chain lengths, each >= 2")
+    late = kw["late_window"]
+    _require(len(late) == 2 and 0 <= late[0] < late[1] <= kw["t_max"], "late_window",
+             "must be [t0, t1] with 0 <= t0 < t1 <= t_max")
+    _require(kw["axis"] in _AXES, "axis", f"must be one of {_AXES}")
+    _require(kw["exact_gap_limit"] >= 2, "exact_gap_limit", "must be >= 2")
+    return kw
 
 
 def _count_inversions(values) -> int:

@@ -70,11 +70,6 @@ class ProjectiveMeasurement:
         """Outcome eigenspace dimensions V_i = Tr[Pi_i]."""
         return np.array([sl.stop - sl.start for sl in self.outcome_slices])
 
-    @property
-    def bound_eligible(self) -> bool:
-        """Entropy-bound machinery needs at least two outcomes."""
-        return self.r >= 2
-
     def projector(self, i: int) -> np.ndarray:
         vecs = self.basis[:, self.outcome_slices[i]]
         return vecs @ vecs.conj().T
@@ -87,17 +82,6 @@ class ProjectiveMeasurement:
         """Sum an array over basis columns within each outcome (first axis)."""
         edges = [sl.start for sl in self.outcome_slices]
         return np.add.reduceat(per_level, edges, axis=0)
-
-    def to_json_dict(self, include_effects: bool = False) -> dict:
-        out = {
-            "kind": "pvm",
-            "outcomes": int(self.r),
-            "values": [float(v) for v in self.values],
-            "multiplicities": [int(v) for v in self.multiplicities],
-        }
-        if include_effects:
-            out["effects"] = [_complex_matrix_to_json(p) for p in self.projectors()]
-        return out
 
 
 @dataclass(frozen=True)
@@ -141,29 +125,6 @@ class Povm:
     def multiplicities(self) -> np.ndarray:
         """Generalized multiplicities V_i = Tr[E_i] (reals for a POVM)."""
         return np.einsum("ikk->i", self.effects).real
-
-    @property
-    def bound_eligible(self) -> bool:
-        return self.r >= 2
-
-    def to_json_dict(self, include_effects: bool = False) -> dict:
-        out = {
-            "kind": "povm",
-            "outcomes": int(self.r),
-            "multiplicities": [float(v) for v in self.multiplicities],
-        }
-        if self.values is not None:
-            out["values"] = [float(v) for v in self.values]
-        if include_effects:
-            out["effects"] = [_complex_matrix_to_json(e) for e in self.effects]
-        return out
-
-
-def _complex_matrix_to_json(matrix: np.ndarray) -> dict:
-    return {
-        "re": [[float(x) for x in row] for row in matrix.real],
-        "im": [[float(x) for x in row] for row in matrix.imag],
-    }
 
 
 def pvm_from_observable(observable, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> ProjectiveMeasurement:

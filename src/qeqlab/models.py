@@ -39,7 +39,6 @@ __all__ = [
     "all_down_state",
     "bulk_magnetization",
     "pauli",
-    "pauli_site",
     "precessing_spin",
     "spin_bath",
     "tilted_ising_chain",
@@ -87,10 +86,6 @@ class SpinChainParams:
     def __post_init__(self):
         if self.sites < 1:
             raise ValueError("sites must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return 2**self.sites
 
 
 @dataclass(frozen=True)
@@ -140,10 +135,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", arr)
         arr.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def purity(self) -> float:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
@@ -161,28 +152,6 @@ def _site_bit(sites: int, site: int) -> int:
     if not 1 <= site <= sites:
         raise ValueError(f"site {site} outside 1..{sites}")
     return sites - site
-
-
-def pauli_site(sites: int, site: int, axis: str, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
-    """Dense Pauli operator acting on one site of a chain.
-
-    Equivalent to ``kron(I_{2^(site-1)}, sigma_axis, I_{2^(sites-site)})``;
-    built by index arithmetic to avoid the kron temporaries.
-    """
-    dim = _check_cap(sites, dimension_cap)
-    mask = 1 << _site_bit(sites, site)
-    idx = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    if axis == "z":
-        out[idx, idx] = np.where(idx & mask, -1.0, 1.0)
-    elif axis == "x":
-        out[idx, idx ^ mask] = 1.0
-    elif axis == "y":
-        # <a|sigma_y|b> with b = a^mask: +i when a has the bit set (down).
-        out[idx, idx ^ mask] = np.where(idx & mask, 1j, -1j)
-    else:
-        raise ValueError(f"unknown Pauli axis {axis!r}")
-    return out
 
 
 def _z_values(sites: int) -> np.ndarray:

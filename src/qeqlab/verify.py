@@ -24,9 +24,12 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .harness import (
-    ConfigError,
     _check_keys,
+    _check_windows,
     _field_defaults,
+    _get,
+    _require,
+    _tuple,
     chain_system,
     compute_trajectory,
     evaluate_bounds,
@@ -74,42 +77,52 @@ class VerifyConfig:
     seed: int = 0
     eps_points: int = 32
 
+    def __post_init__(self):
+        for key, sites in (("sites", self.sites), ("fluctuation.sites", [self.fluctuation_sites]),
+                           ("averaged_state.sites", self.averaged_state_sites)):
+            _require(min(sites, default=2) >= 2, key, "chains need at least 2 sites")
+        _require(self.t_max > 0, "t_max", "must be positive")
+        _check_windows("average_grid", self.average_grid, self.t_max)
+        _check_windows("averaged_state.windows", self.averaged_state_windows)
+        _require(self.fluctuation_window > 0, "fluctuation.window", "must be positive")
+        _require(self.povm_window > 0, "suites.povm_window", "must be positive")
+        for key, count in (("fluctuation.count", self.fluctuation_count),
+                           ("suites.shannon_pairs", self.shannon_pairs),
+                           ("suites.observational_cases", self.observational_cases),
+                           ("suites.von_neumann_cases", self.von_neumann_cases),
+                           ("suites.povm_cases", self.povm_cases), ("eps_points", self.eps_points)):
+            _require(count >= 1, key, "must be >= 1")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "VerifyConfig":
-        _check_keys("verify", raw, {
+        _check_keys("", raw, {
             "sites", "average_grid", "t_max", "fluctuation", "averaged_state",
             "suites", "seed", "eps_points",
         })
-        fluct = raw.get("fluctuation", {})
-        _check_keys("fluctuation", fluct, {"sites", "window", "count"})
-        avg_state = raw.get("averaged_state", {})
-        _check_keys("averaged_state", avg_state, {"sites", "windows"})
-        suites = raw.get("suites", {})
-        _check_keys("suites", suites, {"shannon_pairs", "observational_cases",
-                                       "von_neumann_cases", "povm_cases", "povm_window"})
+        _check_keys("fluctuation", raw.get("fluctuation", {}), {"sites", "window", "count"})
+        _check_keys("averaged_state", raw.get("averaged_state", {}), {"sites", "windows"})
+        _check_keys("suites", raw.get("suites", {}), {"shannon_pairs", "observational_cases",
+                                                     "von_neumann_cases", "povm_cases", "povm_window"})
         default = _field_defaults(cls)
-        try:
-            return cls(
-                sites=tuple(int(n) for n in raw.get("sites", default["sites"])),
-                average_grid=tuple(float(t) for t in raw.get("average_grid", default["average_grid"])),
-                t_max=float(raw.get("t_max", default["t_max"])),
-                fluctuation_sites=int(fluct.get("sites", default["fluctuation_sites"])),
-                fluctuation_window=float(fluct.get("window", default["fluctuation_window"])),
-                fluctuation_count=int(fluct.get("count", default["fluctuation_count"])),
-                averaged_state_sites=tuple(int(n) for n in avg_state.get(
-                    "sites", default["averaged_state_sites"])),
-                averaged_state_windows=tuple(float(t) for t in avg_state.get(
-                    "windows", default["averaged_state_windows"])),
-                shannon_pairs=int(suites.get("shannon_pairs", default["shannon_pairs"])),
-                observational_cases=int(suites.get("observational_cases", default["observational_cases"])),
-                von_neumann_cases=int(suites.get("von_neumann_cases", default["von_neumann_cases"])),
-                povm_cases=int(suites.get("povm_cases", default["povm_cases"])),
-                povm_window=float(suites.get("povm_window", default["povm_window"])),
-                seed=int(raw.get("seed", default["seed"])),
-                eps_points=int(raw.get("eps_points", default["eps_points"])),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("verify", str(exc)) from exc
+        return cls(
+            sites=_get(raw, "sites", _tuple(int), default["sites"]),
+            average_grid=_get(raw, "average_grid", _tuple(float), default["average_grid"]),
+            t_max=_get(raw, "t_max", float, default["t_max"]),
+            fluctuation_sites=_get(raw, "fluctuation.sites", int, default["fluctuation_sites"]),
+            fluctuation_window=_get(raw, "fluctuation.window", float, default["fluctuation_window"]),
+            fluctuation_count=_get(raw, "fluctuation.count", int, default["fluctuation_count"]),
+            averaged_state_sites=_get(raw, "averaged_state.sites", _tuple(int),
+                                      default["averaged_state_sites"]),
+            averaged_state_windows=_get(raw, "averaged_state.windows", _tuple(float),
+                                        default["averaged_state_windows"]),
+            shannon_pairs=_get(raw, "suites.shannon_pairs", int, default["shannon_pairs"]),
+            observational_cases=_get(raw, "suites.observational_cases", int, default["observational_cases"]),
+            von_neumann_cases=_get(raw, "suites.von_neumann_cases", int, default["von_neumann_cases"]),
+            povm_cases=_get(raw, "suites.povm_cases", int, default["povm_cases"]),
+            povm_window=_get(raw, "suites.povm_window", float, default["povm_window"]),
+            seed=_get(raw, "seed", int, default["seed"]),
+            eps_points=_get(raw, "eps_points", int, default["eps_points"]),
+        )
 
     def resolved_dict(self) -> dict:
         """Canonical nested form with every default filled in; parsing it

@@ -25,7 +25,7 @@ from qeqlab.dynamics import (
     gap_statistics,
 )
 from qeqlab.entropy import binary_entropy, g_function
-from qeqlab.linalg import decompose_hermitian, trace_norm
+from qeqlab.linalg import decompose_hermitian, operator_norm, trace_norm
 from qeqlab.models import bulk_magnetization, precessing_spin
 
 LN2 = math.log(2.0)
@@ -70,7 +70,7 @@ def test_expectation_bound_magnetization_norm():
     # |M_z| = 1 for every chain length, so the bound is f / d_eff
     for sites in (2, 4):
         M = bulk_magnetization(sites, "z")
-        assert np.isclose(expectation_bound(M, 10.0, 3.0), 0.3)
+        assert np.isclose(expectation_bound(operator_norm(M), 10.0, 3.0), 0.3)
 
 
 def test_shannon_deviation_bound_values():

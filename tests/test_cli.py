@@ -245,3 +245,95 @@ def test_float_serialization_17_digits():
     with pytest.raises(ValueError):
         format_number(float("inf"))
     assert canonical_json({"b": 1, "a": [True, None]}) == '{"a": [true, null], "b": 1}'
+
+
+BASE_CONFIGS = {
+    "simulate": {
+        "label": "n3",
+        "model": {"kind": "tilted_ising", "sites": 3},
+        "times": {"t_max": 10.0},
+        "average_grid": [5.0, 10.0],
+        "fluctuation": {"window": 20.0, "count": 50},
+    },
+    "verify": {
+        "sites": [3],
+        "average_grid": [5.0],
+        "t_max": 5.0,
+        "fluctuation": {"sites": 3, "window": 20.0, "count": 50},
+        "averaged_state": {"sites": [2], "windows": [100.0]},
+        "suites": {"shannon_pairs": 10, "observational_cases": 4,
+                   "von_neumann_cases": 4, "povm_cases": 2},
+    },
+    "sweep": {"sites": [3, 4, 5], "t_max": 20.0, "late_window": [5.0, 15.0]},
+}
+
+
+def _run_with(tmp_path, command, overrides):
+    payload = {**BASE_CONFIGS[command], "output_dir": str(tmp_path / "out")}
+    config = write_config(tmp_path / f"{command}.json", payload)
+    args = [command, config]
+    for item in overrides:
+        args += ["--set", item]
+    return cli.main(args)
+
+
+@pytest.mark.parametrize("command, overrides, key", [
+    ("simulate", ["times.dt=0"], "times.dt"),
+    ("simulate", ["times.dt=-0.1"], "times.dt"),
+    ("simulate", ["fluctuation.window=0"], "fluctuation.window"),
+    ("simulate", ["average_grid=[0.0, 10.0]"], "average_grid"),
+    ("simulate", ["model.sites=1"], "model.sites"),
+    ("simulate", ["observable.axis=q"], "observable.axis"),
+    ("simulate", ['model={"kind": "spin_bath", "bath_dim": 0}'], "model.bath_dim"),
+    ("simulate", ['model={"kind": "precessing_spin", "g": 0}'], "model.g"),
+    ("simulate", ['model={"kind": "spin_bath", "g": 0}'], "model.g"),
+    ("simulate", ["eps_points=0"], "eps_points"),
+    ("simulate", ["exact_gap_limit=1"], "exact_gap_limit"),
+    ("verify", ["sites=[1]"], "sites"),
+    ("verify", ["averaged_state.sites=[1]"], "averaged_state.sites"),
+    ("verify", ["fluctuation.count=0"], "fluctuation.count"),
+    ("verify", ["suites.shannon_pairs=0"], "suites.shannon_pairs"),
+    ("verify", ["suites.povm_cases=0"], "suites.povm_cases"),
+    ("verify", ["averaged_state.windows=[0.0]"], "averaged_state.windows"),
+    ("verify", ["average_grid=[10.0]"], "average_grid"),
+    ("sweep", ["sites=[3, 4]"], "sites"),
+    ("sweep", ["late_window=[5.0, 25.0]"], "late_window"),
+    ("sweep", ["late_window=[-1.0, 5.0]"], "late_window"),
+    ("sweep", ["label=chains"], "label"),
+])
+def test_out_of_range_config_exits_2(tmp_path, capsys, command, overrides, key):
+    assert _run_with(tmp_path, command, overrides) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, override, key", [
+    ("simulate", "times.t_max=abc", "times.t_max"),
+    ("simulate", "fluctuation.window=abc", "fluctuation.window"),
+    ("simulate", "model.h=abc", "model.h"),
+    ("verify", "fluctuation.window=abc", "fluctuation.window"),
+    ("verify", "sites=[3, \"x\"]", "sites"),
+    ("sweep", "t_max=abc", "t_max"),
+])
+def test_conversion_errors_name_the_dotted_key(tmp_path, capsys, command, override, key):
+    assert _run_with(tmp_path, command, [override]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_numerical_faults_are_not_config_errors(tmp_path, monkeypatch):
+    def fault(config):
+        raise ValueError("population -1e-09 below round-off floor")
+
+    monkeypatch.setattr(cli, "execute_experiment", fault)
+    with pytest.raises(ValueError, match="round-off floor"):
+        _run_with(tmp_path, "simulate", [])
+
+
+def test_sweep_defaults_come_from_sweep_chain_lengths(tmp_path, monkeypatch):
+    monkeypatch.delenv("QEQLAB_DIM_CAP", raising=False)
+    only_sites = _manifest_hash(tmp_path, "sweep", "s_sites", {"sites": [3, 4, 5]})
+    written_out = _manifest_hash(tmp_path, "sweep", "s_all", {
+        "sites": [3, 4, 5], "seed": 0, "t_max": 100.0, "late_window": [50.0, 80.0],
+        "axis": "z", "dimension_cap": 8192, "exact_gap_limit": 1024,
+    })
+    # the hash earlier releases wrote for this config, when the CLI kept its own defaults
+    assert only_sites == written_out == "73ca7ec9d2806f9738031669313010bc8ba8a8d3b972ef42c2e8e4a77e0fea2b"

@@ -76,18 +76,11 @@ def test_trajectory_povm_matches_naive():
     assert traj.expectation is None
 
 
-def test_trajectory_mixed_state_path():
-    system_pure = small_chain(2)
-    mixed = DensityMatrix(system_pure.initial.density_matrix().matrix * 0.5
-                          + np.eye(4) * 0.125)
-    system = prepare_system(
-        tilted_ising_chain(SpinChainParams(sites=2)),
-        bulk_magnetization(2, "z"),
-        mixed,
-    )
-    times = np.linspace(0.0, 3.0, 16)
-    traj = compute_trajectory(system, times)
-    assert np.max(np.abs(traj.populations - naive_populations(system, times))) < 1e-10
+def test_prepare_system_rejects_a_mixed_state():
+    mixed = DensityMatrix(np.eye(4) / 4)
+    with pytest.raises(TypeError, match="PureState, got DensityMatrix"):
+        prepare_system(tilted_ising_chain(SpinChainParams(sites=2)),
+                       bulk_magnetization(2, "z"), mixed)
 
 
 def test_equilibrium_reference_matches_omega_oracle():

@@ -24,7 +24,6 @@ def test_pvm_sigma_z():
     assert m.r == 2
     assert np.array_equal(m.multiplicities, [1, 1])
     assert np.allclose(m.values, [1.0, -1.0])  # descending ordering
-    assert m.bound_eligible
 
 
 def test_pvm_mz_n3_multiplicities():
@@ -36,7 +35,6 @@ def test_pvm_mz_n3_multiplicities():
 def test_identity_observable_flagged():
     m = pvm_from_observable(np.eye(4, dtype=complex))
     assert m.r == 1
-    assert not m.bound_eligible
 
 
 def test_pvm_projectors_complete_and_orthogonal():
@@ -166,21 +164,6 @@ def test_povm_validation():
     incomplete = np.array([np.eye(2) / 2, np.eye(2) / 3])
     with pytest.raises(ValueError, match="identity"):
         Povm(effects=incomplete.astype(complex))
-
-
-def test_measurement_serialization():
-    m = pvm_from_observable(bulk_magnetization(2, "z"))
-    blob = m.to_json_dict()
-    assert blob["kind"] == "pvm"
-    assert blob["outcomes"] == 3
-    assert blob["multiplicities"] == [1, 2, 1]
-    with_effects = m.to_json_dict(include_effects=True)
-    assert len(with_effects["effects"]) == 3
-
-    povm = Povm(effects=np.array([np.eye(2) / 2, np.eye(2) / 2]))
-    blob = povm.to_json_dict()
-    assert blob["kind"] == "povm"
-    assert blob["multiplicities"] == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("block", [False, True])

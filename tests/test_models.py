@@ -12,7 +12,6 @@ from qeqlab.models import (
     all_down_state,
     bulk_magnetization,
     pauli,
-    pauli_site,
     precessing_spin,
     spin_bath,
     tilted_ising_chain,
@@ -24,15 +23,6 @@ def test_pauli_conventions():
     assert np.array_equal(pauli("z"), np.diag([1.0, -1.0]).astype(complex))
     with pytest.raises(ValueError):
         pauli("q")
-
-
-def test_pauli_site_against_kron():
-    for site in (1, 2, 3):
-        for axis in "xyz":
-            left = np.eye(2 ** (site - 1))
-            right = np.eye(2 ** (3 - site))
-            oracle = np.kron(left, np.kron(pauli(axis), right))
-            assert np.array_equal(pauli_site(3, site, axis), oracle)
 
 
 def test_default_constants():
