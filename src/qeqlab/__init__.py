@@ -81,11 +81,13 @@ from .measurement import (
 from .models import (
     DensityMatrix,
     PureState,
+    ReflectionSector,
     SpinChainParams,
     all_down_state,
     bulk_magnetization,
     pauli,
     precessing_spin,
+    reflection_sector,
     spin_bath,
     tilted_ising_chain,
 )

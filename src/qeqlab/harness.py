@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .models import (
     all_down_state,
     bulk_magnetization,
     precessing_spin,
+    reflection_sector,
     spin_bath,
     tilted_ising_chain,
 )
@@ -82,7 +83,12 @@ _REAL_TOL = 1e-14
 @dataclass(frozen=True)
 class PreparedSystem:
     """A diagonalized system bundled with its measurement and initial
-    state, plus the eigenbasis caches the fast paths need."""
+    state, plus the eigenbasis caches the fast paths need.
+
+    ``decomposition.dim`` is the dimension that was solved; ``dim`` is the
+    Hilbert-space dimension the bounds see. The two differ when a chain
+    is solved in a symmetry sector.
+    """
 
     label: str
     decomposition: SpectralDecomposition
@@ -100,7 +106,9 @@ class PreparedSystem:
 
     @property
     def dim(self) -> int:
-        return self.decomposition.dim
+        """Bound dimension: the multiplicities add up to ``Tr 1``, for a
+        PVM and for a POVM."""
+        return int(round(float(np.sum(self.measurement.multiplicities))))
 
     @property
     def r(self) -> int:
@@ -112,12 +120,7 @@ def _measurement_in_eigenbasis(measurement, decomp: SpectralDecomposition):
     amplitudes (PVM) or the effects rotated into the eigenbasis (POVM)."""
     U = decomp.eigenvectors
     if isinstance(measurement, ProjectiveMeasurement):
-        basis = measurement.basis
-        if np.count_nonzero(basis) == basis.shape[0]:
-            # permutation basis (diagonal observables): skip the GEMM
-            perm = np.argmax(np.abs(basis), axis=0)
-            return basis[perm, np.arange(basis.shape[1])].conj()[:, None] * U[perm, :], None
-        return basis.conj().T @ U, None
+        return measurement.in_basis(U), None
     effects_eig = np.array([U.conj().T @ eff @ U for eff in measurement.effects])
     return None, effects_eig
 
@@ -152,11 +155,12 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
     if not isinstance(initial, PureState):
         raise TypeError(f"initial state must be a PureState, got {type(initial).__name__}")
     decomp = decompose_hermitian(hamiltonian)
-    obs_norm = None
     if isinstance(observable, (ProjectiveMeasurement, Povm)):
         measurement = observable
     else:
         measurement = pvm_from_observable(np.asarray(observable))
+    obs_norm = None
+    if isinstance(measurement, ProjectiveMeasurement):
         # the outcome values reconstruct the measured operator exactly,
         # so its norm is the extremal value
         obs_norm = float(np.max(np.abs(measurement.values)))
@@ -206,15 +210,31 @@ def chain_system(params: SpinChainParams, axis: str = "z", seed: int = 0, label:
                  dimension_cap: int = DEFAULT_DIMENSION_CAP,
                  exact_gap_limit: int = DEFAULT_EXACT_GAP_LIMIT) -> PreparedSystem:
     """The mixed-field Ising chain measured through its bulk magnetization
-    along ``axis`` and started all down (phases drawn from ``seed``)."""
+    along ``axis`` and started all down (phases drawn from ``seed``).
+
+    The Hamiltonian, the state and the magnetization all commute with
+    site reflection, so the state never leaves the reflection-even
+    sector. The chain is solved there: H, the magnetization and the
+    state are projected onto the sector and handed to
+    :func:`prepare_system`. The measurement keeps the full-space
+    multiplicities C(N, k), so ``dim`` stays 2**N in every bound.
+    """
     n = params.sites
-    return prepare_system(
-        tilted_ising_chain(params, dimension_cap=dimension_cap),
-        bulk_magnetization(n, axis, dimension_cap=dimension_cap),
-        all_down_state(n, seed=seed, dimension_cap=dimension_cap),
-        label=label,
-        exact_gap_limit=exact_gap_limit,
-    )
+    sector = reflection_sector(n, dimension_cap=dimension_cap)
+    ham = sector.project_operator(tilted_ising_chain(params, dimension_cap=dimension_cap))
+    initial = sector.project_state(all_down_state(n, seed=seed, dimension_cap=dimension_cap))
+    if axis == "z":
+        # the sector columns are ordered by down-spin count k
+        slices = sector.magnetization_slices()
+        measurement = ProjectiveMeasurement(values=(n - 2.0 * np.arange(n + 1)) / n,
+                                            outcome_slices=slices)
+    else:
+        magnetization = bulk_magnetization(n, axis, dimension_cap=dimension_cap)
+        measurement = pvm_from_observable(sector.project_operator(magnetization))
+    # outcome value (N - 2k)/N occurs C(N, k) times in the full space
+    down = np.rint((1.0 - measurement.values) * n / 2.0).astype(int)
+    measurement = replace(measurement, multiplicities=np.array([math.comb(n, int(k)) for k in down]))
+    return prepare_system(ham, measurement, initial, label=label, exact_gap_limit=exact_gap_limit)
 
 
 def _pvm_sq_amplitudes(weighted: np.ndarray, levels: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -482,14 +502,14 @@ class ExperimentConfig:
         model = {"model": self.model}
         if kind == "tilted_ising":
             _require("sites" in self.model, "model.sites", "required for tilted_ising")
-            _require(_get(model, "model.sites", int, 0) >= 2, "model.sites", "must be >= 2")
+            _require(_get(model, "model.sites", _int, 0) >= 2, "model.sites", "must be >= 2")
             for key in ("g", "h", "J"):
                 _get(model, f"model.{key}", float, None)
             _require(self.observable.get("axis", "z") in _AXES, "observable.axis", f"must be one of {_AXES}")
         else:
             _require(_get(model, "model.g", float, 1.0) != 0, "model.g", "must be nonzero")
         if kind == "spin_bath":
-            _require(_get(model, "model.bath_dim", int, 4) >= 1, "model.bath_dim", "must be >= 1")
+            _require(_get(model, "model.bath_dim", _int, 4) >= 1, "model.bath_dim", "must be >= 1")
         _require(self.t_max > 0, "times.t_max", "must be positive")
         _require(self.dt is None or self.dt > 0, "times.dt", "must be positive")
         _check_windows("average_grid", self.average_grid, self.t_max)
@@ -519,11 +539,11 @@ class ExperimentConfig:
             dt=_get(raw, "times.dt", lambda dt: None if dt is None else float(dt), None),
             average_grid=_get(raw, "average_grid", _tuple(float), default["average_grid"]),
             fluctuation_window=_get(raw, "fluctuation.window", float, default["fluctuation_window"]),
-            fluctuation_count=_get(raw, "fluctuation.count", int, default["fluctuation_count"]),
-            seed=_get(raw, "seed", int, default["seed"]),
-            dimension_cap=_get(raw, "dimension_cap", int, default["dimension_cap"]),
-            exact_gap_limit=_get(raw, "exact_gap_limit", int, default["exact_gap_limit"]),
-            eps_points=_get(raw, "eps_points", int, default["eps_points"]),
+            fluctuation_count=_get(raw, "fluctuation.count", _int, default["fluctuation_count"]),
+            seed=_get(raw, "seed", _int, default["seed"]),
+            dimension_cap=_get(raw, "dimension_cap", _int, default["dimension_cap"]),
+            exact_gap_limit=_get(raw, "exact_gap_limit", _int, default["exact_gap_limit"]),
+            eps_points=_get(raw, "eps_points", _int, default["eps_points"]),
         )
 
     def resolved_dict(self) -> dict:
@@ -569,8 +589,23 @@ def _get(raw: dict, dotted: str, convert, default):
         raise ConfigError(dotted, str(exc)) from None
 
 
+def _int(value) -> int:
+    """An integer, or a float with an integral value; anything else
+    (a fraction, a string, a boolean) is an error, not truncated."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _tuple(convert):
-    return lambda values: tuple(convert(v) for v in values)
+    """A list converted entry by entry; a string is not split into characters."""
+    def parse(values):
+        if not isinstance(values, (list, tuple)):
+            raise TypeError(f"expected a list, got {values!r}")
+        return tuple(convert(v) for v in values)
+
+    return parse
 
 
 def _check_windows(key: str, windows, t_max: float = math.inf):
@@ -800,8 +835,8 @@ def sweep_config(raw: dict) -> dict:
     """Keyword arguments of :func:`sweep_chain_lengths` from a sweep config;
     an absent key takes the function's default."""
     default = {name: p.default for name, p in inspect.signature(sweep_chain_lengths).parameters.items()}
-    types = {"sites": _tuple(int), "seed": int, "t_max": float, "late_window": _tuple(float),
-             "axis": str, "dimension_cap": int, "exact_gap_limit": int}
+    types = {"sites": _tuple(_int), "seed": _int, "t_max": float, "late_window": _tuple(float),
+             "axis": str, "dimension_cap": _int, "exact_gap_limit": _int}
     _check_keys("", raw, set(types))
     kw = {key: _get(raw, key, convert, default[key]) for key, convert in types.items()}
     _require(len(kw["sites"]) >= 3 and min(kw["sites"]) >= 2, "sites",

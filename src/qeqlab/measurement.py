@@ -3,8 +3,9 @@ eigenspace multiplicities, coarse-grained states, and distribution
 distances.
 
 A :class:`ProjectiveMeasurement` stores the measurement basis (one
-orthonormal column per microstate) plus the grouping of basis columns
-into outcomes; projectors are assembled on demand only, so large
+orthonormal column per microstate, or none when the space's own basis
+is the measurement basis) plus the grouping of basis columns into
+outcomes; projectors are assembled on demand only, so large
 measurements stay cheap. A :class:`Povm` stores its effects densely.
 """
 
@@ -17,7 +18,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_DEGENERACY_TOL,
     check_hermitian,
-    cluster_indices,
     decompose_hermitian,
 )
 from .models import DensityMatrix, PureState
@@ -45,17 +45,31 @@ class ProjectiveMeasurement:
     Attributes
     ----------
     values : (r,) outcome values, descending.
-    basis : (d, d) unitary whose columns are the measurement eigenbasis.
-    outcome_slices : one slice of basis columns per outcome.
+    outcome_slices : one slice of basis columns per outcome, contiguous
+        from 0; the last stop is the dimension of the measured space.
+    basis : (d, d) unitary whose columns are the measurement eigenbasis,
+        or None when the basis the space is written in already is one.
+    multiplicities : (r,) outcome eigenspace dimensions V_i in the full
+        Hilbert space; the slice widths unless the measured space is a
+        symmetry sector of a larger one.
     """
 
     values: np.ndarray
-    basis: np.ndarray
     outcome_slices: tuple[slice, ...]
+    basis: np.ndarray | None = None
+    multiplicities: np.ndarray | None = None
 
     def __post_init__(self):
-        self.values.setflags(write=False)
-        self.basis.setflags(write=False)
+        mult = self.multiplicities
+        if mult is None:
+            mult = np.array([sl.stop - sl.start for sl in self.outcome_slices])
+        mult = np.asarray(mult)
+        if mult.shape != (self.r,):
+            raise ValueError("multiplicities length must match the number of outcomes")
+        object.__setattr__(self, "multiplicities", mult)
+        for arr in (self.values, self.basis, mult):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def r(self) -> int:
@@ -63,15 +77,20 @@ class ProjectiveMeasurement:
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        """Dimension of the measured space."""
+        return self.outcome_slices[-1].stop
 
-    @property
-    def multiplicities(self) -> np.ndarray:
-        """Outcome eigenspace dimensions V_i = Tr[Pi_i]."""
-        return np.array([sl.stop - sl.start for sl in self.outcome_slices])
+    def vectors(self, columns=slice(None)) -> np.ndarray:
+        """Measurement-basis columns as a dense array."""
+        return np.eye(self.dim)[:, columns] if self.basis is None else self.basis[:, columns]
+
+    def in_basis(self, vectors: np.ndarray) -> np.ndarray:
+        """``basis^dag @ vectors``: measurement-basis coefficients of
+        measured-space vectors."""
+        return vectors if self.basis is None else self.basis.conj().T @ vectors
 
     def projector(self, i: int) -> np.ndarray:
-        vecs = self.basis[:, self.outcome_slices[i]]
+        vecs = self.vectors(self.outcome_slices[i])
         return vecs @ vecs.conj().T
 
     def projectors(self):
@@ -79,9 +98,12 @@ class ProjectiveMeasurement:
             yield self.projector(i)
 
     def group_sums(self, per_level: np.ndarray) -> np.ndarray:
-        """Sum an array over basis columns within each outcome (first axis)."""
-        edges = [sl.start for sl in self.outcome_slices]
-        return np.add.reduceat(per_level, edges, axis=0)
+        """Sum an array over basis columns within each outcome (first axis).
+        A (levels, times) block is summed one outcome slice at a time,
+        which is faster there than ``reduceat``; a vector takes ``reduceat``."""
+        if per_level.ndim == 1:
+            return np.add.reduceat(per_level, [sl.start for sl in self.outcome_slices])
+        return np.stack([per_level[sl].sum(axis=0) for sl in self.outcome_slices])
 
 
 @dataclass(frozen=True)
@@ -134,44 +156,21 @@ def pvm_from_observable(observable, degeneracy_tol: float = DEFAULT_DEGENERACY_T
     is the cluster mean; outcomes are ordered by descending value so the
     serialization is deterministic.
     """
-    arr = check_hermitian(observable)
-    if _is_diagonal(arr):
-        # Frequent fast path (e.g. z-magnetization): the eigenbasis is a
-        # permutation of the computational basis, no dense solve needed.
-        diag = arr.diagonal().real
-        order = np.argsort(diag, kind="stable")
-        eigenvalues = diag[order]
-        basis = np.zeros_like(arr)
-        basis[order, np.arange(arr.shape[0])] = 1.0
-        spread = float(eigenvalues[-1] - eigenvalues[0]) if len(eigenvalues) else 0.0
-        slices = cluster_indices(eigenvalues, degeneracy_tol * max(1.0, spread))
-        values = np.array([eigenvalues[sl].mean() for sl in slices])
-        decomp_values, decomp_basis, decomp_slices = values, basis, slices
-    else:
-        decomp = decompose_hermitian(arr, degeneracy_tol=degeneracy_tol)
-        decomp_values = decomp.cluster_values
-        decomp_basis = decomp.eigenvectors
-        decomp_slices = decomp.cluster_slices
-
+    decomp = decompose_hermitian(observable, degeneracy_tol=degeneracy_tol)
     # flip to descending outcome order
-    dim = decomp_basis.shape[0]
+    perm = np.empty(decomp.dim, dtype=int)
     new_slices = []
-    perm = np.empty(dim, dtype=int)
     pos = 0
-    for sl in reversed(decomp_slices):
+    for sl in reversed(decomp.cluster_slices):
         width = sl.stop - sl.start
         perm[pos : pos + width] = np.arange(sl.start, sl.stop)
         new_slices.append(slice(pos, pos + width))
         pos += width
     return ProjectiveMeasurement(
-        values=decomp_values[::-1].copy(),
-        basis=decomp_basis[:, perm].copy(),
+        values=decomp.cluster_values[::-1].copy(),
+        basis=decomp.eigenvectors[:, perm].copy(),
         outcome_slices=tuple(new_slices),
     )
-
-
-def _is_diagonal(arr: np.ndarray) -> bool:
-    return np.count_nonzero(arr - np.diag(arr.diagonal())) == 0
 
 
 def clamp_populations(raw: np.ndarray) -> np.ndarray:
@@ -197,13 +196,14 @@ def populations(measurement, state) -> np.ndarray:
     if isinstance(measurement, ProjectiveMeasurement):
         if isinstance(state, PureState):
             _check_dims(measurement.dim, state.dim)
-            coeffs = measurement.basis.conj().T @ state.amplitudes
+            coeffs = measurement.in_basis(state.amplitudes)
             raw = measurement.group_sums(np.abs(coeffs) ** 2)
         else:
             rho = _state_matrix(state)
             _check_dims(measurement.dim, rho.shape[0])
-            rotated = rho @ measurement.basis
-            per_level = np.einsum("ij,ij->j", measurement.basis.conj(), rotated).real
+            basis = measurement.vectors()
+            rotated = rho @ basis
+            per_level = np.einsum("ij,ij->j", basis.conj(), rotated).real
             raw = measurement.group_sums(per_level)
     elif isinstance(measurement, Povm):
         if isinstance(state, PureState):
@@ -243,7 +243,8 @@ def coarse_grained_state(measurement: ProjectiveMeasurement, state) -> DensityMa
     weights = np.empty(measurement.dim)
     for i, sl in enumerate(measurement.outcome_slices):
         weights[sl] = pops[i] / (sl.stop - sl.start)
-    matrix = (measurement.basis * weights) @ measurement.basis.conj().T
+    basis = measurement.vectors()
+    matrix = (basis * weights) @ basis.conj().T
     return DensityMatrix(matrix)
 
 

@@ -1,6 +1,7 @@
-"""Physical systems: the mixed-field Ising chain, bulk magnetization
-observables, product initial states, and two analytically solvable
-reference systems (precessing spin, uncoupled spin--bath).
+"""Physical systems: the mixed-field Ising chain and its reflection-even
+sector, bulk magnetization observables, product initial states, and two
+analytically solvable reference systems (precessing spin, uncoupled
+spin--bath).
 
 Conventions (fixed once, used everywhere):
 
@@ -10,6 +11,9 @@ Conventions (fixed once, used everywhere):
   all-down state is basis index ``2**N - 1``;
 * ``sigma_y`` has rows/columns ordered (up, down) with entries
   ``((0, -i), (i, 0))``;
+* site reflection (site i <-> site N+1-i) reverses the bit order of the
+  basis index; the chain Hamiltonian, the all-down state and every bulk
+  magnetization are reflection-symmetric;
 * hbar = 1, energies and times are dimensionless.
 
 Operators are stored in their natural dtype: the chain Hamiltonian and
@@ -35,18 +39,22 @@ __all__ = [
     "DensityMatrix",
     "DimensionCapError",
     "PureState",
+    "ReflectionSector",
     "SpinChainParams",
     "all_down_state",
     "bulk_magnetization",
     "pauli",
     "precessing_spin",
+    "reflection_sector",
     "spin_bath",
     "tilted_ising_chain",
 ]
 
 # Largest Hilbert-space dimension built by default (dense 8192^2
 # matrices are the practical memory limit); override per call or via the
-# QEQLAB_DIM_CAP environment variable in the CLI.
+# QEQLAB_DIM_CAP environment variable in the CLI. The cap counts the full
+# 2**N, also for a chain that is then solved in its reflection-even
+# sector: the full-space operators are built before they are projected.
 DEFAULT_DIMENSION_CAP = 2**13
 
 # Chain constants for the nonintegrable parameter point used throughout.
@@ -235,6 +243,77 @@ def all_down_state(sites: int, seed: int = 0, dimension_cap: int = DEFAULT_DIMEN
     amps = np.zeros(dim, dtype=complex)
     amps[dim - 1] = np.exp(1j * phases.sum())
     return PureState(amps)
+
+
+# Largest distance of ||P^T psi||^2 from 1 that still counts as a state
+# inside the sector.
+_SECTOR_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class ReflectionSector:
+    """The reflection-even sector of an N-site chain: the isometry P
+    (d x m) in index form, never as a dense matrix.
+
+    Column j of P is ``coeffs[j] * (e[reps[j]] + e[mirrors[j]])``, where
+    ``mirrors[j]`` is the bit reversal of ``reps[j] <= mirrors[j]``: a
+    mirror pair has coefficient 1/sqrt(2), and a palindrome (both indices
+    equal) has 1/2, i.e. its column is the basis vector itself. Columns
+    are ordered by the number of down spins (ascending, so by z
+    magnetization descending), then by representative.
+    """
+
+    sites: int
+    reps: np.ndarray
+    mirrors: np.ndarray
+    coeffs: np.ndarray
+    down_counts: np.ndarray  # down spins of each column's orbit
+
+    @property
+    def dim(self) -> int:
+        return self.reps.shape[0]
+
+    def magnetization_slices(self) -> tuple[slice, ...]:
+        """One slice of sector columns per down-spin count k = 0..N."""
+        edges = np.searchsorted(self.down_counts, np.arange(self.sites + 2))
+        return tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
+
+    def project_operator(self, operator: np.ndarray) -> np.ndarray:
+        """``P^T A P`` (m x m) by gathers over the orbit indices."""
+        half = operator[self.reps]
+        half += operator[self.mirrors]
+        half *= self.coeffs[:, None]
+        out = half[:, self.reps]
+        out += half[:, self.mirrors]
+        out *= self.coeffs
+        return out
+
+    def project_state(self, state: PureState) -> PureState:
+        """``P^T psi``; a state with weight outside the sector is an error."""
+        amps = state.amplitudes
+        inside = self.coeffs * (amps[self.reps] + amps[self.mirrors])
+        weight = float(np.vdot(inside, inside).real)
+        if abs(weight - 1.0) > _SECTOR_TOL:
+            raise ValueError(f"state has weight {1.0 - weight:.3e} outside the reflection-even sector")
+        return PureState(inside)
+
+
+def reflection_sector(sites: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> ReflectionSector:
+    """Orbits of site reflection on the basis of an N-site chain: one
+    even-sector column per orbit {i, bit-reversed i}."""
+    if sites < 1:
+        raise ValueError("sites must be >= 1")
+    dim = _check_cap(sites, dimension_cap)
+    idx = np.arange(dim)
+    bits = (idx[:, None] >> np.arange(sites)) & 1
+    mirrors = bits @ (1 << np.arange(sites)[::-1])
+    keep = idx <= mirrors
+    down = bits.sum(axis=1)[keep]
+    order = np.argsort(down, kind="stable")
+    reps, mirrors = idx[keep][order], mirrors[keep][order]
+    coeffs = np.where(reps == mirrors, 0.5, math.sqrt(0.5))
+    return ReflectionSector(sites=sites, reps=reps, mirrors=mirrors, coeffs=coeffs,
+                            down_counts=down[order])
 
 
 def precessing_spin(g: float):

@@ -28,6 +28,7 @@ from .harness import (
     _check_windows,
     _field_defaults,
     _get,
+    _int,
     _require,
     _tuple,
     chain_system,
@@ -39,10 +40,16 @@ from .harness import (
 )
 from .linalg import trace_norm
 from .measurement import Povm, ProjectiveMeasurement, populations, pvm_from_observable
-from .models import DensityMatrix, PureState, SpinChainParams
-# not called here: perfbench/tracing.py looks these names up on this module
+from .models import (
+    DensityMatrix,
+    PureState,
+    SpinChainParams,
+    all_down_state,
+    bulk_magnetization,
+    tilted_ising_chain,
+)
+# not called here: perfbench/tracing.py looks this name up on this module
 from .harness import sample_deviations
-from .models import all_down_state, bulk_magnetization, tilted_ising_chain
 
 __all__ = [
     "VerifyConfig",
@@ -105,23 +112,23 @@ class VerifyConfig:
                                                      "von_neumann_cases", "povm_cases", "povm_window"})
         default = _field_defaults(cls)
         return cls(
-            sites=_get(raw, "sites", _tuple(int), default["sites"]),
+            sites=_get(raw, "sites", _tuple(_int), default["sites"]),
             average_grid=_get(raw, "average_grid", _tuple(float), default["average_grid"]),
             t_max=_get(raw, "t_max", float, default["t_max"]),
-            fluctuation_sites=_get(raw, "fluctuation.sites", int, default["fluctuation_sites"]),
+            fluctuation_sites=_get(raw, "fluctuation.sites", _int, default["fluctuation_sites"]),
             fluctuation_window=_get(raw, "fluctuation.window", float, default["fluctuation_window"]),
-            fluctuation_count=_get(raw, "fluctuation.count", int, default["fluctuation_count"]),
-            averaged_state_sites=_get(raw, "averaged_state.sites", _tuple(int),
+            fluctuation_count=_get(raw, "fluctuation.count", _int, default["fluctuation_count"]),
+            averaged_state_sites=_get(raw, "averaged_state.sites", _tuple(_int),
                                       default["averaged_state_sites"]),
             averaged_state_windows=_get(raw, "averaged_state.windows", _tuple(float),
                                         default["averaged_state_windows"]),
-            shannon_pairs=_get(raw, "suites.shannon_pairs", int, default["shannon_pairs"]),
-            observational_cases=_get(raw, "suites.observational_cases", int, default["observational_cases"]),
-            von_neumann_cases=_get(raw, "suites.von_neumann_cases", int, default["von_neumann_cases"]),
-            povm_cases=_get(raw, "suites.povm_cases", int, default["povm_cases"]),
+            shannon_pairs=_get(raw, "suites.shannon_pairs", _int, default["shannon_pairs"]),
+            observational_cases=_get(raw, "suites.observational_cases", _int, default["observational_cases"]),
+            von_neumann_cases=_get(raw, "suites.von_neumann_cases", _int, default["von_neumann_cases"]),
+            povm_cases=_get(raw, "suites.povm_cases", _int, default["povm_cases"]),
             povm_window=_get(raw, "suites.povm_window", float, default["povm_window"]),
-            seed=_get(raw, "seed", int, default["seed"]),
-            eps_points=_get(raw, "eps_points", int, default["eps_points"]),
+            seed=_get(raw, "seed", _int, default["seed"]),
+            eps_points=_get(raw, "eps_points", _int, default["eps_points"]),
         )
 
     def resolved_dict(self) -> dict:
@@ -298,10 +305,14 @@ def povm_equilibration_suite(rng, cases: int = 1_000, max_dim: int = 32,
 def time_averaged_state_suite(sites, windows, seed: int = 0) -> list:
     """Finite-time-averaged states against the dephasing rate: trace-norm
     convergence and von Neumann entropy continuity, per chain size and
-    averaging window."""
+    averaging window. The states are compared as dense full-space
+    matrices, so the chain is solved in the full space here."""
     reports = []
     for n in sites:
-        system = chain_system(SpinChainParams(sites=int(n)), seed=seed, label=f"avg_state_{n}")
+        n = int(n)
+        system = prepare_system(tilted_ising_chain(SpinChainParams(sites=n)),
+                                bulk_magnetization(n, "z"), all_down_state(n, seed=seed),
+                                label=f"avg_state_{n}")
         decomp = system.decomposition
         omega = equilibrium_state(decomp, system.initial)
         s_omega = von_neumann_entropy(omega)
@@ -311,7 +322,7 @@ def time_averaged_state_suite(sites, windows, seed: int = 0) -> list:
             avg = finite_time_average_state(decomp, system.initial, float(T))
             dist = trace_norm(avg.matrix - omega.matrix)
             theta_bound = 2.0 * math.sqrt(dim) / (min_gap * float(T))
-            params = {"system": system.label, "sites": int(n), "dim": dim,
+            params = {"system": system.label, "sites": n, "dim": dim,
                       "T": float(T), "min_gap": min_gap}
             reports.append(_bounds.BoundReport(
                 name="averaged_state_distance",

@@ -300,6 +300,16 @@ def _run_with(tmp_path, command, overrides):
     ("sweep", ["late_window=[5.0, 25.0]"], "late_window"),
     ("sweep", ["late_window=[-1.0, 5.0]"], "late_window"),
     ("sweep", ["label=chains"], "label"),
+    # integers and lists are not truncated, and strings are not split
+    ("simulate", ["model.sites=5.7"], "model.sites"),
+    ("simulate", ["fluctuation.count=2.5"], "fluctuation.count"),
+    ("simulate", ['seed="3"'], "seed"),
+    ("simulate", ["eps_points=true"], "eps_points"),
+    ("verify", ['sites="57"'], "sites"),
+    ("verify", ["fluctuation.sites=3.5"], "fluctuation.sites"),
+    ("sweep", ['sites="345"'], "sites"),
+    ("simulate", ['average_grid="5"'], "average_grid"),
+    ("sweep", ['late_window="05"'], "late_window"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, overrides, key):
     assert _run_with(tmp_path, command, overrides) == 2
@@ -317,6 +327,20 @@ def test_out_of_range_config_exits_2(tmp_path, capsys, command, overrides, key):
 def test_conversion_errors_name_the_dotted_key(tmp_path, capsys, command, override, key):
     assert _run_with(tmp_path, command, [override]) == 2
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_integral_floats_still_parse_as_integers():
+    from qeqlab.harness import ExperimentConfig, sweep_config
+    from qeqlab.verify import VerifyConfig
+
+    model = {"kind": "tilted_ising", "sites": 5}
+    as_float = ExperimentConfig.from_dict({"model": model, "fluctuation": {"count": 10000.0},
+                                           "seed": 3.0})
+    as_int = ExperimentConfig.from_dict({"model": model, "fluctuation": {"count": 10000}, "seed": 3})
+    assert as_float == as_int
+    assert config_hash(as_float.resolved_dict()) == config_hash(as_int.resolved_dict())
+    assert VerifyConfig.from_dict({"sites": [5.0, 7]}).sites == (5, 7)
+    assert sweep_config({"sites": [3, 4.0, 5]})["sites"] == (3, 4, 5)
 
 
 def test_numerical_faults_are_not_config_errors(tmp_path, monkeypatch):

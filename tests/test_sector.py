@@ -1,0 +1,115 @@
+"""The chain solved in its reflection-even sector (``chain_system``)
+against the full-space oracle: the same pipeline, ``prepare_system``, run
+on the whole 2**N-dimensional problem.
+
+The two eigensolves differ by about 1e-14 per eigenvalue, so trajectories
+are compared to 1e-10 out to t = 1e4, and window counts are compared on a
+window widened by 1e-12 of the spectral range.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qeqlab.harness import chain_system, compute_trajectory, prepare_system, sample_deviations
+from qeqlab.models import (
+    PureState,
+    SpinChainParams,
+    all_down_state,
+    bulk_magnetization,
+    reflection_sector,
+    tilted_ising_chain,
+)
+
+SEED = 3
+TOL = 1e-10
+CASES = [(n, axis) for n in range(2, 10) for axis in "xyz"]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=[f"n{n}-{axis}" for n, axis in CASES])
+def pair(request):
+    sites, axis = request.param
+    params = SpinChainParams(sites=sites)
+    sector = chain_system(params, axis, seed=SEED)
+    full = prepare_system(tilted_ising_chain(params), bulk_magnetization(sites, axis),
+                          all_down_state(sites, seed=SEED))
+    return sites, sector, full
+
+
+def test_bound_dimension_stays_full_space(pair):
+    sites, sector, full = pair
+    assert sector.dim == full.dim == 2**sites
+    assert sector.r == full.r == sites + 1
+    assert sector.measurement.multiplicities.tolist() == [math.comb(sites, k) for k in range(sites + 1)]
+    # one solved level per reflection orbit
+    assert sector.decomposition.dim == (2**sites + 2 ** math.ceil(sites / 2)) // 2
+    assert np.allclose(sector.measurement.values, full.measurement.values, atol=1e-12)
+
+
+def test_trajectories_and_samples_agree(pair):
+    _, sector, full = pair
+    grid = np.linspace(0.0, 100.0, 1001)
+    got = compute_trajectory(sector, grid).populations
+    assert np.max(np.abs(got - compute_trajectory(full, grid).populations)) <= TOL
+    for kind in ("shannon", "observational"):
+        got = sample_deviations(sector, 1.0e4, 500, seed=11, kind=kind)
+        want = sample_deviations(full, 1.0e4, 500, seed=11, kind=kind)
+        assert np.max(np.abs(got - want)) <= TOL
+
+
+def test_effective_dimension_and_equilibrium_agree(pair):
+    _, sector, full = pair
+    assert abs(sector.d_eff - full.d_eff) <= 1e-12 * full.d_eff
+    assert np.max(np.abs(sector.equilibrium.populations - full.equilibrium.populations)) <= 1e-12
+    assert sector.observable_norm == pytest.approx(full.observable_norm, abs=1e-12)
+
+
+def test_sector_window_counts_never_exceed_full_space(pair):
+    _, sector, full = pair
+    widen = 1e-12 * max(1.0, full.decomposition.spectral_range)
+    for eps in full.gap_stats.epsilon_grid(32):
+        eps = float(eps)
+        assert sector.gap_stats.window_count(eps) <= full.gap_stats.window_count(eps + widen)
+
+
+def _dense_isometry(sector):
+    full_dim = 2**sector.sites
+    P = np.zeros((full_dim, sector.dim))
+    cols = np.arange(sector.dim)
+    P[sector.reps, cols] += sector.coeffs
+    P[sector.mirrors, cols] += sector.coeffs
+    return P
+
+
+@pytest.mark.parametrize("sites", range(1, 7))
+def test_projection_gathers_match_the_dense_isometry(sites):
+    sector = reflection_sector(sites)
+    P = _dense_isometry(sector)
+    assert np.allclose(P.T @ P, np.eye(sector.dim), atol=1e-15)
+    rng = np.random.default_rng(sites)
+    A = rng.normal(size=(2**sites, 2**sites)) + 1j * rng.normal(size=(2**sites, 2**sites))
+    assert np.max(np.abs(sector.project_operator(A) - P.T @ A @ P)) <= 1e-13
+    # the sector columns run through the z magnetization in descending order
+    down = [bin(int(i)).count("1") for i in sector.reps]
+    for k, sl in enumerate(sector.magnetization_slices()):
+        assert all(d == k for d in down[sl])
+    if sites >= 2:
+        # the chain maps the sector into itself: H P = P (P^T H P)
+        ham = tilted_ising_chain(SpinChainParams(sites=sites))
+        assert np.max(np.abs(ham @ P - P @ sector.project_operator(ham))) <= 1e-13
+
+
+@pytest.mark.parametrize("sites", [2, 3, 6])
+def test_state_outside_the_sector_is_rejected(sites):
+    sector = reflection_sector(sites)
+    dim = 2**sites
+    up_then_down = np.zeros(dim, dtype=complex)
+    up_then_down[2 ** (sites - 1) - 1] = 1.0  # |up down ... down>
+    with pytest.raises(ValueError, match="outside the reflection-even sector"):
+        sector.project_state(PureState(up_then_down))
+    # its reflection-even combination with |down ... down up> lies inside
+    even = up_then_down.copy()
+    even[dim - 2] = 1.0
+    projected = sector.project_state(PureState(even / math.sqrt(2)))
+    assert np.linalg.norm(projected.amplitudes) == pytest.approx(1.0, abs=1e-15)
