@@ -45,7 +45,6 @@ class BoundReport:
     lhs: float
     rhs: float
     parameters: dict = field(default_factory=dict)
-    estimated: bool = False
 
     @property
     def margin(self) -> float:
@@ -57,9 +56,7 @@ class BoundReport:
 
     @property
     def status(self) -> str:
-        if not self.holds:
-            return "violated"
-        return "estimated" if self.estimated else "holds"
+        return "holds" if self.holds else "violated"
 
     def to_json_dict(self) -> dict:
         return {

@@ -34,9 +34,6 @@ __all__ = [
 
 # Relative tolerance for the trapezoidal-refinement convergence check.
 DEFAULT_AVG_RTOL = 1e-4
-# Exact all-pairs gap statistics up to this many distinct eigenvalues;
-# beyond it the gap multiset is subsampled and counts are estimates.
-DEFAULT_EXACT_GAP_LIMIT = 2**10
 
 
 def _check_dim(decomp: SpectralDecomposition, dim: int):
@@ -146,26 +143,21 @@ def finite_time_average_state(decomp: SpectralDecomposition, state, T: float) ->
 class GapStatistics:
     """Statistics of the multiset of nonzero energy gaps.
 
-    Gaps are signed differences over ordered pairs of *distinct*
-    eigenvalues, counted with multiplicity. ``window_count(eps)`` is the
-    maximum number of gaps in any half-open interval of width eps; when
-    the multiset was subsampled the counts are scaled estimates. Each
-    count is computed once per width and kept in ``window_counts``.
+    Gaps are signed differences over all ordered pairs of *distinct*
+    eigenvalues, counted with multiplicity, and kept sorted.
+    ``window_count(eps)`` is the exact maximum number of gaps in any
+    half-open interval of width eps. Each count is computed once per
+    width and kept in ``window_counts``.
     """
 
     distinct_count: int
     min_gap: float | None
-    subsample_factor: float
+    _gaps: np.ndarray = field(repr=False)
     window_counts: dict = field(default_factory=dict)
-    _gaps: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def estimated(self) -> bool:
-        return self.subsample_factor > 1.0
 
     @property
     def max_gap(self) -> float:
-        return float(self._gaps[-1]) if self._gaps is not None and self._gaps.size else 0.0
+        return float(self._gaps[-1]) if self._gaps.size else 0.0
 
     def window_count(self, eps: float) -> int:
         """Maximum number of gaps in any half-open window [x, x + eps)."""
@@ -179,11 +171,10 @@ class GapStatistics:
         return count
 
     def _count_window(self, eps: float) -> int:
-        if self._gaps is None or self._gaps.size == 0:
+        if self._gaps.size == 0:
             return 0
         upper = np.searchsorted(self._gaps, self._gaps + eps, side="left")
-        raw = int(np.max(upper - np.arange(self._gaps.size)))
-        return int(math.ceil(raw * self.subsample_factor))
+        return int(np.max(upper - np.arange(self._gaps.size)))
 
     def epsilon_grid(self, points: int = 32) -> np.ndarray:
         """Logarithmic grid of window widths from the smallest gap
@@ -195,46 +186,25 @@ class GapStatistics:
     def degenerate_gap_multiplicity(self, rel_tol: float = 1e-12) -> int:
         """Maximum multiplicity of a single gap value (the eps -> 0 limit
         of the window count), up to a relative tolerance."""
-        if self._gaps is None or self._gaps.size == 0:
-            return 0
-        eps = rel_tol * max(1.0, self.max_gap)
-        upper = np.searchsorted(self._gaps, self._gaps + eps, side="left")
-        return int(np.max(upper - np.arange(self._gaps.size)))
+        return self._count_window(rel_tol * max(1.0, self.max_gap))
 
 
-def gap_statistics(decomp: SpectralDecomposition,
-                   exact_limit: int = DEFAULT_EXACT_GAP_LIMIT) -> GapStatistics:
-    """Build gap statistics for a decomposition.
+def gap_statistics(decomp: SpectralDecomposition) -> GapStatistics:
+    """Build exact gap statistics for a decomposition.
 
-    For more than ``exact_limit`` distinct eigenvalues the all-pairs gap
-    multiset (which grows quadratically) is replaced by the gaps of a
-    uniformly subsampled spectrum and counts are scaled back up; the
-    result carries ``estimated = True`` and the subsampling factor. The
-    smallest nonzero gap is always exact.
+    The gap multiset holds the m(m - 1) differences of the m distinct
+    eigenvalues over all ordered pairs, so its memory grows
+    quadratically with m.
     """
     values = decomp.cluster_values
     m = len(values)
     if m < 2:
         warnings.warn("single distinct eigenvalue: no gaps, window counts are 0")
-        return GapStatistics(
-            distinct_count=m, min_gap=None, subsample_factor=1.0, _gaps=np.array([])
-        )
+        return GapStatistics(distinct_count=m, min_gap=None, _gaps=np.array([]))
     min_gap = float(np.min(np.diff(values)))  # values ascending
-    if m > exact_limit:
-        picks = np.unique(np.round(np.linspace(0, m - 1, exact_limit)).astype(int))
-        sample = values[picks]
-        factor = (m * (m - 1)) / (len(sample) * (len(sample) - 1))
-    else:
-        sample = values
-        factor = 1.0
-    diff = sample[None, :] - sample[:, None]
-    gaps = np.sort(diff[~np.eye(len(sample), dtype=bool)])
-    return GapStatistics(
-        distinct_count=m,
-        min_gap=min_gap,
-        subsample_factor=float(factor),
-        _gaps=gaps,
-    )
+    diff = values[None, :] - values[:, None]
+    gaps = np.sort(diff[~np.eye(m, dtype=bool)])
+    return GapStatistics(distinct_count=m, min_gap=min_gap, _gaps=gaps)
 
 
 def default_time_step(spectral_range: float) -> float:

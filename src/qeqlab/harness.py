@@ -16,7 +16,6 @@ import numpy as np
 
 from . import bounds as _bounds
 from .dynamics import (
-    DEFAULT_EXACT_GAP_LIMIT,
     EquilibriumReference,
     GapStatistics,
     Trajectory,
@@ -143,8 +142,7 @@ def _entropy_rows(pops: np.ndarray, multiplicities: np.ndarray):
     return shannon, shannon + boltzmann, boltzmann
 
 
-def prepare_system(hamiltonian, observable, initial, label: str = "",
-                   exact_gap_limit: int = DEFAULT_EXACT_GAP_LIMIT) -> PreparedSystem:
+def prepare_system(hamiltonian, observable, initial, label: str = "") -> PreparedSystem:
     """Diagonalize, build the measurement, and precompute equilibrium
     references and gap statistics.
 
@@ -164,7 +162,7 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
         # the outcome values reconstruct the measured operator exactly,
         # so its norm is the extremal value
         obs_norm = float(np.max(np.abs(measurement.values)))
-    stats = gap_statistics(decomp, exact_limit=exact_gap_limit)
+    stats = gap_statistics(decomp)
     d_eff = effective_dimension(decomp, initial)
 
     amps_eig = decomp.eigenvectors.conj().T @ _strip_global_phase(initial.amplitudes)
@@ -207,8 +205,7 @@ def prepare_system(hamiltonian, observable, initial, label: str = "",
 
 
 def chain_system(params: SpinChainParams, axis: str = "z", seed: int = 0, label: str = "",
-                 dimension_cap: int = DEFAULT_DIMENSION_CAP,
-                 exact_gap_limit: int = DEFAULT_EXACT_GAP_LIMIT) -> PreparedSystem:
+                 dimension_cap: int = DEFAULT_DIMENSION_CAP) -> PreparedSystem:
     """The mixed-field Ising chain measured through its bulk magnetization
     along ``axis`` and started all down (phases drawn from ``seed``).
 
@@ -234,7 +231,7 @@ def chain_system(params: SpinChainParams, axis: str = "z", seed: int = 0, label:
     # outcome value (N - 2k)/N occurs C(N, k) times in the full space
     down = np.rint((1.0 - measurement.values) * n / 2.0).astype(int)
     measurement = replace(measurement, multiplicities=np.array([math.comb(n, int(k)) for k in down]))
-    return prepare_system(ham, measurement, initial, label=label, exact_gap_limit=exact_gap_limit)
+    return prepare_system(ham, measurement, initial, label=label)
 
 
 def _pvm_sq_amplitudes(weighted: np.ndarray, levels: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -385,13 +382,11 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
             "d_eff": system.d_eff,
             "dim": dim,
         }
-        estimated = stats.estimated
         reports.append(_bounds.BoundReport(
             name="population_equilibration",
             lhs=time_average_scalar(trajectory, "population_distance", T),
             rhs=eta,
             parameters=dict(params),
-            estimated=estimated,
         ))
         shannon_params = dict(params)
         shannon_params["rhs_alt_prefactor"] = _bounds.shannon_deviation_bound(r, eta, alt_prefactor=True)
@@ -400,14 +395,12 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
             lhs=time_average_scalar(trajectory, "shannon_abs_dev", T),
             rhs=_bounds.shannon_deviation_bound(r, eta),
             parameters=shannon_params,
-            estimated=estimated,
         ))
         reports.append(_bounds.BoundReport(
             name="observational_deviation",
             lhs=time_average_scalar(trajectory, "observational_abs_dev", T),
             rhs=_bounds.observational_deviation_bound(dim, eta),
             parameters=dict(params),
-            estimated=estimated,
         ))
         if system.observable_norm is not None:
             reports.append(_bounds.BoundReport(
@@ -415,7 +408,6 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
                 lhs=time_average_scalar(trajectory, "expectation_sq_dev", T),
                 rhs=_bounds.expectation_bound(system.observable_norm, system.d_eff, factor),
                 parameters=dict(params),
-                estimated=estimated,
             ))
     return reports
 
@@ -493,7 +485,6 @@ class ExperimentConfig:
     fluctuation_count: int = 10_000
     seed: int = 0
     dimension_cap: int = DEFAULT_DIMENSION_CAP
-    exact_gap_limit: int = DEFAULT_EXACT_GAP_LIMIT
     eps_points: int = 32
 
     def __post_init__(self):
@@ -515,14 +506,13 @@ class ExperimentConfig:
         _check_windows("average_grid", self.average_grid, self.t_max)
         _require(self.fluctuation_window > 0, "fluctuation.window", "must be positive")
         _require(self.fluctuation_count >= 1, "fluctuation.count", "must be >= 1")
-        _require(self.exact_gap_limit >= 2, "exact_gap_limit", "must be >= 2")
         _require(self.eps_points >= 1, "eps_points", "must be >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _check_keys("", raw, {
             "label", "model", "observable", "times", "average_grid",
-            "fluctuation", "seed", "dimension_cap", "exact_gap_limit", "eps_points",
+            "fluctuation", "seed", "dimension_cap", "eps_points",
         })
         if "model" not in raw:
             raise ConfigError("model", "missing required key")
@@ -542,7 +532,6 @@ class ExperimentConfig:
             fluctuation_count=_get(raw, "fluctuation.count", _int, default["fluctuation_count"]),
             seed=_get(raw, "seed", _int, default["seed"]),
             dimension_cap=_get(raw, "dimension_cap", _int, default["dimension_cap"]),
-            exact_gap_limit=_get(raw, "exact_gap_limit", _int, default["exact_gap_limit"]),
             eps_points=_get(raw, "eps_points", _int, default["eps_points"]),
         )
 
@@ -558,7 +547,6 @@ class ExperimentConfig:
             "fluctuation": {"window": self.fluctuation_window, "count": self.fluctuation_count},
             "seed": self.seed,
             "dimension_cap": self.dimension_cap,
-            "exact_gap_limit": self.exact_gap_limit,
             "eps_points": self.eps_points,
         }
 
@@ -644,16 +632,14 @@ def build_system(config: ExperimentConfig) -> PreparedSystem:
             J=float(config.model.get("J", SpinChainParams.J)),
         )
         return chain_system(params, config.observable.get("axis", "z"), seed=config.seed,
-                            label=config.label, dimension_cap=config.dimension_cap,
-                            exact_gap_limit=config.exact_gap_limit)
+                            label=config.label, dimension_cap=config.dimension_cap)
     if kind == "precessing_spin":
         ham, initial, obs = precessing_spin(float(config.model.get("g", 1.0)))
     else:
         ham, initial, obs = spin_bath(
             float(config.model.get("g", 1.0)), int(config.model.get("bath_dim", 4))
         )
-    return prepare_system(ham, obs, initial, label=config.label,
-                          exact_gap_limit=config.exact_gap_limit)
+    return prepare_system(ham, obs, initial, label=config.label)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +753,6 @@ def execute_experiment(config: ExperimentConfig):
         "delta_alt_prefactor": _bounds.asymptotic_shannon_bound(r, system.d_eff, alt_prefactor=True),
         "nu": _bounds.asymptotic_observational_bound(r, system.d_eff, system.dim),
         "delta_applicable": system.gap_stats.degenerate_gap_multiplicity() <= 1,
-        "gap_stats_estimated": system.gap_stats.estimated,
     }
     equilibrium = {
         "populations": [float(p) for p in system.equilibrium.populations],
@@ -796,15 +781,14 @@ def execute_experiment(config: ExperimentConfig):
 
 def sweep_chain_lengths(sites=(5, 6, 7, 8, 9), seed: int = 0, t_max: float = 100.0,
                         late_window: tuple = (50.0, 80.0), axis: str = "z",
-                        dimension_cap: int = DEFAULT_DIMENSION_CAP,
-                        exact_gap_limit: int = DEFAULT_EXACT_GAP_LIMIT) -> dict:
+                        dimension_cap: int = DEFAULT_DIMENSION_CAP) -> dict:
     """Sweep the chain length and collect the scaling data: per-N
     effective dimension, asymptotic bound, and late-time-averaged
     entropy deviation, plus exponential fits of both curves."""
     rows = []
     for n in sites:
         system = chain_system(SpinChainParams(sites=int(n)), axis, seed=seed, label=f"chain_{n}",
-                              dimension_cap=dimension_cap, exact_gap_limit=exact_gap_limit)
+                              dimension_cap=dimension_cap)
         dt = default_time_step(system.decomposition.spectral_range)
         trajectory = compute_trajectory(system, time_grid(t_max, dt))
         late = window_average(trajectory, "shannon_abs_dev", late_window[0], late_window[1])
@@ -836,7 +820,7 @@ def sweep_config(raw: dict) -> dict:
     an absent key takes the function's default."""
     default = {name: p.default for name, p in inspect.signature(sweep_chain_lengths).parameters.items()}
     types = {"sites": _tuple(_int), "seed": _int, "t_max": float, "late_window": _tuple(float),
-             "axis": str, "dimension_cap": _int, "exact_gap_limit": _int}
+             "axis": str, "dimension_cap": _int}
     _check_keys("", raw, set(types))
     kw = {key: _get(raw, key, convert, default[key]) for key, convert in types.items()}
     _require(len(kw["sites"]) >= 3 and min(kw["sites"]) >= 2, "sites",
@@ -845,7 +829,6 @@ def sweep_config(raw: dict) -> dict:
     _require(len(late) == 2 and 0 <= late[0] < late[1] <= kw["t_max"], "late_window",
              "must be [t0, t1] with 0 <= t0 < t1 <= t_max")
     _require(kw["axis"] in _AXES, "axis", f"must be one of {_AXES}")
-    _require(kw["exact_gap_limit"] >= 2, "exact_gap_limit", "must be >= 2")
     return kw
 
 

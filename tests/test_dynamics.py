@@ -190,7 +190,6 @@ def test_gap_statistics_two_level():
     assert np.isclose(stats.min_gap, 2 * g)
     assert stats.window_count(2 * g) == 1          # windows of width < 4g hold one gap
     assert stats.window_count(4 * g + 0.1) == 2    # both signed gaps fit
-    assert not stats.estimated
 
 
 def test_gap_statistics_equally_spaced():
@@ -230,15 +229,16 @@ def test_gap_statistics_single_eigenvalue():
     assert any("single distinct eigenvalue" in str(w.message) for w in caught)
 
 
-def test_gap_statistics_subsampling():
-    rng = np.random.default_rng(10)
-    values = np.sort(rng.normal(size=40))
-    decomp = decompose_hermitian(np.diag(values).astype(complex))
-    exact = gap_statistics(decomp)
-    sub = gap_statistics(decomp, exact_limit=16)
-    assert sub.estimated and sub.subsample_factor > 1.0
-    assert sub.min_gap == exact.min_gap  # min gap stays exact
-    assert sub.window_count(1.0) >= 1
+def test_gap_statistics_exact_above_a_thousand_levels():
+    # m equally spaced levels: the signed gap +-k occurs m - k times, so a
+    # window of width 0.5 holds the m - 1 unit gaps and one of width 1.5
+    # the unit and double gaps together
+    m = 1100
+    stats = gap_statistics(decompose_hermitian(np.diag(np.arange(float(m)))))
+    assert stats.distinct_count == m
+    assert stats.window_count(0.5) == m - 1
+    assert stats.window_count(1.5) == (m - 1) + (m - 2)
+    assert stats.degenerate_gap_multiplicity() == m - 1
 
 
 def _toy_trajectory(times, values):

@@ -308,22 +308,6 @@ def test_spin_bath_counterexample_experiment():
         assert np.max(np.abs(trajectory.boltzmann - math.log(bath_dim))) <= 1e-10
 
 
-def test_estimated_gap_statistics_propagate_to_reports():
-    # forcing the exact-count ceiling below the spectrum size switches the
-    # window counts to scaled estimates, and reports must say so
-    params = SpinChainParams(sites=4)
-    system = prepare_system(
-        tilted_ising_chain(params),
-        bulk_magnetization(4, "z"),
-        all_down_state(4, seed=0),
-        exact_gap_limit=8,
-    )
-    assert system.gap_stats.estimated
-    traj = compute_trajectory(system, time_grid(10.0, 0.02))
-    reports = evaluate_bounds(system, traj, [10.0])
-    assert all(r.status == "estimated" for r in reports)
-
-
 def test_sweep_chain_lengths_structure():
     sweep = sweep_chain_lengths([2, 3, 4], t_max=30.0, late_window=(10.0, 25.0))
     assert [row["sites"] for row in sweep["rows"]] == [2, 3, 4]
