@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -39,9 +38,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_CAP = 3
-
-_CAP_ENV = "QEQLAB_DIM_CAP"
-
 
 def _load_config(path: str, overrides) -> dict:
     try:
@@ -71,15 +67,6 @@ def _load_config(path: str, overrides) -> dict:
     return raw
 
 
-def _apply_cap_env(raw: dict):
-    cap = os.environ.get(_CAP_ENV)
-    if cap is not None:
-        try:
-            raw["dimension_cap"] = int(cap)
-        except ValueError:
-            raise ConfigError(_CAP_ENV, "environment override must be an integer") from None
-
-
 def _write_manifest(outdir: Path, config_path: str, resolved: dict, timings: dict):
     manifest = {
         "config_path": str(config_path),
@@ -91,18 +78,19 @@ def _write_manifest(outdir: Path, config_path: str, resolved: dict, timings: dic
     (outdir / "manifest.json").write_text(canonical_json(manifest) + "\n")
 
 
-def _outdir(raw: dict, args) -> Path:
-    out = Path(args.out if args.out else raw.get("output_dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _parse_config(args, parse):
+    """The parsed config and the output directory, which is created only
+    once the config has parsed."""
+    raw = _load_config(args.config, args.set)
+    output_dir = raw.pop("output_dir", "out")
+    config = parse(raw)
+    outdir = Path(args.out or output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return config, outdir
 
 
 def cmd_simulate(args) -> int:
-    raw = _load_config(args.config, args.set)
-    outdir = _outdir(raw, args)
-    raw.pop("output_dir", None)
-    _apply_cap_env(raw)
-    config = ExperimentConfig.from_dict(raw)
+    config, outdir = _parse_config(args, ExperimentConfig.from_dict)
     t0 = time.monotonic()
     report, system, trajectory = execute_experiment(config)
     t_run = time.monotonic() - t0
@@ -144,10 +132,7 @@ def trajectory_csv(path, system, trajectory):
 
 
 def cmd_verify(args) -> int:
-    raw = _load_config(args.config, args.set)
-    outdir = _outdir(raw, args)
-    raw.pop("output_dir", None)
-    config = VerifyConfig.from_dict(raw)
+    config, outdir = _parse_config(args, VerifyConfig.from_dict)
     t0 = time.monotonic()
     reports = run_verification(config)
     t_run = time.monotonic() - t0
@@ -187,11 +172,7 @@ def _context_name(report) -> str:
 
 
 def cmd_sweep(args) -> int:
-    raw = _load_config(args.config, args.set)
-    outdir = _outdir(raw, args)
-    raw.pop("output_dir", None)
-    _apply_cap_env(raw)
-    kwargs = sweep_config(raw)
+    kwargs, outdir = _parse_config(args, sweep_config)
     t0 = time.monotonic()
     sweep = sweep_chain_lengths(**kwargs)
     t_run = time.monotonic() - t0

@@ -241,6 +241,7 @@ class Trajectory:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or np.any(np.diff(times) <= 0):
             raise ValueError("time grid must be strictly ascending")
+        object.__setattr__(self, "times", times)
 
     @property
     def span(self) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import math
+from copy import copy
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -35,7 +36,6 @@ from .measurement import (
     pvm_from_observable,
 )
 from .models import (
-    DEFAULT_DIMENSION_CAP,
     PureState,
     SpinChainParams,
     all_down_state,
@@ -204,8 +204,8 @@ def prepare_system(hamiltonian, observable, initial, label: str = "") -> Prepare
     )
 
 
-def chain_system(params: SpinChainParams, axis: str = "z", seed: int = 0, label: str = "",
-                 dimension_cap: int = DEFAULT_DIMENSION_CAP) -> PreparedSystem:
+def chain_system(params: SpinChainParams, axis: str = "z", seed: int = 0,
+                 label: str = "") -> PreparedSystem:
     """The mixed-field Ising chain measured through its bulk magnetization
     along ``axis`` and started all down (phases drawn from ``seed``).
 
@@ -217,16 +217,16 @@ def chain_system(params: SpinChainParams, axis: str = "z", seed: int = 0, label:
     multiplicities C(N, k), so ``dim`` stays 2**N in every bound.
     """
     n = params.sites
-    sector = reflection_sector(n, dimension_cap=dimension_cap)
-    ham = sector.project_operator(tilted_ising_chain(params, dimension_cap=dimension_cap))
-    initial = sector.project_state(all_down_state(n, seed=seed, dimension_cap=dimension_cap))
+    sector = reflection_sector(n)
+    ham = sector.project_operator(tilted_ising_chain(params))
+    initial = sector.project_state(all_down_state(n, seed=seed))
     if axis == "z":
         # the sector columns are ordered by down-spin count k
         slices = sector.magnetization_slices()
         measurement = ProjectiveMeasurement(values=(n - 2.0 * np.arange(n + 1)) / n,
                                             outcome_slices=slices)
     else:
-        magnetization = bulk_magnetization(n, axis, dimension_cap=dimension_cap)
+        magnetization = bulk_magnetization(n, axis)
         measurement = pvm_from_observable(sector.project_operator(magnetization))
     # outcome value (N - 2k)/N occurs C(N, k) times in the full space
     down = np.rint((1.0 - measurement.values) * n / 2.0).astype(int)
@@ -467,90 +467,6 @@ def fit_exponential(points) -> FitResult:
 # experiment configuration
 
 
-_MODEL_KINDS = ("tilted_ising", "precessing_spin", "spin_bath")
-_AXES = ("x", "y", "z")
-
-
-@dataclass
-class ExperimentConfig:
-    """Declarative description of one experiment run."""
-
-    label: str
-    model: dict
-    observable: dict = field(default_factory=lambda: {"axis": "z"})
-    t_max: float = 100.0
-    dt: float | None = None
-    average_grid: tuple = (10.0, 25.0, 50.0, 100.0)
-    fluctuation_window: float = 1.0e4
-    fluctuation_count: int = 10_000
-    seed: int = 0
-    dimension_cap: int = DEFAULT_DIMENSION_CAP
-    eps_points: int = 32
-
-    def __post_init__(self):
-        kind = self.model.get("kind")
-        _require(kind in _MODEL_KINDS, "model.kind", f"must be one of {_MODEL_KINDS}, got {kind!r}")
-        model = {"model": self.model}
-        if kind == "tilted_ising":
-            _require("sites" in self.model, "model.sites", "required for tilted_ising")
-            _require(_get(model, "model.sites", _int, 0) >= 2, "model.sites", "must be >= 2")
-            for key in ("g", "h", "J"):
-                _get(model, f"model.{key}", float, None)
-            _require(self.observable.get("axis", "z") in _AXES, "observable.axis", f"must be one of {_AXES}")
-        else:
-            _require(_get(model, "model.g", float, 1.0) != 0, "model.g", "must be nonzero")
-        if kind == "spin_bath":
-            _require(_get(model, "model.bath_dim", _int, 4) >= 1, "model.bath_dim", "must be >= 1")
-        _require(self.t_max > 0, "times.t_max", "must be positive")
-        _require(self.dt is None or self.dt > 0, "times.dt", "must be positive")
-        _check_windows("average_grid", self.average_grid, self.t_max)
-        _require(self.fluctuation_window > 0, "fluctuation.window", "must be positive")
-        _require(self.fluctuation_count >= 1, "fluctuation.count", "must be >= 1")
-        _require(self.eps_points >= 1, "eps_points", "must be >= 1")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _check_keys("", raw, {
-            "label", "model", "observable", "times", "average_grid",
-            "fluctuation", "seed", "dimension_cap", "eps_points",
-        })
-        if "model" not in raw:
-            raise ConfigError("model", "missing required key")
-        _check_keys("model", raw["model"], {"kind", "sites", "g", "h", "J", "bath_dim"})
-        _check_keys("observable", raw.get("observable", {}), {"axis"})
-        _check_keys("times", raw.get("times", {}), {"t_max", "dt"})
-        _check_keys("fluctuation", raw.get("fluctuation", {}), {"window", "count"})
-        default = _field_defaults(cls)
-        return cls(
-            label=str(raw.get("label", "experiment")),
-            model=dict(raw["model"]),
-            observable=dict(raw.get("observable", default["observable"])),
-            t_max=_get(raw, "times.t_max", float, default["t_max"]),
-            dt=_get(raw, "times.dt", lambda dt: None if dt is None else float(dt), None),
-            average_grid=_get(raw, "average_grid", _tuple(float), default["average_grid"]),
-            fluctuation_window=_get(raw, "fluctuation.window", float, default["fluctuation_window"]),
-            fluctuation_count=_get(raw, "fluctuation.count", _int, default["fluctuation_count"]),
-            seed=_get(raw, "seed", _int, default["seed"]),
-            dimension_cap=_get(raw, "dimension_cap", _int, default["dimension_cap"]),
-            eps_points=_get(raw, "eps_points", _int, default["eps_points"]),
-        )
-
-    def resolved_dict(self) -> dict:
-        """Canonical nested form; parsing it back yields an identical
-        configuration (config round-trip contract)."""
-        return {
-            "label": self.label,
-            "model": dict(self.model),
-            "observable": dict(self.observable),
-            "times": {"t_max": self.t_max, "dt": self.dt},
-            "average_grid": list(self.average_grid),
-            "fluctuation": {"window": self.fluctuation_window, "count": self.fluctuation_count},
-            "seed": self.seed,
-            "dimension_cap": self.dimension_cap,
-            "eps_points": self.eps_points,
-        }
-
-
 class ConfigError(ValueError):
     """Invalid configuration; carries the offending key."""
 
@@ -564,15 +480,18 @@ def _require(ok: bool, key: str, message: str):
         raise ConfigError(key, message)
 
 
-def _get(raw: dict, dotted: str, convert, default):
+def _get(raw: dict, dotted: str, convert, default=MISSING):
     """``convert`` applied to the value at a dotted key of ``raw``, or
-    ``default`` when the key is absent; a value that does not convert is a
-    ConfigError naming the dotted key."""
+    ``default`` when the key is absent (an error if there is none); a value
+    that does not convert is a ConfigError naming the dotted key."""
     *sections, key = dotted.split(".")
     for section in sections:
         raw = raw.get(section, {})
+    if key not in raw:
+        _require(default is not MISSING, dotted, "missing required key")
+        return default
     try:
-        return convert(raw[key]) if key in raw else default
+        return convert(raw[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(dotted, str(exc)) from None
 
@@ -584,6 +503,13 @@ def _int(value) -> int:
     if isinstance(value, bool) or not integral:
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _str(value) -> str:
+    """A string; a number or a list is an error, not formatted."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def _tuple(convert):
@@ -621,6 +547,105 @@ def _field_defaults(cls) -> dict:
     return out
 
 
+def _parse(table: dict, raw: dict, default: dict, free: dict | None = None) -> dict:
+    """Field values from a raw nested config. The key table ``table`` is a
+    config's schema: it maps each dotted key to the field (or keyword
+    argument) it sets and the converter of its value. ``free`` maps each
+    free-form section, a leaf of the table, to its allowed sub-keys.
+    Unknown keys and sub-keys are rejected, and an absent key takes
+    ``default[field]`` (a required key has none)."""
+    free = free or {}
+    sections = {}
+    for dotted in table:
+        section, _, key = dotted.partition(".")
+        sections.setdefault(section, set()).update([key] if key else free.get(section, ()))
+    _check_keys("", raw, set(sections))
+    for section, keys in sections.items():
+        if keys and section in raw:
+            _check_keys(section, raw[section], keys)
+    return {name: _get(raw, dotted, convert, default.get(name, MISSING))
+            for dotted, (name, convert) in table.items()}
+
+
+def _nest(table: dict, values: dict) -> dict:
+    """Canonical nested config of field values, the inverse of
+    :func:`_parse`: parsing it back yields the same values."""
+    out = {}
+    for dotted, (name, _) in table.items():
+        *sections, key = dotted.split(".")
+        node = out
+        for section in sections:
+            node = node.setdefault(section, {})
+        value = values[name]
+        # a list for a tuple; a free-form section is copied
+        node[key] = list(value) if isinstance(value, tuple) else copy(value)
+    return out
+
+
+_MODEL_KINDS = ("tilted_ising", "precessing_spin", "spin_bath")
+_AXES = ("x", "y", "z")
+
+_SIMULATE_KEYS = {
+    "label": ("label", _str),
+    "model": ("model", dict),
+    "observable": ("observable", dict),
+    "times.t_max": ("t_max", float),
+    "times.dt": ("dt", lambda dt: None if dt is None else float(dt)),
+    "average_grid": ("average_grid", _tuple(float)),
+    "fluctuation.window": ("fluctuation_window", float),
+    "fluctuation.count": ("fluctuation_count", _int),
+    "seed": ("seed", _int),
+}
+_SIMULATE_FREE = {"model": {"kind", "sites", "g", "h", "J", "bath_dim"}, "observable": {"axis"}}
+
+
+@dataclass
+class ExperimentConfig:
+    """Declarative description of one experiment run."""
+
+    model: dict
+    label: str = "experiment"
+    observable: dict = field(default_factory=lambda: {"axis": "z"})
+    t_max: float = 100.0
+    dt: float | None = None
+    average_grid: tuple = (10.0, 25.0, 50.0, 100.0)
+    fluctuation_window: float = 1.0e4
+    fluctuation_count: int = 10_000
+    seed: int = 0
+
+    def __post_init__(self):
+        # the label becomes part of the output file names
+        _require(self.label not in ("", ".", "..") and not any(c in self.label for c in "/\\\0"),
+                 "label", "must be a file name part: non-empty, not '.' or '..', no '/', '\\' or NUL")
+        kind = self.model.get("kind")
+        _require(kind in _MODEL_KINDS, "model.kind", f"must be one of {_MODEL_KINDS}, got {kind!r}")
+        model = {"model": self.model}
+        if kind == "tilted_ising":
+            _require("sites" in self.model, "model.sites", "required for tilted_ising")
+            _require(_get(model, "model.sites", _int, 0) >= 2, "model.sites", "must be >= 2")
+            for key in ("g", "h", "J"):
+                _get(model, f"model.{key}", float, None)
+            _require(self.observable.get("axis", "z") in _AXES, "observable.axis", f"must be one of {_AXES}")
+        else:
+            _require(_get(model, "model.g", float, 1.0) != 0, "model.g", "must be nonzero")
+        if kind == "spin_bath":
+            _require(_get(model, "model.bath_dim", _int, 4) >= 1, "model.bath_dim", "must be >= 1")
+        _require(self.t_max > 0, "times.t_max", "must be positive")
+        _require(self.dt is None or self.dt > 0, "times.dt", "must be positive")
+        _check_windows("average_grid", self.average_grid, self.t_max)
+        _require(self.fluctuation_window > 0, "fluctuation.window", "must be positive")
+        _require(self.fluctuation_count >= 1, "fluctuation.count", "must be >= 1")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        return cls(**_parse(_SIMULATE_KEYS, raw, _field_defaults(cls), _SIMULATE_FREE))
+
+    def resolved_dict(self) -> dict:
+        """Canonical nested form; parsing it back yields an identical
+        configuration (config round-trip contract)."""
+        return _nest(_SIMULATE_KEYS, vars(self))
+
+
 def build_system(config: ExperimentConfig) -> PreparedSystem:
     """Construct the model, measurement and initial state of a config."""
     kind = config.model["kind"]
@@ -632,7 +657,7 @@ def build_system(config: ExperimentConfig) -> PreparedSystem:
             J=float(config.model.get("J", SpinChainParams.J)),
         )
         return chain_system(params, config.observable.get("axis", "z"), seed=config.seed,
-                            label=config.label, dimension_cap=config.dimension_cap)
+                            label=config.label)
     if kind == "precessing_spin":
         ham, initial, obs = precessing_spin(float(config.model.get("g", 1.0)))
     else:
@@ -699,7 +724,7 @@ def execute_experiment(config: ExperimentConfig):
     times = time_grid(config.t_max, dt)
     trajectory = compute_trajectory(system, times)
 
-    reports = evaluate_bounds(system, trajectory, config.average_grid, eps_points=config.eps_points)
+    reports = evaluate_bounds(system, trajectory, config.average_grid)
     reports.append(_bounds.average_entropy_check(trajectory, system.equilibrium.shannon, config.t_max))
 
     # evaluate_bounds has rejected measurements with fewer than two outcomes
@@ -780,15 +805,13 @@ def execute_experiment(config: ExperimentConfig):
 
 
 def sweep_chain_lengths(sites=(5, 6, 7, 8, 9), seed: int = 0, t_max: float = 100.0,
-                        late_window: tuple = (50.0, 80.0), axis: str = "z",
-                        dimension_cap: int = DEFAULT_DIMENSION_CAP) -> dict:
+                        late_window: tuple = (50.0, 80.0), axis: str = "z") -> dict:
     """Sweep the chain length and collect the scaling data: per-N
     effective dimension, asymptotic bound, and late-time-averaged
     entropy deviation, plus exponential fits of both curves."""
     rows = []
     for n in sites:
-        system = chain_system(SpinChainParams(sites=int(n)), axis, seed=seed, label=f"chain_{n}",
-                              dimension_cap=dimension_cap)
+        system = chain_system(SpinChainParams(sites=int(n)), axis, seed=seed, label=f"chain_{n}")
         dt = default_time_step(system.decomposition.spectral_range)
         trajectory = compute_trajectory(system, time_grid(t_max, dt))
         late = window_average(trajectory, "shannon_abs_dev", late_window[0], late_window[1])
@@ -815,14 +838,20 @@ def sweep_chain_lengths(sites=(5, 6, 7, 8, 9), seed: int = 0, t_max: float = 100
     }
 
 
+_SWEEP_KEYS = {
+    "sites": ("sites", _tuple(_int)),
+    "seed": ("seed", _int),
+    "t_max": ("t_max", float),
+    "late_window": ("late_window", _tuple(float)),
+    "axis": ("axis", _str),
+}
+
+
 def sweep_config(raw: dict) -> dict:
     """Keyword arguments of :func:`sweep_chain_lengths` from a sweep config;
     an absent key takes the function's default."""
     default = {name: p.default for name, p in inspect.signature(sweep_chain_lengths).parameters.items()}
-    types = {"sites": _tuple(_int), "seed": _int, "t_max": float, "late_window": _tuple(float),
-             "axis": str, "dimension_cap": _int}
-    _check_keys("", raw, set(types))
-    kw = {key: _get(raw, key, convert, default[key]) for key, convert in types.items()}
+    kw = _parse(_SWEEP_KEYS, raw, default)
     _require(len(kw["sites"]) >= 3 and min(kw["sites"]) >= 2, "sites",
              "the fits need at least 3 chain lengths, each >= 2")
     late = kw["late_window"]

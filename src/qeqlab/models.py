@@ -32,7 +32,6 @@ import numpy as np
 from .linalg import check_hermitian
 
 __all__ = [
-    "DEFAULT_DIMENSION_CAP",
     "DEFAULT_FIELD_G",
     "DEFAULT_FIELD_H",
     "DEFAULT_COUPLING_J",
@@ -50,12 +49,12 @@ __all__ = [
     "tilted_ising_chain",
 ]
 
-# Largest Hilbert-space dimension built by default (dense 8192^2
-# matrices are the practical memory limit); override per call or via the
-# QEQLAB_DIM_CAP environment variable in the CLI. The cap counts the full
-# 2**N, also for a chain that is then solved in its reflection-even
-# sector: the full-space operators are built before they are projected.
-DEFAULT_DIMENSION_CAP = 2**13
+# Largest Hilbert-space dimension any constructor builds: dense 8192^2
+# matrices are the practical memory limit, so chains have N <= 13. The
+# cap counts the full 2**N, also for a chain that is then solved in its
+# reflection-even sector: the full-space operators are built before they
+# are projected.
+_DIMENSION_CAP = 2**13
 
 # Chain constants for the nonintegrable parameter point used throughout.
 DEFAULT_FIELD_H = (math.sqrt(5) + 1) / 4    # longitudinal field, ~0.8090
@@ -71,7 +70,7 @@ _PAULI = {
 
 
 class DimensionCapError(ValueError):
-    """Requested system exceeds the configured dense-matrix dimension cap."""
+    """Requested system exceeds the dense-matrix dimension cap."""
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -147,11 +146,11 @@ class DensityMatrix:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
 
-def _check_cap(sites: int, dimension_cap: int) -> int:
+def _check_cap(sites: int) -> int:
     dim = 2**sites
-    if dim > dimension_cap:
+    if dim > _DIMENSION_CAP:
         raise DimensionCapError(
-            f"2**{sites} = {dim} exceeds the dimension cap {dimension_cap}"
+            f"2**{sites} = {dim} exceeds the dimension cap {_DIMENSION_CAP}"
         )
     return dim
 
@@ -169,7 +168,7 @@ def _z_values(sites: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def tilted_ising_chain(params: SpinChainParams, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
+def tilted_ising_chain(params: SpinChainParams) -> np.ndarray:
     """Hamiltonian of the open mixed-field Ising chain.
 
     H = sum_i g sx_i + sum_{i=2}^{N-1} h sz_i + (h-J)(sz_1 + sz_N)
@@ -184,7 +183,7 @@ def tilted_ising_chain(params: SpinChainParams, dimension_cap: int = DEFAULT_DIM
     n = params.sites
     if n < 2:
         raise ValueError("the chain needs at least 2 sites (edge terms)")
-    dim = _check_cap(n, dimension_cap)
+    dim = _check_cap(n)
     z = _z_values(n)
     diag = np.zeros(dim)
     if n >= 3:
@@ -200,7 +199,7 @@ def tilted_ising_chain(params: SpinChainParams, dimension_cap: int = DEFAULT_DIM
     return ham
 
 
-def bulk_magnetization(sites: int, axis: str, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
+def bulk_magnetization(sites: int, axis: str) -> np.ndarray:
     """Bulk magnetization ``(1/N) sum_i sigma_axis^(i)``.
 
     The spectrum is {(N-2k)/N : k = 0..N} with binomial multiplicities
@@ -209,7 +208,7 @@ def bulk_magnetization(sites: int, axis: str, dimension_cap: int = DEFAULT_DIMEN
     """
     if sites < 1:
         raise ValueError("sites must be >= 1")
-    dim = _check_cap(sites, dimension_cap)
+    dim = _check_cap(sites)
     out = np.zeros((dim, dim), dtype=complex if axis == "y" else float)
     idx = np.arange(dim)
     if axis == "z":
@@ -226,7 +225,7 @@ def bulk_magnetization(sites: int, axis: str, dimension_cap: int = DEFAULT_DIMEN
     return out
 
 
-def all_down_state(sites: int, seed: int = 0, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> PureState:
+def all_down_state(sites: int, seed: int = 0) -> PureState:
     """Product state of down spins, each dressed with a random phase.
 
     The per-site phases (drawn from a seeded generator) multiply out to a
@@ -237,7 +236,7 @@ def all_down_state(sites: int, seed: int = 0, dimension_cap: int = DEFAULT_DIMEN
     """
     if sites < 1:
         raise ValueError("sites must be >= 1")
-    dim = _check_cap(sites, dimension_cap)
+    dim = _check_cap(sites)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=sites)
     amps = np.zeros(dim, dtype=complex)
@@ -298,12 +297,12 @@ class ReflectionSector:
         return PureState(inside)
 
 
-def reflection_sector(sites: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> ReflectionSector:
+def reflection_sector(sites: int) -> ReflectionSector:
     """Orbits of site reflection on the basis of an N-site chain: one
     even-sector column per orbit {i, bit-reversed i}."""
     if sites < 1:
         raise ValueError("sites must be >= 1")
-    dim = _check_cap(sites, dimension_cap)
+    dim = _check_cap(sites)
     idx = np.arange(dim)
     bits = (idx[:, None] >> np.arange(sites)) & 1
     mirrors = bits @ (1 << np.arange(sites)[::-1])

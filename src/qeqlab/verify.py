@@ -24,11 +24,11 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .harness import (
-    _check_keys,
     _check_windows,
     _field_defaults,
-    _get,
     _int,
+    _nest,
+    _parse,
     _require,
     _tuple,
     chain_system,
@@ -64,6 +64,23 @@ __all__ = [
 ]
 
 
+_VERIFY_KEYS = {
+    "sites": ("sites", _tuple(_int)),
+    "average_grid": ("average_grid", _tuple(float)),
+    "t_max": ("t_max", float),
+    "fluctuation.sites": ("fluctuation_sites", _int),
+    "fluctuation.window": ("fluctuation_window", float),
+    "fluctuation.count": ("fluctuation_count", _int),
+    "averaged_state.sites": ("averaged_state_sites", _tuple(_int)),
+    "averaged_state.windows": ("averaged_state_windows", _tuple(float)),
+    "suites.shannon_pairs": ("shannon_pairs", _int),
+    "suites.observational_cases": ("observational_cases", _int),
+    "suites.von_neumann_cases": ("von_neumann_cases", _int),
+    "suites.povm_cases": ("povm_cases", _int),
+    "seed": ("seed", _int),
+}
+
+
 @dataclass
 class VerifyConfig:
     """Knob set for one verification run."""
@@ -80,9 +97,7 @@ class VerifyConfig:
     observational_cases: int = 1_000
     von_neumann_cases: int = 1_000
     povm_cases: int = 1_000
-    povm_window: float = 10.0
     seed: int = 0
-    eps_points: int = 32
 
     def __post_init__(self):
         for key, sites in (("sites", self.sites), ("fluctuation.sites", [self.fluctuation_sites]),
@@ -92,63 +107,21 @@ class VerifyConfig:
         _check_windows("average_grid", self.average_grid, self.t_max)
         _check_windows("averaged_state.windows", self.averaged_state_windows)
         _require(self.fluctuation_window > 0, "fluctuation.window", "must be positive")
-        _require(self.povm_window > 0, "suites.povm_window", "must be positive")
         for key, count in (("fluctuation.count", self.fluctuation_count),
                            ("suites.shannon_pairs", self.shannon_pairs),
                            ("suites.observational_cases", self.observational_cases),
                            ("suites.von_neumann_cases", self.von_neumann_cases),
-                           ("suites.povm_cases", self.povm_cases), ("eps_points", self.eps_points)):
+                           ("suites.povm_cases", self.povm_cases)):
             _require(count >= 1, key, "must be >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "VerifyConfig":
-        _check_keys("", raw, {
-            "sites", "average_grid", "t_max", "fluctuation", "averaged_state",
-            "suites", "seed", "eps_points",
-        })
-        _check_keys("fluctuation", raw.get("fluctuation", {}), {"sites", "window", "count"})
-        _check_keys("averaged_state", raw.get("averaged_state", {}), {"sites", "windows"})
-        _check_keys("suites", raw.get("suites", {}), {"shannon_pairs", "observational_cases",
-                                                     "von_neumann_cases", "povm_cases", "povm_window"})
-        default = _field_defaults(cls)
-        return cls(
-            sites=_get(raw, "sites", _tuple(_int), default["sites"]),
-            average_grid=_get(raw, "average_grid", _tuple(float), default["average_grid"]),
-            t_max=_get(raw, "t_max", float, default["t_max"]),
-            fluctuation_sites=_get(raw, "fluctuation.sites", _int, default["fluctuation_sites"]),
-            fluctuation_window=_get(raw, "fluctuation.window", float, default["fluctuation_window"]),
-            fluctuation_count=_get(raw, "fluctuation.count", _int, default["fluctuation_count"]),
-            averaged_state_sites=_get(raw, "averaged_state.sites", _tuple(_int),
-                                      default["averaged_state_sites"]),
-            averaged_state_windows=_get(raw, "averaged_state.windows", _tuple(float),
-                                        default["averaged_state_windows"]),
-            shannon_pairs=_get(raw, "suites.shannon_pairs", _int, default["shannon_pairs"]),
-            observational_cases=_get(raw, "suites.observational_cases", _int, default["observational_cases"]),
-            von_neumann_cases=_get(raw, "suites.von_neumann_cases", _int, default["von_neumann_cases"]),
-            povm_cases=_get(raw, "suites.povm_cases", _int, default["povm_cases"]),
-            povm_window=_get(raw, "suites.povm_window", float, default["povm_window"]),
-            seed=_get(raw, "seed", _int, default["seed"]),
-            eps_points=_get(raw, "eps_points", _int, default["eps_points"]),
-        )
+        return cls(**_parse(_VERIFY_KEYS, raw, _field_defaults(cls)))
 
     def resolved_dict(self) -> dict:
         """Canonical nested form with every default filled in; parsing it
         back yields an identical configuration."""
-        return {
-            "sites": list(self.sites),
-            "average_grid": list(self.average_grid),
-            "t_max": self.t_max,
-            "fluctuation": {"sites": self.fluctuation_sites, "window": self.fluctuation_window,
-                            "count": self.fluctuation_count},
-            "averaged_state": {"sites": list(self.averaged_state_sites),
-                               "windows": list(self.averaged_state_windows)},
-            "suites": {"shannon_pairs": self.shannon_pairs,
-                       "observational_cases": self.observational_cases,
-                       "von_neumann_cases": self.von_neumann_cases,
-                       "povm_cases": self.povm_cases, "povm_window": self.povm_window},
-            "seed": self.seed,
-            "eps_points": self.eps_points,
-        }
+        return _nest(_VERIFY_KEYS, vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +331,7 @@ def run_verification(config: VerifyConfig, corrupt_trajectory=None) -> list:
         trajectory = compute_trajectory(system, time_grid(config.t_max, dt))
         if corrupt_trajectory is not None:
             trajectory = corrupt_trajectory(trajectory)
-        for report in evaluate_bounds(system, trajectory, config.average_grid,
-                                      eps_points=config.eps_points):
+        for report in evaluate_bounds(system, trajectory, config.average_grid):
             report.parameters["system"] = system.label
             reports.append(report)
         jensen = _bounds.average_entropy_check(trajectory, system.equilibrium.shannon, config.t_max)
@@ -382,5 +354,5 @@ def run_verification(config: VerifyConfig, corrupt_trajectory=None) -> list:
     reports.append(shannon_continuity_suite(rng, config.shannon_pairs))
     reports.append(observational_continuity_suite(rng, config.observational_cases))
     reports.append(von_neumann_continuity_suite(rng, config.von_neumann_cases))
-    reports.append(povm_equilibration_suite(rng, config.povm_cases, window=config.povm_window))
+    reports.append(povm_equilibration_suite(rng, config.povm_cases))
     return reports

@@ -1,4 +1,5 @@
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import qeqlab
+from qeqlab import harness, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +31,33 @@ def test_readme_quick_tour_runs(capsys):
     assert len(lines) == 2 + 4 * 2  # d_eff, equilibrium entropy, 4 reports per window
     assert all(line.endswith("holds") for line in lines[2:])
 
+
+def _dotted_keys(mapping, free, prefix=""):
+    """Dotted keys of a nested config; a free-form section is one key."""
+    keys = set()
+    for key, value in mapping.items():
+        if isinstance(value, dict) and key not in free:
+            keys |= _dotted_keys(value, free, f"{prefix}{key}.")
+        else:
+            keys.add(prefix + key)
+    return keys
+
+
+def test_readme_schemas_match_the_key_tables():
+    blocks = re.findall(r"## Config schema \((\w+)\)\n.*?```jsonc\n(.*?)```", README.read_text(),
+                        flags=re.DOTALL)
+    schema = {name: json.loads(re.sub(r"//.*", "", block)) for name, block in blocks}
+    assert sorted(schema) == ["simulate", "sweep", "verify"]
+    for raw in schema.values():
+        assert raw.pop("output_dir") == "out"
+
+    simulate = schema["simulate"]
+    harness.ExperimentConfig.from_dict(simulate)
+    assert _dotted_keys(simulate, harness._SIMULATE_FREE) == set(harness._SIMULATE_KEYS)
+    assert {section: set(simulate[section]) for section in harness._SIMULATE_FREE} == harness._SIMULATE_FREE
+
+    # the verify and sweep blocks show the defaults
+    assert _dotted_keys(schema["verify"], {}) == set(verify._VERIFY_KEYS)
+    assert verify.VerifyConfig.from_dict(schema["verify"]) == verify.VerifyConfig()
+    assert _dotted_keys(schema["sweep"], {}) == set(harness._SWEEP_KEYS)
+    assert harness.sweep_config(schema["sweep"]) == harness.sweep_config({})

@@ -82,15 +82,11 @@ def test_config_errors_name_the_key(tmp_path, capsys):
     assert cli.main(["simulate", str(tmp_path / "missing.json")]) == 2
 
 
-def test_dimension_cap_exit_code(tmp_path, capsys, monkeypatch):
-    config = minimal_sim_config(tmp_path, model={"kind": "tilted_ising", "sites": 6},
-                                dimension_cap=32)
+def test_dimension_cap_exit_code(tmp_path, capsys):
+    # 2**14 exceeds the fixed cap 2**13; the cap is checked before anything is built
+    config = minimal_sim_config(tmp_path, model={"kind": "tilted_ising", "sites": 14})
     assert cli.main(["simulate", config]) == 3
     assert "cap" in capsys.readouterr().err
-
-    monkeypatch.setenv("QEQLAB_DIM_CAP", "16")
-    config = minimal_sim_config(tmp_path)
-    assert cli.main(["simulate", config]) == 3
 
 
 def test_set_overrides(tmp_path):
@@ -205,8 +201,8 @@ def test_verify_and_sweep_hash_the_resolved_config(tmp_path):
                    "von_neumann_cases": 4, "povm_cases": 2},
     }
     implicit = _manifest_hash(tmp_path, "verify", "v_implicit", verify)
-    explicit = _manifest_hash(tmp_path, "verify", "v_explicit", {**verify, "eps_points": 32})
-    changed = _manifest_hash(tmp_path, "verify", "v_changed", {**verify, "eps_points": 16})
+    explicit = _manifest_hash(tmp_path, "verify", "v_explicit", {**verify, "seed": 0})
+    changed = _manifest_hash(tmp_path, "verify", "v_changed", {**verify, "seed": 1})
     assert implicit == explicit != changed
     from qeqlab.verify import VerifyConfig
 
@@ -287,7 +283,7 @@ def _run_with(tmp_path, command, overrides):
     ("simulate", ['model={"kind": "spin_bath", "bath_dim": 0}'], "model.bath_dim"),
     ("simulate", ['model={"kind": "precessing_spin", "g": 0}'], "model.g"),
     ("simulate", ['model={"kind": "spin_bath", "g": 0}'], "model.g"),
-    ("simulate", ["eps_points=0"], "eps_points"),
+    ("simulate", ["eps_points=0"], "eps_points"),  # not a key: every run searches 32 widths
     ("simulate", ["exact_gap_limit=1024"], "exact_gap_limit"),  # not a key: counts are exact
     ("verify", ["sites=[1]"], "sites"),
     ("verify", ["averaged_state.sites=[1]"], "averaged_state.sites"),
@@ -311,10 +307,26 @@ def _run_with(tmp_path, command, overrides):
     ("simulate", ['average_grid="5"'], "average_grid"),
     ("sweep", ['late_window="05"'], "late_window"),
     ("sweep", ["exact_gap_limit=1024"], "exact_gap_limit"),
+    # the label becomes part of the output file names
+    ("simulate", ["label=sub/run"], "label"),
+    ("simulate", ['label=""'], "label"),
+    ("simulate", ['label=["a"]'], "label"),
+    # not keys: the dimension cap is fixed and the window-width grids are not settable
+    ("simulate", ["dimension_cap=8192"], "dimension_cap"),
+    ("simulate", ["eps_points=32"], "eps_points"),
+    ("verify", ["eps_points=32"], "eps_points"),
+    ("verify", ["suites.povm_window=10.0"], "suites.povm_window"),
+    ("sweep", ["dimension_cap=8192"], "dimension_cap"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, overrides, key):
     assert _run_with(tmp_path, command, overrides) == 2
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+def test_bad_config_creates_no_output_dir(tmp_path, command):
+    assert _run_with(tmp_path, command, ["unknown_key=1"]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, override, key", [
@@ -353,13 +365,12 @@ def test_numerical_faults_are_not_config_errors(tmp_path, monkeypatch):
         _run_with(tmp_path, "simulate", [])
 
 
-def test_sweep_defaults_come_from_sweep_chain_lengths(tmp_path, monkeypatch):
-    monkeypatch.delenv("QEQLAB_DIM_CAP", raising=False)
+def test_sweep_defaults_come_from_sweep_chain_lengths(tmp_path):
     only_sites = _manifest_hash(tmp_path, "sweep", "s_sites", {"sites": [3, 4, 5]})
     written_out = _manifest_hash(tmp_path, "sweep", "s_all", {
         "sites": [3, 4, 5], "seed": 0, "t_max": 100.0, "late_window": [50.0, 80.0],
-        "axis": "z", "dimension_cap": 8192,
+        "axis": "z",
     })
-    # sha256 of {"axis": "z", "dimension_cap": 8192, "late_window": [50, 80], "seed": 0,
-    # "sites": [3, 4, 5], "sweep": true, "t_max": 100}
-    assert only_sites == written_out == "ed06ef90f40c6b3ee1baf94c64b51432dc6dce45d86e807c13c2022df46396ea"
+    # sha256 of {"axis": "z", "late_window": [50, 80], "seed": 0, "sites": [3, 4, 5],
+    # "sweep": true, "t_max": 100}
+    assert only_sites == written_out == "cddc5c08b6174c5859cbf04e8fe7536b830d9a498a76cec4576966e2b2fc8c42"

@@ -258,6 +258,13 @@ def test_time_average_constant_and_sine():
     assert abs(time_average_scalar(sine, "expectation", 2 * math.pi)) < 1e-8
 
 
+def test_trajectory_keeps_its_validated_float_times():
+    ts = [0, 1, 2, 3, 4]
+    traj = _toy_trajectory(ts, np.full(len(ts), 2.0))
+    assert isinstance(traj.times, np.ndarray) and traj.times.dtype == float
+    assert time_average_scalar(traj, "expectation", 4.0) == pytest.approx(2.0, abs=1e-14)
+
+
 def test_time_average_errors_and_warning():
     ts = np.linspace(0.0, 1.0, 11)
     traj = _toy_trajectory(ts, np.sin(40 * ts))

@@ -54,9 +54,9 @@ def test_chain_rejects_single_site_and_cap():
     with pytest.raises(ValueError, match="2 sites"):
         tilted_ising_chain(SpinChainParams(sites=1))
     with pytest.raises(DimensionCapError):
-        tilted_ising_chain(SpinChainParams(sites=5), dimension_cap=16)
+        tilted_ising_chain(SpinChainParams(sites=14))
     with pytest.raises(DimensionCapError):
-        bulk_magnetization(5, "z", dimension_cap=16)
+        bulk_magnetization(14, "z")
 
 
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
