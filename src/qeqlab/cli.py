@@ -26,6 +26,8 @@ from . import __version__
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    _get,
+    _str,
     execute_experiment,
     sweep_chain_lengths,
     sweep_config,
@@ -82,7 +84,8 @@ def _parse_config(args, parse):
     """The parsed config and the output directory, which is created only
     once the config has parsed."""
     raw = _load_config(args.config, args.set)
-    output_dir = raw.pop("output_dir", "out")
+    output_dir = _get(raw, "output_dir", _str, "out")
+    raw.pop("output_dir", None)
     config = parse(raw)
     outdir = Path(args.out or output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,10 @@ __all__ = [
 
 # Relative tolerance for the trapezoidal-refinement convergence check.
 DEFAULT_AVG_RTOL = 1e-4
+# Gaps per block of the pruned window count: its first pass counts
+# exactly at every _BLOCK-th gap.
+_BLOCK = 16
+_BLOCK_OFFSETS = np.arange(_BLOCK)
 
 
 def _check_dim(decomp: SpectralDecomposition, dim: int):
@@ -148,6 +153,14 @@ class GapStatistics:
     ``window_count(eps)`` is the exact maximum number of gaps in any
     half-open interval of width eps. Each count is computed once per
     width and kept in ``window_counts``.
+
+    A count is block-pruned, not estimated. The window starting at gap
+    i holds ``searchsorted(gaps, gaps[i] + eps) - i`` gaps, counted first
+    at the head of every block of 16 gaps. A window starting inside the
+    block [i0, i1) ends no later than the one starting at i1, because
+    sorting and float rounding are both monotone, so the block's counts
+    are at most ``upper[i1] - i0``. Only blocks whose bound beats the
+    best head count are then counted gap by gap.
     """
 
     distinct_count: int
@@ -170,11 +183,27 @@ class GapStatistics:
             self.window_counts[eps] = count
         return count
 
+    @cached_property
+    def _block_heads(self):
+        """The first gap of every block, then +inf (whose window ends
+        past the last gap), and the index of every block's first gap."""
+        gaps = self._gaps
+        return np.append(gaps[::_BLOCK], np.inf), np.arange(0, gaps.size, _BLOCK)
+
     def _count_window(self, eps: float) -> int:
-        if self._gaps.size == 0:
+        gaps = self._gaps
+        if gaps.size == 0:
             return 0
-        upper = np.searchsorted(self._gaps, self._gaps + eps, side="left")
-        return int(np.max(upper - np.arange(self._gaps.size)))
+        heads, starts = self._block_heads
+        upper = np.searchsorted(gaps, heads + eps)
+        best = (upper[:-1] - starts).max()
+        blocks = np.flatnonzero(upper[1:] - starts > best)
+        if blocks.size:
+            # indices past the last gap clip to it and count less than it
+            idx = starts[blocks, None] + _BLOCK_OFFSETS
+            ends = np.searchsorted(gaps, gaps.take(idx, mode="clip") + eps)
+            best = max(best, (ends - idx).max())
+        return int(best)
 
     def epsilon_grid(self, points: int = 32) -> np.ndarray:
         """Logarithmic grid of window widths from the smallest gap

@@ -38,6 +38,7 @@ from .measurement import (
 from .models import (
     PureState,
     SpinChainParams,
+    _check_cap,
     all_down_state,
     bulk_magnetization,
     precessing_spin,
@@ -304,10 +305,14 @@ def compute_trajectory(system: PreparedSystem, times) -> Trajectory:
     )
 
 
-def sample_deviations(system: PreparedSystem, window: float, count: int, seed: int,
-                      kind: str = "shannon") -> np.ndarray:
-    """|entropy(t) - entropy(omega)| at ``count`` uniformly random times
-    in [0, window], deterministic per seed."""
+def sample_deviations(system: PreparedSystem, window: float, count: int, seed: int):
+    """Shannon and observational entropy deviations from equilibrium,
+    ``(|S(t) - S(omega)|, |S_obs(t) - S_obs(omega)|)``, at the same
+    ``count`` uniformly random times in [0, window].
+
+    The times are ``default_rng(seed).uniform(0, window, count)``, drawn
+    once and propagated once; sample k of both arrays is taken at time k.
+    """
     if window <= 0:
         raise ValueError("window must be positive")
     if count < 1:
@@ -317,26 +322,25 @@ def sample_deviations(system: PreparedSystem, window: float, count: int, seed: i
     pops = _populations_at(system, times)
     shannon, observational, _ = _entropy_rows(pops, system.measurement.multiplicities)
     eq = system.equilibrium
-    if kind == "shannon":
-        return np.abs(shannon - eq.shannon)
-    if kind == "observational":
-        return np.abs(observational - eq.observational)
-    raise KeyError(f"unknown deviation kind {kind!r}")
+    return np.abs(shannon - eq.shannon), np.abs(observational - eq.observational)
 
 
 def fluctuation_checks(system: PreparedSystem, window: float, count: int, seed: int):
     """Tail checks of the Shannon and observational entropy deviations at
     ``count`` random times in [0, window]: each deviation may reach the
     square root of its asymptotic bound with probability at most that
-    square root. The two samples use ``seed`` and ``seed + 1``.
+    square root.
+
+    Both checks read one draw of times from ``seed``
+    (:func:`sample_deviations`). Each is a Clopper-Pearson bound on its own
+    i.i.d. uniform times, valid alone, and no report combines the two.
 
     Returns ``(reports, summary)``.
     """
     r = system.r
     delta = _bounds.asymptotic_shannon_bound(r, system.d_eff)
     nu = _bounds.asymptotic_observational_bound(r, system.d_eff, system.dim)
-    sh = sample_deviations(system, window, count, seed=seed, kind="shannon")
-    ob = sample_deviations(system, window, count, seed=seed + 1, kind="observational")
+    sh, ob = sample_deviations(system, window, count, seed)
     reports = [
         _bounds.tail_bound_check(sh, math.sqrt(delta), delta, name="shannon_fluctuation"),
         _bounds.tail_bound_check(ob, math.sqrt(nu), nu, name="observational_fluctuation"),
@@ -622,7 +626,9 @@ class ExperimentConfig:
         model = {"model": self.model}
         if kind == "tilted_ising":
             _require("sites" in self.model, "model.sites", "required for tilted_ising")
-            _require(_get(model, "model.sites", _int, 0) >= 2, "model.sites", "must be >= 2")
+            sites = _get(model, "model.sites", _int)
+            _require(sites >= 2, "model.sites", "must be >= 2")
+            _check_cap(sites)
             for key in ("g", "h", "J"):
                 _get(model, f"model.{key}", float, None)
             _require(self.observable.get("axis", "z") in _AXES, "observable.axis", f"must be one of {_AXES}")
@@ -854,6 +860,8 @@ def sweep_config(raw: dict) -> dict:
     kw = _parse(_SWEEP_KEYS, raw, default)
     _require(len(kw["sites"]) >= 3 and min(kw["sites"]) >= 2, "sites",
              "the fits need at least 3 chain lengths, each >= 2")
+    for n in kw["sites"]:
+        _check_cap(n)
     late = kw["late_window"]
     _require(len(late) == 2 and 0 <= late[0] < late[1] <= kw["t_max"], "late_window",
              "must be [t0, t1] with 0 <= t0 < t1 <= t_max")

@@ -147,11 +147,10 @@ class DensityMatrix:
 
 
 def _check_cap(sites: int) -> int:
-    dim = 2**sites
+    # the exponent is clipped first: a huge site count never builds 2**sites
+    dim = 2 ** min(sites, _DIMENSION_CAP.bit_length())
     if dim > _DIMENSION_CAP:
-        raise DimensionCapError(
-            f"2**{sites} = {dim} exceeds the dimension cap {_DIMENSION_CAP}"
-        )
+        raise DimensionCapError(f"2**{sites} exceeds the dimension cap {_DIMENSION_CAP}")
     return dim
 
 

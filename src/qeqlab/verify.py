@@ -44,6 +44,7 @@ from .models import (
     DensityMatrix,
     PureState,
     SpinChainParams,
+    _check_cap,
     all_down_state,
     bulk_magnetization,
     tilted_ising_chain,
@@ -103,6 +104,8 @@ class VerifyConfig:
         for key, sites in (("sites", self.sites), ("fluctuation.sites", [self.fluctuation_sites]),
                            ("averaged_state.sites", self.averaged_state_sites)):
             _require(min(sites, default=2) >= 2, key, "chains need at least 2 sites")
+            for n in sites:
+                _check_cap(n)
         _require(self.t_max > 0, "t_max", "must be positive")
         _check_windows("average_grid", self.average_grid, self.t_max)
         _check_windows("averaged_state.windows", self.averaged_state_windows)

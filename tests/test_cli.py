@@ -329,6 +329,30 @@ def test_bad_config_creates_no_output_dir(tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+def test_non_string_output_dir_exits_2(tmp_path, capsys, command):
+    assert _run_with(tmp_path, command, ["output_dir=5"]) == 2
+    assert "config key 'output_dir'" in capsys.readouterr().err
+    assert not (tmp_path / "5").exists()
+
+
+@pytest.mark.parametrize("command, override", [
+    ("simulate", "model.sites=14"),
+    ("verify", "sites=[5, 14, 6]"),
+    ("verify", "fluctuation.sites=14"),
+    ("verify", "averaged_state.sites=[2, 14]"),
+    ("sweep", "sites=[5, 14, 6]"),
+])
+def test_cap_error_exits_3_before_output_or_solve(tmp_path, capsys, monkeypatch, command, override):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a chain was solved before the cap check")
+
+    monkeypatch.setattr("qeqlab.harness.decompose_hermitian", no_solve)
+    assert _run_with(tmp_path, command, [override]) == 3
+    assert "cap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, override, key", [
     ("simulate", "times.t_max=abc", "times.t_max"),
     ("simulate", "fluctuation.window=abc", "fluctuation.window"),

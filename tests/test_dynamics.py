@@ -3,9 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeqlab.dynamics import (
+    _BLOCK,
     EquilibriumReference,
+    GapStatistics,
     Trajectory,
     default_time_step,
     effective_dimension,
@@ -16,9 +20,10 @@ from qeqlab.dynamics import (
     time_average_scalar,
 )
 from qeqlab.entropy import von_neumann_entropy
+from qeqlab.harness import chain_system
 from qeqlab.linalg import decompose_hermitian, frobenius_norm, operator_norm
 from qeqlab.measurement import populations, pvm_from_observable
-from qeqlab.models import DensityMatrix, PureState, pauli, precessing_spin
+from qeqlab.models import DensityMatrix, PureState, SpinChainParams, pauli, precessing_spin
 
 
 def random_hermitian(rng, dim):
@@ -239,6 +244,48 @@ def test_gap_statistics_exact_above_a_thousand_levels():
     assert stats.window_count(0.5) == m - 1
     assert stats.window_count(1.5) == (m - 1) + (m - 2)
     assert stats.degenerate_gap_multiplicity() == m - 1
+
+
+def direct_window_count(gaps, eps):
+    """Oracle for the block-pruned count: every gap's window counted at
+    once, ``max(searchsorted(g, g + eps) - arange(n))``."""
+    if gaps.size == 0:
+        return 0
+    upper = np.searchsorted(gaps, gaps + eps, side="left")
+    return int(np.max(upper - np.arange(gaps.size)))
+
+
+@st.composite
+def sorted_gap_arrays(draw):
+    """Sorted arrays of 0 to 6 blocks of gaps, with sizes around one block
+    and not a multiple of it; few integer levels force repeated values."""
+    n = draw(st.one_of(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]),
+                       st.integers(0, 6 * _BLOCK)))
+    levels = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 0.1, 3.7e-3, 1e5]))
+    return np.sort(np.array(levels, dtype=float) * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=sorted_gap_arrays(), data=st.data())
+def test_pruned_window_count_matches_direct_count(gaps, data):
+    stats = GapStatistics(distinct_count=0, min_gap=None, _gaps=gaps)
+    widths = [data.draw(st.floats(1e-9, 1e7), label="eps")]
+    if gaps.size >= 2:
+        # widths equal to exact gap differences put a gap on the open edge
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, gaps.size - 1),
+                                             st.integers(0, gaps.size - 1)), max_size=4),
+                          label="pairs")
+        widths += [float(gaps[j] - gaps[i]) for i, j in pairs if gaps[j] > gaps[i]]
+    for eps in widths:
+        assert stats.window_count(eps) == direct_window_count(gaps, eps)
+
+
+@pytest.mark.parametrize("sites", [5, 6, 7, 8, 9])
+def test_pruned_window_count_on_chain_epsilon_grids(sites):
+    stats = chain_system(SpinChainParams(sites=sites)).gap_stats
+    for eps in stats.epsilon_grid(32):
+        assert stats.window_count(float(eps)) == direct_window_count(stats._gaps, float(eps))
 
 
 def _toy_trajectory(times, values):

@@ -126,25 +126,29 @@ def test_eigenstate_initial_state_has_zero_deviations():
     assert np.max(traj.quantity("population_distance")) < 1e-10
     for report in evaluate_bounds(system, traj, [5.0]):
         assert report.holds
-    samples = sample_deviations(system, 100.0, 50, seed=0)
-    assert np.max(samples) < 1e-9
+    shannon_dev, observational_dev = sample_deviations(system, 100.0, 50, seed=0)
+    assert np.max(shannon_dev) < 1e-9
+    assert np.max(observational_dev) < 1e-9
 
 
 def test_sample_deviations_near_time_zero_gives_equilibrium_entropy():
     # a vanishing window pins the sample times at zero, where the
     # deviation equals the equilibrium entropy for the all-down state
     system = small_chain(3)
-    samples = sample_deviations(system, 1e-9, 1, seed=5)
-    assert abs(samples[0] - system.equilibrium.shannon) < 1e-6
+    shannon_dev, observational_dev = sample_deviations(system, 1e-9, 1, seed=5)
+    assert shannon_dev.shape == observational_dev.shape == (1,)
+    assert abs(shannon_dev[0] - system.equilibrium.shannon) < 1e-6
+    assert abs(observational_dev[0] - system.equilibrium.observational) < 1e-6
 
 
 def test_sample_deviations_deterministic_and_consistent():
     system = small_chain(3)
-    a = sample_deviations(system, 100.0, 500, seed=7)
-    b = sample_deviations(system, 100.0, 500, seed=7)
-    assert np.array_equal(a, b)
-    c = sample_deviations(system, 100.0, 500, seed=8)
-    assert not np.array_equal(a, c)
+    a_sh, a_ob = sample_deviations(system, 100.0, 500, seed=7)
+    b_sh, b_ob = sample_deviations(system, 100.0, 500, seed=7)
+    assert np.array_equal(a_sh, b_sh) and np.array_equal(a_ob, b_ob)
+    c_sh, c_ob = sample_deviations(system, 100.0, 500, seed=8)
+    assert not np.array_equal(a_sh, c_sh)
+    assert not np.array_equal(a_ob, c_ob)
 
     # spot-check one sample against a direct evolution
     rng = np.random.default_rng(7)
@@ -154,7 +158,25 @@ def test_sample_deviations_deterministic_and_consistent():
     from qeqlab.entropy import shannon_entropy
 
     expected = abs(shannon_entropy(pops) - system.equilibrium.shannon)
-    assert abs(a[0] - expected) < 1e-10
+    assert abs(a_sh[0] - expected) < 1e-10
+
+
+def test_sample_deviations_share_one_draw_of_times():
+    # sample k of both arrays is taken at the k-th time of the one draw
+    from qeqlab.entropy import observational_entropy, shannon_entropy
+
+    system = small_chain(4)
+    window, count, seed = 50.0, 300, 21
+    shannon_dev, observational_dev = sample_deviations(system, window, count, seed=seed)
+    times = np.random.default_rng(seed).uniform(0.0, window, count)
+    eq = system.equilibrium
+    for k in (0, 1, 137, count - 1):
+        state = evolve(system.decomposition, system.initial, float(times[k]))
+        pops = populations(system.measurement, state)
+        mult = system.measurement.multiplicities
+        assert abs(shannon_dev[k] - abs(shannon_entropy(pops) - eq.shannon)) < 1e-10
+        assert abs(observational_dev[k]
+                   - abs(observational_entropy(pops, mult) - eq.observational)) < 1e-10
 
 
 def test_fit_exponential_exact_recovery():
