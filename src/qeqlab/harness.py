@@ -11,7 +11,8 @@ from __future__ import annotations
 import inspect
 import math
 from copy import copy
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
+from functools import reduce
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .dynamics import (
     Trajectory,
     default_time_step,
     effective_dimension,
-    equilibrium_state,
     gap_statistics,
     time_average_scalar,
 )
@@ -32,7 +32,6 @@ from .measurement import (
     Povm,
     ProjectiveMeasurement,
     clamp_populations,
-    populations,
     pvm_from_observable,
 )
 from .models import (
@@ -40,12 +39,13 @@ from .models import (
     SpinChainParams,
     _check_cap,
     all_down_state,
-    bulk_magnetization,
     precessing_spin,
     reflection_sector,
     spin_bath,
     tilted_ising_chain,
 )
+# not called here: perfbench/tracing.py looks this name up on this module
+from .models import bulk_magnetization
 
 __all__ = [
     "ExperimentConfig",
@@ -68,12 +68,18 @@ __all__ = [
     "window_average",
 ]
 
-# Max entries per trajectory chunk: d * times (times r for a POVM). The
+# Max entries per trajectory chunk: weighted-contraction rows * times. The
 # real path holds three float64 arrays of this size at once (384 MiB).
 _CHUNK_ENTRIES = 2**24
 # Largest imaginary part, after the global phase is divided out, that
 # still counts as round-off of a real state vector.
 _REAL_TOL = 1e-14
+# Per site: columns are the +1 and -1 Pauli eigenvectors; None along z.
+_SITE_ROTATIONS = {
+    "x": np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
+    "y": np.array([[1.0, 1.0], [1j, -1j]]) / math.sqrt(2.0),
+    "z": None,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +89,11 @@ _REAL_TOL = 1e-14
 @dataclass(frozen=True)
 class PreparedSystem:
     """A diagonalized system bundled with its measurement and initial
-    state, plus the eigenbasis caches the fast paths need.
+    state, plus the eigenbasis caches propagation needs.
+
+    ``weighted_contraction`` is ``measurement.in_basis(U) * amps_eig``: its
+    rows (d for a PVM, r * d for a POVM) turn the level phases exp(-i E t)
+    into amplitudes c_j(t); ``measurement.group_sums`` adds up |c_j(t)|^2.
 
     ``decomposition.dim`` is the dimension that was solved; ``dim`` is the
     Hilbert-space dimension the bounds see. The two differ when a chain
@@ -98,11 +108,8 @@ class PreparedSystem:
     d_eff: float
     equilibrium: EquilibriumReference
     amps_eig: np.ndarray = field(repr=False)
+    weighted_contraction: np.ndarray = field(repr=False)
     observable_norm: float | None = None
-    effects_eig: np.ndarray | None = field(repr=False, default=None)
-    # PVM contraction times amps_eig: row j holds the weights that turn the
-    # level phases exp(-i E t) into the measurement-basis amplitude c_j(t)
-    weighted_contraction: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
@@ -113,16 +120,6 @@ class PreparedSystem:
     @property
     def r(self) -> int:
         return self.measurement.r
-
-
-def _measurement_in_eigenbasis(measurement, decomp: SpectralDecomposition):
-    """Contraction taking eigenbasis amplitudes to measurement-basis
-    amplitudes (PVM) or the effects rotated into the eigenbasis (POVM)."""
-    U = decomp.eigenvectors
-    if isinstance(measurement, ProjectiveMeasurement):
-        return measurement.in_basis(U), None
-    effects_eig = np.array([U.conj().T @ eff @ U for eff in measurement.effects])
-    return None, effects_eig
 
 
 def _strip_global_phase(amplitudes: np.ndarray) -> np.ndarray:
@@ -167,17 +164,13 @@ def prepare_system(hamiltonian, observable, initial, label: str = "") -> Prepare
     d_eff = effective_dimension(decomp, initial)
 
     amps_eig = decomp.eigenvectors.conj().T @ _strip_global_phase(initial.amplitudes)
-    contraction, effects_eig = _measurement_in_eigenbasis(measurement, decomp)
-    weighted = None if contraction is None else contraction * amps_eig[None, :]
-    if weighted is not None:
-        # dephased-state populations without materializing omega:
-        # accumulate |C[:, block] @ amps[block]|^2 over energy eigenspaces
-        edges = [sl.start for sl in decomp.cluster_slices]
-        per_block = np.add.reduceat(weighted, edges, axis=1)
-        weights = np.sum(np.abs(per_block) ** 2, axis=1)
-        p_omega = clamp_populations(measurement.group_sums(weights))
-    else:
-        p_omega = populations(measurement, equilibrium_state(decomp, initial))
+    weighted = measurement.in_basis(decomp.eigenvectors) * amps_eig[None, :]
+    # dephased-state populations without materializing omega:
+    # accumulate |C[:, block] @ amps[block]|^2 over energy eigenspaces
+    edges = [sl.start for sl in decomp.cluster_slices]
+    per_block = np.add.reduceat(weighted, edges, axis=1)
+    weights = np.sum(np.abs(per_block) ** 2, axis=1)
+    p_omega = clamp_populations(measurement.group_sums(weights))
 
     values = getattr(measurement, "values", None)
     expectation_omega = float(np.dot(values, p_omega)) if values is not None else None
@@ -199,9 +192,8 @@ def prepare_system(hamiltonian, observable, initial, label: str = "") -> Prepare
         d_eff=d_eff,
         equilibrium=equilibrium,
         amps_eig=amps_eig,
-        observable_norm=obs_norm,
-        effects_eig=effects_eig,
         weighted_contraction=weighted,
+        observable_norm=obs_norm,
     )
 
 
@@ -212,32 +204,33 @@ def chain_system(params: SpinChainParams, axis: str = "z", seed: int = 0,
 
     The Hamiltonian, the state and the magnetization all commute with
     site reflection, so the state never leaves the reflection-even
-    sector. The chain is solved there: H, the magnetization and the
-    state are projected onto the sector and handed to
-    :func:`prepare_system`. The measurement keeps the full-space
-    multiplicities C(N, k), so ``dim`` stays 2**N in every bound.
+    sector. The chain is solved there: H and the state are projected onto
+    the sector and handed to :func:`prepare_system`. Outcome k (k spins
+    down along ``axis``) has the value (N - 2k)/N and keeps its full-space
+    multiplicity C(N, k), so ``dim`` stays 2**N in every bound. The sector
+    columns are ordered by k and form the measurement basis along z; along
+    x and y the basis is their image under ``R^(x)N``, which commutes with
+    site reflection.
     """
+    if axis not in _SITE_ROTATIONS:
+        raise ValueError(f"unknown Pauli axis {axis!r}")
     n = params.sites
     sector = reflection_sector(n)
     ham = sector.project_operator(tilted_ising_chain(params))
     initial = sector.project_state(all_down_state(n, seed=seed))
-    if axis == "z":
-        # the sector columns are ordered by down-spin count k
-        slices = sector.magnetization_slices()
-        measurement = ProjectiveMeasurement(values=(n - 2.0 * np.arange(n + 1)) / n,
-                                            outcome_slices=slices)
-    else:
-        magnetization = bulk_magnetization(n, axis)
-        measurement = pvm_from_observable(sector.project_operator(magnetization))
-    # outcome value (N - 2k)/N occurs C(N, k) times in the full space
-    down = np.rint((1.0 - measurement.values) * n / 2.0).astype(int)
-    measurement = replace(measurement, multiplicities=np.array([math.comb(n, int(k)) for k in down]))
+    rotation = _SITE_ROTATIONS[axis]
+    basis = None if rotation is None else sector.project_operator(reduce(np.kron, [rotation] * n))
+    down = np.arange(n + 1)
+    measurement = ProjectiveMeasurement(values=(n - 2.0 * down) / n,
+                                        outcome_slices=sector.magnetization_slices(),
+                                        basis=basis,
+                                        multiplicities=np.array([math.comb(n, k) for k in down]))
     return prepare_system(ham, measurement, initial, label=label)
 
 
-def _pvm_sq_amplitudes(weighted: np.ndarray, levels: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """``|weighted @ exp(-i E t)|^2`` per measurement-basis state and time,
-    (d, len(ts)). Real weights take two real GEMMs, on ``cos(E t)`` and
+def _sq_amplitudes(weighted: np.ndarray, levels: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """``|weighted @ exp(-i E t)|^2`` per row of ``weighted`` and time,
+    (rows, len(ts)). Real weights take two real GEMMs, on ``cos(E t)`` and
     ``sin(E t)``; complex weights one complex GEMM."""
     arg = np.outer(levels, ts)
     if np.iscomplexobj(weighted):
@@ -251,31 +244,17 @@ def _pvm_sq_amplitudes(weighted: np.ndarray, levels: np.ndarray, ts: np.ndarray)
     return sq
 
 
-def _povm_populations(system: PreparedSystem, ts: np.ndarray) -> np.ndarray:
-    """``<psi(t)|E_i|psi(t)>`` per time and effect, (len(ts), r): one batched
-    GEMM applies the effects, a pairwise contraction takes the overlaps."""
-    phases = np.exp(np.outer(system.decomposition.level_values, ts) * (-1j))
-    amps = phases * system.amps_eig[:, None]
-    applied = system.effects_eig @ amps
-    return np.einsum("jt,ijt->ti", amps.conj(), applied).real
-
-
 def _populations_at(system: PreparedSystem, times: np.ndarray) -> np.ndarray:
     """Outcome populations at arbitrary times, (len(times), r)."""
-    decomp = system.decomposition
+    levels = system.decomposition.level_values
     measurement = system.measurement
     weighted = system.weighted_contraction
     out = np.empty((len(times), measurement.r))
-    per_time = decomp.dim * (measurement.r if weighted is None else 1)
-    chunk = max(256, _CHUNK_ENTRIES // per_time)
+    chunk = max(256, _CHUNK_ENTRIES // weighted.shape[0])
     for start in range(0, len(times), chunk):
         ts = times[start : start + chunk]
-        if weighted is not None:
-            sq = _pvm_sq_amplitudes(weighted, decomp.level_values, ts)
-            raw = measurement.group_sums(sq).T
-        else:
-            raw = _povm_populations(system, ts)
-        out[start : start + len(ts)] = raw
+        sq = _sq_amplitudes(weighted, levels, ts)
+        out[start : start + len(ts)] = measurement.group_sums(sq).T
     return clamp_populations(out)
 
 

@@ -6,7 +6,8 @@ A :class:`ProjectiveMeasurement` stores the measurement basis (one
 orthonormal column per microstate, or none when the space's own basis
 is the measurement basis) plus the grouping of basis columns into
 outcomes; projectors are assembled on demand only, so large
-measurements stay cheap. A :class:`Povm` stores its effects densely.
+measurements stay cheap. A :class:`Povm` stores its effects densely and
+a square-root factor of each, so both offer ``in_basis`` and ``group_sums``.
 """
 
 from __future__ import annotations
@@ -108,26 +109,36 @@ class ProjectiveMeasurement:
 
 @dataclass(frozen=True)
 class Povm:
-    """Generalized measurement: positive effects summing to the identity."""
+    """Generalized measurement: positive effects summing to the identity.
+
+    ``factors`` (r*d, d) stacks ``F_i = diag(sqrt(w)) V^dag`` per effect
+    ``E_i = V diag(w) V^dag`` (round-off negative w clipped to zero), so
+    ``<psi|E_i|psi>`` is the squared norm of the d rows ``F_i psi``.
+    """
 
     effects: np.ndarray  # (r, d, d)
     values: np.ndarray = field(default=None)
+    factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         effects = np.asarray(self.effects, dtype=complex)
         if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
             raise ValueError(f"effects must be (r, d, d), got {effects.shape}")
         dim = effects.shape[1]
+        factors = []
         for eff in effects:
             check_hermitian(eff)
-            lowest = float(np.linalg.eigvalsh(eff)[0])
-            if lowest < -1e-10:
-                raise ValueError(f"effect not positive semidefinite: min eigenvalue {lowest:.3e}")
+            w, v = np.linalg.eigh(eff)
+            if w[0] < -1e-10:
+                raise ValueError(f"effect not positive semidefinite: min eigenvalue {w[0]:.3e}")
+            factors.append(np.sqrt(np.clip(w, 0.0, None))[:, None] * v.conj().T)
         total = effects.sum(axis=0)
         if np.max(np.abs(total - np.eye(dim))) > _NORM_TOL:
             raise ValueError("effects do not sum to the identity")
-        object.__setattr__(self, "effects", effects)
-        effects.setflags(write=False)
+        factors = np.concatenate(factors)
+        for name, arr in (("effects", effects), ("factors", factors)):
+            object.__setattr__(self, name, arr)
+            arr.setflags(write=False)
         if self.values is not None:
             vals = np.asarray(self.values, dtype=float)
             if vals.shape != (effects.shape[0],):
@@ -147,6 +158,15 @@ class Povm:
     def multiplicities(self) -> np.ndarray:
         """Generalized multiplicities V_i = Tr[E_i] (reals for a POVM)."""
         return np.einsum("ikk->i", self.effects).real
+
+    def in_basis(self, vectors: np.ndarray) -> np.ndarray:
+        """``factors @ vectors``: the rows whose squared magnitudes
+        :meth:`group_sums` adds up to outcome populations."""
+        return self.factors @ vectors
+
+    def group_sums(self, per_row: np.ndarray) -> np.ndarray:
+        """Sum an array over the d rows of each outcome (first axis)."""
+        return per_row.reshape(self.r, self.dim, *per_row.shape[1:]).sum(axis=1)
 
 
 def pvm_from_observable(observable, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> ProjectiveMeasurement:

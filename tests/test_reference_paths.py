@@ -18,15 +18,15 @@ import pytest
 from qeqlab.bounds import optimal_epsilon
 from qeqlab.dynamics import gap_statistics
 from qeqlab.harness import (
-    _measurement_in_eigenbasis,
     _populations_at,
     compute_trajectory,
     prepare_system,
 )
 from qeqlab.linalg import decompose_hermitian
+from qeqlab.measurement import Povm
 from qeqlab.measurement import clamp_populations as _clamp_rows
 from qeqlab.models import SpinChainParams, all_down_state, bulk_magnetization, tilted_ising_chain
-from qeqlab.verify import random_hermitian, random_povm, random_pure_state
+from qeqlab.verify import random_hermitian, random_partition_pvm, random_povm, random_pure_state
 
 TOL = 1e-12
 
@@ -68,7 +68,7 @@ def _complex_product_populations(system, times):
     formed without the real GEMMs or the stored weights."""
     phases = np.exp(np.outer(system.decomposition.level_values, times) * (-1j))
     amps = phases * system.amps_eig[:, None]
-    contraction = _measurement_in_eigenbasis(system.measurement, system.decomposition)[0]
+    contraction = system.measurement.in_basis(system.decomposition.eigenvectors)
     coeffs = contraction.astype(complex) @ amps
     return _clamp_rows(system.measurement.group_sums(np.abs(coeffs) ** 2).T)
 
@@ -85,7 +85,7 @@ def test_real_propagation_matches_complex_product(sites):
 def test_chain_stays_real_and_complex_input_stays_complex():
     system = chain_pair(6)[0]
     assert system.decomposition.eigenvectors.dtype == np.float64
-    contraction = _measurement_in_eigenbasis(system.measurement, system.decomposition)[0]
+    contraction = system.measurement.in_basis(system.decomposition.eigenvectors)
     assert contraction.dtype == np.float64
     assert system.amps_eig.dtype == np.float64
     assert system.weighted_contraction.dtype == np.float64
@@ -109,10 +109,13 @@ def test_complex_state_keeps_complex_amplitudes():
 
 
 def _three_operand_povm_populations(system, times):
-    """The POVM trajectory as one unoptimized three-operand einsum."""
+    """The POVM trajectory as one unoptimized three-operand einsum over
+    the effects rotated into the eigenbasis."""
+    U = system.decomposition.eigenvectors
+    effects_eig = np.array([U.conj().T @ eff @ U for eff in system.measurement.effects])
     phases = np.exp(np.outer(system.decomposition.level_values, times) * (-1j))
     amps = phases * system.amps_eig[:, None]
-    raw = np.einsum("jt,ijk,kt->ti", amps.conj(), system.effects_eig, amps).real
+    raw = np.einsum("jt,ijk,kt->ti", amps.conj(), effects_eig, amps).real
     return _clamp_rows(raw)
 
 
@@ -129,6 +132,21 @@ def test_povm_trajectory_matches_three_operand_einsum(case):
     assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-12
 
 
+@pytest.mark.parametrize("case", range(4))
+def test_povm_of_pvm_projectors_matches_the_pvm(case):
+    # rank-deficient effects: the square-root factors clip zero eigenvalues
+    rng = np.random.default_rng(200 + case)
+    dim = int(rng.integers(4, 17))
+    pvm = random_partition_pvm(rng, dim, int(rng.integers(2, 5)))
+    povm = Povm(effects=np.array(list(pvm.projectors())))
+    ham, initial = random_hermitian(rng, dim), random_pure_state(rng, dim)
+    as_pvm, as_povm = prepare_system(ham, pvm, initial), prepare_system(ham, povm, initial)
+    times = np.linspace(0.0, 10.0, 257)
+    got = compute_trajectory(as_povm, times).populations
+    assert np.max(np.abs(got - compute_trajectory(as_pvm, times).populations)) <= TOL
+    assert np.max(np.abs(as_povm.equilibrium.populations - as_pvm.equilibrium.populations)) <= TOL
+
+
 def test_povm_chunks_cover_every_time(monkeypatch):
     import qeqlab.harness as harness
 
@@ -137,7 +155,7 @@ def test_povm_chunks_cover_every_time(monkeypatch):
                             random_pure_state(rng, 8))
     times = np.linspace(0.0, 5.0, 1000)
     whole = _populations_at(system, times)  # one chunk
-    # four chunks: 256 times each at d * r = 24 entries per time
+    # four chunks: 256 times each at r * d = 24 weighted rows per time
     monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 24 * 256)
     assert np.max(np.abs(_populations_at(system, times) - whole)) <= TOL
 

@@ -73,6 +73,25 @@ def test_sector_window_counts_never_exceed_full_space(pair):
         assert sector.gap_stats.window_count(eps) <= full.gap_stats.window_count(eps + widen)
 
 
+@pytest.mark.parametrize("sites", range(2, 10))
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_built_x_and_y_bases_are_the_magnetization_eigenbasis(sites, axis):
+    measurement = chain_system(SpinChainParams(sites=sites), axis, seed=SEED).measurement
+    assert measurement.values.tolist() == [(sites - 2.0 * k) / sites for k in range(sites + 1)]
+    assert measurement.multiplicities.tolist() == [math.comb(sites, k) for k in range(sites + 1)]
+    B = measurement.basis
+    assert np.max(np.abs(B.conj().T @ B - np.eye(B.shape[0]))) <= 1e-12
+    # each column is an eigenvector of the sector magnetization with its outcome's value
+    magnetization = reflection_sector(sites).project_operator(bulk_magnetization(sites, axis))
+    column_values = np.repeat(measurement.values, [sl.stop - sl.start for sl in measurement.outcome_slices])
+    assert np.max(np.abs(magnetization @ B - B * column_values)) <= 1e-12
+
+
+def test_chain_rejects_an_unknown_axis():
+    with pytest.raises(ValueError, match="'w'"):
+        chain_system(SpinChainParams(sites=3), "w")
+
+
 def _dense_isometry(sector):
     full_dim = 2**sector.sites
     P = np.zeros((full_dim, sector.dim))
