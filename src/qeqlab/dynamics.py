@@ -212,10 +212,10 @@ class GapStatistics:
             raise ValueError("no nonzero gaps: epsilon grid undefined")
         return np.geomspace(self.min_gap, max(self.max_gap, self.min_gap * (1 + 1e-12)), points)
 
-    def degenerate_gap_multiplicity(self, rel_tol: float = 1e-12) -> int:
+    def degenerate_gap_multiplicity(self) -> int:
         """Maximum multiplicity of a single gap value (the eps -> 0 limit
-        of the window count), up to a relative tolerance."""
-        return self._count_window(rel_tol * max(1.0, self.max_gap))
+        of the window count), up to a relative tolerance of 1e-12."""
+        return self._count_window(1e-12 * max(1.0, self.max_gap))
 
 
 def gap_statistics(decomp: SpectralDecomposition) -> GapStatistics:
@@ -315,15 +315,14 @@ def time_average_scalar(
     series: Trajectory,
     quantity,
     T: float,
-    rtol_avg: float = DEFAULT_AVG_RTOL,
     check_refinement: bool = True,
 ) -> float:
     """Trapezoidal time average ``(1/T) int_0^T X(t) dt``.
 
     ``quantity`` is a named series or a raw array aligned with the grid.
     The average is recomputed on the grid thinned by half; a relative
-    change above ``rtol_avg`` means the grid does not resolve the signal
-    and triggers a warning.
+    change above ``DEFAULT_AVG_RTOL`` means the grid does not resolve the
+    signal and triggers a warning.
     """
     times = series.times
     values = series.quantity(quantity) if isinstance(quantity, str) else np.asarray(quantity, float)
@@ -338,7 +337,7 @@ def time_average_scalar(
             idx = np.append(idx, len(times) - 1)
         coarse = _trapezoid_to(times[idx], values[idx], T) / T
         delta = abs(avg - coarse)
-        if delta > rtol_avg * max(1.0, abs(avg)):
+        if delta > DEFAULT_AVG_RTOL * max(1.0, abs(avg)):
             warnings.warn(
                 f"time average of {quantity!r} not converged: halving the "
                 f"step moves it by {delta:.3e}"

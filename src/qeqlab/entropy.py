@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _ZERO_CUTOFF = 1e-15
+# a state eigenvalue below this is not round-off
+_PSD_FLOOR = -1e-8
 LN2 = math.log(2.0)
 
 
@@ -63,11 +65,11 @@ def boltzmann_term(pops, multiplicities) -> float:
     return float(np.sum(pops * np.log(mult)))
 
 
-def von_neumann_entropy(rho, psd_tol: float = 1e-8) -> float:
+def von_neumann_entropy(rho) -> float:
     """``-Tr[rho ln rho]`` from the eigenvalues, clamped into [0, 1]."""
     matrix = getattr(rho, "matrix", rho)
     eigenvalues = np.linalg.eigvalsh(np.asarray(matrix, dtype=complex))
-    if eigenvalues[0] < -psd_tol:
+    if eigenvalues[0] < _PSD_FLOOR:
         raise ValueError(f"state not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e}")
     return float(-np.sum(_xlogx(np.clip(eigenvalues, 0.0, 1.0))))
 

@@ -92,7 +92,7 @@ class PreparedSystem:
     state, plus the eigenbasis caches propagation needs.
 
     ``weighted_contraction`` is ``measurement.in_basis(U) * amps_eig``: its
-    rows (d for a PVM, r * d for a POVM) turn the level phases exp(-i E t)
+    rows (d for a PVM, r * k for a POVM) turn the level phases exp(-i E t)
     into amplitudes c_j(t); ``measurement.group_sums`` adds up |c_j(t)|^2.
 
     ``decomposition.dim`` is the dimension that was solved; ``dim`` is the
@@ -565,7 +565,10 @@ def _nest(table: dict, values: dict) -> dict:
     return out
 
 
-_MODEL_KINDS = ("tilted_ising", "precessing_spin", "spin_bath")
+# the model sub-keys each kind reads
+_MODEL_KEYS = {"tilted_ising": {"kind", "sites", "g", "h", "J"}, "precessing_spin": {"kind", "g"},
+               "spin_bath": {"kind", "g", "bath_dim"}}
+_MODEL_KINDS = tuple(_MODEL_KEYS)
 _AXES = ("x", "y", "z")
 
 _SIMULATE_KEYS = {
@@ -579,7 +582,7 @@ _SIMULATE_KEYS = {
     "fluctuation.count": ("fluctuation_count", _int),
     "seed": ("seed", _int),
 }
-_SIMULATE_FREE = {"model": {"kind", "sites", "g", "h", "J", "bath_dim"}, "observable": {"axis"}}
+_SIMULATE_FREE = {"model": set().union(*_MODEL_KEYS.values()), "observable": {"axis"}}
 
 
 @dataclass
@@ -602,6 +605,8 @@ class ExperimentConfig:
                  "label", "must be a file name part: non-empty, not '.' or '..', no '/', '\\' or NUL")
         kind = self.model.get("kind")
         _require(kind in _MODEL_KINDS, "model.kind", f"must be one of {_MODEL_KINDS}, got {kind!r}")
+        for key in self.model:
+            _require(key in _MODEL_KEYS[kind], f"model.{key}", f"not read by model kind {kind!r}")
         model = {"model": self.model}
         if kind == "tilted_ising":
             _require("sites" in self.model, "model.sites", "required for tilted_ising")

@@ -29,9 +29,9 @@ __all__ = [
 
 # Hermiticity tolerance, relative to the largest matrix entry.
 DEFAULT_HERM_TOL = 1e-10
-# Two eigenvalues join a cluster when their gap is below
-# degeneracy_tol * max(1, spectral range); relative so that rescaling the
-# Hamiltonian does not change the grouping.
+# Two eigenvalues join a cluster when their gap is at most
+# DEFAULT_DEGENERACY_TOL * max(1, spectral range); relative so that
+# rescaling the Hamiltonian does not change the grouping.
 DEFAULT_DEGENERACY_TOL = 1e-10
 
 
@@ -50,7 +50,7 @@ def _as_square_array(matrix) -> np.ndarray:
     return arr
 
 
-def check_hermitian(matrix, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
+def check_hermitian(matrix) -> np.ndarray:
     """Validate Hermiticity and return the matrix as an array (float64
     for real input, complex128 otherwise).
 
@@ -60,10 +60,10 @@ def check_hermitian(matrix, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
     arr = _as_square_array(matrix)
     asym = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
     scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
-    if asym > tol * scale:
+    if asym > DEFAULT_HERM_TOL * scale:
         raise NonHermitianError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} "
-            f"(tolerance {tol * scale:.3e})"
+            f"(tolerance {DEFAULT_HERM_TOL * scale:.3e})"
         )
     return arr
 
@@ -94,10 +94,8 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         if self.level_values is None:
-            lv = np.empty_like(self.eigenvalues)
-            for k, sl in enumerate(self.cluster_slices):
-                lv[sl] = self.cluster_values[k]
-            object.__setattr__(self, "level_values", lv)
+            level_values = np.repeat(self.cluster_values, self.multiplicities)
+            object.__setattr__(self, "level_values", level_values)
         for name in ("eigenvalues", "eigenvectors", "cluster_values", "level_values"):
             getattr(self, name).setflags(write=False)
 
@@ -152,19 +150,12 @@ def cluster_indices(values: np.ndarray, tol: float) -> tuple[slice, ...]:
     return tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
 
 
-def decompose_hermitian(
-    matrix,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-    herm_tol: float = DEFAULT_HERM_TOL,
-) -> SpectralDecomposition:
+def decompose_hermitian(matrix) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix and group degenerate eigenvalues.
 
-    Parameters
-    ----------
-    matrix : (d, d) Hermitian array.
-    degeneracy_tol : relative clustering tolerance; two consecutive
-        eigenvalues share a cluster when their gap is at most
-        ``degeneracy_tol * max(1, spectral range)``.
+    Two consecutive eigenvalues share a cluster when their gap is at most
+    ``DEFAULT_DEGENERACY_TOL * max(1, spectral range)``; a cluster's value
+    is the mean of its eigenvalues.
 
     Returns
     -------
@@ -172,22 +163,20 @@ def decompose_hermitian(
     eigenvectors, real for a real symmetric input. Deterministic for a
     fixed input.
     """
-    if degeneracy_tol <= 0:
-        raise ValueError("degeneracy_tol must be positive")
-    arr = check_hermitian(matrix, tol=herm_tol)
+    arr = check_hermitian(matrix)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
     spread = float(eigenvalues[-1] - eigenvalues[0]) if len(eigenvalues) else 0.0
-    tol = degeneracy_tol * max(1.0, spread)
-    slices = cluster_indices(eigenvalues, tol)
-    values = np.array([eigenvalues[sl].mean() for sl in slices])
+    slices = cluster_indices(eigenvalues, DEFAULT_DEGENERACY_TOL * max(1.0, spread))
+    starts = [sl.start for sl in slices]
+    widths = np.array([sl.stop - sl.start for sl in slices])
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         cluster_slices=slices,
-        cluster_values=values,
+        cluster_values=np.add.reduceat(eigenvalues, starts) / widths,
     )
 
 

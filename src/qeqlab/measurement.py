@@ -6,8 +6,9 @@ A :class:`ProjectiveMeasurement` stores the measurement basis (one
 orthonormal column per microstate, or none when the space's own basis
 is the measurement basis) plus the grouping of basis columns into
 outcomes; projectors are assembled on demand only, so large
-measurements stay cheap. A :class:`Povm` stores its effects densely and
-a square-root factor of each, so both offer ``in_basis`` and ``group_sums``.
+measurements stay cheap. A :class:`Povm` stores the square-root factors
+``F_i`` of its effects ``E_i = F_i^dag F_i``, so its effects are positive
+by construction. Both offer ``in_basis`` and ``group_sums``.
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_DEGENERACY_TOL,
-    check_hermitian,
-    decompose_hermitian,
-)
+from .linalg import decompose_hermitian
 from .models import DensityMatrix, PureState
 
 __all__ = [
@@ -63,13 +60,15 @@ class ProjectiveMeasurement:
     def __post_init__(self):
         mult = self.multiplicities
         if mult is None:
-            mult = np.array([sl.stop - sl.start for sl in self.outcome_slices])
+            mult = [sl.stop - sl.start for sl in self.outcome_slices]
         mult = np.asarray(mult)
         if mult.shape != (self.r,):
             raise ValueError("multiplicities length must match the number of outcomes")
-        object.__setattr__(self, "multiplicities", mult)
-        for arr in (self.values, self.basis, mult):
+        values = np.asarray(self.values, dtype=float)
+        basis = None if self.basis is None else np.asarray(self.basis)
+        for name, arr in (("values", values), ("basis", basis), ("multiplicities", mult)):
             if arr is not None:
+                object.__setattr__(self, name, arr)
                 arr.setflags(write=False)
 
     @property
@@ -109,74 +108,72 @@ class ProjectiveMeasurement:
 
 @dataclass(frozen=True)
 class Povm:
-    """Generalized measurement: positive effects summing to the identity.
+    """Generalized measurement given by square-root factors.
 
-    ``factors`` (r*d, d) stacks ``F_i = diag(sqrt(w)) V^dag`` per effect
-    ``E_i = V diag(w) V^dag`` (round-off negative w clipped to zero), so
-    ``<psi|E_i|psi>`` is the squared norm of the d rows ``F_i psi``.
+    ``factors`` (r, k, d) stacks one k x d factor ``F_i`` per outcome. The
+    effects ``E_i = F_i^dag F_i`` are positive by construction and must
+    sum to the identity; ``<psi|E_i|psi>`` is the squared norm of the k
+    rows ``F_i psi``.
     """
 
-    effects: np.ndarray  # (r, d, d)
+    factors: np.ndarray  # (r, k, d)
     values: np.ndarray = field(default=None)
-    factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        effects = np.asarray(self.effects, dtype=complex)
-        if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
-            raise ValueError(f"effects must be (r, d, d), got {effects.shape}")
-        dim = effects.shape[1]
-        factors = []
-        for eff in effects:
-            check_hermitian(eff)
-            w, v = np.linalg.eigh(eff)
-            if w[0] < -1e-10:
-                raise ValueError(f"effect not positive semidefinite: min eigenvalue {w[0]:.3e}")
-            factors.append(np.sqrt(np.clip(w, 0.0, None))[:, None] * v.conj().T)
-        total = effects.sum(axis=0)
-        if np.max(np.abs(total - np.eye(dim))) > _NORM_TOL:
+        factors = np.asarray(self.factors, dtype=complex)
+        if factors.ndim != 3:
+            raise ValueError(f"factors must be (r, k, d), got {factors.shape}")
+        if not np.all(np.isfinite(factors)):
+            raise ValueError("factors contain non-finite entries")
+        rows = factors.reshape(-1, factors.shape[2])
+        if np.max(np.abs(rows.conj().T @ rows - np.eye(factors.shape[2]))) > _NORM_TOL:
             raise ValueError("effects do not sum to the identity")
-        factors = np.concatenate(factors)
-        for name, arr in (("effects", effects), ("factors", factors)):
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
+        object.__setattr__(self, "factors", factors)
+        factors.setflags(write=False)
         if self.values is not None:
             vals = np.asarray(self.values, dtype=float)
-            if vals.shape != (effects.shape[0],):
+            if vals.shape != (factors.shape[0],):
                 raise ValueError("values length must match the number of effects")
             object.__setattr__(self, "values", vals)
             vals.setflags(write=False)
 
     @property
     def r(self) -> int:
-        return self.effects.shape[0]
+        return self.factors.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.effects.shape[1]
+        return self.factors.shape[2]
+
+    @property
+    def effects(self) -> np.ndarray:
+        """(r, d, d) effects ``F_i^dag F_i``."""
+        return np.swapaxes(self.factors.conj(), 1, 2) @ self.factors
 
     @property
     def multiplicities(self) -> np.ndarray:
-        """Generalized multiplicities V_i = Tr[E_i] (reals for a POVM)."""
-        return np.einsum("ikk->i", self.effects).real
+        """Generalized multiplicities V_i = Tr[E_i], the squared Frobenius
+        norms of the factors."""
+        return np.sum(np.abs(self.factors) ** 2, axis=(1, 2))
 
     def in_basis(self, vectors: np.ndarray) -> np.ndarray:
-        """``factors @ vectors``: the rows whose squared magnitudes
-        :meth:`group_sums` adds up to outcome populations."""
-        return self.factors @ vectors
+        """The r * k rows ``F_i @ vectors``, stacked, whose squared
+        magnitudes :meth:`group_sums` adds up to outcome populations."""
+        return self.factors.reshape(-1, self.dim) @ vectors
 
     def group_sums(self, per_row: np.ndarray) -> np.ndarray:
-        """Sum an array over the d rows of each outcome (first axis)."""
-        return per_row.reshape(self.r, self.dim, *per_row.shape[1:]).sum(axis=1)
+        """Sum an array over the k rows of each outcome (first axis)."""
+        return per_row.reshape(self.factors.shape[:2] + per_row.shape[1:]).sum(axis=1)
 
 
-def pvm_from_observable(observable, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> ProjectiveMeasurement:
+def pvm_from_observable(observable) -> ProjectiveMeasurement:
     """Build the projective measurement of a Hermitian observable.
 
     Degenerate eigenvalues are merged into a single outcome whose value
     is the cluster mean; outcomes are ordered by descending value so the
     serialization is deterministic.
     """
-    decomp = decompose_hermitian(observable, degeneracy_tol=degeneracy_tol)
+    decomp = decompose_hermitian(observable)
     # flip to descending outcome order
     perm = np.empty(decomp.dim, dtype=int)
     new_slices = []

@@ -151,16 +151,15 @@ def random_pure_state(rng, dim: int) -> PureState:
 
 
 def random_povm(rng, dim: int, outcomes: int) -> Povm:
-    """Random POVM: Ginibre-positive pieces whitened to sum to 1."""
-    pieces = []
-    for _ in range(outcomes):
-        G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        pieces.append(G @ G.conj().T)
-    total = sum(pieces)
-    w, V = np.linalg.eigh(total)
+    """Random POVM: Ginibre-positive pieces ``G_i G_i^dag`` whitened to sum
+    to 1. The factors are ``G_i^dag W`` with ``W = (sum_i G_i G_i^dag)^(-1/2)``,
+    so the effects are ``W G_i G_i^dag W``."""
+    G = np.stack([rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                  for _ in range(outcomes)])
+    G_dag = np.swapaxes(G.conj(), 1, 2)
+    w, V = np.linalg.eigh(np.sum(G @ G_dag, axis=0))
     inv_sqrt = (V * (1.0 / np.sqrt(w))) @ V.conj().T
-    effects = np.array([inv_sqrt @ piece @ inv_sqrt for piece in pieces])
-    return Povm(effects=effects)
+    return Povm(factors=G_dag @ inv_sqrt)
 
 
 def random_partition_pvm(rng, dim: int, outcomes: int):
@@ -266,7 +265,7 @@ def povm_equilibration_suite(rng, cases: int = 1_000, max_dim: int = 32,
         povm = random_povm(rng, dim, outcomes)
         system = prepare_system(ham, povm, random_pure_state(rng, dim))
         dt = default_time_step(system.decomposition.spectral_range)
-        # ~1k samples resolve these small dense spectra within rtol_avg
+        # ~1k samples resolve these small dense spectra within DEFAULT_AVG_RTOL
         dt = max(dt, window / 1024)
         trajectory = compute_trajectory(system, time_grid(window, dt))
         for report in evaluate_bounds(system, trajectory, [window], eps_points=eps_points):

@@ -52,7 +52,11 @@ def test_readme_schemas_match_the_key_tables():
         assert raw.pop("output_dir") == "out"
 
     simulate = schema["simulate"]
-    harness.ExperimentConfig.from_dict(simulate)
+    # the block lists the model sub-keys of every kind; each kind parses
+    # with the sub-keys it reads
+    for kind, keys in harness._MODEL_KEYS.items():
+        model = {key: value for key, value in simulate["model"].items() if key in keys}
+        harness.ExperimentConfig.from_dict({**simulate, "model": {**model, "kind": kind}})
     assert _dotted_keys(simulate, harness._SIMULATE_FREE) == set(harness._SIMULATE_KEYS)
     assert {section: set(simulate[section]) for section in harness._SIMULATE_FREE} == harness._SIMULATE_FREE
 

@@ -317,6 +317,13 @@ def _run_with(tmp_path, command, overrides):
     ("verify", ["eps_points=32"], "eps_points"),
     ("verify", ["suites.povm_window=10.0"], "suites.povm_window"),
     ("sweep", ["dimension_cap=8192"], "dimension_cap"),
+    # a model sub-key the chosen kind does not read
+    ("simulate", ['model={"kind": "precessing_spin", "sites": 40}'], "model.sites"),
+    ("simulate", ['model={"kind": "precessing_spin", "J": 3}'], "model.J"),
+    ("simulate", ['model={"kind": "spin_bath", "h": 1}'], "model.h"),
+    ("simulate", ['model={"kind": "precessing_spin", "bath_dim": 2}'], "model.bath_dim"),
+    ("simulate", ["model.bath_dim=0"], "model.bath_dim"),
+    ("simulate", ["model.bath_dim=4"], "model.bath_dim"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, overrides, key):
     assert _run_with(tmp_path, command, overrides) == 2

@@ -103,7 +103,7 @@ def test_reconstruction_large():
 def test_degenerate_cluster_grouping():
     # gap below the relative tolerance is merged, gap above is split
     vals = np.diag([0.0, 1e-12, 1.0])
-    decomp = decompose_hermitian(vals, degeneracy_tol=1e-10)
+    decomp = decompose_hermitian(vals)
     assert decomp.distinct_count == 2
     assert np.array_equal(decomp.multiplicities, [2, 1])
 

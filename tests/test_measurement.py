@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from qeqlab.entropy import observational_entropy, shannon_entropy, von_neumann_entropy
 from qeqlab.measurement import (
     Povm,
+    ProjectiveMeasurement,
     clamp_populations,
     coarse_grained_state,
     population_distance,
@@ -11,6 +14,10 @@ from qeqlab.measurement import (
     pvm_from_observable,
 )
 from qeqlab.models import DensityMatrix, PureState, all_down_state, bulk_magnetization, pauli
+from qeqlab.verify import random_povm
+
+# the trivial two-outcome POVM E_0 = E_1 = 1/2: each factor is 1/sqrt(2)
+HALF_HALF = np.array([np.eye(2), np.eye(2)]) / np.sqrt(2)
 
 
 def random_density(rng, dim):
@@ -58,7 +65,7 @@ def test_populations_all_down_mz():
 
 
 def test_populations_trivial_povm():
-    povm = Povm(effects=np.array([np.eye(2) / 2, np.eye(2) / 2]))
+    povm = Povm(factors=HALF_HALF)
     rng = np.random.default_rng(1)
     state = random_density(rng, 2)
     assert np.allclose(populations(povm, state), [0.5, 0.5], atol=1e-12)
@@ -109,7 +116,7 @@ def test_coarse_grained_all_down():
 
 
 def test_coarse_grained_rejects_povm():
-    povm = Povm(effects=np.array([np.eye(2) / 2, np.eye(2) / 2]))
+    povm = Povm(factors=HALF_HALF)
     with pytest.raises(TypeError, match="projective"):
         coarse_grained_state(povm, PureState(np.array([1.0, 0.0], dtype=complex)))
 
@@ -158,12 +165,54 @@ def test_rank1_pvm_observational_equals_shannon():
 
 
 def test_povm_validation():
-    bad = np.array([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])])
-    with pytest.raises(ValueError, match="positive"):
-        Povm(effects=bad.astype(complex))
-    incomplete = np.array([np.eye(2) / 2, np.eye(2) / 3])
+    incomplete = np.array([np.eye(2) / np.sqrt(2), np.eye(2) / np.sqrt(3)])
     with pytest.raises(ValueError, match="identity"):
-        Povm(effects=incomplete.astype(complex))
+        Povm(factors=incomplete)
+    non_finite = HALF_HALF.copy()
+    non_finite[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Povm(factors=non_finite)
+    with pytest.raises(ValueError, match="values"):
+        Povm(factors=HALF_HALF, values=[1.0])
+    with pytest.raises(ValueError, match="factors"):
+        Povm(factors=np.eye(2))
+
+
+def test_povm_derives_effects_and_multiplicities_from_factors():
+    povm = Povm(factors=HALF_HALF, values=[1, -1])
+    assert np.allclose(povm.effects, [np.eye(2) / 2] * 2, atol=1e-15)
+    assert np.allclose(povm.multiplicities, [1.0, 1.0], atol=1e-15)
+    assert povm.values.dtype == float and not povm.values.flags.writeable
+    assert [f.name for f in fields(Povm)] == ["factors", "values"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_povm_effects_are_the_whitened_pieces(seed):
+    """The draw is pinned: the effects are W G_i G_i^dag W with
+    W = (sum_i G_i G_i^dag)^(-1/2), rebuilt here from the same seed."""
+    dim, outcomes = 5 + seed, 2 + seed
+    povm = random_povm(np.random.default_rng(seed), dim, outcomes)
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for _ in range(outcomes):
+        G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        pieces.append(G @ G.conj().T)
+    w, V = np.linalg.eigh(sum(pieces))
+    W = (V / np.sqrt(w)) @ V.conj().T
+    want = np.array([W @ piece @ W for piece in pieces])
+    assert povm.factors.shape == (outcomes, dim, dim)
+    assert np.max(np.abs(povm.effects - want)) <= 1e-13
+
+
+def test_projective_measurement_converts_list_inputs():
+    m = ProjectiveMeasurement(values=[1.0, -1.0], outcome_slices=(slice(0, 1), slice(1, 2)))
+    assert m.values.dtype == float and not m.values.flags.writeable
+    assert np.array_equal(m.multiplicities, [1, 1])
+    m = ProjectiveMeasurement(values=[1, -1], outcome_slices=(slice(0, 1), slice(1, 2)),
+                              basis=[[0, 1], [1, 0]], multiplicities=[2, 1])
+    assert isinstance(m.basis, np.ndarray) and not m.basis.flags.writeable
+    assert isinstance(m.multiplicities, np.ndarray) and m.values.dtype == float
+    assert np.allclose(populations(m, PureState(np.array([0.0, 1.0]))), [1.0, 0.0])
 
 
 @pytest.mark.parametrize("block", [False, True])

@@ -134,11 +134,11 @@ def test_povm_trajectory_matches_three_operand_einsum(case):
 
 @pytest.mark.parametrize("case", range(4))
 def test_povm_of_pvm_projectors_matches_the_pvm(case):
-    # rank-deficient effects: the square-root factors clip zero eigenvalues
+    # rank-deficient effects: a projector is its own square-root factor
     rng = np.random.default_rng(200 + case)
     dim = int(rng.integers(4, 17))
     pvm = random_partition_pvm(rng, dim, int(rng.integers(2, 5)))
-    povm = Povm(effects=np.array(list(pvm.projectors())))
+    povm = Povm(factors=np.array(list(pvm.projectors())))
     ham, initial = random_hermitian(rng, dim), random_pure_state(rng, dim)
     as_pvm, as_povm = prepare_system(ham, pvm, initial), prepare_system(ham, povm, initial)
     times = np.linspace(0.0, 10.0, 257)
