@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -118,19 +119,10 @@ def trajectory_csv(path, system, trajectory):
     eq = system.equilibrium
     header = ["t", "expectation", "shannon", "observational", "boltzmann",
               "expectation_eq", "shannon_eq", "observational_eq", "boltzmann_eq"]
-    rows = []
-    for k in range(len(trajectory.times)):
-        rows.append([
-            trajectory.times[k],
-            None if trajectory.expectation is None else trajectory.expectation[k],
-            trajectory.shannon[k],
-            trajectory.observational[k],
-            trajectory.boltzmann[k],
-            eq.expectation,
-            eq.shannon,
-            eq.observational,
-            eq.boltzmann,
-        ])
+    expectation = repeat(None) if trajectory.expectation is None else trajectory.expectation
+    eq_values = (eq.expectation, eq.shannon, eq.observational, eq.boltzmann)
+    rows = (row + eq_values for row in zip(trajectory.times, expectation, trajectory.shannon,
+                                           trajectory.observational, trajectory.boltzmann))
     write_csv(path, header, rows)
 
 

@@ -12,7 +12,6 @@ import inspect
 import math
 from copy import copy
 from dataclasses import MISSING, dataclass, field, fields
-from functools import reduce
 
 import numpy as np
 
@@ -42,10 +41,9 @@ from .models import (
     precessing_spin,
     reflection_sector,
     spin_bath,
-    tilted_ising_chain,
 )
-# not called here: perfbench/tracing.py looks this name up on this module
-from .models import bulk_magnetization
+# not called here: perfbench/tracing.py looks these names up on this module
+from .models import bulk_magnetization, tilted_ising_chain
 
 __all__ = [
     "ExperimentConfig",
@@ -68,9 +66,15 @@ __all__ = [
     "window_average",
 ]
 
-# Max entries per trajectory chunk: weighted-contraction rows * times. The
-# real path holds three float64 arrays of this size at once (384 MiB).
-_CHUNK_ENTRIES = 2**24
+# Byte budget of one propagation chunk array: (rows or levels) x times
+# entries of the weights' itemsize. A chunk holds at most three such
+# arrays at once, 24 MiB in all.
+_CHUNK_BYTES = 2**23
+# Fewest times per chunk, which overrides the budget for rows of more than
+# 8 KiB (m > 1024 real levels): every chunk's GEMMs re-pack the whole
+# weight matrix, and at N = 13 chunks of 248 times made the trajectory 36 %
+# slower than chunks of 1008.
+_MIN_CHUNK_TIMES = 1024
 # Largest imaginary part, after the global phase is divided out, that
 # still counts as round-off of a real state vector.
 _REAL_TOL = 1e-14
@@ -204,8 +208,9 @@ def chain_system(params: SpinChainParams, axis: str = "z", seed: int = 0,
 
     The Hamiltonian, the state and the magnetization all commute with
     site reflection, so the state never leaves the reflection-even
-    sector. The chain is solved there: H and the state are projected onto
-    the sector and handed to :func:`prepare_system`. Outcome k (k spins
+    sector. The chain is solved there: H is built in the sector from the
+    reflection orbits, the state is projected onto it, and both are handed
+    to :func:`prepare_system`. Outcome k (k spins
     down along ``axis``) has the value (N - 2k)/N and keeps its full-space
     multiplicity C(N, k), so ``dim`` stays 2**N in every bound. The sector
     columns are ordered by k and form the measurement basis along z; along
@@ -216,10 +221,10 @@ def chain_system(params: SpinChainParams, axis: str = "z", seed: int = 0,
         raise ValueError(f"unknown Pauli axis {axis!r}")
     n = params.sites
     sector = reflection_sector(n)
-    ham = sector.project_operator(tilted_ising_chain(params))
+    ham = sector.chain_hamiltonian(params)
     initial = sector.project_state(all_down_state(n, seed=seed))
     rotation = _SITE_ROTATIONS[axis]
-    basis = None if rotation is None else sector.project_operator(reduce(np.kron, [rotation] * n))
+    basis = None if rotation is None else sector.product_operator(rotation)
     down = np.arange(n + 1)
     measurement = ProjectiveMeasurement(values=(n - 2.0 * down) / n,
                                         outcome_slices=sector.magnetization_slices(),
@@ -250,11 +255,14 @@ def _populations_at(system: PreparedSystem, times: np.ndarray) -> np.ndarray:
     measurement = system.measurement
     weighted = system.weighted_contraction
     out = np.empty((len(times), measurement.r))
-    chunk = max(256, _CHUNK_ENTRIES // weighted.shape[0])
+    width = _CHUNK_BYTES // (max(weighted.shape) * weighted.itemsize)
+    # whole groups of 8 times: with OpenBLAS, a chunk edge inside a group
+    # of 8 GEMM columns moved the last digits of that group's populations
+    chunk = max(_MIN_CHUNK_TIMES, width - width % 8)
     for start in range(0, len(times), chunk):
         ts = times[start : start + chunk]
-        sq = _sq_amplitudes(weighted, levels, ts)
-        out[start : start + len(ts)] = measurement.group_sums(sq).T
+        # one expression, so no chunk's array outlives its iteration
+        out[start : start + len(ts)] = measurement.group_sums(_sq_amplitudes(weighted, levels, ts)).T
     return clamp_populations(out)
 
 
@@ -608,6 +616,7 @@ class ExperimentConfig:
         for key in self.model:
             _require(key in _MODEL_KEYS[kind], f"model.{key}", f"not read by model kind {kind!r}")
         model = {"model": self.model}
+        axis = self.observable.get("axis", "z")
         if kind == "tilted_ising":
             _require("sites" in self.model, "model.sites", "required for tilted_ising")
             sites = _get(model, "model.sites", _int)
@@ -615,8 +624,10 @@ class ExperimentConfig:
             _check_cap(sites)
             for key in ("g", "h", "J"):
                 _get(model, f"model.{key}", float, None)
-            _require(self.observable.get("axis", "z") in _AXES, "observable.axis", f"must be one of {_AXES}")
+            _require(axis in _AXES, "observable.axis", f"must be one of {_AXES}")
         else:
+            # the analytic models carry their own observable, sigma_z
+            _require(axis == "z", "observable.axis", f"model kind {kind!r} measures sigma_z: must be 'z'")
             _require(_get(model, "model.g", float, 1.0) != 0, "model.g", "must be nonzero")
         if kind == "spin_bath":
             _require(_get(model, "model.bath_dim", _int, 4) >= 1, "model.bath_dim", "must be >= 1")

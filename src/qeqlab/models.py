@@ -51,10 +51,15 @@ __all__ = [
 
 # Largest Hilbert-space dimension any constructor builds: dense 8192^2
 # matrices are the practical memory limit, so chains have N <= 13. The
-# cap counts the full 2**N, also for a chain that is then solved in its
-# reflection-even sector: the full-space operators are built before they
-# are projected.
+# cap counts the full 2**N, also for a chain that is solved in its
+# reflection-even sector (m = 4160 levels at N = 13): the full-space
+# constructors below still build d x d matrices, and the cap is one
+# limit for every way of building a chain.
 _DIMENSION_CAP = 2**13
+# Entries per row block of a sector product operator
+# (:meth:`ReflectionSector.product_operator`): its four work arrays stay
+# within 16 MiB for a complex site matrix.
+_BLOCK_ENTRIES = 2**18
 
 # Chain constants for the nonintegrable parameter point used throughout.
 DEFAULT_FIELD_H = (math.sqrt(5) + 1) / 4    # longitudinal field, ~0.8090
@@ -160,11 +165,35 @@ def _site_bit(sites: int, site: int) -> int:
     return sites - site
 
 
-def _z_values(sites: int) -> np.ndarray:
-    """(dim, sites) array of sigma_z values (+1 up / -1 down) per basis state."""
-    idx = np.arange(2**sites)
-    bits = (idx[:, None] >> (sites - 1 - np.arange(sites))) & 1
-    return 1.0 - 2.0 * bits
+def _site_bits(sites: int, idx: np.ndarray) -> np.ndarray:
+    """(len(idx), sites) array of the bits of basis states ``idx``, site 1
+    first (1 = down)."""
+    return (idx[:, None] >> (sites - 1 - np.arange(sites))) & 1
+
+
+def _z_values(sites: int, idx: np.ndarray) -> np.ndarray:
+    """(len(idx), sites) array of sigma_z values (+1 up / -1 down) of the
+    basis states ``idx``."""
+    return 1.0 - 2.0 * _site_bits(sites, idx)
+
+
+def _chain_sites(params: SpinChainParams) -> int:
+    if params.sites < 2:
+        raise ValueError("the chain needs at least 2 sites (edge terms)")
+    return params.sites
+
+
+def _chain_diagonal(params: SpinChainParams, z: np.ndarray) -> np.ndarray:
+    """Diagonal of :func:`tilted_ising_chain` at basis states with sigma_z
+    values ``z`` (one row per state). Every partial sum is an integer, so
+    the value of a state does not depend on which others are in ``z``."""
+    n = params.sites
+    diag = np.zeros(z.shape[0])
+    if n >= 3:
+        diag += params.h * z[:, 1 : n - 1].sum(axis=1)
+    diag += (params.h - params.J) * (z[:, 0] + z[:, n - 1])
+    diag += params.J * (z[:, :-1] * z[:, 1:]).sum(axis=1)
+    return diag
 
 
 def tilted_ising_chain(params: SpinChainParams) -> np.ndarray:
@@ -179,19 +208,11 @@ def tilted_ising_chain(params: SpinChainParams) -> np.ndarray:
     in the computational basis, so the matrix is real symmetric and is
     returned as float64.
     """
-    n = params.sites
-    if n < 2:
-        raise ValueError("the chain needs at least 2 sites (edge terms)")
+    n = _chain_sites(params)
     dim = _check_cap(n)
-    z = _z_values(n)
-    diag = np.zeros(dim)
-    if n >= 3:
-        diag += params.h * z[:, 1 : n - 1].sum(axis=1)
-    diag += (params.h - params.J) * (z[:, 0] + z[:, n - 1])
-    diag += params.J * (z[:, :-1] * z[:, 1:]).sum(axis=1)
     ham = np.zeros((dim, dim))
     idx = np.arange(dim)
-    ham[idx, idx] = diag
+    ham[idx, idx] = _chain_diagonal(params, _z_values(n, idx))
     for site in range(1, n + 1):
         mask = 1 << _site_bit(n, site)
         ham[idx, idx ^ mask] += params.g
@@ -211,7 +232,7 @@ def bulk_magnetization(sites: int, axis: str) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex if axis == "y" else float)
     idx = np.arange(dim)
     if axis == "z":
-        out[idx, idx] = _z_values(sites).sum(axis=1) / sites
+        out[idx, idx] = _z_values(sites, idx).sum(axis=1) / sites
         return out
     for site in range(1, sites + 1):
         mask = 1 << _site_bit(sites, site)
@@ -280,10 +301,76 @@ class ReflectionSector:
         """``P^T A P`` (m x m) by gathers over the orbit indices."""
         half = operator[self.reps]
         half += operator[self.mirrors]
-        half *= self.coeffs[:, None]
-        out = half[:, self.reps]
-        out += half[:, self.mirrors]
-        out *= self.coeffs
+        return self._combine(half[:, self.reps], half[:, self.mirrors])
+
+    def _combine(self, s1: np.ndarray, s2: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Rows ``rows`` of ``P^T A P`` from the two column gathers
+        ``s1 = A[r_a, r_b] + A[m_a, r_b]`` and ``s2 = A[r_a, m_b] + A[m_a, m_b]``,
+        as ``(s1 c_a + s2 c_a) c_b``. Every block of the sector goes through
+        this arithmetic, so a block built from the orbits is equal to the
+        projection of its dense operator bit for bit. Works in place in
+        ``s1`` and ``s2``."""
+        s1 *= self.coeffs[rows, None]
+        s2 *= self.coeffs[rows, None]
+        s1 += s2
+        s1 *= self.coeffs
+        return s1
+
+    def chain_hamiltonian(self, params: SpinChainParams) -> np.ndarray:
+        """``P^T H P`` (m x m) of :func:`tilted_ising_chain`, equal to
+        ``project_operator(tilted_ising_chain(params))`` bit for bit but
+        built from the orbits, with no d x d matrix: the diagonal from the
+        representatives' z values, and the N spin flips of each column's
+        representative and mirror mapped to the orbits they land in, so
+        O(m N) entries are placed."""
+        n = _chain_sites(params)
+        if n != self.sites:
+            raise ValueError(f"a {n}-site chain in a {self.sites}-site sector")
+        m = self.dim
+        cols = np.arange(m)
+        orbit = np.empty(2**n, dtype=np.intp)  # basis state -> sector column
+        orbit[self.reps] = cols
+        orbit[self.mirrors] = cols
+        # a palindrome row is both r_a and m_a, so it enters each gather twice
+        twice = np.where(self.reps == self.mirrors, 2.0, 1.0)
+        diag = _chain_diagonal(params, _z_values(n, self.reps)) * twice
+        gathers = []
+        for ends in (self.reps, self.mirrors):  # column r_b, then column m_b
+            s = np.zeros((m, m))
+            s[cols, cols] = diag
+            for bit in range(n):
+                rows = orbit[ends ^ (1 << bit)]
+                s[rows, cols] += params.g * twice[rows]
+            gathers.append(s)
+        return self._combine(*gathers)
+
+    def product_operator(self, site: np.ndarray) -> np.ndarray:
+        """``P^T (M (x) ... (x) M) P`` (m x m) for a 2 x 2 site matrix M,
+        built from the orbits without the d x d product. Each entry is
+        multiplied out site by site from site 1, as
+        ``reduce(np.kron, [M] * N)`` forms it, so the block is equal to the
+        projection of the dense product bit for bit."""
+        site = np.asarray(site)
+        m = self.dim
+        rep_bits = _site_bits(self.sites, self.reps)
+        mirror_bits = _site_bits(self.sites, self.mirrors)
+
+        def entries(row_bits, col_bits):
+            # M[row bit, col bit] per site: a (2, m) table per site, rows taken by bit
+            out = site[:, col_bits[:, 0]].take(row_bits[:, 0], axis=0)
+            for k in range(1, self.sites):
+                out *= site[:, col_bits[:, k]].take(row_bits[:, k], axis=0)
+            return out
+
+        out = np.empty((m, m), dtype=site.dtype)
+        step = max(1, _BLOCK_ENTRIES // m)
+        for start in range(0, m, step):
+            rows = slice(start, start + step)
+            s1 = entries(rep_bits[rows], rep_bits)
+            s1 += entries(mirror_bits[rows], rep_bits)
+            s2 = entries(rep_bits[rows], mirror_bits)
+            s2 += entries(mirror_bits[rows], mirror_bits)
+            out[rows] = self._combine(s1, s2, rows)
         return out
 
     def project_state(self, state: PureState) -> PureState:

@@ -75,9 +75,9 @@ def config_hash(resolved: dict) -> str:
 
 
 def write_csv(path, header, rows):
-    """Write rows of numbers (or None) under a fixed header."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else format_number(v) for v in row))
+    """Write rows of numbers (or None) under a fixed header, each row as it
+    comes: ``rows`` may be a generator, and no file-sized text is built."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else format_number(v) for v in row) + "\n")

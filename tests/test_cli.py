@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +328,10 @@ def _run_with(tmp_path, command, overrides):
     ("simulate", ['model={"kind": "precessing_spin", "bath_dim": 2}'], "model.bath_dim"),
     ("simulate", ["model.bath_dim=0"], "model.bath_dim"),
     ("simulate", ["model.bath_dim=4"], "model.bath_dim"),
+    # the analytic models measure sigma_z only
+    ("simulate", ['model={"kind": "precessing_spin"}', "observable.axis=q"], "observable.axis"),
+    ("simulate", ['model={"kind": "precessing_spin"}', "observable.axis=x"], "observable.axis"),
+    ("simulate", ['model={"kind": "spin_bath"}', "observable.axis=x"], "observable.axis"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, overrides, key):
     assert _run_with(tmp_path, command, overrides) == 2
@@ -405,3 +413,30 @@ def test_sweep_defaults_come_from_sweep_chain_lengths(tmp_path):
     # sha256 of {"axis": "z", "late_window": [50, 80], "seed": 0, "sites": [3, 4, 5],
     # "sweep": true, "t_max": 100}
     assert only_sites == written_out == "cddc5c08b6174c5859cbf04e8fe7536b830d9a498a76cec4576966e2b2fc8c42"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# Runs its arguments as a child process and prints the child's ru_maxrss.
+# The launcher keeps the measurement the run's own: on Linux a process's
+# ru_maxrss starts from the resident size of the process it was forked
+# from, which here is the launcher (a bare interpreter), not pytest.
+PEAK_RSS = ("import resource, subprocess, sys; "
+            "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+
+def test_simulate_n10_peak_rss(tmp_path):
+    # With one BLAS thread, `simulate` at N = 10 peaked at 197 MiB when the
+    # chain was built in the full space and propagated in 2**24-entry
+    # chunks, and at about 100 MiB with the sector builds and the 8 MiB
+    # chunk budget. 150 MiB lies between the two, so the guard fails if
+    # either saving is lost, with room for allocator and BLAS-build spread.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "qeqlab.cli", "simulate",
+         str(ROOT / "configs" / "simulate_chain.json"), "--set", "model.sites=10", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True)
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    peak_mib = int(proc.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mib <= 150

@@ -12,13 +12,17 @@ propagation arithmetic alone is compared out to t = 1e4 on one shared
 decomposition.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import qeqlab.harness as harness
 from qeqlab.bounds import optimal_epsilon
 from qeqlab.dynamics import gap_statistics
 from qeqlab.harness import (
     _populations_at,
+    chain_system,
     compute_trajectory,
     prepare_system,
 )
@@ -148,16 +152,39 @@ def test_povm_of_pvm_projectors_matches_the_pvm(case):
 
 
 def test_povm_chunks_cover_every_time(monkeypatch):
-    import qeqlab.harness as harness
-
     rng = np.random.default_rng(7)
     system = prepare_system(random_hermitian(rng, 8), random_povm(rng, 8, 3),
                             random_pure_state(rng, 8))
-    times = np.linspace(0.0, 5.0, 1000)
+    times = np.linspace(0.0, 5.0, 4000)
     whole = _populations_at(system, times)  # one chunk
-    # four chunks: 256 times each at r * d = 24 weighted rows per time
-    monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 24 * 256)
+    # four chunks: 1024 times each at r * d = 24 complex weighted rows per time
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 24 * 16 * 1024)
     assert np.max(np.abs(_populations_at(system, times) - whole)) <= TOL
+
+    # a PVM chain, real: four chunks of 72 sector rows of float64. GEMM
+    # column blocking may round differently with the chunk width, so the
+    # chunked populations are compared within a tolerance.
+    monkeypatch.undo()
+    chain = chain_system(SpinChainParams(sites=7), "z", seed=3)
+    times = np.linspace(0.0, 1.0e3, 4000)
+    whole = _populations_at(chain, times)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", 72 * 8 * 1024)
+    assert np.max(np.abs(_populations_at(chain, times) - whole)) <= 1e-13
+
+
+def test_propagation_stays_within_its_byte_budget():
+    # three chunk arrays at once, plus the output and 1 MiB for the rest
+    system = chain_system(SpinChainParams(sites=9), "z", seed=3)
+    times = np.random.default_rng(9).uniform(0.0, 1.0e4, size=10_000)
+    # at least three chunks: one chunk's three arrays would break the bound
+    assert len(times) * system.decomposition.dim * 8 > 2 * harness._CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        pops = _populations_at(system, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * harness._CHUNK_BYTES + pops.nbytes + 2**20
 
 
 def test_window_counts_computed_once_per_width(monkeypatch):

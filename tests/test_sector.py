@@ -8,10 +8,12 @@ window widened by 1e-12 of the spectral range.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
+import qeqlab.harness as harness
 from qeqlab.harness import chain_system, compute_trajectory, prepare_system, sample_deviations
 from qeqlab.models import (
     PureState,
@@ -85,6 +87,48 @@ def test_built_x_and_y_bases_are_the_magnetization_eigenbasis(sites, axis):
     magnetization = reflection_sector(sites).project_operator(bulk_magnetization(sites, axis))
     column_values = np.repeat(measurement.values, [sl.stop - sl.start for sl in measurement.outcome_slices])
     assert np.max(np.abs(magnetization @ B - B * column_values)) <= 1e-12
+
+
+@pytest.mark.parametrize("sites", range(2, 12))
+@pytest.mark.parametrize("couplings", [{}, {"g": 1.3, "h": -0.2, "J": 0.7}], ids=["default", "other"])
+def test_sector_hamiltonian_is_the_projected_chain(sites, couplings):
+    params = SpinChainParams(sites=sites, **couplings)
+    sector = reflection_sector(sites)
+    assert np.array_equal(sector.chain_hamiltonian(params),
+                          sector.project_operator(tilted_ising_chain(params)))
+
+
+@pytest.mark.parametrize("sites", range(2, 10))
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_sector_basis_is_the_projected_rotation(monkeypatch, sites, axis):
+    sector = reflection_sector(sites)
+    rotation = harness._SITE_ROTATIONS[axis]
+    dense = sector.project_operator(reduce(np.kron, [rotation] * sites))
+    basis = chain_system(SpinChainParams(sites=sites), axis, seed=SEED).measurement.basis
+    assert basis.dtype == dense.dtype
+    assert np.array_equal(basis, dense)
+    # row blocks change nothing: blocks of 7 rows, the last one short
+    monkeypatch.setattr("qeqlab.models._BLOCK_ENTRIES", 7 * sector.dim)
+    assert np.array_equal(sector.product_operator(rotation), dense)
+
+
+def test_chain_system_builds_no_full_space_operator(monkeypatch):
+    def full_space(*args, **kwargs):
+        raise AssertionError("a full-space operator was built")
+
+    for name in ("tilted_ising_chain", "bulk_magnetization"):
+        monkeypatch.setattr(f"qeqlab.models.{name}", full_space)
+        monkeypatch.setattr(f"qeqlab.harness.{name}", full_space)
+    monkeypatch.setattr(np, "kron", full_space)
+    for axis in "xyz":
+        assert chain_system(SpinChainParams(sites=6), axis).decomposition.dim == 36
+
+
+def test_sector_hamiltonian_rejects_a_mismatched_chain():
+    with pytest.raises(ValueError, match="4-site chain in a 5-site sector"):
+        reflection_sector(5).chain_hamiltonian(SpinChainParams(sites=4))
+    with pytest.raises(ValueError, match="at least 2 sites"):
+        reflection_sector(1).chain_hamiltonian(SpinChainParams(sites=1))
 
 
 def test_chain_rejects_an_unknown_axis():
