@@ -496,6 +496,15 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A finite number; infinity and NaN, which ``json`` accepts, are an
+    error, not a value a run can use."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def _str(value) -> str:
     """A string; a number or a list is an error, not formatted."""
     if not isinstance(value, str):
@@ -583,10 +592,10 @@ _SIMULATE_KEYS = {
     "label": ("label", _str),
     "model": ("model", dict),
     "observable": ("observable", dict),
-    "times.t_max": ("t_max", float),
-    "times.dt": ("dt", lambda dt: None if dt is None else float(dt)),
-    "average_grid": ("average_grid", _tuple(float)),
-    "fluctuation.window": ("fluctuation_window", float),
+    "times.t_max": ("t_max", _float),
+    "times.dt": ("dt", lambda dt: None if dt is None else _float(dt)),
+    "average_grid": ("average_grid", _tuple(_float)),
+    "fluctuation.window": ("fluctuation_window", _float),
     "fluctuation.count": ("fluctuation_count", _int),
     "seed": ("seed", _int),
 }
@@ -623,12 +632,12 @@ class ExperimentConfig:
             _require(sites >= 2, "model.sites", "must be >= 2")
             _check_cap(sites)
             for key in ("g", "h", "J"):
-                _get(model, f"model.{key}", float, None)
+                _get(model, f"model.{key}", _float, None)
             _require(axis in _AXES, "observable.axis", f"must be one of {_AXES}")
         else:
             # the analytic models carry their own observable, sigma_z
             _require(axis == "z", "observable.axis", f"model kind {kind!r} measures sigma_z: must be 'z'")
-            _require(_get(model, "model.g", float, 1.0) != 0, "model.g", "must be nonzero")
+            _require(_get(model, "model.g", _float, 1.0) != 0, "model.g", "must be nonzero")
         if kind == "spin_bath":
             _require(_get(model, "model.bath_dim", _int, 4) >= 1, "model.bath_dim", "must be >= 1")
         _require(self.t_max > 0, "times.t_max", "must be positive")
@@ -842,8 +851,8 @@ def sweep_chain_lengths(sites=(5, 6, 7, 8, 9), seed: int = 0, t_max: float = 100
 _SWEEP_KEYS = {
     "sites": ("sites", _tuple(_int)),
     "seed": ("seed", _int),
-    "t_max": ("t_max", float),
-    "late_window": ("late_window", _tuple(float)),
+    "t_max": ("t_max", _float),
+    "late_window": ("late_window", _tuple(_float)),
     "axis": ("axis", _str),
 }
 

@@ -8,7 +8,7 @@ is the measurement basis) plus the grouping of basis columns into
 outcomes; projectors are assembled on demand only, so large
 measurements stay cheap. A :class:`Povm` stores the square-root factors
 ``F_i`` of its effects ``E_i = F_i^dag F_i``, so its effects are positive
-by construction. Both offer ``in_basis`` and ``group_sums``.
+by construction. Both offer ``vectors``, ``in_basis`` and ``group_sums``.
 """
 
 from __future__ import annotations
@@ -156,6 +156,12 @@ class Povm:
         norms of the factors."""
         return np.sum(np.abs(self.factors) ** 2, axis=(1, 2))
 
+    def vectors(self) -> np.ndarray:
+        """(d, r * k) adjoint of the stacked factors: its columns are the
+        rows of every ``F_i`` conjugated, as a PVM's columns are its basis
+        vectors, so ``<v|rho|v>`` per column adds up to ``Tr[E_i rho]``."""
+        return self.factors.reshape(-1, self.dim).conj().T
+
     def in_basis(self, vectors: np.ndarray) -> np.ndarray:
         """The r * k rows ``F_i @ vectors``, stacked, whose squared
         magnitudes :meth:`group_sums` adds up to outcome populations."""
@@ -210,36 +216,17 @@ def populations(measurement, state) -> np.ndarray:
     Accepts a PureState or DensityMatrix; tiny negative entries from
     round-off are clamped and the vector renormalized.
     """
-    if isinstance(measurement, ProjectiveMeasurement):
-        if isinstance(state, PureState):
-            _check_dims(measurement.dim, state.dim)
-            coeffs = measurement.in_basis(state.amplitudes)
-            raw = measurement.group_sums(np.abs(coeffs) ** 2)
-        else:
-            rho = _state_matrix(state)
-            _check_dims(measurement.dim, rho.shape[0])
-            basis = measurement.vectors()
-            rotated = rho @ basis
-            per_level = np.einsum("ij,ij->j", basis.conj(), rotated).real
-            raw = measurement.group_sums(per_level)
-    elif isinstance(measurement, Povm):
-        if isinstance(state, PureState):
-            _check_dims(measurement.dim, state.dim)
-            psi = state.amplitudes
-            raw = np.einsum("j,ijk,k->i", psi.conj(), measurement.effects, psi).real
-        else:
-            rho = _state_matrix(state)
-            _check_dims(measurement.dim, rho.shape[0])
-            raw = np.einsum("iab,ba->i", measurement.effects, rho).real
-    else:
+    if not isinstance(measurement, (ProjectiveMeasurement, Povm)):
         raise TypeError(f"unsupported measurement type {type(measurement).__name__}")
-    return clamp_populations(raw)
-
-
-def _state_matrix(state) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    return np.asarray(state, dtype=complex)
+    if isinstance(state, PureState):
+        _check_dims(measurement.dim, state.dim)
+        per_column = np.abs(measurement.in_basis(state.amplitudes)) ** 2
+    else:
+        rho = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
+        _check_dims(measurement.dim, rho.shape[0])
+        vectors = measurement.vectors()
+        per_column = np.einsum("ij,ij->j", vectors.conj(), rho @ vectors).real
+    return clamp_populations(measurement.group_sums(per_column))
 
 
 def _check_dims(expected: int, got: int):

@@ -26,6 +26,7 @@ from .entropy import (
 from .harness import (
     _check_windows,
     _field_defaults,
+    _float,
     _int,
     _nest,
     _parse,
@@ -40,17 +41,10 @@ from .harness import (
 )
 from .linalg import trace_norm
 from .measurement import Povm, ProjectiveMeasurement, populations, pvm_from_observable
-from .models import (
-    DensityMatrix,
-    PureState,
-    SpinChainParams,
-    _check_cap,
-    all_down_state,
-    bulk_magnetization,
-    tilted_ising_chain,
-)
-# not called here: perfbench/tracing.py looks this name up on this module
+from .models import DensityMatrix, PureState, SpinChainParams, _check_cap
+# not called here: perfbench/tracing.py looks these names up on this module
 from .harness import sample_deviations
+from .models import all_down_state, bulk_magnetization, tilted_ising_chain
 
 __all__ = [
     "VerifyConfig",
@@ -67,19 +61,29 @@ __all__ = [
 
 _VERIFY_KEYS = {
     "sites": ("sites", _tuple(_int)),
-    "average_grid": ("average_grid", _tuple(float)),
-    "t_max": ("t_max", float),
+    "average_grid": ("average_grid", _tuple(_float)),
+    "t_max": ("t_max", _float),
     "fluctuation.sites": ("fluctuation_sites", _int),
-    "fluctuation.window": ("fluctuation_window", float),
+    "fluctuation.window": ("fluctuation_window", _float),
     "fluctuation.count": ("fluctuation_count", _int),
     "averaged_state.sites": ("averaged_state_sites", _tuple(_int)),
-    "averaged_state.windows": ("averaged_state_windows", _tuple(float)),
+    "averaged_state.windows": ("averaged_state_windows", _tuple(_float)),
     "suites.shannon_pairs": ("shannon_pairs", _int),
     "suites.observational_cases": ("observational_cases", _int),
     "suites.von_neumann_cases": ("von_neumann_cases", _int),
     "suites.povm_cases": ("povm_cases", _int),
     "seed": ("seed", _int),
 }
+
+# Fixed shapes of the randomized suites (largest outcome count and dimension
+# drawn, POVM averaging window and epsilon grid); the reports record them.
+_SHANNON_MAX_OUTCOMES = 64
+_OBSERVATIONAL_MAX_DIM = 32
+_VON_NEUMANN_MAX_DIM = 16
+_POVM_MAX_DIM = 32
+_POVM_MAX_OUTCOMES = 8
+_POVM_WINDOW = 10.0
+_POVM_EPS_POINTS = 16
 
 
 @dataclass
@@ -178,10 +182,8 @@ def random_partition_pvm(rng, dim: int, outcomes: int):
 # randomized suites (each returns a single summarizing report)
 
 
-def _summarize(name: str, worst, cases: int, violations: int, extra: dict | None = None) -> _bounds.BoundReport:
-    params = {"cases": cases, "violations": violations}
-    if extra:
-        params.update(extra)
+def _summarize(name: str, worst, cases: int, violations: int, extra: dict) -> _bounds.BoundReport:
+    params = {"cases": cases, "violations": violations, **extra}
     return _bounds.BoundReport(name=name, lhs=worst[0], rhs=worst[1], parameters=params)
 
 
@@ -189,13 +191,13 @@ def _track(worst, lhs: float, rhs: float):
     return (lhs, rhs) if worst is None or lhs - rhs > worst[0] - worst[1] else worst
 
 
-def shannon_continuity_suite(rng, pairs: int = 10_000, max_outcomes: int = 64) -> _bounds.BoundReport:
+def shannon_continuity_suite(rng, pairs: int = 10_000) -> _bounds.BoundReport:
     """|S(p) - S(q)| against the distribution continuity bound on random
     distribution pairs."""
     worst = None
     violations = 0
     for _ in range(pairs):
-        r = int(rng.integers(2, max_outcomes + 1))
+        r = int(rng.integers(2, _SHANNON_MAX_OUTCOMES + 1))
         p = rng.dirichlet(np.ones(r))
         q = rng.dirichlet(np.ones(r))
         lhs = abs(shannon_entropy(p) - shannon_entropy(q))
@@ -203,16 +205,16 @@ def shannon_continuity_suite(rng, pairs: int = 10_000, max_outcomes: int = 64) -
         violations += lhs > rhs + _bounds.ATOL_BOUND
         worst = _track(worst, lhs, rhs)
     return _summarize("shannon_continuity_suite", worst, pairs, violations,
-                      {"max_outcomes": max_outcomes})
+                      {"max_outcomes": _SHANNON_MAX_OUTCOMES})
 
 
-def observational_continuity_suite(rng, cases: int = 1_000, max_dim: int = 32) -> _bounds.BoundReport:
+def observational_continuity_suite(rng, cases: int = 1_000) -> _bounds.BoundReport:
     """Observational-entropy continuity on random state pairs sharing a
     measurement; alternates nondegenerate and coarse measurements."""
     worst = None
     violations = 0
     for k in range(cases):
-        dim = int(rng.integers(2, max_dim + 1))
+        dim = int(rng.integers(2, _OBSERVATIONAL_MAX_DIM + 1))
         if k % 2 == 0:
             measurement = pvm_from_observable(random_hermitian(rng, dim))
         else:
@@ -228,15 +230,15 @@ def observational_continuity_suite(rng, cases: int = 1_000, max_dim: int = 32) -
         violations += lhs > rhs + _bounds.ATOL_BOUND
         worst = _track(worst, lhs, rhs)
     return _summarize("observational_continuity_suite", worst, cases, violations,
-                      {"max_dim": max_dim})
+                      {"max_dim": _OBSERVATIONAL_MAX_DIM})
 
 
-def von_neumann_continuity_suite(rng, cases: int = 1_000, max_dim: int = 16) -> _bounds.BoundReport:
+def von_neumann_continuity_suite(rng, cases: int = 1_000) -> _bounds.BoundReport:
     """von Neumann entropy difference against the trace-distance bound."""
     worst = None
     violations = 0
     for k in range(cases):
-        dim = int(rng.integers(2, max_dim + 1))
+        dim = int(rng.integers(2, _VON_NEUMANN_MAX_DIM + 1))
         rho = random_density_matrix(rng, dim)
         if k % 3 == 0:
             sigma = random_pure_state(rng, dim).density_matrix()
@@ -247,68 +249,66 @@ def von_neumann_continuity_suite(rng, cases: int = 1_000, max_dim: int = 16) -> 
         violations += lhs > rhs + _bounds.ATOL_BOUND
         worst = _track(worst, lhs, rhs)
     return _summarize("von_neumann_continuity_suite", worst, cases, violations,
-                      {"max_dim": max_dim})
+                      {"max_dim": _VON_NEUMANN_MAX_DIM})
 
 
-def povm_equilibration_suite(rng, cases: int = 1_000, max_dim: int = 32,
-                             max_outcomes: int = 8, window: float = 10.0,
-                             eps_points: int = 16) -> _bounds.BoundReport:
+def povm_equilibration_suite(rng, cases: int = 1_000) -> _bounds.BoundReport:
     """Population equilibration (and the entropy bounds it implies) for
     random Hamiltonians measured through random POVMs."""
     worst = None
     violations = 0
     checks = 0
     for _ in range(cases):
-        dim = int(rng.integers(4, max_dim + 1))
-        outcomes = int(rng.integers(2, max_outcomes + 1))
+        dim = int(rng.integers(4, _POVM_MAX_DIM + 1))
+        outcomes = int(rng.integers(2, _POVM_MAX_OUTCOMES + 1))
         ham = random_hermitian(rng, dim)
         povm = random_povm(rng, dim, outcomes)
         system = prepare_system(ham, povm, random_pure_state(rng, dim))
         dt = default_time_step(system.decomposition.spectral_range)
-        # ~1k samples resolve these small dense spectra within DEFAULT_AVG_RTOL
-        dt = max(dt, window / 1024)
-        trajectory = compute_trajectory(system, time_grid(window, dt))
-        for report in evaluate_bounds(system, trajectory, [window], eps_points=eps_points):
+        trajectory = compute_trajectory(system, time_grid(_POVM_WINDOW, dt))
+        for report in evaluate_bounds(system, trajectory, [_POVM_WINDOW], eps_points=_POVM_EPS_POINTS):
             checks += 1
             violations += not report.holds
             worst = _track(worst, report.lhs, report.rhs)
     return _summarize("povm_equilibration_suite", worst, checks, violations,
-                      {"systems": cases, "max_dim": max_dim, "max_outcomes": max_outcomes,
-                       "window": window})
+                      {"systems": cases, "max_dim": _POVM_MAX_DIM, "max_outcomes": _POVM_MAX_OUTCOMES,
+                       "window": _POVM_WINDOW})
 
 
 def time_averaged_state_suite(sites, windows, seed: int = 0) -> list:
     """Finite-time-averaged states against the dephasing rate: trace-norm
     convergence and von Neumann entropy continuity, per chain size and
-    averaging window. The states are compared as dense full-space
-    matrices, so the chain is solved in the full space here."""
+    averaging window.
+
+    Each chain comes from :func:`~qeqlab.harness.chain_system`: the
+    all-down state never leaves the reflection-even sector, so the states
+    are compared as dense m x m matrices there. The isometry P onto the
+    sector preserves trace distances and von Neumann entropies, and the
+    rate ``2 sqrt(m) / (min_gap T)`` is that of the m-dimensional dynamics,
+    with the sector's smallest gap. A report's ``dim`` is therefore m, the
+    dimension the state lives in, not the chain's 2**N."""
     reports = []
     for n in sites:
         n = int(n)
-        system = prepare_system(tilted_ising_chain(SpinChainParams(sites=n)),
-                                bulk_magnetization(n, "z"), all_down_state(n, seed=seed),
-                                label=f"avg_state_{n}")
+        system = chain_system(SpinChainParams(sites=n), seed=seed, label=f"avg_state_{n}")
         decomp = system.decomposition
         omega = equilibrium_state(decomp, system.initial)
         s_omega = von_neumann_entropy(omega)
         min_gap = system.gap_stats.min_gap
         dim = decomp.dim
-        for T in windows:
-            avg = finite_time_average_state(decomp, system.initial, float(T))
-            dist = trace_norm(avg.matrix - omega.matrix)
-            theta_bound = 2.0 * math.sqrt(dim) / (min_gap * float(T))
-            params = {"system": system.label, "sites": n, "dim": dim,
-                      "T": float(T), "min_gap": min_gap}
+        for T in map(float, windows):
+            avg = finite_time_average_state(decomp, system.initial, T)
+            params = {"system": system.label, "sites": n, "dim": dim, "T": T, "min_gap": min_gap}
             reports.append(_bounds.BoundReport(
                 name="averaged_state_distance",
-                lhs=dist,
-                rhs=theta_bound,
+                lhs=trace_norm(avg.matrix - omega.matrix),
+                rhs=2.0 * math.sqrt(dim) / (min_gap * T),
                 parameters=dict(params),
             ))
             reports.append(_bounds.BoundReport(
                 name="averaged_state_entropy",
                 lhs=abs(von_neumann_entropy(avg) - s_omega),
-                rhs=_bounds.averaged_state_entropy_bound(dim, min_gap, float(T)),
+                rhs=_bounds.averaged_state_entropy_bound(dim, min_gap, T),
                 parameters=dict(params),
             ))
     return reports

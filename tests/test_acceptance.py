@@ -180,10 +180,10 @@ def test_criterion_08_continuity_suites():
     t0 = time.monotonic()
     rng = np.random.default_rng(2024)
     suites = [
-        shannon_continuity_suite(rng, pairs=10_000, max_outcomes=64),
-        observational_continuity_suite(rng, cases=1_000, max_dim=32),
-        von_neumann_continuity_suite(rng, cases=1_000, max_dim=16),
-        povm_equilibration_suite(rng, cases=1_000, max_dim=32, max_outcomes=8),
+        shannon_continuity_suite(rng, pairs=10_000),
+        observational_continuity_suite(rng, cases=1_000),
+        von_neumann_continuity_suite(rng, cases=1_000),
+        povm_equilibration_suite(rng, cases=1_000),
     ]
     for report in suites:
         assert report.parameters["violations"] == 0, report.to_json_dict()

@@ -332,10 +332,21 @@ def _run_with(tmp_path, command, overrides):
     ("simulate", ['model={"kind": "precessing_spin"}', "observable.axis=q"], "observable.axis"),
     ("simulate", ['model={"kind": "precessing_spin"}', "observable.axis=x"], "observable.axis"),
     ("simulate", ['model={"kind": "spin_bath"}', "observable.axis=x"], "observable.axis"),
+    # json accepts Infinity and NaN; no float key does
+    ("simulate", ["times.t_max=Infinity"], "times.t_max"),
+    ("simulate", ["times.dt=Infinity"], "times.dt"),
+    ("simulate", ["fluctuation.window=Infinity"], "fluctuation.window"),
+    ("simulate", ["model.g=Infinity"], "model.g"),
+    ("simulate", ["model.J=NaN"], "model.J"),
+    ("simulate", ['model={"kind": "precessing_spin", "g": Infinity}'], "model.g"),
+    ("verify", ["t_max=Infinity"], "t_max"),
+    ("verify", ["averaged_state.windows=[Infinity]"], "averaged_state.windows"),
+    ("sweep", ["t_max=Infinity"], "t_max"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, overrides, key):
     assert _run_with(tmp_path, command, overrides) == 2
     assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
@@ -425,18 +436,36 @@ PEAK_RSS = ("import resource, subprocess, sys; "
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
 
 
+def _peak_rss_mib(tmp_path, command, config, overrides):
+    """Peak RSS in MiB of one CLI run with one BLAS thread."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "qeqlab.cli", command,
+            str(ROOT / "configs" / config), "--out", str(tmp_path)]
+    for item in overrides:
+        args += ["--set", item]
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    return int(proc.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def test_simulate_n10_peak_rss(tmp_path):
     # With one BLAS thread, `simulate` at N = 10 peaked at 197 MiB when the
     # chain was built in the full space and propagated in 2**24-entry
     # chunks, and at about 100 MiB with the sector builds and the 8 MiB
     # chunk budget. 150 MiB lies between the two, so the guard fails if
     # either saving is lost, with room for allocator and BLAS-build spread.
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "qeqlab.cli", "simulate",
-         str(ROOT / "configs" / "simulate_chain.json"), "--set", "model.sites=10", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True)
-    # ru_maxrss is in bytes on macOS and in KiB elsewhere
-    peak_mib = int(proc.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
-    assert peak_mib <= 150
+    assert _peak_rss_mib(tmp_path, "simulate", "simulate_chain.json", ["model.sites=10"]) <= 150
+
+
+def test_verify_averaged_state_n10_peak_rss(tmp_path):
+    # The time-averaged-state suite alone at N = 10, every other suite at
+    # one case. With one BLAS thread it peaked at 232 MiB when the suite
+    # solved the chain and its magnetization in the full 2**10 space, and
+    # at about 110 MiB in the reflection-even sector (m = 528). 150 MiB
+    # lies between the two, so the guard fails if the suite goes back to
+    # the full space, with room for allocator and BLAS-build spread.
+    overrides = ["averaged_state.sites=[10]", "sites=[2]", "average_grid=[10.0]", "t_max=10.0",
+                 "fluctuation.sites=2", "fluctuation.count=1", "suites.shannon_pairs=1",
+                 "suites.observational_cases=1", "suites.von_neumann_cases=1", "suites.povm_cases=1"]
+    assert _peak_rss_mib(tmp_path, "verify", "verify_default.json", overrides) <= 150

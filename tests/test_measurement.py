@@ -84,6 +84,25 @@ def test_populations_sum_to_one_random():
         assert np.all(pops >= 0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_povm_populations_are_the_effect_traces(seed):
+    rng = np.random.default_rng(seed)
+    dim, outcomes = 4 + 3 * seed, 2 + seed
+    povm = random_povm(rng, dim, outcomes)
+    rho = random_density(rng, dim)
+    want = np.einsum("iab,ba->i", povm.effects, rho.matrix).real
+    assert np.max(np.abs(populations(povm, rho) - want)) <= 1e-13
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    pure = PureState(psi / np.linalg.norm(psi))
+    want = np.einsum("j,ijk,k->i", pure.amplitudes.conj(), povm.effects, pure.amplitudes).real
+    assert np.max(np.abs(populations(povm, pure) - want)) <= 1e-13
+
+
+def test_populations_reject_an_unsupported_measurement():
+    with pytest.raises(TypeError, match="unsupported measurement type ndarray"):
+        populations(np.eye(2), PureState(np.array([1.0, 0.0], dtype=complex)))
+
+
 def test_populations_dimension_mismatch():
     m = pvm_from_observable(pauli("z"))
     with pytest.raises(ValueError, match="dimension mismatch"):

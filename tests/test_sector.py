@@ -14,7 +14,11 @@ import numpy as np
 import pytest
 
 import qeqlab.harness as harness
+from qeqlab.bounds import averaged_state_entropy_bound
+from qeqlab.dynamics import equilibrium_state, finite_time_average_state
+from qeqlab.entropy import von_neumann_entropy
 from qeqlab.harness import chain_system, compute_trajectory, prepare_system, sample_deviations
+from qeqlab.linalg import trace_norm
 from qeqlab.models import (
     PureState,
     SpinChainParams,
@@ -23,6 +27,7 @@ from qeqlab.models import (
     reflection_sector,
     tilted_ising_chain,
 )
+from qeqlab.verify import time_averaged_state_suite
 
 SEED = 3
 TOL = 1e-10
@@ -117,11 +122,38 @@ def test_chain_system_builds_no_full_space_operator(monkeypatch):
         raise AssertionError("a full-space operator was built")
 
     for name in ("tilted_ising_chain", "bulk_magnetization"):
-        monkeypatch.setattr(f"qeqlab.models.{name}", full_space)
-        monkeypatch.setattr(f"qeqlab.harness.{name}", full_space)
+        for module in ("models", "harness", "verify"):
+            monkeypatch.setattr(f"qeqlab.{module}.{name}", full_space)
     monkeypatch.setattr(np, "kron", full_space)
     for axis in "xyz":
         assert chain_system(SpinChainParams(sites=6), axis).decomposition.dim == 36
+    reports = time_averaged_state_suite([6], [100.0])
+    assert [report.parameters["dim"] for report in reports] == [36, 36]
+
+
+@pytest.mark.parametrize("sites", range(2, 7))
+def test_averaged_state_suite_agrees_with_the_full_space(sites):
+    """The suite's states live in the sector. The isometry keeps trace
+    distances and entropies, so the lhs match the full-space ones; the
+    sector's gaps are a subset of the full space's, so its smallest gap is
+    no smaller, and with m <= 2**N every rhs is no larger."""
+    windows = (1.0e2, 1.0e3, 1.0e4)
+    reports = time_averaged_state_suite([sites], windows, seed=SEED)
+    full = prepare_system(tilted_ising_chain(SpinChainParams(sites=sites)),
+                          bulk_magnetization(sites, "z"), all_down_state(sites, seed=SEED))
+    decomp, dim, min_gap = full.decomposition, 2**sites, full.gap_stats.min_gap
+    omega = equilibrium_state(decomp, full.initial)
+    want = []
+    for T in windows:
+        avg = finite_time_average_state(decomp, full.initial, T)
+        want.append((trace_norm(avg.matrix - omega.matrix), 2.0 * math.sqrt(dim) / (min_gap * T)))
+        want.append((abs(von_neumann_entropy(avg) - von_neumann_entropy(omega)),
+                     averaged_state_entropy_bound(dim, min_gap, T)))
+    for report, (lhs, rhs) in zip(reports, want, strict=True):
+        assert report.parameters["dim"] == reflection_sector(sites).dim
+        assert abs(report.lhs - lhs) <= 1e-13
+        assert report.rhs <= rhs
+        assert report.holds
 
 
 def test_sector_hamiltonian_rejects_a_mismatched_chain():
