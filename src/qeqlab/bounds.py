@@ -69,37 +69,38 @@ class BoundReport:
         }
 
 
+def _factor(counts, eps, T, distinct_count: int):
+    """The equilibration factor of window counts at widths eps and
+    averaging windows T, elementwise with broadcasting."""
+    if np.any(np.asarray(T) <= 0):
+        raise ValueError("T must be positive")
+    return counts * (1.0 + 8.0 * math.log2(distinct_count) / (eps * T))
+
+
 def equilibration_factor(stats: GapStatistics, eps: float, T: float) -> float:
     """Gap-counting factor ``N(eps) (1 + 8 log2|spectrum| / (eps T))``.
 
     ``T`` may be ``math.inf``, in which case the factor reduces to the
     window count alone.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    count = stats.window_count(eps)
-    if math.isinf(T):
-        return float(count)
-    return count * (1.0 + 8.0 * math.log2(stats.distinct_count) / (eps * T))
+    return _factor(stats.window_count(eps), eps, T, stats.distinct_count)
 
 
-def optimal_epsilon(stats: GapStatistics, T: float, points: int = 32):
-    """Scan a logarithmic grid of window widths and return
-    ``(eps, factor)`` minimizing the equilibration factor.
+def optimal_epsilon(stats: GapStatistics, windows, points: int = 32) -> list:
+    """Scan a logarithmic grid of window widths and return, per averaging
+    window T of ``windows``, the ``(eps, factor, count)`` minimizing the
+    equilibration factor.
 
     The inequalities hold for every eps, so optimizing simply reports
-    the tightest bound this grid can certify. Window counts do not
-    depend on ``T``; ``stats`` keeps each one, so scanning the same grid
-    for further windows only re-weighs them.
+    the tightest bound this grid can certify. Counts do not depend on T:
+    the grid is counted once and re-weighed per window.
     """
-    best = (None, math.inf)
-    for eps in stats.epsilon_grid(points):
-        f = equilibration_factor(stats, float(eps), T)
-        if f < best[1]:
-            best = (float(eps), f)
-    return best
+    grid = stats.epsilon_grid(points)
+    counts = stats.window_counts(grid)
+    # one row of factors per window; argmin takes a row's first minimum
+    factors = _factor(counts, grid, np.array(windows, dtype=float)[:, None], stats.distinct_count)
+    best = factors.argmin(axis=1)
+    return [(float(grid[k]), float(row[k]), int(counts[k])) for row, k in zip(factors, best)]
 
 
 def population_distance_bound(n_outcomes: int, d_eff: float, factor: float) -> float:

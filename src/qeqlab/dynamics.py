@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +37,9 @@ DEFAULT_AVG_RTOL = 1e-4
 # Gaps per block of the pruned window count: its first pass counts
 # exactly at every _BLOCK-th gap.
 _BLOCK = 16
-_BLOCK_OFFSETS = np.arange(_BLOCK)
+# Entries of the (width, block head) table a grid count builds at once; a
+# group of widths holds as many as fit.
+_HEAD_ENTRIES = 2**18
 
 
 def _check_dim(decomp: SpectralDecomposition, dim: int):
@@ -150,9 +151,8 @@ class GapStatistics:
 
     Gaps are signed differences over all ordered pairs of *distinct*
     eigenvalues, counted with multiplicity, and kept sorted.
-    ``window_count(eps)`` is the exact maximum number of gaps in any
-    half-open interval of width eps. Each count is computed once per
-    width and kept in ``window_counts``.
+    ``window_counts(widths)`` gives, for each width eps, the exact
+    maximum number of gaps in any half-open interval of width eps.
 
     A count is block-pruned, not estimated. The window starting at gap
     i holds ``searchsorted(gaps, gaps[i] + eps) - i`` gaps, counted first
@@ -160,13 +160,14 @@ class GapStatistics:
     block [i0, i1) ends no later than the one starting at i1, because
     sorting and float rounding are both monotone, so the block's counts
     are at most ``upper[i1] - i0``. Only blocks whose bound beats the
-    best head count are then counted gap by gap.
+    best head count are then counted gap by gap. A grid of widths is
+    counted in groups that keep the (width, head) table within
+    ``_HEAD_ENTRIES``, one head pass and one candidate gather per group.
     """
 
     distinct_count: int
     min_gap: float | None
     _gaps: np.ndarray = field(repr=False)
-    window_counts: dict = field(default_factory=dict)
 
     @property
     def max_gap(self) -> float:
@@ -174,36 +175,31 @@ class GapStatistics:
 
     def window_count(self, eps: float) -> int:
         """Maximum number of gaps in any half-open window [x, x + eps)."""
-        if eps <= 0:
+        return int(self.window_counts([eps])[0])
+
+    def window_counts(self, widths) -> np.ndarray:
+        """Maximum number of gaps in any half-open window [x, x + eps),
+        for each width eps of ``widths``."""
+        widths = np.asarray(widths, dtype=float)
+        if not np.all(widths > 0):
             raise ValueError("window width eps must be positive")
-        eps = float(eps)
-        count = self.window_counts.get(eps)
-        if count is None:
-            count = self._count_window(eps)
-            self.window_counts[eps] = count
-        return count
-
-    @cached_property
-    def _block_heads(self):
-        """The first gap of every block, then +inf (whose window ends
-        past the last gap), and the index of every block's first gap."""
         gaps = self._gaps
-        return np.append(gaps[::_BLOCK], np.inf), np.arange(0, gaps.size, _BLOCK)
-
-    def _count_window(self, eps: float) -> int:
-        gaps = self._gaps
-        if gaps.size == 0:
-            return 0
-        heads, starts = self._block_heads
-        upper = np.searchsorted(gaps, heads + eps)
-        best = (upper[:-1] - starts).max()
-        blocks = np.flatnonzero(upper[1:] - starts > best)
-        if blocks.size:
+        counts = np.zeros(widths.size, dtype=np.int64)
+        # +inf closes the heads: the window starting there ends past the last gap
+        heads = np.append(gaps[::_BLOCK], np.inf)
+        starts = np.arange(0, gaps.size, _BLOCK)
+        group = max(1, _HEAD_ENTRIES // heads.size)
+        for lo in range(0, widths.size, group):
+            eps = widths[lo:lo + group]
+            upper = np.searchsorted(gaps, heads + eps[:, None])
+            best = (upper[:, :-1] - starts).max(axis=1, initial=0)  # 0 with no gaps
+            rows, blocks = np.nonzero(upper[:, 1:] - starts > best[:, None])
             # indices past the last gap clip to it and count less than it
-            idx = starts[blocks, None] + _BLOCK_OFFSETS
-            ends = np.searchsorted(gaps, gaps.take(idx, mode="clip") + eps)
-            best = max(best, (ends - idx).max())
-        return int(best)
+            idx = starts[blocks, None] + np.arange(_BLOCK)
+            ends = np.searchsorted(gaps, gaps.take(idx, mode="clip") + eps[rows, None])
+            np.maximum.at(best, rows, (ends - idx).max(axis=1))
+            counts[lo:lo + group] = best
+        return counts
 
     def epsilon_grid(self, points: int = 32) -> np.ndarray:
         """Logarithmic grid of window widths from the smallest gap
@@ -215,7 +211,7 @@ class GapStatistics:
     def degenerate_gap_multiplicity(self) -> int:
         """Maximum multiplicity of a single gap value (the eps -> 0 limit
         of the window count), up to a relative tolerance of 1e-12."""
-        return self._count_window(1e-12 * max(1.0, self.max_gap))
+        return self.window_count(1e-12 * max(1.0, self.max_gap))
 
 
 def gap_statistics(decomp: SpectralDecomposition) -> GapStatistics:

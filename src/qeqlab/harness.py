@@ -350,23 +350,23 @@ def fluctuation_checks(system: PreparedSystem, window: float, count: int, seed: 
 def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
                     eps_points: int = 32) -> list:
     """Evaluate the population, entropy, and expectation inequalities for
-    every averaging window in ``T_grid``."""
+    every averaging window in ``T_grid``, on one count of the ε grid."""
     reports = []
     stats = system.gap_stats
     r = system.measurement.r
     dim = system.dim
     if r < 2:
         raise ValueError("bound evaluation needs a measurement with r >= 2")
-    for T in T_grid:
-        T = float(T)
-        eps, factor = _bounds.optimal_epsilon(stats, T, points=eps_points)
+    windows = [float(T) for T in T_grid]
+    best = _bounds.optimal_epsilon(stats, windows, points=eps_points) if windows else []
+    for T, (eps, factor, count) in zip(windows, best):
         eta = _bounds.population_distance_bound(r, system.d_eff, factor)
         params = {
             "T": T,
             "eps": eps,
             "factor": factor,
             "eta": eta,
-            "window_count": stats.window_count(eps),
+            "window_count": count,
             "distinct_count": stats.distinct_count,
             "min_gap": stats.min_gap,
             "outcomes": r,
@@ -439,12 +439,12 @@ class FitResult:
 def fit_exponential(points) -> FitResult:
     """Fit ``value = a exp(b x)`` by linear least squares on ln(value).
 
-    Requires at least three points with positive values; the residual is
-    the rms misfit of ln(value).
+    Requires at least three points, at two or more distinct x, with
+    positive values; the residual is the rms misfit of ln(value).
     """
     pts = [(float(x), float(v)) for x, v in points]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points to fit")
+    if len(pts) < 3 or len({x for x, _ in pts}) < 2:
+        raise ValueError("need at least 3 points, at 2 or more distinct x, to fit")
     xs = np.array([p[0] for p in pts])
     vs = np.array([p[1] for p in pts])
     if np.any(vs <= 0):
@@ -497,12 +497,11 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """A finite number; infinity and NaN, which ``json`` accepts, are an
-    error, not a value a run can use."""
-    number = float(value)
-    if not math.isfinite(number):
+    """A finite number; a boolean, a string, and infinity and NaN (which
+    ``json`` accepts) are an error, not a value a run can use."""
+    if isinstance(value, (bool, str)) or not math.isfinite(float(value)):
         raise ValueError(f"expected a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
 def _str(value) -> str:
@@ -645,6 +644,7 @@ class ExperimentConfig:
         _check_windows("average_grid", self.average_grid, self.t_max)
         _require(self.fluctuation_window > 0, "fluctuation.window", "must be positive")
         _require(self.fluctuation_count >= 1, "fluctuation.count", "must be >= 1")
+        _require(self.seed >= 0, "seed", "must be >= 0")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -862,8 +862,9 @@ def sweep_config(raw: dict) -> dict:
     an absent key takes the function's default."""
     default = {name: p.default for name, p in inspect.signature(sweep_chain_lengths).parameters.items()}
     kw = _parse(_SWEEP_KEYS, raw, default)
-    _require(len(kw["sites"]) >= 3 and min(kw["sites"]) >= 2, "sites",
-             "the fits need at least 3 chain lengths, each >= 2")
+    _require(len(set(kw["sites"])) == len(kw["sites"]) >= 3 and min(kw["sites"]) >= 2, "sites",
+             "the fits need at least 3 distinct chain lengths, each >= 2")
+    _require(kw["seed"] >= 0, "seed", "must be >= 0")
     for n in kw["sites"]:
         _check_cap(n)
     late = kw["late_window"]

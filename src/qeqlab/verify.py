@@ -120,6 +120,7 @@ class VerifyConfig:
                            ("suites.von_neumann_cases", self.von_neumann_cases),
                            ("suites.povm_cases", self.povm_cases)):
             _require(count >= 1, key, "must be >= 1")
+        _require(self.seed >= 0, "seed", "must be >= 0")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "VerifyConfig":

@@ -46,14 +46,22 @@ def test_equilibration_factor_values(two_level_stats):
     assert f2 < f1
     with pytest.raises(ValueError):
         equilibration_factor(stats, 0.0, 10.0)
+    with pytest.raises(ValueError):
+        equilibration_factor(stats, 1.0, 0.0)
 
 
 def test_optimal_epsilon_minimizes(two_level_stats):
     stats = two_level_stats
-    eps, factor = optimal_epsilon(stats, 50.0)
-    grid = stats.epsilon_grid(32)
-    assert factor == min(equilibration_factor(stats, float(e), 50.0) for e in grid)
-    assert eps in [float(e) for e in grid]
+    grid = [float(e) for e in stats.epsilon_grid(32)]
+    windows = [5.0, 50.0, math.inf]
+    for T, (eps, factor, count) in zip(windows, optimal_epsilon(stats, windows), strict=True):
+        factors = [equilibration_factor(stats, e, T) for e in grid]
+        assert factor == min(factors)
+        assert eps == grid[factors.index(factor)]  # the first minimum
+        assert count == stats.window_count(eps)
+    assert optimal_epsilon(stats, []) == []
+    with pytest.raises(ValueError):
+        optimal_epsilon(stats, [0.0])
 
 
 def test_population_distance_bound_values():

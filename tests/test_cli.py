@@ -342,6 +342,20 @@ def _run_with(tmp_path, command, overrides):
     ("verify", ["t_max=Infinity"], "t_max"),
     ("verify", ["averaged_state.windows=[Infinity]"], "averaged_state.windows"),
     ("sweep", ["t_max=Infinity"], "t_max"),
+    # a boolean or a string is not a number
+    ("simulate", ["fluctuation.window=true"], "fluctuation.window"),
+    ("simulate", ["model.g=true"], "model.g"),
+    ("simulate", ['times.t_max="100"'], "times.t_max"),
+    ("simulate", ['average_grid=[5.0, "10"]'], "average_grid"),
+    ("verify", ["fluctuation.window=true"], "fluctuation.window"),
+    ("sweep", ['t_max="100"'], "t_max"),
+    # numpy's generators take no negative seed
+    ("simulate", ["seed=-1"], "seed"),
+    ("verify", ["seed=-1"], "seed"),
+    ("sweep", ["seed=-1"], "seed"),
+    # a repeated chain length leaves the fits a single x
+    ("sweep", ["sites=[5, 5, 5]"], "sites"),
+    ("sweep", ["sites=[3, 4, 4]"], "sites"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, overrides, key):
     assert _run_with(tmp_path, command, overrides) == 2
@@ -469,3 +483,31 @@ def test_verify_averaged_state_n10_peak_rss(tmp_path):
                  "fluctuation.sites=2", "fluctuation.count=1", "suites.shannon_pairs=1",
                  "suites.observational_cases=1", "suites.von_neumann_cases=1", "suites.povm_cases=1"]
     assert _peak_rss_mib(tmp_path, "verify", "verify_default.json", overrides) <= 150
+
+
+# Runs cli.main with the grid-count entry budget set from argv[1].
+WITH_BUDGET = ("import sys; import qeqlab.dynamics as d; from qeqlab.cli import main; "
+               "d._HEAD_ENTRIES = int(sys.argv[1]); sys.exit(main(sys.argv[2:]))")
+
+
+def test_verify_report_independent_of_grid_grouping(tmp_path):
+    # The default budget counts each system's ε grid in one group; a budget
+    # of one entry counts every width alone. The counts, and so the report,
+    # must not move by a byte.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    overrides = ["sites=[5, 7]", "suites.povm_cases=20", "suites.shannon_pairs=1",
+                 "suites.observational_cases=1", "suites.von_neumann_cases=1",
+                 "averaged_state.sites=[2]", "fluctuation.count=100"]
+    from qeqlab.dynamics import _HEAD_ENTRIES
+
+    reports = []
+    for budget in (_HEAD_ENTRIES, 1):
+        out = tmp_path / str(budget)
+        args = [sys.executable, "-c", WITH_BUDGET, str(budget), "verify",
+                str(ROOT / "configs" / "verify_default.json"), "--out", str(out)]
+        for item in overrides:
+            args += ["--set", item]
+        subprocess.run(args, env=env, check=True, stdout=subprocess.DEVNULL)
+        reports.append((out / "verify_report.json").read_bytes())
+    assert reports[0] == reports[1]

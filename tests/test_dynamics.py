@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeqlab import dynamics
 from qeqlab.dynamics import (
     _BLOCK,
     EquilibriumReference,
@@ -228,9 +229,9 @@ def test_gap_statistics_single_eigenvalue():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         stats = gap_statistics(decompose_hermitian(np.eye(3, dtype=complex)))
-        stats.window_count(0.1)
     assert stats.min_gap is None
-    assert stats.window_counts[0.1] == 0
+    assert stats.window_count(0.1) == 0
+    assert stats.window_counts([0.1, 2.0]).tolist() == [0, 0]
     assert any("single distinct eigenvalue" in str(w.message) for w in caught)
 
 
@@ -277,15 +278,22 @@ def test_pruned_window_count_matches_direct_count(gaps, data):
                                              st.integers(0, gaps.size - 1)), max_size=4),
                           label="pairs")
         widths += [float(gaps[j] - gaps[i]) for i, j in pairs if gaps[j] > gaps[i]]
-    for eps in widths:
-        assert stats.window_count(eps) == direct_window_count(gaps, eps)
+    widths += data.draw(st.lists(st.floats(1e-9, 1e7), max_size=5), label="grid")
+    direct = [direct_window_count(gaps, eps) for eps in widths]
+    for eps, count in zip(widths, direct):
+        assert stats.window_count(eps) == count
+    assert stats.window_counts(widths).tolist() == direct
+    # a budget below one head table puts every width in a group of its own
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_HEAD_ENTRIES", 1)
+        assert stats.window_counts(widths).tolist() == direct
 
 
 @pytest.mark.parametrize("sites", [5, 6, 7, 8, 9])
 def test_pruned_window_count_on_chain_epsilon_grids(sites):
     stats = chain_system(SpinChainParams(sites=sites)).gap_stats
-    for eps in stats.epsilon_grid(32):
-        assert stats.window_count(float(eps)) == direct_window_count(stats._gaps, float(eps))
+    grid = stats.epsilon_grid(32)
+    assert stats.window_counts(grid).tolist() == [direct_window_count(stats._gaps, e) for e in grid]
 
 
 def _toy_trajectory(times, values):

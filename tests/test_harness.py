@@ -189,6 +189,9 @@ def test_fit_exponential_exact_recovery():
         fit_exponential(points[:2])
     with pytest.raises(ValueError, match="positive"):
         fit_exponential([(1, 1.0), (2, -1.0), (3, 1.0)])
+    # a line through one x is not determined: polyfit would return its minimum-norm solution
+    with pytest.raises(ValueError, match="distinct x"):
+        fit_exponential([(5, 1.0), (5, 2.0), (5, 3.0)])
 
 
 def test_finite_time_average_curve_flat_for_constant():

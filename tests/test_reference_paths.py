@@ -12,14 +12,15 @@ propagation arithmetic alone is compared out to t = 1e4 on one shared
 decomposition.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import qeqlab.harness as harness
-from qeqlab.bounds import optimal_epsilon
-from qeqlab.dynamics import gap_statistics
+from qeqlab.bounds import equilibration_factor, optimal_epsilon
+from qeqlab.dynamics import GapStatistics, default_time_step
 from qeqlab.harness import (
     _populations_at,
     chain_system,
@@ -187,18 +188,28 @@ def test_propagation_stays_within_its_byte_budget():
     assert peak <= 3 * harness._CHUNK_BYTES + pops.nbytes + 2**20
 
 
-def test_window_counts_computed_once_per_width(monkeypatch):
-    decomp = decompose_hermitian(tilted_ising_chain(SpinChainParams(sites=7)))
-    fresh = [optimal_epsilon(gap_statistics(decomp), T) for T in (10.0, 25.0, 50.0, 100.0)]
-
-    stats = gap_statistics(decomp)
+def test_evaluate_bounds_counts_the_grid_once(monkeypatch):
+    system = chain_system(SpinChainParams(sites=7))
+    stats = system.gap_stats
+    windows = [10.0, 25.0, 50.0, 100.0]
+    dt = default_time_step(system.decomposition.spectral_range)
+    trajectory = compute_trajectory(system, harness.time_grid(100.0, dt))
     calls = []
-    original = type(stats)._count_window
-    monkeypatch.setattr(type(stats), "_count_window",
-                        lambda self, eps: calls.append(eps) or original(self, eps))
-    shared = [optimal_epsilon(stats, T) for T in (10.0, 25.0, 50.0, 100.0)]
-    assert shared == fresh
-    assert len(calls) == 32 == len(set(calls)) == len(stats.window_counts)
-    for eps, _ in shared:
-        assert stats.window_count(eps) == stats.window_counts[eps]
-    assert len(calls) == 32
+    original = GapStatistics.window_counts
+    monkeypatch.setattr(GapStatistics, "window_counts",
+                        lambda self, widths: calls.append(self) or original(self, widths))
+    reports = harness.evaluate_bounds(system, trajectory, windows)
+    assert len(calls) == 1 and calls[0] is stats
+    monkeypatch.undo()
+
+    grid = [float(e) for e in stats.epsilon_grid(32)]
+    scans = {}
+    for T in windows + [math.inf]:
+        factors = [equilibration_factor(stats, eps, T) for eps in grid]
+        k = factors.index(min(factors))
+        scans[T] = (grid[k], factors[k], stats.window_count(grid[k]))
+    assert optimal_epsilon(stats, list(scans)) == list(scans.values())
+    assert {r.parameters["T"] for r in reports} == set(windows)
+    for report in reports:
+        p = report.parameters
+        assert (p["eps"], p["factor"], p["window_count"]) == scans[p["T"]]
