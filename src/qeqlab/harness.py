@@ -75,9 +75,6 @@ _CHUNK_BYTES = 2**23
 # weight matrix, and at N = 13 chunks of 248 times made the trajectory 36 %
 # slower than chunks of 1008.
 _MIN_CHUNK_TIMES = 1024
-# Largest imaginary part, after the global phase is divided out, that
-# still counts as round-off of a real state vector.
-_REAL_TOL = 1e-14
 # Per site: columns are the +1 and -1 Pauli eigenvectors; None along z.
 _SITE_ROTATIONS = {
     "x": np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
@@ -126,17 +123,6 @@ class PreparedSystem:
         return self.measurement.r
 
 
-def _strip_global_phase(amplitudes: np.ndarray) -> np.ndarray:
-    """Real amplitudes when the vector is one global phase times a real
-    vector, the amplitudes unchanged otherwise. Populations do not see a
-    global phase, and a real state keeps a real system real."""
-    k = int(np.argmax(np.abs(amplitudes)))
-    rotated = amplitudes * (abs(amplitudes[k]) / amplitudes[k])
-    if np.max(np.abs(rotated.imag)) > _REAL_TOL:
-        return amplitudes
-    return rotated.real
-
-
 def _entropy_rows(pops: np.ndarray, multiplicities: np.ndarray):
     """Shannon, observational and multiplicity terms for population rows."""
     shannon = -np.sum(_xlogx(pops), axis=1)
@@ -167,7 +153,7 @@ def prepare_system(hamiltonian, observable, initial, label: str = "") -> Prepare
     stats = gap_statistics(decomp)
     d_eff = effective_dimension(decomp, initial)
 
-    amps_eig = decomp.eigenvectors.conj().T @ _strip_global_phase(initial.amplitudes)
+    amps_eig = decomp.eigenvectors.conj().T @ initial.amplitudes
     weighted = measurement.in_basis(decomp.eigenvectors) * amps_eig[None, :]
     # dephased-state populations without materializing omega:
     # accumulate |C[:, block] @ amps[block]|^2 over energy eigenspaces
@@ -176,7 +162,7 @@ def prepare_system(hamiltonian, observable, initial, label: str = "") -> Prepare
     weights = np.sum(np.abs(per_block) ** 2, axis=1)
     p_omega = clamp_populations(measurement.group_sums(weights))
 
-    values = getattr(measurement, "values", None)
+    values = measurement.values
     expectation_omega = float(np.dot(values, p_omega)) if values is not None else None
     mult = measurement.multiplicities
     s_row, o_row, b_row = _entropy_rows(p_omega[None, :], mult)
@@ -201,10 +187,9 @@ def prepare_system(hamiltonian, observable, initial, label: str = "") -> Prepare
     )
 
 
-def chain_system(params: SpinChainParams, axis: str = "z", seed: int = 0,
-                 label: str = "") -> PreparedSystem:
+def chain_system(params: SpinChainParams, axis: str = "z", label: str = "") -> PreparedSystem:
     """The mixed-field Ising chain measured through its bulk magnetization
-    along ``axis`` and started all down (phases drawn from ``seed``).
+    along ``axis`` and started in the real all-down state.
 
     The Hamiltonian, the state and the magnetization all commute with
     site reflection, so the state never leaves the reflection-even
@@ -222,7 +207,7 @@ def chain_system(params: SpinChainParams, axis: str = "z", seed: int = 0,
     n = params.sites
     sector = reflection_sector(n)
     ham = sector.chain_hamiltonian(params)
-    initial = sector.project_state(all_down_state(n, seed=seed))
+    initial = sector.project_state(all_down_state(n))
     rotation = _SITE_ROTATIONS[axis]
     basis = None if rotation is None else sector.product_operator(rotation)
     down = np.arange(n + 1)
@@ -278,7 +263,7 @@ def compute_trajectory(system: PreparedSystem, times) -> Trajectory:
     """Sample populations, expectation value, and entropies on a grid."""
     times = np.asarray(times, dtype=float)
     pops = _populations_at(system, times)
-    values = getattr(system.measurement, "values", None)
+    values = system.measurement.values
     expectation = pops @ values if values is not None else None
     shannon, observational, boltzmann = _entropy_rows(pops, system.measurement.multiplicities)
     return Trajectory(
@@ -666,8 +651,7 @@ def build_system(config: ExperimentConfig) -> PreparedSystem:
             h=float(config.model.get("h", SpinChainParams.h)),
             J=float(config.model.get("J", SpinChainParams.J)),
         )
-        return chain_system(params, config.observable.get("axis", "z"), seed=config.seed,
-                            label=config.label)
+        return chain_system(params, config.observable.get("axis", "z"), label=config.label)
     if kind == "precessing_spin":
         ham, initial, obs = precessing_spin(float(config.model.get("g", 1.0)))
     else:
@@ -778,7 +762,7 @@ def execute_experiment(config: ExperimentConfig):
         "outcomes": r,
         "multiplicities": [float(v) for v in system.measurement.multiplicities],
         "values": [float(v) for v in system.measurement.values]
-        if getattr(system.measurement, "values", None) is not None else None,
+        if system.measurement.values is not None else None,
         "distinct_count": system.gap_stats.distinct_count,
         "min_gap": system.gap_stats.min_gap,
         "spectral_range": system.decomposition.spectral_range,
@@ -814,14 +798,14 @@ def execute_experiment(config: ExperimentConfig):
 # chain-length sweep
 
 
-def sweep_chain_lengths(sites=(5, 6, 7, 8, 9), seed: int = 0, t_max: float = 100.0,
+def sweep_chain_lengths(sites=(5, 6, 7, 8, 9), t_max: float = 100.0,
                         late_window: tuple = (50.0, 80.0), axis: str = "z") -> dict:
     """Sweep the chain length and collect the scaling data: per-N
     effective dimension, asymptotic bound, and late-time-averaged
     entropy deviation, plus exponential fits of both curves."""
     rows = []
     for n in sites:
-        system = chain_system(SpinChainParams(sites=int(n)), axis, seed=seed, label=f"chain_{n}")
+        system = chain_system(SpinChainParams(sites=int(n)), axis, label=f"chain_{n}")
         dt = default_time_step(system.decomposition.spectral_range)
         trajectory = compute_trajectory(system, time_grid(t_max, dt))
         late = window_average(trajectory, "shannon_abs_dev", late_window[0], late_window[1])
@@ -850,7 +834,6 @@ def sweep_chain_lengths(sites=(5, 6, 7, 8, 9), seed: int = 0, t_max: float = 100
 
 _SWEEP_KEYS = {
     "sites": ("sites", _tuple(_int)),
-    "seed": ("seed", _int),
     "t_max": ("t_max", _float),
     "late_window": ("late_window", _tuple(_float)),
     "axis": ("axis", _str),
@@ -864,7 +847,6 @@ def sweep_config(raw: dict) -> dict:
     kw = _parse(_SWEEP_KEYS, raw, default)
     _require(len(set(kw["sites"])) == len(kw["sites"]) >= 3 and min(kw["sites"]) >= 2, "sites",
              "the fits need at least 3 distinct chain lengths, each >= 2")
-    _require(kw["seed"] >= 0, "seed", "must be >= 0")
     for n in kw["sites"]:
         _check_cap(n)
     late = kw["late_window"]

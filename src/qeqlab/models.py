@@ -16,10 +16,10 @@ Conventions (fixed once, used everywhere):
   magnetization are reflection-symmetric;
 * hbar = 1, energies and times are dimensionless.
 
-Operators are stored in their natural dtype: the chain Hamiltonian and
-the x/z magnetizations are real (float64), the y magnetization is
-complex128. Real operators keep the eigensolve and the propagation in
-real arithmetic downstream.
+Operators and states are stored in their natural dtype: the chain
+Hamiltonian, the x/z magnetizations and the all-down state are real
+(float64), the y magnetization is complex128. Real operators and states
+keep the eigensolve and the propagation in real arithmetic downstream.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def pauli(axis: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinChainParams:
-    """Couplings of the mixed-field Ising chain (hbar = 1)."""
+    """Couplings of the mixed-field Ising chain (hbar = 1). The edge
+    terms need at least 2 sites."""
 
     sites: int
     g: float = DEFAULT_FIELD_G
@@ -96,18 +97,20 @@ class SpinChainParams:
     J: float = DEFAULT_COUPLING_J
 
     def __post_init__(self):
-        if self.sites < 1:
-            raise ValueError("sites must be >= 1")
+        if self.sites < 2:
+            raise ValueError("the chain needs at least 2 sites (edge terms)")
 
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized state vector."""
+    """Normalized state vector, stored like an operator in its natural
+    dtype: float64 for real amplitudes, complex128 otherwise."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        amps = amps.astype(complex if np.iscomplexobj(amps) else float)
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state vector not normalized: |psi| = {norm!r}")
@@ -177,12 +180,6 @@ def _z_values(sites: int, idx: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * _site_bits(sites, idx)
 
 
-def _chain_sites(params: SpinChainParams) -> int:
-    if params.sites < 2:
-        raise ValueError("the chain needs at least 2 sites (edge terms)")
-    return params.sites
-
-
 def _chain_diagonal(params: SpinChainParams, z: np.ndarray) -> np.ndarray:
     """Diagonal of :func:`tilted_ising_chain` at basis states with sigma_z
     values ``z`` (one row per state). Every partial sum is an integer, so
@@ -208,7 +205,7 @@ def tilted_ising_chain(params: SpinChainParams) -> np.ndarray:
     in the computational basis, so the matrix is real symmetric and is
     returned as float64.
     """
-    n = _chain_sites(params)
+    n = params.sites
     dim = _check_cap(n)
     ham = np.zeros((dim, dim))
     idx = np.arange(dim)
@@ -245,22 +242,14 @@ def bulk_magnetization(sites: int, axis: str) -> np.ndarray:
     return out
 
 
-def all_down_state(sites: int, seed: int = 0) -> PureState:
-    """Product state of down spins, each dressed with a random phase.
-
-    The per-site phases (drawn from a seeded generator) multiply out to a
-    single global phase on the lone basis amplitude, so the density
-    matrix is |down...down><down...down| exactly, independent of the
-    seed. The phases are kept anyway so the construction matches the
-    stated preparation procedure.
-    """
+def all_down_state(sites: int) -> PureState:
+    """Product state of down spins: the real (float64) basis vector at
+    index ``2**N - 1``."""
     if sites < 1:
         raise ValueError("sites must be >= 1")
     dim = _check_cap(sites)
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=sites)
-    amps = np.zeros(dim, dtype=complex)
-    amps[dim - 1] = np.exp(1j * phases.sum())
+    amps = np.zeros(dim)
+    amps[dim - 1] = 1.0
     return PureState(amps)
 
 
@@ -323,7 +312,7 @@ class ReflectionSector:
         representatives' z values, and the N spin flips of each column's
         representative and mirror mapped to the orbits they land in, so
         O(m N) entries are placed."""
-        n = _chain_sites(params)
+        n = params.sites
         if n != self.sites:
             raise ValueError(f"a {n}-site chain in a {self.sites}-site sector")
         m = self.dim

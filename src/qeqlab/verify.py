@@ -276,7 +276,7 @@ def povm_equilibration_suite(rng, cases: int = 1_000) -> _bounds.BoundReport:
                        "window": _POVM_WINDOW})
 
 
-def time_averaged_state_suite(sites, windows, seed: int = 0) -> list:
+def time_averaged_state_suite(sites, windows) -> list:
     """Finite-time-averaged states against the dephasing rate: trace-norm
     convergence and von Neumann entropy continuity, per chain size and
     averaging window.
@@ -291,7 +291,7 @@ def time_averaged_state_suite(sites, windows, seed: int = 0) -> list:
     reports = []
     for n in sites:
         n = int(n)
-        system = chain_system(SpinChainParams(sites=n), seed=seed, label=f"avg_state_{n}")
+        system = chain_system(SpinChainParams(sites=n), label=f"avg_state_{n}")
         decomp = system.decomposition
         omega = equilibrium_state(decomp, system.initial)
         s_omega = von_neumann_entropy(omega)
@@ -329,7 +329,7 @@ def run_verification(config: VerifyConfig, corrupt_trajectory=None) -> list:
     reports = []
 
     for n in config.sites:
-        system = chain_system(SpinChainParams(sites=int(n)), seed=config.seed, label=f"chain_{n}")
+        system = chain_system(SpinChainParams(sites=int(n)), label=f"chain_{n}")
         dt = default_time_step(system.decomposition.spectral_range)
         trajectory = compute_trajectory(system, time_grid(config.t_max, dt))
         if corrupt_trajectory is not None:
@@ -342,7 +342,7 @@ def run_verification(config: VerifyConfig, corrupt_trajectory=None) -> list:
         reports.append(jensen)
 
     n = config.fluctuation_sites
-    system = chain_system(SpinChainParams(sites=int(n)), seed=config.seed, label=f"fluct_{n}")
+    system = chain_system(SpinChainParams(sites=int(n)), label=f"fluct_{n}")
     checks, _ = fluctuation_checks(system, config.fluctuation_window, config.fluctuation_count,
                                    config.seed)
     for report in checks:
@@ -350,8 +350,7 @@ def run_verification(config: VerifyConfig, corrupt_trajectory=None) -> list:
         reports.append(report)
 
     reports.extend(time_averaged_state_suite(config.averaged_state_sites,
-                                             config.averaged_state_windows,
-                                             seed=config.seed))
+                                             config.averaged_state_windows))
 
     rng = np.random.default_rng(config.seed)
     reports.append(shannon_continuity_suite(rng, config.shannon_pairs))

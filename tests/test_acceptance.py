@@ -55,7 +55,7 @@ def build_chain(sites, axis="z", t_max=100.0):
     system = prepare_system(
         tilted_ising_chain(SpinChainParams(sites=sites)),
         bulk_magnetization(sites, axis),
-        all_down_state(sites, seed=0),
+        all_down_state(sites),
         label=f"chain_{sites}_{axis}",
     )
     dt = default_time_step(system.decomposition.spectral_range)
@@ -168,7 +168,7 @@ def test_criterion_06_fluctuation_tail(chain_data):
 
 def test_criterion_07_time_averaged_states():
     reports = time_averaged_state_suite(sites=(2, 3, 4, 5, 6),
-                                        windows=(1.0e2, 1.0e3, 1.0e4), seed=0)
+                                        windows=(1.0e2, 1.0e3, 1.0e4))
     worst = min(report.margin for report in reports)
     for report in reports:
         assert report.margin >= ATOL_MARGIN, report.to_json_dict()
@@ -196,7 +196,7 @@ def test_criterion_08_continuity_suites():
 
 def test_criterion_09_figure_reproduction(chain_data):
     data, _ = chain_data
-    sweep = sweep_chain_lengths(range(5, 11), seed=0)
+    sweep = sweep_chain_lengths(range(5, 11))
 
     b_delta = sweep["delta_fit"]["b"]
     assert abs(b_delta - (-0.0920)) <= 0.2 * 0.0920, sweep["delta_fit"]

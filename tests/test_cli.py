@@ -10,6 +10,8 @@ import pytest
 import qeqlab.cli as cli
 from qeqlab.serialize import canonical_json, config_hash, format_number
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
@@ -54,6 +56,29 @@ def test_simulate_rerun_byte_identical(tmp_path):
     assert cli.main(["simulate", config]) == 0
     assert (tmp_path / "out" / "report_n5.json").read_bytes() == first
     assert (tmp_path / "out" / "trajectory_n5.csv").read_bytes() == first_csv
+
+
+@pytest.mark.parametrize("axis", ["z", "y"])
+def test_chain_results_do_not_depend_on_the_seed(tmp_path, axis):
+    """The chain starts from the one exact all-down state: the seed only
+    draws the fluctuation times."""
+    config = str(ROOT / "configs" / "simulate_chain.json")
+    reports = []
+    for seed in (0, 1):
+        out = tmp_path / f"seed{seed}"
+        assert cli.main(["simulate", config, "--out", str(out), "--set", f"seed={seed}",
+                         "--set", f"observable.axis={axis}"]) == 0
+        (csv,) = out.glob("trajectory_*.csv")
+        (report,) = out.glob("report_*.json")
+        reports.append((csv.read_bytes(), json.loads(report.read_text())))
+    (csv0, report0), (csv1, report1) = reports
+    assert csv0 == csv1
+    assert (report0["config"]["seed"], report1["config"]["seed"]) == (0, 1)
+    assert report0["fluctuations"] != report1["fluctuations"]
+    for report in (report0, report1):
+        del report["config"]["seed"], report["fluctuations"]
+        report["bounds"] = [b for b in report["bounds"] if not b["name"].endswith("_fluctuation")]
+    assert report0 == report1
 
 
 def test_simulate_oracle_config(tmp_path):
@@ -215,8 +240,9 @@ def test_verify_and_sweep_hash_the_resolved_config(tmp_path):
 
     sweep = {"sites": [3, 4, 5], "t_max": 20.0, "late_window": [5.0, 15.0]}
     implicit = _manifest_hash(tmp_path, "sweep", "s_implicit", sweep)
-    explicit = _manifest_hash(tmp_path, "sweep", "s_explicit", {**sweep, "seed": 0})
-    assert implicit == explicit
+    explicit = _manifest_hash(tmp_path, "sweep", "s_explicit", {**sweep, "axis": "z"})
+    changed = _manifest_hash(tmp_path, "sweep", "s_changed", {**sweep, "axis": "x"})
+    assert implicit == explicit != changed
 
 
 def test_sweep_outputs(tmp_path):
@@ -352,7 +378,8 @@ def _run_with(tmp_path, command, overrides):
     # numpy's generators take no negative seed
     ("simulate", ["seed=-1"], "seed"),
     ("verify", ["seed=-1"], "seed"),
-    ("sweep", ["seed=-1"], "seed"),
+    # not a sweep key: every chain starts from the one exact all-down state
+    ("sweep", ["seed=0"], "seed"),
     # a repeated chain length leaves the fits a single x
     ("sweep", ["sites=[5, 5, 5]"], "sites"),
     ("sweep", ["sites=[3, 4, 4]"], "sites"),
@@ -432,15 +459,13 @@ def test_numerical_faults_are_not_config_errors(tmp_path, monkeypatch):
 def test_sweep_defaults_come_from_sweep_chain_lengths(tmp_path):
     only_sites = _manifest_hash(tmp_path, "sweep", "s_sites", {"sites": [3, 4, 5]})
     written_out = _manifest_hash(tmp_path, "sweep", "s_all", {
-        "sites": [3, 4, 5], "seed": 0, "t_max": 100.0, "late_window": [50.0, 80.0],
-        "axis": "z",
+        "sites": [3, 4, 5], "t_max": 100.0, "late_window": [50.0, 80.0], "axis": "z",
     })
-    # sha256 of {"axis": "z", "late_window": [50, 80], "seed": 0, "sites": [3, 4, 5],
-    # "sweep": true, "t_max": 100}
-    assert only_sites == written_out == "cddc5c08b6174c5859cbf04e8fe7536b830d9a498a76cec4576966e2b2fc8c42"
+    # sha256 of {"axis": "z", "late_window": [50, 80], "sites": [3, 4, 5], "sweep": true,
+    # "t_max": 100}
+    assert only_sites == written_out == "b4b3a62d5eae93c90d89031ce2fa09f71d804d4b56bef1d9c5868b02ed4440d5"
 
 
-ROOT = Path(__file__).resolve().parents[1]
 # Runs its arguments as a child process and prints the child's ru_maxrss.
 # The launcher keeps the measurement the run's own: on Linux a process's
 # ru_maxrss starts from the resident size of the process it was forked

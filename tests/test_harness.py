@@ -32,12 +32,12 @@ from qeqlab.serialize import canonical_json
 from qeqlab.verify import random_povm
 
 
-def small_chain(sites=3, axis="z", seed=0):
+def small_chain(sites=3, axis="z"):
     params = SpinChainParams(sites=sites)
     return prepare_system(
         tilted_ising_chain(params),
         bulk_magnetization(sites, axis),
-        all_down_state(sites, seed=seed),
+        all_down_state(sites),
         label=f"chain_{sites}",
     )
 
@@ -206,7 +206,7 @@ def test_evaluate_bounds_requires_two_outcomes():
     system = prepare_system(
         tilted_ising_chain(SpinChainParams(sites=2)),
         np.eye(4, dtype=complex),
-        all_down_state(2, seed=0),
+        all_down_state(2),
     )
     traj = compute_trajectory(system, time_grid(5.0, 0.02))
     with pytest.raises(ValueError, match="r >= 2"):

@@ -59,7 +59,7 @@ def test_pvm_projectors_complete_and_orthogonal():
 
 def test_populations_all_down_mz():
     m = pvm_from_observable(bulk_magnetization(2, "z"))
-    pops = populations(m, all_down_state(2, seed=0))
+    pops = populations(m, all_down_state(2))
     # ordering (+1, 0, -1)
     assert np.allclose(pops, [0.0, 0.0, 1.0], atol=1e-15)
 
@@ -128,7 +128,7 @@ def test_coarse_grained_rank1_pvm_keeps_diagonal():
 
 def test_coarse_grained_all_down():
     m = pvm_from_observable(bulk_magnetization(2, "z"))
-    cg = coarse_grained_state(m, all_down_state(2, seed=0))
+    cg = coarse_grained_state(m, all_down_state(2))
     expected = np.zeros((4, 4))
     expected[3, 3] = 1.0  # the lone all-down basis state
     assert np.allclose(cg.matrix, expected, atol=1e-12)

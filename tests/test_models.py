@@ -94,17 +94,17 @@ def test_magnetization_binomial_spectrum(sites, axis):
 
 
 def test_all_down_state():
-    state = all_down_state(1, seed=3)
+    state = all_down_state(1)
     assert np.allclose(state.density_matrix().matrix, np.diag([0.0, 1.0]), atol=1e-15)
 
-    # seed independence of the physical state, exactly
-    a = all_down_state(3, seed=0).density_matrix().matrix
-    b = all_down_state(3, seed=12345).density_matrix().matrix
-    assert np.array_equal(a, b)
+    # the exact real basis vector at index 2**N - 1
+    state = all_down_state(3)
+    assert state.amplitudes.dtype == np.float64
+    assert np.array_equal(state.amplitudes, np.eye(8)[7])
 
     # the preparation satisfies the low-entropy condition for M_z
     measurement = pvm_from_observable(bulk_magnetization(3, "z"))
-    pops = populations(measurement, all_down_state(3, seed=1))
+    pops = populations(measurement, state)
     assert np.allclose(pops, [0, 0, 0, 1], atol=1e-15)
 
 
@@ -154,6 +154,19 @@ def test_pure_state_normalization_enforced():
 
     with pytest.raises(ValueError, match="normalized"):
         PureState(np.array([1.0, 1.0]))
+
+
+def test_pure_state_keeps_its_natural_dtype():
+    from qeqlab.models import PureState
+
+    assert PureState(np.array([0.6, 0.8])).amplitudes.dtype == np.float64
+    assert PureState([0, 1]).amplitudes.dtype == np.float64
+    assert PureState(np.array([0.6, 0.8j])).amplitudes.dtype == np.complex128
+    assert PureState(np.array([0.6, 0.8], dtype=complex)).amplitudes.dtype == np.complex128
+    # the state keeps its own read-only copy; the caller's array stays writable
+    amps = np.array([0.6, 0.8])
+    assert not PureState(amps).amplitudes.flags.writeable
+    assert amps.flags.writeable
 
 
 def test_density_matrix_validation():

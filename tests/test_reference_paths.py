@@ -30,16 +30,22 @@ from qeqlab.harness import (
 from qeqlab.linalg import decompose_hermitian
 from qeqlab.measurement import Povm
 from qeqlab.measurement import clamp_populations as _clamp_rows
-from qeqlab.models import SpinChainParams, all_down_state, bulk_magnetization, tilted_ising_chain
+from qeqlab.models import (
+    PureState,
+    SpinChainParams,
+    all_down_state,
+    bulk_magnetization,
+    tilted_ising_chain,
+)
 from qeqlab.verify import random_hermitian, random_partition_pvm, random_povm, random_pure_state
 
 TOL = 1e-12
 
 
-def chain_pair(sites, seed=3):
+def chain_pair(sites):
     ham = tilted_ising_chain(SpinChainParams(sites=sites))
     obs = bulk_magnetization(sites, "z")
-    initial = all_down_state(sites, seed=seed)
+    initial = all_down_state(sites)
     real = prepare_system(ham, obs, initial)
     reference = prepare_system(ham.astype(complex), obs.astype(complex), initial)
     return real, reference
@@ -101,7 +107,6 @@ def test_chain_stays_real_and_complex_input_stays_complex():
 
 
 def test_complex_state_keeps_complex_amplitudes():
-    # a state that is not a global phase times a real vector stays complex
     rng = np.random.default_rng(1)
     ham = tilted_ising_chain(SpinChainParams(sites=3))
     system = prepare_system(ham, bulk_magnetization(3, "z"), random_pure_state(rng, 8))
@@ -111,6 +116,16 @@ def test_complex_state_keeps_complex_amplitudes():
     times = np.linspace(0.0, 20.0, 101)
     got = compute_trajectory(system, times).populations
     assert np.max(np.abs(got - compute_trajectory(reference, times).populations)) <= TOL
+
+    # the dtype alone picks the path: a global phase times the real state
+    # takes the complex one, with the same populations to round-off
+    real = prepare_system(ham, bulk_magnetization(3, "z"), all_down_state(3))
+    phased = prepare_system(ham, bulk_magnetization(3, "z"),
+                            PureState(np.exp(0.3j) * all_down_state(3).amplitudes))
+    assert phased.weighted_contraction.dtype == np.complex128
+    got = compute_trajectory(phased, times).populations
+    assert np.max(np.abs(got - compute_trajectory(real, times).populations)) <= TOL
+    assert abs(phased.d_eff - real.d_eff) <= TOL * real.d_eff
 
 
 def _three_operand_povm_populations(system, times):
@@ -166,7 +181,7 @@ def test_povm_chunks_cover_every_time(monkeypatch):
     # column blocking may round differently with the chunk width, so the
     # chunked populations are compared within a tolerance.
     monkeypatch.undo()
-    chain = chain_system(SpinChainParams(sites=7), "z", seed=3)
+    chain = chain_system(SpinChainParams(sites=7), "z")
     times = np.linspace(0.0, 1.0e3, 4000)
     whole = _populations_at(chain, times)
     monkeypatch.setattr(harness, "_CHUNK_BYTES", 72 * 8 * 1024)
@@ -175,7 +190,7 @@ def test_povm_chunks_cover_every_time(monkeypatch):
 
 def test_propagation_stays_within_its_byte_budget():
     # three chunk arrays at once, plus the output and 1 MiB for the rest
-    system = chain_system(SpinChainParams(sites=9), "z", seed=3)
+    system = chain_system(SpinChainParams(sites=9), "z")
     times = np.random.default_rng(9).uniform(0.0, 1.0e4, size=10_000)
     # at least three chunks: one chunk's three arrays would break the bound
     assert len(times) * system.decomposition.dim * 8 > 2 * harness._CHUNK_BYTES

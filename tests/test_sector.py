@@ -29,7 +29,6 @@ from qeqlab.models import (
 )
 from qeqlab.verify import time_averaged_state_suite
 
-SEED = 3
 TOL = 1e-10
 CASES = [(n, axis) for n in range(2, 10) for axis in "xyz"]
 
@@ -38,9 +37,9 @@ CASES = [(n, axis) for n in range(2, 10) for axis in "xyz"]
 def pair(request):
     sites, axis = request.param
     params = SpinChainParams(sites=sites)
-    sector = chain_system(params, axis, seed=SEED)
+    sector = chain_system(params, axis)
     full = prepare_system(tilted_ising_chain(params), bulk_magnetization(sites, axis),
-                          all_down_state(sites, seed=SEED))
+                          all_down_state(sites))
     return sites, sector, full
 
 
@@ -83,7 +82,7 @@ def test_sector_window_counts_never_exceed_full_space(pair):
 @pytest.mark.parametrize("sites", range(2, 10))
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_built_x_and_y_bases_are_the_magnetization_eigenbasis(sites, axis):
-    measurement = chain_system(SpinChainParams(sites=sites), axis, seed=SEED).measurement
+    measurement = chain_system(SpinChainParams(sites=sites), axis).measurement
     assert measurement.values.tolist() == [(sites - 2.0 * k) / sites for k in range(sites + 1)]
     assert measurement.multiplicities.tolist() == [math.comb(sites, k) for k in range(sites + 1)]
     B = measurement.basis
@@ -109,7 +108,7 @@ def test_sector_basis_is_the_projected_rotation(monkeypatch, sites, axis):
     sector = reflection_sector(sites)
     rotation = harness._SITE_ROTATIONS[axis]
     dense = sector.project_operator(reduce(np.kron, [rotation] * sites))
-    basis = chain_system(SpinChainParams(sites=sites), axis, seed=SEED).measurement.basis
+    basis = chain_system(SpinChainParams(sites=sites), axis).measurement.basis
     assert basis.dtype == dense.dtype
     assert np.array_equal(basis, dense)
     # row blocks change nothing: blocks of 7 rows, the last one short
@@ -138,9 +137,9 @@ def test_averaged_state_suite_agrees_with_the_full_space(sites):
     sector's gaps are a subset of the full space's, so its smallest gap is
     no smaller, and with m <= 2**N every rhs is no larger."""
     windows = (1.0e2, 1.0e3, 1.0e4)
-    reports = time_averaged_state_suite([sites], windows, seed=SEED)
+    reports = time_averaged_state_suite([sites], windows)
     full = prepare_system(tilted_ising_chain(SpinChainParams(sites=sites)),
-                          bulk_magnetization(sites, "z"), all_down_state(sites, seed=SEED))
+                          bulk_magnetization(sites, "z"), all_down_state(sites))
     decomp, dim, min_gap = full.decomposition, 2**sites, full.gap_stats.min_gap
     omega = equilibrium_state(decomp, full.initial)
     want = []
@@ -166,6 +165,17 @@ def test_sector_hamiltonian_rejects_a_mismatched_chain():
 def test_chain_rejects_an_unknown_axis():
     with pytest.raises(ValueError, match="'w'"):
         chain_system(SpinChainParams(sites=3), "w")
+
+
+def test_chain_starts_from_the_real_all_down_column():
+    """The all-down state is the sector's last column (k = N down spins),
+    exactly and in float64, so the chain takes the real path by dtype."""
+    system = chain_system(SpinChainParams(sites=7))
+    amps = system.initial.amplitudes
+    m = reflection_sector(7).dim
+    assert amps.dtype == np.float64
+    assert np.array_equal(amps, np.eye(m)[m - 1])
+    assert system.amps_eig.dtype == system.weighted_contraction.dtype == np.float64
 
 
 def _dense_isometry(sector):
