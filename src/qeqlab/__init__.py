@@ -55,7 +55,6 @@ from .harness import (
     compute_trajectory,
     evaluate_bounds,
     execute_experiment,
-    finite_time_average_curve,
     fit_exponential,
     prepare_system,
     sample_deviations,
@@ -66,8 +65,6 @@ from .harness import (
 from .linalg import (
     SpectralDecomposition,
     decompose_hermitian,
-    frobenius_norm,
-    operator_norm,
     trace_norm,
 )
 from .measurement import (

@@ -24,7 +24,6 @@ __all__ = [
     "Trajectory",
     "default_time_step",
     "effective_dimension",
-    "energy_populations",
     "equilibrium_state",
     "evolve",
     "finite_time_average_state",
@@ -87,45 +86,14 @@ def equilibrium_state(decomp: SpectralDecomposition, state) -> DensityMatrix:
     return DensityMatrix(decomp.from_eigenbasis(_dephase_eigenbasis(decomp, rho_eig)))
 
 
-def energy_populations(decomp: SpectralDecomposition, state) -> np.ndarray:
-    """Populations of the state on the Hamiltonian eigenspaces."""
-    if isinstance(state, PureState):
-        _check_dim(decomp, state.dim)
-        per_level = np.abs(decomp.eigenvectors.conj().T @ state.amplitudes) ** 2
-    else:
-        rho_eig = _rho_eigenbasis(decomp, state)
-        per_level = rho_eig.diagonal().real
-    edges = [sl.start for sl in decomp.cluster_slices]
-    return np.add.reduceat(per_level, edges)
-
-
-def effective_dimension(decomp: SpectralDecomposition, state) -> float:
-    """Effective dimension ``1 / sum_E Tr[Pi_E rho]^2``.
-
-    Cross-checked against the purity form ``1 / Tr[omega^2]``; the two
-    agree whenever the state is pure or the spectrum is nondegenerate
-    (every case this laboratory produces), and a mismatch means the
-    caller is in genuinely ambiguous territory, so it is an error.
-    For pure states the two expressions are algebraically identical and
-    the check is free.
-    """
-    pops = energy_populations(decomp, state)
-    from_populations = 1.0 / float(np.sum(pops**2))
+def effective_dimension(decomp: SpectralDecomposition, amps_eig: np.ndarray) -> float:
+    """Effective dimension ``1 / sum_E p_E^2`` of a pure state, given its
+    eigenbasis amplitudes ``amps_eig = U^dag psi``; ``p_E`` sums
+    ``|amps_eig|^2`` over the levels of eigenspace E."""
+    _check_dim(decomp, len(amps_eig))
+    pops = np.add.reduceat(np.abs(amps_eig) ** 2, [sl.start for sl in decomp.cluster_slices])
     # round-off can land a hair outside the mathematical range [1, d]
-    from_populations = min(max(from_populations, 1.0), float(decomp.dim))
-    if not isinstance(state, PureState):
-        rho_eig = _rho_eigenbasis(decomp, state)
-        purity = 0.0
-        for sl in decomp.cluster_slices:
-            purity += float(np.sum(np.abs(rho_eig[sl, sl]) ** 2))
-        from_purity = 1.0 / purity
-        if abs(from_populations - from_purity) > 1e-9 * max(1.0, from_purity):
-            raise ValueError(
-                "effective-dimension definitions disagree "
-                f"({from_populations!r} vs {from_purity!r}); degenerate spectrum "
-                "with a mixed state has no unambiguous effective dimension"
-            )
-    return from_populations
+    return min(max(1.0 / float(np.sum(pops**2)), 1.0), float(decomp.dim))
 
 
 def finite_time_average_state(decomp: SpectralDecomposition, state, T: float) -> DensityMatrix:

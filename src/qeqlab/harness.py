@@ -20,6 +20,7 @@ from .dynamics import (
     EquilibriumReference,
     GapStatistics,
     Trajectory,
+    _check_dim,
     default_time_step,
     effective_dimension,
     gap_statistics,
@@ -55,7 +56,6 @@ __all__ = [
     "compute_trajectory",
     "evaluate_bounds",
     "execute_experiment",
-    "finite_time_average_curve",
     "fit_exponential",
     "fluctuation_checks",
     "prepare_system",
@@ -141,6 +141,7 @@ def prepare_system(hamiltonian, observable, initial, label: str = "") -> Prepare
     if not isinstance(initial, PureState):
         raise TypeError(f"initial state must be a PureState, got {type(initial).__name__}")
     decomp = decompose_hermitian(hamiltonian)
+    _check_dim(decomp, initial.dim)
     if isinstance(observable, (ProjectiveMeasurement, Povm)):
         measurement = observable
     else:
@@ -151,9 +152,8 @@ def prepare_system(hamiltonian, observable, initial, label: str = "") -> Prepare
         # so its norm is the extremal value
         obs_norm = float(np.max(np.abs(measurement.values)))
     stats = gap_statistics(decomp)
-    d_eff = effective_dimension(decomp, initial)
-
     amps_eig = decomp.eigenvectors.conj().T @ initial.amplitudes
+    d_eff = effective_dimension(decomp, amps_eig)
     weighted = measurement.in_basis(decomp.eigenvectors) * amps_eig[None, :]
     # dephased-state populations without materializing omega:
     # accumulate |C[:, block] @ amps[block]|^2 over energy eigenspaces
@@ -388,14 +388,6 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
     return reports
 
 
-def finite_time_average_curve(trajectory: Trajectory, quantity: str, T_grid) -> list:
-    """``(T, <quantity>_T)`` pairs for a grid of averaging windows."""
-    out = []
-    for T in T_grid:
-        out.append((float(T), time_average_scalar(trajectory, quantity, float(T))))
-    return out
-
-
 def window_average(trajectory: Trajectory, quantity: str, t0: float, t1: float) -> float:
     """Average of a trajectory quantity over [t0, t1]."""
     if not 0 <= t0 < t1 <= trajectory.span * (1 + 1e-12):
@@ -468,7 +460,7 @@ def _get(raw: dict, dotted: str, convert, default=MISSING):
         return default
     try:
         return convert(raw[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float overflows
         raise ConfigError(dotted, str(exc)) from None
 
 
@@ -570,6 +562,8 @@ def _nest(table: dict, values: dict) -> dict:
 _MODEL_KEYS = {"tilted_ising": {"kind", "sites", "g", "h", "J"}, "precessing_spin": {"kind", "g"},
                "spin_bath": {"kind", "g", "bath_dim"}}
 _MODEL_KINDS = tuple(_MODEL_KEYS)
+# defaults of the analytic models' keys: one value for the run and its oracle
+_ANALYTIC_DEFAULTS = {"g": 1.0, "bath_dim": 4}
 _AXES = ("x", "y", "z")
 
 _SIMULATE_KEYS = {
@@ -584,6 +578,11 @@ _SIMULATE_KEYS = {
     "seed": ("seed", _int),
 }
 _SIMULATE_FREE = {"model": set().union(*_MODEL_KEYS.values()), "observable": {"axis"}}
+
+
+def _analytic(model: dict, key: str, convert):
+    """An analytic model's key, or its default."""
+    return _get({"model": model}, f"model.{key}", convert, _ANALYTIC_DEFAULTS[key])
 
 
 @dataclass
@@ -621,9 +620,9 @@ class ExperimentConfig:
         else:
             # the analytic models carry their own observable, sigma_z
             _require(axis == "z", "observable.axis", f"model kind {kind!r} measures sigma_z: must be 'z'")
-            _require(_get(model, "model.g", _float, 1.0) != 0, "model.g", "must be nonzero")
+            _require(_analytic(self.model, "g", _float) != 0, "model.g", "must be nonzero")
         if kind == "spin_bath":
-            _require(_get(model, "model.bath_dim", _int, 4) >= 1, "model.bath_dim", "must be >= 1")
+            _require(_analytic(self.model, "bath_dim", _int) >= 1, "model.bath_dim", "must be >= 1")
         _require(self.t_max > 0, "times.t_max", "must be positive")
         _require(self.dt is None or self.dt > 0, "times.dt", "must be positive")
         _check_windows("average_grid", self.average_grid, self.t_max)
@@ -652,12 +651,11 @@ def build_system(config: ExperimentConfig) -> PreparedSystem:
             J=float(config.model.get("J", SpinChainParams.J)),
         )
         return chain_system(params, config.observable.get("axis", "z"), label=config.label)
+    g = _analytic(config.model, "g", _float)
     if kind == "precessing_spin":
-        ham, initial, obs = precessing_spin(float(config.model.get("g", 1.0)))
+        ham, initial, obs = precessing_spin(g)
     else:
-        ham, initial, obs = spin_bath(
-            float(config.model.get("g", 1.0)), int(config.model.get("bath_dim", 4))
-        )
+        ham, initial, obs = spin_bath(g, _analytic(config.model, "bath_dim", _int))
     return prepare_system(ham, obs, initial, label=config.label)
 
 
@@ -698,8 +696,7 @@ def _oracle_populations(config: ExperimentConfig, times: np.ndarray) -> np.ndarr
     kind = config.model["kind"]
     if kind not in ("precessing_spin", "spin_bath"):
         return None
-    g = float(config.model.get("g", 1.0))
-    up = np.cos(g * times) ** 2
+    up = np.cos(_analytic(config.model, "g", _float) * times) ** 2
     return np.column_stack([up, 1.0 - up])
 
 
@@ -719,7 +716,7 @@ def execute_experiment(config: ExperimentConfig):
     trajectory = compute_trajectory(system, times)
 
     reports = evaluate_bounds(system, trajectory, config.average_grid)
-    reports.append(_bounds.average_entropy_check(trajectory, system.equilibrium.shannon, config.t_max))
+    reports.append(_bounds.average_entropy_check(trajectory, system.equilibrium.populations, config.t_max))
 
     # evaluate_bounds has rejected measurements with fewer than two outcomes
     r = system.r

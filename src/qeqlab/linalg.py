@@ -1,6 +1,5 @@
 """Dense Hermitian linear algebra: eigendecomposition with degeneracy
-grouping, eigenspace projectors, and the matrix norms used by the
-inequality checks.
+grouping, and the trace norm used by the inequality checks.
 
 Matrices are plain ``numpy`` arrays in their natural dtype: a real
 (float64) input stays real, so a real symmetric matrix gets a real
@@ -22,8 +21,6 @@ __all__ = [
     "NonHermitianError",
     "SpectralDecomposition",
     "decompose_hermitian",
-    "frobenius_norm",
-    "operator_norm",
     "trace_norm",
 ]
 
@@ -104,28 +101,12 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
     @property
-    def distinct_count(self) -> int:
-        """Number of distinct eigenvalues after degeneracy grouping."""
-        return len(self.cluster_slices)
-
-    @property
     def multiplicities(self) -> np.ndarray:
         return np.array([sl.stop - sl.start for sl in self.cluster_slices])
 
     @property
     def spectral_range(self) -> float:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
-    def projector(self, k: int) -> np.ndarray:
-        """Orthogonal projector onto cluster ``k`` (built on demand;
-        projectors are never stored to keep large decompositions cheap)."""
-        vecs = self.eigenvectors[:, self.cluster_slices[k]]
-        return vecs @ vecs.conj().T
-
-    def projectors(self):
-        """Iterate over all cluster projectors."""
-        for k in range(self.distinct_count):
-            yield self.projector(k)
 
     def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
         """Return ``U^dag M U``."""
@@ -134,10 +115,6 @@ class SpectralDecomposition:
     def from_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
         """Return ``U M U^dag``."""
         return self.eigenvectors @ matrix @ self.eigenvectors.conj().T
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the operator from clustered eigenvalues and eigenvectors."""
-        return (self.eigenvectors * self.level_values) @ self.eigenvectors.conj().T
 
 
 def cluster_indices(values: np.ndarray, tol: float) -> tuple[slice, ...]:
@@ -185,14 +162,3 @@ def trace_norm(matrix) -> float:
     arr = _as_square_array(matrix)
     return float(np.sum(np.linalg.svd(arr, compute_uv=False)))
 
-
-def frobenius_norm(matrix) -> float:
-    """Frobenius norm ``sqrt(Tr[M^dag M])``."""
-    arr = _as_square_array(matrix)
-    return float(np.linalg.norm(arr))
-
-
-def operator_norm(matrix) -> float:
-    """Largest singular value."""
-    arr = _as_square_array(matrix)
-    return float(np.linalg.norm(arr, 2))

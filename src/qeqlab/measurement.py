@@ -5,10 +5,10 @@ distances.
 A :class:`ProjectiveMeasurement` stores the measurement basis (one
 orthonormal column per microstate, or none when the space's own basis
 is the measurement basis) plus the grouping of basis columns into
-outcomes; projectors are assembled on demand only, so large
-measurements stay cheap. A :class:`Povm` stores the square-root factors
-``F_i`` of its effects ``E_i = F_i^dag F_i``, so its effects are positive
-by construction. Both offer ``vectors``, ``in_basis`` and ``group_sums``.
+outcomes; no projector is stored, so large measurements stay cheap. A
+:class:`Povm` stores the square-root factors ``F_i`` of its effects
+``E_i = F_i^dag F_i``, positive by construction. Both offer ``vectors``,
+``in_basis`` and ``group_sums``.
 """
 
 from __future__ import annotations
@@ -88,14 +88,6 @@ class ProjectiveMeasurement:
         """``basis^dag @ vectors``: measurement-basis coefficients of
         measured-space vectors."""
         return vectors if self.basis is None else self.basis.conj().T @ vectors
-
-    def projector(self, i: int) -> np.ndarray:
-        vecs = self.vectors(self.outcome_slices[i])
-        return vecs @ vecs.conj().T
-
-    def projectors(self):
-        for i in range(self.r):
-            yield self.projector(i)
 
     def group_sums(self, per_level: np.ndarray) -> np.ndarray:
         """Sum an array over basis columns within each outcome (first axis).

@@ -150,9 +150,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", arr)
         arr.setflags(write=False)
 
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
-
 
 def _check_cap(sites: int) -> int:
     # the exponent is clipped first: a huge site count never builds 2**sites

@@ -337,7 +337,7 @@ def run_verification(config: VerifyConfig, corrupt_trajectory=None) -> list:
         for report in evaluate_bounds(system, trajectory, config.average_grid):
             report.parameters["system"] = system.label
             reports.append(report)
-        jensen = _bounds.average_entropy_check(trajectory, system.equilibrium.shannon, config.t_max)
+        jensen = _bounds.average_entropy_check(trajectory, system.equilibrium.populations, config.t_max)
         jensen.parameters["system"] = system.label
         reports.append(jensen)
 

@@ -24,9 +24,9 @@ from qeqlab.dynamics import (
     finite_time_average_state,
     gap_statistics,
 )
-from qeqlab.entropy import binary_entropy, g_function
-from qeqlab.linalg import decompose_hermitian, operator_norm, trace_norm
-from qeqlab.models import bulk_magnetization, precessing_spin
+from qeqlab.entropy import binary_entropy, g_function, shannon_entropy
+from qeqlab.linalg import decompose_hermitian, trace_norm
+from qeqlab.models import SpinChainParams, bulk_magnetization, precessing_spin
 
 LN2 = math.log(2.0)
 
@@ -78,7 +78,7 @@ def test_expectation_bound_magnetization_norm():
     # |M_z| = 1 for every chain length, so the bound is f / d_eff
     for sites in (2, 4):
         M = bulk_magnetization(sites, "z")
-        assert np.isclose(expectation_bound(operator_norm(M), 10.0, 3.0), 0.3)
+        assert np.isclose(expectation_bound(np.linalg.norm(M, 2), 10.0, 3.0), 0.3)
 
 
 def test_shannon_deviation_bound_values():
@@ -205,16 +205,53 @@ def test_average_entropy_check_constant_at_equilibrium():
     from qeqlab.dynamics import EquilibriumReference, Trajectory
 
     ts = np.linspace(0.0, 10.0, 101)
-    s = np.full_like(ts, 1.3)
-    eq = EquilibriumReference(populations=np.array([1.0]), expectation=0.0,
-                              shannon=1.3, observational=1.3, boltzmann=0.0)
-    traj = Trajectory(times=ts, populations=np.ones((101, 1)), expectation=s,
+    p = np.array([0.25, 0.75])
+    s = np.full_like(ts, shannon_entropy(p))
+    eq = EquilibriumReference(populations=p, expectation=0.0,
+                              shannon=s[0], observational=s[0], boltzmann=0.0)
+    traj = Trajectory(times=ts, populations=np.tile(p, (101, 1)), expectation=s,
                       shannon=s, observational=s, boltzmann=np.zeros_like(ts),
                       equilibrium=eq)
-    report = average_entropy_check(traj, 1.3, 10.0)
+    report = average_entropy_check(traj, p, 10.0)
     assert abs(report.margin) < 1e-12
     with pytest.raises(ValueError, match="span"):
-        average_entropy_check(traj, 1.3, 20.0)
+        average_entropy_check(traj, p, 20.0)
+
+
+@pytest.fixture(scope="module")
+def weak_field_chain():
+    # weak transverse field: the entropy average overshoots S(omega) at T = 20
+    from qeqlab.dynamics import default_time_step
+    from qeqlab.harness import chain_system, compute_trajectory, time_grid
+
+    system = chain_system(SpinChainParams(sites=4, g=0.02, h=0.5, J=0.3))
+    dt = default_time_step(system.decomposition.spectral_range)
+    return system, compute_trajectory(system, time_grid(20.0, dt))
+
+
+def test_average_entropy_check_certifies_the_weak_field_chain(weak_field_chain):
+    system, traj = weak_field_chain
+    report = average_entropy_check(traj, system.equilibrium.populations, 20.0)
+    s_bar = report.parameters["shannon_averaged_populations"]
+    assert report.lhs > system.equilibrium.shannon  # S(omega) alone is no bound here
+    assert report.lhs <= s_bar <= report.rhs
+    assert report.status == "holds"
+    assert report.lhs == pytest.approx(0.27994, abs=1e-5)
+    assert report.rhs == pytest.approx(0.35621, abs=1e-5)
+    assert s_bar == pytest.approx(0.30072, abs=1e-5)
+
+
+def test_average_entropy_check_fails_above_the_certified_bound(weak_field_chain):
+    # negative control: entropies raised past the bound, populations untouched
+    from dataclasses import replace
+
+    system, traj = weak_field_chain
+    p_omega = system.equilibrium.populations
+    margin = average_entropy_check(traj, p_omega, 20.0).margin
+    doctored = replace(traj, shannon=traj.shannon + margin + 1e-3)
+    report = average_entropy_check(doctored, p_omega, 20.0)
+    assert report.status == "violated"
+    assert report.margin == pytest.approx(-1e-3, abs=1e-9)
 
 
 def test_average_entropy_strictly_below_equilibrium_for_spin():

@@ -303,6 +303,9 @@ def _run_with(tmp_path, command, overrides):
     return cli.main(args)
 
 
+_HUGE_INT = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("command, overrides, key", [
     ("simulate", ["times.dt=0"], "times.dt"),
     ("simulate", ["times.dt=-0.1"], "times.dt"),
@@ -383,6 +386,13 @@ def _run_with(tmp_path, command, overrides):
     # a repeated chain length leaves the fits a single x
     ("sweep", ["sites=[5, 5, 5]"], "sites"),
     ("sweep", ["sites=[3, 4, 4]"], "sites"),
+    # an integer past the largest float overflows its conversion
+    ("simulate", [f"times.t_max={_HUGE_INT}"], "times.t_max"),
+    ("simulate", [f"model.g={_HUGE_INT}"], "model.g"),
+    ("simulate", ['model={"kind": "precessing_spin", "g": %s}' % _HUGE_INT], "model.g"),
+    ("simulate", [f"average_grid=[10.0, {_HUGE_INT}]"], "average_grid"),
+    ("verify", [f"t_max={_HUGE_INT}"], "t_max"),
+    ("sweep", [f"t_max={_HUGE_INT}"], "t_max"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, overrides, key):
     assert _run_with(tmp_path, command, overrides) == 2

@@ -22,9 +22,16 @@ from qeqlab.dynamics import (
 )
 from qeqlab.entropy import von_neumann_entropy
 from qeqlab.harness import chain_system
-from qeqlab.linalg import decompose_hermitian, frobenius_norm, operator_norm
+from qeqlab.linalg import decompose_hermitian
 from qeqlab.measurement import populations, pvm_from_observable
-from qeqlab.models import DensityMatrix, PureState, SpinChainParams, pauli, precessing_spin
+from qeqlab.models import (
+    DensityMatrix,
+    PureState,
+    SpinChainParams,
+    pauli,
+    precessing_spin,
+    spin_bath,
+)
 
 
 def random_hermitian(rng, dim):
@@ -36,6 +43,19 @@ def random_density(rng, dim):
     G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = G @ G.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
+
+
+def random_pure(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return PureState(psi / np.linalg.norm(psi))
+
+
+def purity(rho):
+    return float(np.sum(np.abs(rho.matrix) ** 2))
+
+
+def amps_eig(decomp, state):
+    return decomp.eigenvectors.conj().T @ state.amplitudes
 
 
 def brute_force_window_count(values, eps):
@@ -78,11 +98,11 @@ def test_evolve_preserves_trace_purity_entropy():
     rng = np.random.default_rng(1)
     decomp = decompose_hermitian(random_hermitian(rng, 8))
     rho = random_density(rng, 8)
-    s0, p0 = von_neumann_entropy(rho), rho.purity()
+    s0, p0 = von_neumann_entropy(rho), purity(rho)
     for t in (0.1, 1.0, 25.0):
         out = evolve(decomp, rho, t)
         assert abs(np.trace(out.matrix).real - 1.0) < 1e-10
-        assert abs(out.purity() - p0) < 1e-9
+        assert abs(purity(out) - p0) < 1e-9
         assert abs(von_neumann_entropy(out) - s0) < 1e-8
 
 
@@ -110,30 +130,39 @@ def test_equilibrium_state_cases(spin):
     ham = random_hermitian(rng, 6)
     d = decompose_hermitian(ham)
     omega = equilibrium_state(d, random_density(rng, 6)).matrix
-    assert operator_norm(ham @ omega - omega @ ham) < 1e-9
+    assert np.linalg.norm(ham @ omega - omega @ ham, 2) < 1e-9
 
 
 def test_effective_dimension_cases(spin):
     decomp, initial, _ = spin
-    assert abs(effective_dimension(decomp, initial) - 2.0) < 1e-12
+    assert abs(effective_dimension(decomp, amps_eig(decomp, initial)) - 2.0) < 1e-12
 
     rng = np.random.default_rng(3)
     d = decompose_hermitian(random_hermitian(rng, 7))
     eigenstate = PureState(d.eigenvectors[:, 4])
-    assert abs(effective_dimension(d, eigenstate) - 1.0) < 1e-10
-    assert abs(effective_dimension(d, DensityMatrix(np.eye(7) / 7)) - 7.0) < 1e-9
+    assert abs(effective_dimension(d, amps_eig(d, eigenstate)) - 1.0) < 1e-10
+    # equal weight on all 7 nondegenerate levels
+    uniform = PureState(d.eigenvectors @ np.full(7, 1.0 / math.sqrt(7.0)))
+    assert abs(effective_dimension(d, amps_eig(d, uniform)) - 7.0) < 1e-9
+    with pytest.raises(ValueError, match="mismatch"):
+        effective_dimension(d, np.ones(3) / math.sqrt(3.0))
 
 
-def test_effective_dimension_dual_route_random():
+def test_effective_dimension_matches_purity_for_pure_states():
+    # a pure state has d_eff = 1 / Tr[omega^2], degenerate spectrum or not
     rng = np.random.default_rng(4)
+    bath_ham, bath_initial, _ = spin_bath(0.7, 3)  # levels -0.7 and 0.7, each 3-fold
+    bath = decompose_hermitian(bath_ham)
+    assert list(bath.multiplicities) == [3, 3]
+    cases = [(bath, bath_initial)] + [(bath, random_pure(rng, 6)) for _ in range(5)]
     for _ in range(10):
         dim = int(rng.integers(2, 33))
-        decomp = decompose_hermitian(random_hermitian(rng, dim))
-        rho = random_density(rng, dim)
-        d_eff = effective_dimension(decomp, rho)  # raises if routes disagree
-        omega = equilibrium_state(decomp, rho)
-        assert abs(d_eff - 1.0 / omega.purity()) < 1e-9 * max(1.0, d_eff)
-        assert 1.0 - 1e-9 <= d_eff <= dim + 1e-9
+        cases.append((decompose_hermitian(random_hermitian(rng, dim)), random_pure(rng, dim)))
+    for decomp, psi in cases:
+        d_eff = effective_dimension(decomp, amps_eig(decomp, psi))
+        omega = equilibrium_state(decomp, psi)
+        assert abs(d_eff - 1.0 / purity(omega)) < 1e-9 * max(1.0, d_eff)
+        assert 1.0 - 1e-9 <= d_eff <= len(decomp.cluster_slices) + 1e-9
 
 
 def test_finite_time_average_small_T_and_diagonal(spin):
@@ -185,7 +214,7 @@ def test_averaged_state_converges_to_omega():
         omega = equilibrium_state(decomp, rho)
         for T in (10.0, 100.0, 1000.0):
             avg = finite_time_average_state(decomp, rho, T)
-            assert frobenius_norm(avg.matrix - omega.matrix) <= 2.0 / (stats.min_gap * T) + 1e-12
+            assert np.linalg.norm(avg.matrix - omega.matrix) <= 2.0 / (stats.min_gap * T) + 1e-12
 
 
 def test_gap_statistics_two_level():
@@ -333,7 +362,8 @@ def test_time_average_population_distance_one_period(spin):
     decomp, initial, measurement = spin
     from qeqlab.harness import compute_trajectory, prepare_system
 
-    system = prepare_system(decomp.reconstruct(), measurement, initial)
+    ham = (decomp.eigenvectors * decomp.level_values) @ decomp.eigenvectors.conj().T
+    system = prepare_system(ham, measurement, initial)
     ts = np.linspace(0.0, math.pi, 20001)
     traj = compute_trajectory(system, ts)
     avg = time_average_scalar(traj, "population_distance", math.pi)

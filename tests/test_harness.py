@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qeqlab.dynamics import evolve
+from qeqlab.dynamics import evolve, time_average_scalar
 from qeqlab.harness import (
     ConfigError,
     ExperimentConfig,
     compute_trajectory,
     evaluate_bounds,
     execute_experiment,
-    finite_time_average_curve,
     fit_exponential,
     prepare_system,
     sample_deviations,
@@ -81,6 +80,12 @@ def test_prepare_system_rejects_a_mixed_state():
     with pytest.raises(TypeError, match="PureState, got DensityMatrix"):
         prepare_system(tilted_ising_chain(SpinChainParams(sites=2)),
                        bulk_magnetization(2, "z"), mixed)
+
+
+def test_prepare_system_rejects_a_state_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch: decomposition 4, state 8"):
+        prepare_system(tilted_ising_chain(SpinChainParams(sites=2)),
+                       bulk_magnetization(2, "z"), all_down_state(3))
 
 
 def test_equilibrium_reference_matches_omega_oracle():
@@ -198,8 +203,8 @@ def test_finite_time_average_curve_flat_for_constant():
     system = small_chain(2)
     traj = compute_trajectory(system, time_grid(10.0, 0.02))
     constant = np.full_like(traj.times, 2.5)
-    curve = finite_time_average_curve(traj, constant, [2.0, 5.0, 10.0])
-    assert np.allclose([v for _, v in curve], 2.5, atol=1e-12)
+    curve = [time_average_scalar(traj, constant, T) for T in (2.0, 5.0, 10.0)]
+    assert np.allclose(curve, 2.5, atol=1e-12)
 
 
 def test_evaluate_bounds_requires_two_outcomes():
@@ -315,6 +320,26 @@ def test_run_experiment_oracle_flag():
     assert report.oracle is not None
     assert report.oracle["passed"]
     assert report.oracle["max_population_error"] < 1e-8
+
+
+@pytest.mark.parametrize("model", [{"kind": "precessing_spin"}, {"kind": "spin_bath"},
+                                   {"kind": "spin_bath", "g": 0.7, "bath_dim": 3}])
+def test_analytic_run_and_oracle_share_g(model):
+    from qeqlab.harness import _ANALYTIC_DEFAULTS
+
+    config = ExperimentConfig.from_dict({
+        "label": "analytic",
+        "model": model,
+        "times": {"t_max": 10.0, "dt": 0.01},
+        "average_grid": [10.0],
+        "fluctuation": {"window": 10.0, "count": 10},
+    })
+    report, system, _ = execute_experiment(config)
+    g = model.get("g", _ANALYTIC_DEFAULTS["g"])
+    assert system.decomposition.spectral_range == pytest.approx(2 * g, abs=1e-12)
+    bath = model.get("bath_dim", _ANALYTIC_DEFAULTS["bath_dim"]) if model["kind"] == "spin_bath" else 1
+    assert system.dim == 2 * bath
+    assert report.oracle["passed"]
 
 
 def test_spin_bath_counterexample_experiment():

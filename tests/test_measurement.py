@@ -48,12 +48,13 @@ def test_pvm_projectors_complete_and_orthogonal():
     rng = np.random.default_rng(0)
     G = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     m = pvm_from_observable((G + G.conj().T) / 2)
-    total = sum(m.projectors())
+    projectors = [m.vectors(sl) @ m.vectors(sl).conj().T for sl in m.outcome_slices]
+    total = sum(projectors)
     assert np.max(np.abs(total - np.eye(6))) < 1e-10
     for i in range(m.r):
         for j in range(m.r):
-            prod = m.projector(i) @ m.projector(j)
-            target = m.projector(i) if i == j else np.zeros((6, 6))
+            prod = projectors[i] @ projectors[j]
+            target = projectors[i] if i == j else np.zeros((6, 6))
             assert np.max(np.abs(prod - target)) < 1e-10
 
 
