@@ -47,8 +47,6 @@ from .entropy import (
 )
 from .harness import (
     ExperimentConfig,
-    ExperimentReport,
-    FitResult,
     PreparedSystem,
     build_system,
     chain_system,

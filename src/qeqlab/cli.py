@@ -102,7 +102,7 @@ def cmd_simulate(args) -> int:
     label = config.label
     t1 = time.monotonic()
     trajectory_csv(outdir / f"trajectory_{label}.csv", system, trajectory)
-    (outdir / f"report_{label}.json").write_text(canonical_json(report.to_json_dict()) + "\n")
+    (outdir / f"report_{label}.json").write_text(canonical_json(report) + "\n")
     t_write = time.monotonic() - t1
     _write_manifest(outdir, args.config, config.resolved_dict(),
                     {"run": t_run, "write": t_write})
@@ -176,13 +176,7 @@ def cmd_sweep(args) -> int:
               "dim", "delta_alt_prefactor", "nu"]
     rows = [[row[key] for key in header] for row in sweep["rows"]]
     write_csv(outdir / "sweep_summary.csv", header, rows)
-    fits = {
-        "delta_fit": sweep["delta_fit"],
-        "late_fit": sweep["late_fit"],
-        "delta_inversions": sweep["delta_inversions"],
-        "late_inversions": sweep["late_inversions"],
-        "late_window": sweep["late_window"],
-    }
+    fits = sweep["fits"]
     (outdir / "sweep_fits.json").write_text(canonical_json(fits) + "\n")
     _write_manifest(outdir, args.config, {"sweep": True, **kwargs},
                     {"run": t_run})

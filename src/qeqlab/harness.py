@@ -3,7 +3,8 @@ bound evaluation per averaging window, fluctuation sampling, chain-length
 sweeps, and exponential fits.
 
 Everything is deterministic given the configuration (including its
-seed); reports serialize to JSON through ``to_json_dict`` methods.
+seed); an experiment's report and a sweep's fits are the plain JSON
+objects the CLI writes.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ from .models import bulk_magnetization, tilted_ising_chain
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentReport",
-    "FitResult",
     "PreparedSystem",
     "build_system",
     "chain_system",
@@ -101,7 +100,6 @@ class PreparedSystem:
     is solved in a symmetry sector.
     """
 
-    label: str
     decomposition: SpectralDecomposition
     measurement: ProjectiveMeasurement | Povm
     initial: PureState
@@ -130,7 +128,7 @@ def _entropy_rows(pops: np.ndarray, multiplicities: np.ndarray):
     return shannon, shannon + boltzmann, boltzmann
 
 
-def prepare_system(hamiltonian, observable, initial, label: str = "") -> PreparedSystem:
+def prepare_system(hamiltonian, observable, initial) -> PreparedSystem:
     """Diagonalize, build the measurement, and precompute equilibrium
     references and gap statistics.
 
@@ -174,7 +172,6 @@ def prepare_system(hamiltonian, observable, initial, label: str = "") -> Prepare
         boltzmann=float(b_row[0]),
     )
     return PreparedSystem(
-        label=label,
         decomposition=decomp,
         measurement=measurement,
         initial=initial,
@@ -187,7 +184,7 @@ def prepare_system(hamiltonian, observable, initial, label: str = "") -> Prepare
     )
 
 
-def chain_system(params: SpinChainParams, axis: str = "z", label: str = "") -> PreparedSystem:
+def chain_system(params: SpinChainParams, axis: str = "z") -> PreparedSystem:
     """The mixed-field Ising chain measured through its bulk magnetization
     along ``axis`` and started in the real all-down state.
 
@@ -215,7 +212,7 @@ def chain_system(params: SpinChainParams, axis: str = "z", label: str = "") -> P
                                         outcome_slices=sector.magnetization_slices(),
                                         basis=basis,
                                         multiplicities=np.array([math.comb(n, k) for k in down]))
-    return prepare_system(ham, measurement, initial, label=label)
+    return prepare_system(ham, measurement, initial)
 
 
 def _sq_amplitudes(weighted: np.ndarray, levels: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -297,6 +294,17 @@ def sample_deviations(system: PreparedSystem, window: float, count: int, seed: i
     return np.abs(shannon - eq.shannon), np.abs(observational - eq.observational)
 
 
+def _asymptotic_bounds(system: PreparedSystem) -> dict:
+    """The infinite-time Shannon bound delta, its ln(r + 1) variant, and
+    the observational bound nu."""
+    r, d_eff = system.r, system.d_eff
+    return {
+        "delta": _bounds.asymptotic_shannon_bound(r, d_eff),
+        "delta_alt_prefactor": _bounds.asymptotic_shannon_bound(r, d_eff, alt_prefactor=True),
+        "nu": _bounds.asymptotic_observational_bound(r, d_eff, system.dim),
+    }
+
+
 def fluctuation_checks(system: PreparedSystem, window: float, count: int, seed: int):
     """Tail checks of the Shannon and observational entropy deviations at
     ``count`` random times in [0, window]: each deviation may reach the
@@ -309,9 +317,8 @@ def fluctuation_checks(system: PreparedSystem, window: float, count: int, seed: 
 
     Returns ``(reports, summary)``.
     """
-    r = system.r
-    delta = _bounds.asymptotic_shannon_bound(r, system.d_eff)
-    nu = _bounds.asymptotic_observational_bound(r, system.d_eff, system.dim)
+    asymptotic = _asymptotic_bounds(system)
+    delta, nu = asymptotic["delta"], asymptotic["nu"]
     sh, ob = sample_deviations(system, window, count, seed)
     reports = [
         _bounds.tail_bound_check(sh, math.sqrt(delta), delta, name="shannon_fluctuation"),
@@ -401,20 +408,9 @@ def window_average(trajectory: Trajectory, quantity: str, t0: float, t1: float) 
 # exponential fits
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares fit of ``a * exp(b * x)`` on log-transformed values."""
-
-    a: float
-    b: float
-    residual: float
-
-    def to_json_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "residual": self.residual}
-
-
-def fit_exponential(points) -> FitResult:
-    """Fit ``value = a exp(b x)`` by linear least squares on ln(value).
+def fit_exponential(points) -> dict:
+    """Fit ``value = a exp(b x)`` by linear least squares on ln(value):
+    ``{"a", "b", "residual"}``.
 
     Requires at least three points, at two or more distinct x, with
     positive values; the residual is the rms misfit of ln(value).
@@ -428,7 +424,7 @@ def fit_exponential(points) -> FitResult:
         raise ValueError("exponential fit needs positive values")
     b, ln_a = np.polyfit(xs, np.log(vs), 1)
     resid = np.log(vs) - (ln_a + b * xs)
-    return FitResult(a=float(np.exp(ln_a)), b=float(b), residual=float(np.sqrt(np.mean(resid**2))))
+    return {"a": float(np.exp(ln_a)), "b": float(b), "residual": float(np.sqrt(np.mean(resid**2)))}
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +581,19 @@ def _analytic(model: dict, key: str, convert):
     return _get({"model": model}, f"model.{key}", convert, _ANALYTIC_DEFAULTS[key])
 
 
+def _chain_params(model: dict) -> SpinChainParams:
+    """A tilted_ising model's couplings, an absent one taking its
+    :class:`~qeqlab.models.SpinChainParams` default."""
+    raw = {"model": model}
+    _require("sites" in model, "model.sites", "required for tilted_ising")
+    sites = _get(raw, "model.sites", _int)
+    _require(sites >= 2, "model.sites", "must be >= 2")
+    _check_cap(sites)
+    couplings = {key: _get(raw, f"model.{key}", _float, getattr(SpinChainParams, key)) for key in "ghJ"}
+    _require(any(couplings.values()), "model", "g, h and J are all zero: H = 0 has no dynamics")
+    return SpinChainParams(sites=sites, **couplings)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment run."""
@@ -607,15 +616,9 @@ class ExperimentConfig:
         _require(kind in _MODEL_KINDS, "model.kind", f"must be one of {_MODEL_KINDS}, got {kind!r}")
         for key in self.model:
             _require(key in _MODEL_KEYS[kind], f"model.{key}", f"not read by model kind {kind!r}")
-        model = {"model": self.model}
         axis = self.observable.get("axis", "z")
         if kind == "tilted_ising":
-            _require("sites" in self.model, "model.sites", "required for tilted_ising")
-            sites = _get(model, "model.sites", _int)
-            _require(sites >= 2, "model.sites", "must be >= 2")
-            _check_cap(sites)
-            for key in ("g", "h", "J"):
-                _get(model, f"model.{key}", _float, None)
+            _chain_params(self.model)
             _require(axis in _AXES, "observable.axis", f"must be one of {_AXES}")
         else:
             # the analytic models carry their own observable, sigma_z
@@ -644,51 +647,17 @@ def build_system(config: ExperimentConfig) -> PreparedSystem:
     """Construct the model, measurement and initial state of a config."""
     kind = config.model["kind"]
     if kind == "tilted_ising":
-        params = SpinChainParams(
-            sites=int(config.model["sites"]),
-            g=float(config.model.get("g", SpinChainParams.g)),
-            h=float(config.model.get("h", SpinChainParams.h)),
-            J=float(config.model.get("J", SpinChainParams.J)),
-        )
-        return chain_system(params, config.observable.get("axis", "z"), label=config.label)
+        return chain_system(_chain_params(config.model), config.observable.get("axis", "z"))
     g = _analytic(config.model, "g", _float)
     if kind == "precessing_spin":
         ham, initial, obs = precessing_spin(g)
     else:
         ham, initial, obs = spin_bath(g, _analytic(config.model, "bath_dim", _int))
-    return prepare_system(ham, obs, initial, label=config.label)
+    return prepare_system(ham, obs, initial)
 
 
 # ---------------------------------------------------------------------------
 # experiment driver
-
-
-@dataclass
-class ExperimentReport:
-    """Everything one experiment run produced, JSON-serializable."""
-
-    label: str
-    config: dict
-    system: dict
-    equilibrium: dict
-    past_hypothesis: dict
-    trajectory_summary: dict
-    bound_reports: list
-    fluctuations: dict | None
-    oracle: dict | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "config": self.config,
-            "system": self.system,
-            "equilibrium": self.equilibrium,
-            "past_hypothesis": self.past_hypothesis,
-            "trajectory_summary": self.trajectory_summary,
-            "bounds": [r.to_json_dict() for r in self.bound_reports],
-            "fluctuations": self.fluctuations,
-            "oracle": self.oracle,
-        }
 
 
 def _oracle_populations(config: ExperimentConfig, times: np.ndarray) -> np.ndarray | None:
@@ -708,7 +677,8 @@ def execute_experiment(config: ExperimentConfig):
     records the initial-versus-equilibrium entropy data. Nothing is
     written to disk; the CLI layer handles persistence.
 
-    Returns ``(report, system, trajectory)``.
+    Returns ``(report, system, trajectory)``, where ``report`` is the JSON
+    object ``simulate`` writes.
     """
     system = build_system(config)
     dt = config.dt if config.dt is not None else default_time_step(system.decomposition.spectral_range)
@@ -765,9 +735,7 @@ def execute_experiment(config: ExperimentConfig):
         "spectral_range": system.decomposition.spectral_range,
         "d_eff": system.d_eff,
         "eta_infinite": _bounds.population_distance_bound(r, system.d_eff, 1.0),
-        "delta": _bounds.asymptotic_shannon_bound(r, system.d_eff),
-        "delta_alt_prefactor": _bounds.asymptotic_shannon_bound(r, system.d_eff, alt_prefactor=True),
-        "nu": _bounds.asymptotic_observational_bound(r, system.d_eff, system.dim),
+        **_asymptotic_bounds(system),
         "delta_applicable": system.gap_stats.degenerate_gap_multiplicity() <= 1,
     }
     equilibrium = {
@@ -777,17 +745,17 @@ def execute_experiment(config: ExperimentConfig):
         "observational": system.equilibrium.observational,
         "boltzmann": system.equilibrium.boltzmann,
     }
-    report = ExperimentReport(
-        label=config.label,
-        config=config.resolved_dict(),
-        system=system_info,
-        equilibrium=equilibrium,
-        past_hypothesis=past_hypothesis,
-        trajectory_summary=trajectory_summary,
-        bound_reports=reports,
-        fluctuations=fluctuations,
-        oracle=oracle,
-    )
+    report = {
+        "label": config.label,
+        "config": config.resolved_dict(),
+        "system": system_info,
+        "equilibrium": equilibrium,
+        "past_hypothesis": past_hypothesis,
+        "trajectory_summary": trajectory_summary,
+        "bounds": [rep.to_json_dict() for rep in reports],
+        "fluctuations": fluctuations,
+        "oracle": oracle,
+    }
     return report, system, trajectory
 
 
@@ -797,36 +765,35 @@ def execute_experiment(config: ExperimentConfig):
 
 def sweep_chain_lengths(sites=(5, 6, 7, 8, 9), t_max: float = 100.0,
                         late_window: tuple = (50.0, 80.0), axis: str = "z") -> dict:
-    """Sweep the chain length and collect the scaling data: per-N
-    effective dimension, asymptotic bound, and late-time-averaged
-    entropy deviation, plus exponential fits of both curves."""
+    """Sweep the chain length and collect the scaling data: ``rows`` holds
+    the per-N effective dimension, asymptotic bounds, and late-time-averaged
+    entropy deviation; ``fits`` the exponential fits of both curves, as
+    ``sweep`` writes them."""
     rows = []
     for n in sites:
-        system = chain_system(SpinChainParams(sites=int(n)), axis, label=f"chain_{n}")
+        system = chain_system(SpinChainParams(sites=int(n)), axis)
         dt = default_time_step(system.decomposition.spectral_range)
         trajectory = compute_trajectory(system, time_grid(t_max, dt))
         late = window_average(trajectory, "shannon_abs_dev", late_window[0], late_window[1])
-        r = system.measurement.r
         rows.append({
             "sites": int(n),
             "dim": system.dim,
-            "outcomes": r,
+            "outcomes": system.r,
             "d_eff": system.d_eff,
-            "delta": _bounds.asymptotic_shannon_bound(r, system.d_eff),
-            "delta_alt_prefactor": _bounds.asymptotic_shannon_bound(r, system.d_eff, alt_prefactor=True),
-            "nu": _bounds.asymptotic_observational_bound(r, system.d_eff, system.dim),
+            **_asymptotic_bounds(system),
             "late_abs_dev": late,
         })
-    delta_fit = fit_exponential([(row["sites"], row["delta"]) for row in rows])
-    late_fit = fit_exponential([(row["sites"], row["late_abs_dev"]) for row in rows])
-    return {
-        "rows": rows,
+    lengths = [row["sites"] for row in rows]
+    deltas = [row["delta"] for row in rows]
+    lates = [row["late_abs_dev"] for row in rows]
+    fits = {
         "late_window": list(late_window),
-        "delta_fit": delta_fit.to_json_dict(),
-        "late_fit": late_fit.to_json_dict(),
-        "delta_inversions": _count_inversions([row["delta"] for row in rows]),
-        "late_inversions": _count_inversions([row["late_abs_dev"] for row in rows]),
+        "delta_fit": fit_exponential(zip(lengths, deltas)),
+        "late_fit": fit_exponential(zip(lengths, lates)),
+        "delta_inversions": _count_inversions(deltas),
+        "late_inversions": _count_inversions(lates),
     }
+    return {"rows": rows, "fits": fits}
 
 
 _SWEEP_KEYS = {

@@ -183,97 +183,90 @@ def random_partition_pvm(rng, dim: int, outcomes: int):
 # randomized suites (each returns a single summarizing report)
 
 
-def _summarize(name: str, worst, cases: int, violations: int, extra: dict) -> _bounds.BoundReport:
-    params = {"cases": cases, "violations": violations, **extra}
+def _suite_report(name: str, cases, extra: dict) -> _bounds.BoundReport:
+    """One report of a suite's ``(lhs, rhs)`` cases: the worst case (the
+    first with the largest ``lhs - rhs``), the number of cases and the
+    number that violate ``lhs <= rhs + ATOL_BOUND``."""
+    worst = None
+    count = violations = 0
+    for lhs, rhs in cases:
+        count += 1
+        violations += lhs > rhs + _bounds.ATOL_BOUND
+        if worst is None or lhs - rhs > worst[0] - worst[1]:
+            worst = (lhs, rhs)
+    params = {"cases": count, "violations": violations, **extra}
     return _bounds.BoundReport(name=name, lhs=worst[0], rhs=worst[1], parameters=params)
-
-
-def _track(worst, lhs: float, rhs: float):
-    return (lhs, rhs) if worst is None or lhs - rhs > worst[0] - worst[1] else worst
 
 
 def shannon_continuity_suite(rng, pairs: int = 10_000) -> _bounds.BoundReport:
     """|S(p) - S(q)| against the distribution continuity bound on random
     distribution pairs."""
-    worst = None
-    violations = 0
-    for _ in range(pairs):
-        r = int(rng.integers(2, _SHANNON_MAX_OUTCOMES + 1))
-        p = rng.dirichlet(np.ones(r))
-        q = rng.dirichlet(np.ones(r))
-        lhs = abs(shannon_entropy(p) - shannon_entropy(q))
-        rhs = shannon_continuity_bound(p, q)
-        violations += lhs > rhs + _bounds.ATOL_BOUND
-        worst = _track(worst, lhs, rhs)
-    return _summarize("shannon_continuity_suite", worst, pairs, violations,
-                      {"max_outcomes": _SHANNON_MAX_OUTCOMES})
+    def draws():
+        for _ in range(pairs):
+            r = int(rng.integers(2, _SHANNON_MAX_OUTCOMES + 1))
+            p = rng.dirichlet(np.ones(r))
+            q = rng.dirichlet(np.ones(r))
+            yield abs(shannon_entropy(p) - shannon_entropy(q)), shannon_continuity_bound(p, q)
+
+    return _suite_report("shannon_continuity_suite", draws(), {"max_outcomes": _SHANNON_MAX_OUTCOMES})
 
 
 def observational_continuity_suite(rng, cases: int = 1_000) -> _bounds.BoundReport:
     """Observational-entropy continuity on random state pairs sharing a
     measurement; alternates nondegenerate and coarse measurements."""
-    worst = None
-    violations = 0
-    for k in range(cases):
-        dim = int(rng.integers(2, _OBSERVATIONAL_MAX_DIM + 1))
-        if k % 2 == 0:
-            measurement = pvm_from_observable(random_hermitian(rng, dim))
-        else:
-            outcomes = int(rng.integers(2, min(dim, 8) + 1))
-            measurement = random_partition_pvm(rng, dim, outcomes)
-        rho = random_density_matrix(rng, dim)
-        sigma = random_density_matrix(rng, dim)
-        p = populations(measurement, rho)
-        q = populations(measurement, sigma)
-        mult = measurement.multiplicities
-        lhs = abs(observational_entropy(p, mult) - observational_entropy(q, mult))
-        rhs = observational_continuity_bound(p, q, dim)
-        violations += lhs > rhs + _bounds.ATOL_BOUND
-        worst = _track(worst, lhs, rhs)
-    return _summarize("observational_continuity_suite", worst, cases, violations,
-                      {"max_dim": _OBSERVATIONAL_MAX_DIM})
+    def draws():
+        for k in range(cases):
+            dim = int(rng.integers(2, _OBSERVATIONAL_MAX_DIM + 1))
+            if k % 2 == 0:
+                measurement = pvm_from_observable(random_hermitian(rng, dim))
+            else:
+                outcomes = int(rng.integers(2, min(dim, 8) + 1))
+                measurement = random_partition_pvm(rng, dim, outcomes)
+            rho = random_density_matrix(rng, dim)
+            sigma = random_density_matrix(rng, dim)
+            p = populations(measurement, rho)
+            q = populations(measurement, sigma)
+            mult = measurement.multiplicities
+            yield (abs(observational_entropy(p, mult) - observational_entropy(q, mult)),
+                   observational_continuity_bound(p, q, dim))
+
+    return _suite_report("observational_continuity_suite", draws(), {"max_dim": _OBSERVATIONAL_MAX_DIM})
 
 
 def von_neumann_continuity_suite(rng, cases: int = 1_000) -> _bounds.BoundReport:
     """von Neumann entropy difference against the trace-distance bound."""
-    worst = None
-    violations = 0
-    for k in range(cases):
-        dim = int(rng.integers(2, _VON_NEUMANN_MAX_DIM + 1))
-        rho = random_density_matrix(rng, dim)
-        if k % 3 == 0:
-            sigma = random_pure_state(rng, dim).density_matrix()
-        else:
-            sigma = random_density_matrix(rng, dim, rank=int(rng.integers(1, dim + 1)))
-        lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
-        rhs = von_neumann_continuity_bound(rho, sigma)
-        violations += lhs > rhs + _bounds.ATOL_BOUND
-        worst = _track(worst, lhs, rhs)
-    return _summarize("von_neumann_continuity_suite", worst, cases, violations,
-                      {"max_dim": _VON_NEUMANN_MAX_DIM})
+    def draws():
+        for k in range(cases):
+            dim = int(rng.integers(2, _VON_NEUMANN_MAX_DIM + 1))
+            rho = random_density_matrix(rng, dim)
+            if k % 3 == 0:
+                sigma = random_pure_state(rng, dim).density_matrix()
+            else:
+                sigma = random_density_matrix(rng, dim, rank=int(rng.integers(1, dim + 1)))
+            yield (abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma)),
+                   von_neumann_continuity_bound(rho, sigma))
+
+    return _suite_report("von_neumann_continuity_suite", draws(), {"max_dim": _VON_NEUMANN_MAX_DIM})
 
 
 def povm_equilibration_suite(rng, cases: int = 1_000) -> _bounds.BoundReport:
     """Population equilibration (and the entropy bounds it implies) for
     random Hamiltonians measured through random POVMs."""
-    worst = None
-    violations = 0
-    checks = 0
-    for _ in range(cases):
-        dim = int(rng.integers(4, _POVM_MAX_DIM + 1))
-        outcomes = int(rng.integers(2, _POVM_MAX_OUTCOMES + 1))
-        ham = random_hermitian(rng, dim)
-        povm = random_povm(rng, dim, outcomes)
-        system = prepare_system(ham, povm, random_pure_state(rng, dim))
-        dt = default_time_step(system.decomposition.spectral_range)
-        trajectory = compute_trajectory(system, time_grid(_POVM_WINDOW, dt))
-        for report in evaluate_bounds(system, trajectory, [_POVM_WINDOW], eps_points=_POVM_EPS_POINTS):
-            checks += 1
-            violations += not report.holds
-            worst = _track(worst, report.lhs, report.rhs)
-    return _summarize("povm_equilibration_suite", worst, checks, violations,
-                      {"systems": cases, "max_dim": _POVM_MAX_DIM, "max_outcomes": _POVM_MAX_OUTCOMES,
-                       "window": _POVM_WINDOW})
+    def draws():
+        for _ in range(cases):
+            dim = int(rng.integers(4, _POVM_MAX_DIM + 1))
+            outcomes = int(rng.integers(2, _POVM_MAX_OUTCOMES + 1))
+            ham = random_hermitian(rng, dim)
+            povm = random_povm(rng, dim, outcomes)
+            system = prepare_system(ham, povm, random_pure_state(rng, dim))
+            dt = default_time_step(system.decomposition.spectral_range)
+            trajectory = compute_trajectory(system, time_grid(_POVM_WINDOW, dt))
+            for report in evaluate_bounds(system, trajectory, [_POVM_WINDOW], eps_points=_POVM_EPS_POINTS):
+                yield report.lhs, report.rhs
+
+    return _suite_report("povm_equilibration_suite", draws(),
+                         {"systems": cases, "max_dim": _POVM_MAX_DIM, "max_outcomes": _POVM_MAX_OUTCOMES,
+                          "window": _POVM_WINDOW})
 
 
 def time_averaged_state_suite(sites, windows) -> list:
@@ -291,7 +284,7 @@ def time_averaged_state_suite(sites, windows) -> list:
     reports = []
     for n in sites:
         n = int(n)
-        system = chain_system(SpinChainParams(sites=n), label=f"avg_state_{n}")
+        system = chain_system(SpinChainParams(sites=n))
         decomp = system.decomposition
         omega = equilibrium_state(decomp, system.initial)
         s_omega = von_neumann_entropy(omega)
@@ -299,7 +292,7 @@ def time_averaged_state_suite(sites, windows) -> list:
         dim = decomp.dim
         for T in map(float, windows):
             avg = finite_time_average_state(decomp, system.initial, T)
-            params = {"system": system.label, "sites": n, "dim": dim, "T": T, "min_gap": min_gap}
+            params = {"system": f"avg_state_{n}", "sites": n, "dim": dim, "T": T, "min_gap": min_gap}
             reports.append(_bounds.BoundReport(
                 name="averaged_state_distance",
                 lhs=trace_norm(avg.matrix - omega.matrix),
@@ -326,28 +319,28 @@ def run_verification(config: VerifyConfig, corrupt_trajectory=None) -> list:
     trajectory before bound evaluation and may return a tampered one (a
     negative control must make the run fail).
     """
-    reports = []
-
+    by_system = []  # (system name, its reports)
     for n in config.sites:
-        system = chain_system(SpinChainParams(sites=int(n)), label=f"chain_{n}")
+        system = chain_system(SpinChainParams(sites=int(n)))
         dt = default_time_step(system.decomposition.spectral_range)
         trajectory = compute_trajectory(system, time_grid(config.t_max, dt))
         if corrupt_trajectory is not None:
             trajectory = corrupt_trajectory(trajectory)
-        for report in evaluate_bounds(system, trajectory, config.average_grid):
-            report.parameters["system"] = system.label
-            reports.append(report)
+        checks = evaluate_bounds(system, trajectory, config.average_grid)
         jensen = _bounds.average_entropy_check(trajectory, system.equilibrium.populations, config.t_max)
-        jensen.parameters["system"] = system.label
-        reports.append(jensen)
+        by_system.append((f"chain_{n}", checks + [jensen]))
 
     n = config.fluctuation_sites
-    system = chain_system(SpinChainParams(sites=int(n)), label=f"fluct_{n}")
+    system = chain_system(SpinChainParams(sites=int(n)))
     checks, _ = fluctuation_checks(system, config.fluctuation_window, config.fluctuation_count,
                                    config.seed)
-    for report in checks:
-        report.parameters["system"] = system.label
-        reports.append(report)
+    by_system.append((f"fluct_{n}", checks))
+
+    reports = []
+    for name, checks in by_system:
+        for report in checks:
+            report.parameters["system"] = name
+        reports.extend(checks)
 
     reports.extend(time_averaged_state_suite(config.averaged_state_sites,
                                              config.averaged_state_windows))

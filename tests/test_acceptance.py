@@ -56,7 +56,6 @@ def build_chain(sites, axis="z", t_max=100.0):
         tilted_ising_chain(SpinChainParams(sites=sites)),
         bulk_magnetization(sites, axis),
         all_down_state(sites),
-        label=f"chain_{sites}_{axis}",
     )
     dt = default_time_step(system.decomposition.spectral_range)
     trajectory = compute_trajectory(system, time_grid(t_max, dt))
@@ -196,16 +195,16 @@ def test_criterion_08_continuity_suites():
 
 def test_criterion_09_figure_reproduction(chain_data):
     data, _ = chain_data
-    sweep = sweep_chain_lengths(range(5, 11))
+    fits = sweep_chain_lengths(range(5, 11))["fits"]
 
-    b_delta = sweep["delta_fit"]["b"]
-    assert abs(b_delta - (-0.0920)) <= 0.2 * 0.0920, sweep["delta_fit"]
-    b_late = sweep["late_fit"]["b"]
+    b_delta = fits["delta_fit"]["b"]
+    assert abs(b_delta - (-0.0920)) <= 0.2 * 0.0920, fits["delta_fit"]
+    b_late = fits["late_fit"]["b"]
     assert b_late < 0
-    assert -0.239 * 2 <= b_late <= -0.239 / 2, sweep["late_fit"]
+    assert -0.239 * 2 <= b_late <= -0.239 / 2, fits["late_fit"]
     # finite-size scaling trend: decreasing up to at most one inversion
-    assert sweep["late_inversions"] <= 1
-    assert sweep["delta_inversions"] <= 1
+    assert fits["late_inversions"] <= 1
+    assert fits["delta_inversions"] <= 1
 
     # finite-window averages stay below the infinite-window bound value
     for n, (system_n, trajectory_n) in data.items():

@@ -264,6 +264,20 @@ def test_sweep_outputs(tmp_path):
     assert again == lines
 
 
+def test_written_report_and_fits_are_the_returned_objects(tmp_path):
+    # simulate and sweep write what execute_experiment and
+    # sweep_chain_lengths return, with nothing picked out or converted
+    from qeqlab.harness import ExperimentConfig, execute_experiment, sweep_chain_lengths, sweep_config
+
+    assert _run_with(tmp_path, "simulate", []) == 0
+    assert _run_with(tmp_path, "sweep", []) == 0
+    report = execute_experiment(ExperimentConfig.from_dict(BASE_CONFIGS["simulate"]))[0]
+    fits = sweep_chain_lengths(**sweep_config(BASE_CONFIGS["sweep"]))["fits"]
+    out = tmp_path / "out"
+    assert (out / "report_n3.json").read_bytes() == (canonical_json(report) + "\n").encode()
+    assert (out / "sweep_fits.json").read_bytes() == (canonical_json(fits) + "\n").encode()
+
+
 def test_float_serialization_17_digits():
     assert format_number(1.0 / 3.0) == "0.33333333333333331"
     assert format_number(-0.0) == "0"
@@ -393,6 +407,8 @@ _HUGE_INT = "1" + "0" * 400
     ("simulate", [f"average_grid=[10.0, {_HUGE_INT}]"], "average_grid"),
     ("verify", [f"t_max={_HUGE_INT}"], "t_max"),
     ("sweep", [f"t_max={_HUGE_INT}"], "t_max"),
+    # a chain with g = h = J = 0 has H = 0 and no dynamics
+    ("simulate", ["model.g=0", "model.h=0", "model.J=0"], "model"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, overrides, key):
     assert _run_with(tmp_path, command, overrides) == 2

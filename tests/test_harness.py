@@ -37,7 +37,6 @@ def small_chain(sites=3, axis="z"):
         tilted_ising_chain(params),
         bulk_magnetization(sites, axis),
         all_down_state(sites),
-        label=f"chain_{sites}",
     )
 
 
@@ -187,9 +186,9 @@ def test_sample_deviations_share_one_draw_of_times():
 def test_fit_exponential_exact_recovery():
     points = [(n, 2.0 * math.exp(-0.5 * n)) for n in range(3, 10)]
     fit = fit_exponential(points)
-    assert abs(fit.a - 2.0) < 1e-10
-    assert abs(fit.b + 0.5) < 1e-10
-    assert fit.residual < 1e-12
+    assert abs(fit["a"] - 2.0) < 1e-10
+    assert abs(fit["b"] + 0.5) < 1e-10
+    assert fit["residual"] < 1e-12
     with pytest.raises(ValueError, match="3 points"):
         fit_exponential(points[:2])
     with pytest.raises(ValueError, match="positive"):
@@ -197,6 +196,21 @@ def test_fit_exponential_exact_recovery():
     # a line through one x is not determined: polyfit would return its minimum-norm solution
     with pytest.raises(ValueError, match="distinct x"):
         fit_exponential([(5, 1.0), (5, 2.0), (5, 3.0)])
+
+
+def test_suite_report_counts_violations_and_keeps_the_first_worst_case():
+    from qeqlab.bounds import ATOL_BOUND
+    from qeqlab.verify import _suite_report
+
+    # one violated case; a case exactly ATOL_BOUND over its bound holds
+    cases = [(0.25, 1.0), (1.0 + ATOL_BOUND, 1.0), (3.0, 2.0), (0.5, 0.75)]
+    report = _suite_report("suite", iter(cases), {"max_dim": 4})
+    assert report.parameters == {"cases": 4, "violations": 1, "max_dim": 4}
+    assert (report.name, report.lhs, report.rhs) == ("suite", 3.0, 2.0)
+    # of two cases with the same largest lhs - rhs, the first is the worst
+    report = _suite_report("suite", iter([(0.5, 1.0), (0.25, 0.5), (0.5, 0.75), (0.0, 1.0)]), {})
+    assert report.parameters == {"cases": 4, "violations": 0}
+    assert (report.lhs, report.rhs) == (0.25, 0.5)
 
 
 def test_finite_time_average_curve_flat_for_constant():
@@ -260,8 +274,8 @@ def test_run_experiment_deterministic():
         "fluctuation": {"window": 50.0, "count": 200},
         "seed": 11,
     })
-    a = canonical_json(execute_experiment(config)[0].to_json_dict())
-    b = canonical_json(execute_experiment(config)[0].to_json_dict())
+    a = canonical_json(execute_experiment(config)[0])
+    b = canonical_json(execute_experiment(config)[0])
     assert a == b
 
 
@@ -275,16 +289,16 @@ def test_run_experiment_past_hypothesis_and_bounds():
         "seed": 0,
     })
     report, system, trajectory = execute_experiment(config)
-    assert report.past_hypothesis["initial_shannon"] == 0.0
-    assert report.past_hypothesis["equilibrium_shannon"] > 0.0
-    assert all(r.holds for r in report.bound_reports)
-    names = {r.name for r in report.bound_reports}
+    assert report["past_hypothesis"]["initial_shannon"] == 0.0
+    assert report["past_hypothesis"]["equilibrium_shannon"] > 0.0
+    assert all(r["status"] == "holds" for r in report["bounds"])
+    names = {r["name"] for r in report["bounds"]}
     assert {"population_equilibration", "shannon_deviation", "observational_deviation",
             "expectation_deviation", "average_entropy_vs_equilibrium",
             "shannon_fluctuation", "observational_fluctuation"} <= names
     # every inequality appears exactly once per averaging window
     for name in ("population_equilibration", "shannon_deviation"):
-        Ts = [r.parameters["T"] for r in report.bound_reports if r.name == name]
+        Ts = [r["parameters"]["T"] for r in report["bounds"] if r["name"] == name]
         assert Ts == [10.0, 50.0]
     # magnetization starts at -1 and moves toward the equilibrium value
     assert trajectory.expectation[0] == pytest.approx(-1.0, abs=1e-12)
@@ -305,7 +319,7 @@ def test_report_delta_matches_independent_formula():
     r, d_eff = system.measurement.r, system.d_eff
     x = 0.5 * math.sqrt(r / d_eff)
     h2 = -x * math.log(x) - (1 - x) * math.log(1 - x) if x <= 0.5 else math.log(2)
-    assert abs(report.system["delta"] - (math.log(r - 1) * x + h2)) < 1e-12
+    assert abs(report["system"]["delta"] - (math.log(r - 1) * x + h2)) < 1e-12
 
 
 def test_run_experiment_oracle_flag():
@@ -317,9 +331,9 @@ def test_run_experiment_oracle_flag():
         "fluctuation": {"window": 100.0, "count": 100},
     })
     report = execute_experiment(config)[0]
-    assert report.oracle is not None
-    assert report.oracle["passed"]
-    assert report.oracle["max_population_error"] < 1e-8
+    assert report["oracle"] is not None
+    assert report["oracle"]["passed"]
+    assert report["oracle"]["max_population_error"] < 1e-8
 
 
 @pytest.mark.parametrize("model", [{"kind": "precessing_spin"}, {"kind": "spin_bath"},
@@ -339,7 +353,7 @@ def test_analytic_run_and_oracle_share_g(model):
     assert system.decomposition.spectral_range == pytest.approx(2 * g, abs=1e-12)
     bath = model.get("bath_dim", _ANALYTIC_DEFAULTS["bath_dim"]) if model["kind"] == "spin_bath" else 1
     assert system.dim == 2 * bath
-    assert report.oracle["passed"]
+    assert report["oracle"]["passed"]
 
 
 def test_spin_bath_counterexample_experiment():
@@ -354,7 +368,7 @@ def test_spin_bath_counterexample_experiment():
         report, system, trajectory = execute_experiment(config)
         swing = trajectory.shannon.max() - trajectory.shannon.min()
         assert swing >= 0.99 * math.log(2)
-        assert report.trajectory_summary["boltzmann_variance"] <= 1e-12
+        assert report["trajectory_summary"]["boltzmann_variance"] <= 1e-12
         assert np.max(np.abs(trajectory.boltzmann - math.log(bath_dim))) <= 1e-10
 
 
@@ -365,4 +379,4 @@ def test_sweep_chain_lengths_structure():
         assert row["outcomes"] == row["sites"] + 1
         assert 1.0 <= row["d_eff"] <= row["dim"]
         assert row["delta"] > 0 and row["late_abs_dev"] > 0
-    assert set(sweep["delta_fit"]) == {"a", "b", "residual"}
+    assert set(sweep["fits"]["delta_fit"]) == {"a", "b", "residual"}
