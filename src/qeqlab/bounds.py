@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 ATOL_BOUND = 1e-9
+# Confidence level of every Clopper-Pearson edge a tail check reports.
+CONFIDENCE = 0.99
 
 
 @dataclass
@@ -170,23 +172,17 @@ def averaged_state_entropy_bound(dim: int, min_gap: float, T: float) -> float:
     return math.log(dim) * theta + capped_binary_entropy(theta)
 
 
-def clopper_pearson_upper(successes: int, trials: int, confidence: float = 0.99) -> float:
+def clopper_pearson_upper(successes: int, trials: int) -> float:
     """One-sided upper confidence limit for a binomial proportion: the
-    ``confidence`` quantile of Beta(successes + 1, trials - successes)."""
+    ``CONFIDENCE`` quantile of Beta(successes + 1, trials - successes)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if successes >= trials:
         return 1.0
-    return float(betaincinv(successes + 1, trials - successes, confidence))
+    return float(betaincinv(successes + 1, trials - successes, CONFIDENCE))
 
 
-def tail_bound_check(
-    samples,
-    threshold: float,
-    mean_bound: float,
-    name: str = "tail_frequency",
-    confidence: float = 0.99,
-) -> BoundReport:
+def tail_bound_check(samples, threshold: float, mean_bound: float, name: str) -> BoundReport:
     """Generalized-Chebyshev tail check on sampled deviations.
 
     Compares the empirical frequency of ``sample >= threshold`` (taken at
@@ -202,7 +198,7 @@ def tail_bound_check(
         raise ValueError("threshold must be positive")
     exceed = int(np.count_nonzero(samples >= threshold))
     frequency = exceed / samples.size
-    upper = clopper_pearson_upper(exceed, samples.size, confidence)
+    upper = clopper_pearson_upper(exceed, samples.size)
     return BoundReport(
         name=name,
         lhs=upper,
@@ -212,17 +208,12 @@ def tail_bound_check(
             "samples": int(samples.size),
             "exceed_count": exceed,
             "raw_frequency": frequency,
-            "confidence": confidence,
+            "confidence": CONFIDENCE,
         },
     )
 
 
-def average_entropy_check(
-    trajectory: Trajectory,
-    equilibrium_populations,
-    T: float,
-    name: str = "average_entropy_vs_equilibrium",
-) -> BoundReport:
+def average_entropy_check(trajectory: Trajectory, equilibrium_populations, T: float) -> BoundReport:
     """Time-averaged Shannon entropy against S(omega), certified at every T:
     the trapezoid average is a convex combination of samples, so by
     concavity it is at most S(p_bar), p_bar being the outcome populations
@@ -232,7 +223,7 @@ def average_entropy_check(
     p_bar = np.array([time_average_scalar(trajectory, column, T, check_refinement=False)
                       for column in trajectory.populations.T])
     return BoundReport(
-        name=name,
+        name="average_entropy_vs_equilibrium",
         lhs=lhs,
         rhs=shannon_entropy(equilibrium_populations)
         + shannon_continuity_bound(p_bar, equilibrium_populations),

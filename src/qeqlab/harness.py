@@ -108,7 +108,13 @@ class PreparedSystem:
     equilibrium: EquilibriumReference
     amps_eig: np.ndarray = field(repr=False)
     weighted_contraction: np.ndarray = field(repr=False)
-    observable_norm: float | None = None
+
+    @property
+    def observable_norm(self) -> float | None:
+        """Norm of the measured operator, its extremal outcome value (the
+        values reconstruct it exactly); None for a measurement without values."""
+        values = self.measurement.values
+        return None if values is None else float(np.max(np.abs(values)))
 
     @property
     def dim(self) -> int:
@@ -144,11 +150,6 @@ def prepare_system(hamiltonian, observable, initial) -> PreparedSystem:
         measurement = observable
     else:
         measurement = pvm_from_observable(np.asarray(observable))
-    obs_norm = None
-    if isinstance(measurement, ProjectiveMeasurement):
-        # the outcome values reconstruct the measured operator exactly,
-        # so its norm is the extremal value
-        obs_norm = float(np.max(np.abs(measurement.values)))
     stats = gap_statistics(decomp)
     amps_eig = decomp.eigenvectors.conj().T @ initial.amplitudes
     d_eff = effective_dimension(decomp, amps_eig)
@@ -180,7 +181,6 @@ def prepare_system(hamiltonian, observable, initial) -> PreparedSystem:
         equilibrium=equilibrium,
         amps_eig=amps_eig,
         weighted_contraction=weighted,
-        observable_norm=obs_norm,
     )
 
 
@@ -252,7 +252,8 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
     """Uniform grid covering [0, t_max], endpoint included."""
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
-    n = int(math.ceil(t_max / dt - 1e-9))
+    # at least one step: a t_max below 1e-9 steps still needs a grid that reaches it
+    n = max(1, int(math.ceil(t_max / dt - 1e-9)))
     return np.arange(n + 1) * dt
 
 
@@ -347,6 +348,7 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
     stats = system.gap_stats
     r = system.measurement.r
     dim = system.dim
+    norm = system.observable_norm
     if r < 2:
         raise ValueError("bound evaluation needs a measurement with r >= 2")
     windows = [float(T) for T in T_grid]
@@ -365,33 +367,20 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
             "d_eff": system.d_eff,
             "dim": dim,
         }
-        reports.append(_bounds.BoundReport(
-            name="population_equilibration",
-            lhs=time_average_scalar(trajectory, "population_distance", T),
-            rhs=eta,
-            parameters=dict(params),
-        ))
-        shannon_params = dict(params)
-        shannon_params["rhs_alt_prefactor"] = _bounds.shannon_deviation_bound(r, eta, alt_prefactor=True)
-        reports.append(_bounds.BoundReport(
-            name="shannon_deviation",
-            lhs=time_average_scalar(trajectory, "shannon_abs_dev", T),
-            rhs=_bounds.shannon_deviation_bound(r, eta),
-            parameters=shannon_params,
-        ))
-        reports.append(_bounds.BoundReport(
-            name="observational_deviation",
-            lhs=time_average_scalar(trajectory, "observational_abs_dev", T),
-            rhs=_bounds.observational_deviation_bound(dim, eta),
-            parameters=dict(params),
-        ))
-        if system.observable_norm is not None:
-            reports.append(_bounds.BoundReport(
-                name="expectation_deviation",
-                lhs=time_average_scalar(trajectory, "expectation_sq_dev", T),
-                rhs=_bounds.expectation_bound(system.observable_norm, system.d_eff, factor),
-                parameters=dict(params),
-            ))
+        rows = [
+            ("population_equilibration", "population_distance", eta, {}),
+            ("shannon_deviation", "shannon_abs_dev", _bounds.shannon_deviation_bound(r, eta),
+             {"rhs_alt_prefactor": _bounds.shannon_deviation_bound(r, eta, alt_prefactor=True)}),
+            ("observational_deviation", "observational_abs_dev",
+             _bounds.observational_deviation_bound(dim, eta), {}),
+        ]
+        if norm is not None:
+            rows.append(("expectation_deviation", "expectation_sq_dev",
+                         _bounds.expectation_bound(norm, system.d_eff, factor), {}))
+        # one average per row, in row order, so reports and warnings keep their order
+        for name, quantity, rhs, extra in rows:
+            reports.append(_bounds.BoundReport(name=name, lhs=time_average_scalar(trajectory, quantity, T),
+                                               rhs=rhs, parameters={**params, **extra}))
     return reports
 
 

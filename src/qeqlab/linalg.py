@@ -87,12 +87,10 @@ class SpectralDecomposition:
     cluster_values: np.ndarray
     # cluster mean broadcast back to all d levels; used by the dynamics so
     # that degenerate levels carry exactly equal phases.
-    level_values: np.ndarray = field(repr=False, default=None)
+    level_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.level_values is None:
-            level_values = np.repeat(self.cluster_values, self.multiplicities)
-            object.__setattr__(self, "level_values", level_values)
+        object.__setattr__(self, "level_values", np.repeat(self.cluster_values, self.multiplicities))
         for name in ("eigenvalues", "eigenvectors", "cluster_values", "level_values"):
             getattr(self, name).setflags(write=False)
 

@@ -13,7 +13,7 @@ outcomes; no projector is stored, so large measurements stay cheap. A
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,9 +80,9 @@ class ProjectiveMeasurement:
         """Dimension of the measured space."""
         return self.outcome_slices[-1].stop
 
-    def vectors(self, columns=slice(None)) -> np.ndarray:
+    def vectors(self) -> np.ndarray:
         """Measurement-basis columns as a dense array."""
-        return np.eye(self.dim)[:, columns] if self.basis is None else self.basis[:, columns]
+        return np.eye(self.dim) if self.basis is None else self.basis
 
     def in_basis(self, vectors: np.ndarray) -> np.ndarray:
         """``basis^dag @ vectors``: measurement-basis coefficients of
@@ -109,7 +109,8 @@ class Povm:
     """
 
     factors: np.ndarray  # (r, k, d)
-    values: np.ndarray = field(default=None)
+    # a POVM carries no outcome values, so it has no expectation bound
+    values = None
 
     def __post_init__(self):
         factors = np.asarray(self.factors, dtype=complex)
@@ -122,12 +123,6 @@ class Povm:
             raise ValueError("effects do not sum to the identity")
         object.__setattr__(self, "factors", factors)
         factors.setflags(write=False)
-        if self.values is not None:
-            vals = np.asarray(self.values, dtype=float)
-            if vals.shape != (factors.shape[0],):
-                raise ValueError("values length must match the number of effects")
-            object.__setattr__(self, "values", vals)
-            vals.setflags(write=False)
 
     @property
     def r(self) -> int:

@@ -67,7 +67,6 @@ DEFAULT_FIELD_G = (math.sqrt(5) + 5) / 8    # transverse field, ~0.9045
 DEFAULT_COUPLING_J = 1.0
 
 _PAULI = {
-    "i": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
@@ -79,7 +78,7 @@ class DimensionCapError(ValueError):
 
 
 def pauli(axis: str) -> np.ndarray:
-    """Single-site Pauli matrix for axis 'x', 'y', 'z' (or 'i')."""
+    """Single-site Pauli matrix for axis 'x', 'y' or 'z'."""
     try:
         return _PAULI[axis].copy()
     except KeyError:

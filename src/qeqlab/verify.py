@@ -136,22 +136,27 @@ class VerifyConfig:
 # random inputs
 
 
+def _ginibre(rng, *shape) -> np.ndarray:
+    """Complex Gaussian array, real part drawn first."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def random_density_matrix(rng, dim: int, rank: int | None = None):
     """Haar-ish random mixed state from a Ginibre factor."""
     rank = rank or dim
-    G = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    G = _ginibre(rng, dim, rank)
     rho = G @ G.conj().T
     rho /= np.trace(rho).real
     return DensityMatrix(rho)
 
 
 def random_hermitian(rng, dim: int) -> np.ndarray:
-    G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    G = _ginibre(rng, dim, dim)
     return (G + G.conj().T) / 2
 
 
 def random_pure_state(rng, dim: int) -> PureState:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = _ginibre(rng, dim)
     return PureState(v / np.linalg.norm(v))
 
 
@@ -159,8 +164,7 @@ def random_povm(rng, dim: int, outcomes: int) -> Povm:
     """Random POVM: Ginibre-positive pieces ``G_i G_i^dag`` whitened to sum
     to 1. The factors are ``G_i^dag W`` with ``W = (sum_i G_i G_i^dag)^(-1/2)``,
     so the effects are ``W G_i G_i^dag W``."""
-    G = np.stack([rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                  for _ in range(outcomes)])
+    G = np.stack([_ginibre(rng, dim, dim) for _ in range(outcomes)])
     G_dag = np.swapaxes(G.conj(), 1, 2)
     w, V = np.linalg.eigh(np.sum(G @ G_dag, axis=0))
     inv_sqrt = (V * (1.0 / np.sqrt(w))) @ V.conj().T
@@ -170,8 +174,7 @@ def random_povm(rng, dim: int, outcomes: int) -> Povm:
 def random_partition_pvm(rng, dim: int, outcomes: int):
     """PVM with multi-dimensional eigenspaces: random orthonormal basis
     split into random contiguous groups."""
-    G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    Q, _ = np.linalg.qr(G)
+    Q, _ = np.linalg.qr(_ginibre(rng, dim, dim))
     cuts = np.sort(rng.choice(np.arange(1, dim), size=outcomes - 1, replace=False))
     edges = np.concatenate([[0], cuts, [dim]])
     values = np.arange(outcomes, 0, -1, dtype=float)  # descending, arbitrary labels

@@ -150,12 +150,12 @@ def test_criterion_06_fluctuation_tail(chain_data):
     # one draw of times feeds both checks, each valid on its own
     samples, obs_samples = sample_deviations(system, 1.0e4, 10_000, seed=123)
     delta = asymptotic_shannon_bound(system.r, system.d_eff)
-    report = tail_bound_check(samples, math.sqrt(delta), delta, confidence=0.99)
+    report = tail_bound_check(samples, math.sqrt(delta), delta, "shannon_fluctuation")
     assert report.lhs <= math.sqrt(delta)      # Clopper-Pearson 99% upper edge
     assert report.holds
 
     nu = asymptotic_observational_bound(system.r, system.d_eff, system.dim)
-    obs_report = tail_bound_check(obs_samples, math.sqrt(nu), nu, confidence=0.99)
+    obs_report = tail_bound_check(obs_samples, math.sqrt(nu), nu, "observational_fluctuation")
     assert obs_report.holds
 
     elapsed = time.monotonic() - t0

@@ -149,21 +149,21 @@ def test_averaged_state_trace_norm_on_two_level():
 
 
 def test_tail_bound_check_cases():
-    report = tail_bound_check(np.zeros(100), 0.5, 0.25)
+    report = tail_bound_check(np.zeros(100), 0.5, 0.25, "tail")
     assert report.holds
     assert report.parameters["exceed_count"] == 0
 
     rng = np.random.default_rng(0)
     samples = rng.uniform(0.0, 1.0, 20_000)
-    report = tail_bound_check(samples, 0.5, 0.5)
+    report = tail_bound_check(samples, 0.5, 0.5, "tail")
     assert np.isclose(report.parameters["raw_frequency"], 0.5, atol=0.02)
     assert report.rhs == 1.0
     assert report.holds
 
     with pytest.raises(ValueError):
-        tail_bound_check([], 0.5, 0.5)
+        tail_bound_check([], 0.5, 0.5, "tail")
     with pytest.raises(ValueError):
-        tail_bound_check([-1.0], 0.5, 0.5)
+        tail_bound_check([-1.0], 0.5, 0.5, "tail")
 
 
 def test_clopper_pearson_upper_values():
@@ -179,10 +179,9 @@ def test_clopper_pearson_upper_matches_beta_ppf():
 
     for trials in (1, 2, 7, 100, 1000, 10_000):
         for successes in sorted({0, trials // 3, trials // 2, trials - 1}):
-            for confidence in (0.9, 0.99):
-                want = stats.beta.ppf(confidence, successes + 1, trials - successes)
-                got = clopper_pearson_upper(successes, trials, confidence)
-                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+            want = stats.beta.ppf(0.99, successes + 1, trials - successes)
+            got = clopper_pearson_upper(successes, trials)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_package_import_skips_scipy_stats():

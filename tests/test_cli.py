@@ -48,6 +48,27 @@ def test_simulate_minimal(tmp_path, capsys):
     assert float(first[2]) == 0.0   # low-entropy start
 
 
+def test_simulate_t_max_below_one_step(tmp_path):
+    out = tmp_path / "tiny"
+    rc = cli.main(["simulate", str(ROOT / "configs" / "simulate_chain.json"), "--out", str(out),
+                   "--set", "times.t_max=1e-11", "--set", "average_grid=[1e-11]",
+                   "--set", "fluctuation.count=100"])
+    assert rc == 0
+    assert (out / "report_mz_n7.json").exists() and (out / "trajectory_mz_n7.csv").exists()
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
+def test_shipped_config_parses(path):
+    from qeqlab.harness import ExperimentConfig, sweep_config
+    from qeqlab.verify import VerifyConfig
+
+    parse = {"simulate": ExperimentConfig.from_dict, "verify": VerifyConfig.from_dict,
+             "sweep": sweep_config}[path.name.split("_")[0]]
+    raw = json.loads(path.read_text())
+    raw.pop("output_dir", None)
+    parse(raw)
+
+
 def test_simulate_rerun_byte_identical(tmp_path):
     config = minimal_sim_config(tmp_path)
     assert cli.main(["simulate", config]) == 0

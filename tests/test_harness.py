@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qeqlab.bounds import shannon_deviation_bound
 from qeqlab.dynamics import evolve, time_average_scalar
 from qeqlab.harness import (
     ConfigError,
@@ -104,6 +105,11 @@ def test_time_grid_covers_t_max():
     assert np.allclose(np.diff(ts), 0.3)
     with pytest.raises(ValueError):
         time_grid(0.0, 0.1)
+
+
+def test_time_grid_takes_at_least_one_step():
+    # t_max below 1e-9 steps: the grid still reaches t_max
+    assert np.array_equal(time_grid(1e-11, 0.02), [0.0, 0.02])
 
 
 def test_window_average_matches_oracle():
@@ -380,3 +386,51 @@ def test_sweep_chain_lengths_structure():
         assert 1.0 <= row["d_eff"] <= row["dim"]
         assert row["delta"] > 0 and row["late_abs_dev"] > 0
     assert set(sweep["fits"]["delta_fit"]) == {"a", "b", "residual"}
+
+
+def _chain_report(model, t_max=10.0, grid=(5.0, 10.0)):
+    return execute_experiment(ExperimentConfig.from_dict({
+        "label": "fields",
+        "model": model,
+        "times": {"t_max": t_max},
+        "average_grid": list(grid),
+        "fluctuation": {"window": 50.0, "count": 100},
+    }))
+
+
+def test_delta_applicable_follows_the_degenerate_gap_multiplicity():
+    report, _, _ = _chain_report({"kind": "tilted_ising", "sites": 7})
+    assert report["system"]["delta_applicable"] is True
+    # a transverse field alone: the gaps of the free spins coincide
+    model = {"kind": "tilted_ising", "sites": 3, "g": 1.0, "h": 0.0, "J": 0.0}
+    report, system, _ = _chain_report(model, grid=[10.0])
+    assert system.gap_stats.degenerate_gap_multiplicity() == 3
+    assert report["system"]["delta_applicable"] is False
+
+
+def test_past_hypothesis_late_band_recomputed_from_the_trajectory():
+    report, system, trajectory = _chain_report({"kind": "tilted_ising", "sites": 4}, t_max=40.0, grid=[40.0])
+    late = trajectory.times >= 0.75 * 40.0
+    band = np.max(np.abs(trajectory.shannon[late] - system.equilibrium.shannon))
+    ph = report["past_hypothesis"]
+    assert ph["late_band"] == band == report["trajectory_summary"]["late_band"]
+    initial, eq = ph["initial_shannon"], ph["equilibrium_shannon"]
+    assert ph["within_late_band"] == (abs(initial - eq) <= band)
+    assert ph["ratio"] == initial / eq
+
+
+def test_shannon_reports_carry_the_alt_prefactor_bound():
+    report, _, _ = _chain_report({"kind": "tilted_ising", "sites": 4})
+    shannon = [rep for rep in report["bounds"] if rep["name"] == "shannon_deviation"]
+    assert len(shannon) == 2
+    for rep in shannon:
+        params = rep["parameters"]
+        want = shannon_deviation_bound(params["outcomes"], params["eta"], alt_prefactor=True)
+        assert params["rhs_alt_prefactor"] == want > rep["rhs"]
+
+
+def test_sweep_inversions_count_upward_steps():
+    sweep = sweep_chain_lengths([2, 3, 4], t_max=30.0, late_window=(10.0, 25.0))
+    for key, column in (("delta_inversions", "delta"), ("late_inversions", "late_abs_dev")):
+        values = [row[column] for row in sweep["rows"]]
+        assert sweep["fits"][key] == sum(b > a for a, b in zip(values, values[1:]))

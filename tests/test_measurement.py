@@ -48,7 +48,7 @@ def test_pvm_projectors_complete_and_orthogonal():
     rng = np.random.default_rng(0)
     G = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     m = pvm_from_observable((G + G.conj().T) / 2)
-    projectors = [m.vectors(sl) @ m.vectors(sl).conj().T for sl in m.outcome_slices]
+    projectors = [m.vectors()[:, sl] @ m.vectors()[:, sl].conj().T for sl in m.outcome_slices]
     total = sum(projectors)
     assert np.max(np.abs(total - np.eye(6))) < 1e-10
     for i in range(m.r):
@@ -192,18 +192,15 @@ def test_povm_validation():
     non_finite[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         Povm(factors=non_finite)
-    with pytest.raises(ValueError, match="values"):
-        Povm(factors=HALF_HALF, values=[1.0])
     with pytest.raises(ValueError, match="factors"):
         Povm(factors=np.eye(2))
 
 
 def test_povm_derives_effects_and_multiplicities_from_factors():
-    povm = Povm(factors=HALF_HALF, values=[1, -1])
+    povm = Povm(factors=HALF_HALF)
     assert np.allclose(povm.effects, [np.eye(2) / 2] * 2, atol=1e-15)
     assert np.allclose(povm.multiplicities, [1.0, 1.0], atol=1e-15)
-    assert povm.values.dtype == float and not povm.values.flags.writeable
-    assert [f.name for f in fields(Povm)] == ["factors", "values"]
+    assert povm.values is None and [f.name for f in fields(Povm)] == ["factors"]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -158,7 +158,7 @@ def test_povm_of_pvm_projectors_matches_the_pvm(case):
     rng = np.random.default_rng(200 + case)
     dim = int(rng.integers(4, 17))
     pvm = random_partition_pvm(rng, dim, int(rng.integers(2, 5)))
-    povm = Povm(factors=np.array([pvm.vectors(sl) @ pvm.vectors(sl).conj().T
+    povm = Povm(factors=np.array([pvm.vectors()[:, sl] @ pvm.vectors()[:, sl].conj().T
                                   for sl in pvm.outcome_slices]))
     ham, initial = random_hermitian(rng, dim), random_pure_state(rng, dim)
     as_pvm, as_povm = prepare_system(ham, pvm, initial), prepare_system(ham, povm, initial)
