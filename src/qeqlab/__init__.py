@@ -66,11 +66,11 @@ from .linalg import (
     trace_norm,
 )
 from .measurement import (
-    Povm,
-    ProjectiveMeasurement,
+    Measurement,
     coarse_grained_state,
     population_distance,
     populations,
+    povm_from_factors,
     pvm_from_observable,
 )
 from .models import (

@@ -33,6 +33,9 @@ __all__ = [
 
 # Relative tolerance for the trapezoidal-refinement convergence check.
 DEFAULT_AVG_RTOL = 1e-4
+# How far, relative to the span, an averaging window may reach past the
+# last sample (or a config's window past t_max): round-off, not time.
+_SPAN_RTOL = 1e-12
 # Gaps per block of the pruned window count: its first pass counts
 # exactly at every _BLOCK-th gap.
 _BLOCK = 16
@@ -290,7 +293,7 @@ def time_average_scalar(
     """
     times = series.times
     values = series.quantity(quantity) if isinstance(quantity, str) else np.asarray(quantity, float)
-    if T <= 0 or T > times[-1] * (1 + 1e-12):
+    if T <= 0 or T > times[-1] * (1 + _SPAN_RTOL):
         raise ValueError(f"T = {T!r} outside the trajectory span (0, {times[-1]!r}]")
     T = min(T, float(times[-1]))
     avg = _trapezoid_to(times, values, T) / T

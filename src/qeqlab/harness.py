@@ -18,6 +18,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from .dynamics import (
+    _SPAN_RTOL,
     EquilibriumReference,
     GapStatistics,
     Trajectory,
@@ -29,15 +30,11 @@ from .dynamics import (
 )
 from .entropy import _xlogx
 from .linalg import SpectralDecomposition, decompose_hermitian
-from .measurement import (
-    Povm,
-    ProjectiveMeasurement,
-    clamp_populations,
-    pvm_from_observable,
-)
+from .measurement import Measurement, clamp_populations, pvm_from_observable
 from .models import (
     PureState,
     SpinChainParams,
+    _check_bath_cap,
     _check_cap,
     all_down_state,
     precessing_spin,
@@ -92,7 +89,7 @@ class PreparedSystem:
     state, plus the eigenbasis caches propagation needs.
 
     ``weighted_contraction`` is ``measurement.in_basis(U) * amps_eig``: its
-    rows (d for a PVM, r * k for a POVM) turn the level phases exp(-i E t)
+    rows, one per measurement vector, turn the level phases exp(-i E t)
     into amplitudes c_j(t); ``measurement.group_sums`` adds up |c_j(t)|^2.
 
     ``decomposition.dim`` is the dimension that was solved; ``dim`` is the
@@ -101,7 +98,7 @@ class PreparedSystem:
     """
 
     decomposition: SpectralDecomposition
-    measurement: ProjectiveMeasurement | Povm
+    measurement: Measurement
     initial: PureState
     gap_stats: GapStatistics
     d_eff: float
@@ -146,7 +143,7 @@ def prepare_system(hamiltonian, observable, initial) -> PreparedSystem:
         raise TypeError(f"initial state must be a PureState, got {type(initial).__name__}")
     decomp = decompose_hermitian(hamiltonian)
     _check_dim(decomp, initial.dim)
-    if isinstance(observable, (ProjectiveMeasurement, Povm)):
+    if isinstance(observable, Measurement):
         measurement = observable
     else:
         measurement = pvm_from_observable(np.asarray(observable))
@@ -208,10 +205,10 @@ def chain_system(params: SpinChainParams, axis: str = "z") -> PreparedSystem:
     rotation = _SITE_ROTATIONS[axis]
     basis = None if rotation is None else sector.product_operator(rotation)
     down = np.arange(n + 1)
-    measurement = ProjectiveMeasurement(values=(n - 2.0 * down) / n,
-                                        outcome_slices=sector.magnetization_slices(),
-                                        basis=basis,
-                                        multiplicities=np.array([math.comb(n, k) for k in down]))
+    measurement = Measurement(values=(n - 2.0 * down) / n,
+                              outcome_slices=sector.magnetization_slices(),
+                              basis=basis,
+                              multiplicities=np.array([math.comb(n, k) for k in down]))
     return prepare_system(ham, measurement, initial)
 
 
@@ -249,11 +246,16 @@ def _populations_at(system: PreparedSystem, times: np.ndarray) -> np.ndarray:
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
-    """Uniform grid covering [0, t_max], endpoint included."""
+    """Uniform grid covering [0, t_max]: its last sample is at or past t_max,
+    so every window the configs accept lies inside it."""
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
-    # at least one step: a t_max below 1e-9 steps still needs a grid that reaches it
-    n = max(1, int(math.ceil(t_max / dt - 1e-9)))
+    # the 1e-9 keeps a t_max / dt rounded up past a whole number of steps
+    # from adding one; a grid that then stops short of t_max (t_max within
+    # 1e-9 steps past a whole number of them) takes one more
+    n = int(math.ceil(t_max / dt - 1e-9))
+    if n * dt < t_max:
+        n += 1
     return np.arange(n + 1) * dt
 
 
@@ -386,7 +388,7 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
 
 def window_average(trajectory: Trajectory, quantity: str, t0: float, t1: float) -> float:
     """Average of a trajectory quantity over [t0, t1]."""
-    if not 0 <= t0 < t1 <= trajectory.span * (1 + 1e-12):
+    if not 0 <= t0 < t1 <= trajectory.span * (1 + _SPAN_RTOL):
         raise ValueError(f"window [{t0}, {t1}] outside the trajectory span")
     high = time_average_scalar(trajectory, quantity, t1, check_refinement=False) * t1
     low = time_average_scalar(trajectory, quantity, t0, check_refinement=False) * t0 if t0 > 0 else 0.0
@@ -486,7 +488,7 @@ def _tuple(convert):
 def _check_windows(key: str, windows, t_max: float = math.inf):
     """Averaging windows must lie in (0, t_max]."""
     _require(all(T > 0 for T in windows), key, "entries must be positive")
-    _require(max(windows, default=0.0) <= t_max * (1 + 1e-12), key, "entries must not exceed t_max")
+    _require(max(windows, default=0.0) <= t_max * (1 + _SPAN_RTOL), key, "entries must not exceed t_max")
 
 
 def _check_keys(section: str, mapping, allowed: set):
@@ -614,7 +616,9 @@ class ExperimentConfig:
             _require(axis == "z", "observable.axis", f"model kind {kind!r} measures sigma_z: must be 'z'")
             _require(_analytic(self.model, "g", _float) != 0, "model.g", "must be nonzero")
         if kind == "spin_bath":
-            _require(_analytic(self.model, "bath_dim", _int) >= 1, "model.bath_dim", "must be >= 1")
+            bath_dim = _analytic(self.model, "bath_dim", _int)
+            _require(bath_dim >= 1, "model.bath_dim", "must be >= 1")
+            _check_bath_cap(bath_dim)
         _require(self.t_max > 0, "times.t_max", "must be positive")
         _require(self.dt is None or self.dt > 0, "times.dt", "must be positive")
         _check_windows("average_grid", self.average_grid, self.t_max)

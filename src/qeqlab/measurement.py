@@ -2,13 +2,14 @@
 eigenspace multiplicities, coarse-grained states, and distribution
 distances.
 
-A :class:`ProjectiveMeasurement` stores the measurement basis (one
-orthonormal column per microstate, or none when the space's own basis
-is the measurement basis) plus the grouping of basis columns into
-outcomes; no projector is stored, so large measurements stay cheap. A
-:class:`Povm` stores the square-root factors ``F_i`` of its effects
-``E_i = F_i^dag F_i``, positive by construction. Both offer ``vectors``,
-``in_basis`` and ``group_sums``.
+A :class:`Measurement` is a set of measurement vectors grouped into
+outcomes: outcome i has the effect ``E_i = sum_{j in i} |b_j><b_j|``,
+so ``p_i = sum_{j in i} |<b_j|psi>|^2``. For a projective measurement
+(:func:`pvm_from_observable`) the vectors are an orthonormal eigenbasis,
+or none when the space's own basis is the measurement basis; for a POVM
+(:func:`povm_from_factors`) they are the conjugated rows of the
+square-root factors ``F_i`` of ``E_i = F_i^dag F_i``. No projector or
+effect is stored, so large measurements stay cheap.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from .linalg import decompose_hermitian
 from .models import DensityMatrix, PureState
 
 __all__ = [
-    "Povm",
-    "ProjectiveMeasurement",
+    "Measurement",
     "clamp_populations",
     "coarse_grained_state",
     "population_distance",
     "populations",
+    "povm_from_factors",
     "pvm_from_observable",
 ]
 
@@ -37,24 +38,27 @@ _NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ProjectiveMeasurement:
-    """Projection-valued measurement built from an observable.
+class Measurement:
+    """Measurement vectors grouped into outcomes.
 
     Attributes
     ----------
-    values : (r,) outcome values, descending.
-    outcome_slices : one slice of basis columns per outcome, contiguous
-        from 0; the last stop is the dimension of the measured space.
-    basis : (d, d) unitary whose columns are the measurement eigenbasis,
-        or None when the basis the space is written in already is one.
-    multiplicities : (r,) outcome eigenspace dimensions V_i in the full
-        Hilbert space; the slice widths unless the measured space is a
-        symmetry sector of a larger one.
+    outcome_slices : one slice of measurement vectors per outcome,
+        contiguous from 0; the last stop is the number of vectors.
+    basis : (d, n) array whose n columns are the measurement vectors: a
+        unitary eigenbasis for a projective measurement, the conjugated
+        factor rows for a POVM; None when the basis the space is written
+        in is the measurement basis.
+    values : (r,) outcome values, descending, or None (a POVM carries
+        none, so it has no expectation bound).
+    multiplicities : (r,) outcome weights V_i = Tr E_i in the full Hilbert
+        space; the slice widths unless the measured space is a symmetry
+        sector of a larger one, or the measurement is a POVM.
     """
 
-    values: np.ndarray
     outcome_slices: tuple[slice, ...]
     basis: np.ndarray | None = None
+    values: np.ndarray | None = None
     multiplicities: np.ndarray | None = None
 
     def __post_init__(self):
@@ -64,7 +68,7 @@ class ProjectiveMeasurement:
         mult = np.asarray(mult)
         if mult.shape != (self.r,):
             raise ValueError("multiplicities length must match the number of outcomes")
-        values = np.asarray(self.values, dtype=float)
+        values = None if self.values is None else np.asarray(self.values, dtype=float)
         basis = None if self.basis is None else np.asarray(self.basis)
         for name, arr in (("values", values), ("basis", basis), ("multiplicities", mult)):
             if arr is not None:
@@ -78,88 +82,42 @@ class ProjectiveMeasurement:
     @property
     def dim(self) -> int:
         """Dimension of the measured space."""
-        return self.outcome_slices[-1].stop
-
-    def vectors(self) -> np.ndarray:
-        """Measurement-basis columns as a dense array."""
-        return np.eye(self.dim) if self.basis is None else self.basis
-
-    def in_basis(self, vectors: np.ndarray) -> np.ndarray:
-        """``basis^dag @ vectors``: measurement-basis coefficients of
-        measured-space vectors."""
-        return vectors if self.basis is None else self.basis.conj().T @ vectors
-
-    def group_sums(self, per_level: np.ndarray) -> np.ndarray:
-        """Sum an array over basis columns within each outcome (first axis).
-        A (levels, times) block is summed one outcome slice at a time,
-        which is faster there than ``reduceat``; a vector takes ``reduceat``."""
-        if per_level.ndim == 1:
-            return np.add.reduceat(per_level, [sl.start for sl in self.outcome_slices])
-        return np.stack([per_level[sl].sum(axis=0) for sl in self.outcome_slices])
-
-
-@dataclass(frozen=True)
-class Povm:
-    """Generalized measurement given by square-root factors.
-
-    ``factors`` (r, k, d) stacks one k x d factor ``F_i`` per outcome. The
-    effects ``E_i = F_i^dag F_i`` are positive by construction and must
-    sum to the identity; ``<psi|E_i|psi>`` is the squared norm of the k
-    rows ``F_i psi``.
-    """
-
-    factors: np.ndarray  # (r, k, d)
-    # a POVM carries no outcome values, so it has no expectation bound
-    values = None
-
-    def __post_init__(self):
-        factors = np.asarray(self.factors, dtype=complex)
-        if factors.ndim != 3:
-            raise ValueError(f"factors must be (r, k, d), got {factors.shape}")
-        if not np.all(np.isfinite(factors)):
-            raise ValueError("factors contain non-finite entries")
-        rows = factors.reshape(-1, factors.shape[2])
-        if np.max(np.abs(rows.conj().T @ rows - np.eye(factors.shape[2]))) > _NORM_TOL:
-            raise ValueError("effects do not sum to the identity")
-        object.__setattr__(self, "factors", factors)
-        factors.setflags(write=False)
+        return self.outcome_slices[-1].stop if self.basis is None else self.basis.shape[0]
 
     @property
-    def r(self) -> int:
-        return self.factors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.factors.shape[2]
+    def projective(self) -> bool:
+        """Whether the vectors are an orthonormal basis (d complete vectors
+        in d dimensions are one), so each effect projects onto its own;
+        redundant vectors read False even if their effects are projectors."""
+        return self.basis is None or self.basis.shape[0] == self.basis.shape[1]
 
     @property
     def effects(self) -> np.ndarray:
-        """(r, d, d) effects ``F_i^dag F_i``."""
-        return np.swapaxes(self.factors.conj(), 1, 2) @ self.factors
-
-    @property
-    def multiplicities(self) -> np.ndarray:
-        """Generalized multiplicities V_i = Tr[E_i], the squared Frobenius
-        norms of the factors."""
-        return np.sum(np.abs(self.factors) ** 2, axis=(1, 2))
+        """(r, d, d) effects ``E_i``: projectors for a projective measurement."""
+        vectors = self.vectors()
+        return np.stack([vectors[:, sl] @ vectors[:, sl].conj().T for sl in self.outcome_slices])
 
     def vectors(self) -> np.ndarray:
-        """(d, r * k) adjoint of the stacked factors: its columns are the
-        rows of every ``F_i`` conjugated, as a PVM's columns are its basis
-        vectors, so ``<v|rho|v>`` per column adds up to ``Tr[E_i rho]``."""
-        return self.factors.reshape(-1, self.dim).conj().T
+        """Measurement vectors as dense columns, so ``<b|rho|b>`` per
+        column adds up to ``Tr[E_i rho]``."""
+        return np.eye(self.dim) if self.basis is None else self.basis
 
     def in_basis(self, vectors: np.ndarray) -> np.ndarray:
-        """The r * k rows ``F_i @ vectors``, stacked, whose squared
-        magnitudes :meth:`group_sums` adds up to outcome populations."""
-        return self.factors.reshape(-1, self.dim) @ vectors
+        """``basis^dag @ vectors``: the coefficients ``<b_j|v>``, whose
+        squared magnitudes :meth:`group_sums` adds up to populations."""
+        return vectors if self.basis is None else self.basis.conj().T @ vectors
 
-    def group_sums(self, per_row: np.ndarray) -> np.ndarray:
-        """Sum an array over the k rows of each outcome (first axis)."""
-        return per_row.reshape(self.factors.shape[:2] + per_row.shape[1:]).sum(axis=1)
+    def group_sums(self, per_vector: np.ndarray) -> np.ndarray:
+        """Sum an array over the measurement vectors of each outcome (first
+        axis). A (vectors, times) block is summed one outcome slice at a
+        time, which is faster there than ``reduceat``; a vector takes
+        ``reduceat``."""
+        if per_vector.ndim == 1:
+            return np.add.reduceat(per_vector, [sl.start for sl in self.outcome_slices])
+        return np.stack([per_vector[sl].sum(axis=0) for sl in self.outcome_slices])
 
 
-def pvm_from_observable(observable) -> ProjectiveMeasurement:
+def pvm_from_observable(observable) -> Measurement:
     """Build the projective measurement of a Hermitian observable.
 
     Degenerate eigenvalues are merged into a single outcome whose value
@@ -176,11 +134,34 @@ def pvm_from_observable(observable) -> ProjectiveMeasurement:
         perm[pos : pos + width] = np.arange(sl.start, sl.stop)
         new_slices.append(slice(pos, pos + width))
         pos += width
-    return ProjectiveMeasurement(
+    return Measurement(
         values=decomp.cluster_values[::-1].copy(),
         basis=decomp.eigenvectors[:, perm].copy(),
         outcome_slices=tuple(new_slices),
     )
+
+
+def povm_from_factors(factors) -> Measurement:
+    """Build the generalized measurement given by square-root factors.
+
+    ``factors`` (r, k, d) stacks one k x d factor ``F_i`` per outcome. The
+    effects ``E_i = F_i^dag F_i`` are positive by construction and must
+    sum to the identity; the measurement vectors are the conjugated rows
+    of every ``F_i``, k per outcome, and V_i = Tr E_i is the squared
+    Frobenius norm of ``F_i``.
+    """
+    factors = np.asarray(factors, dtype=complex)
+    if factors.ndim != 3:
+        raise ValueError(f"factors must be (r, k, d), got {factors.shape}")
+    if not np.all(np.isfinite(factors)):
+        raise ValueError("factors contain non-finite entries")
+    r, k, d = factors.shape
+    rows = factors.reshape(-1, d)
+    if np.max(np.abs(rows.conj().T @ rows - np.eye(d))) > _NORM_TOL:
+        raise ValueError("effects do not sum to the identity")
+    return Measurement(outcome_slices=tuple(slice(i * k, (i + 1) * k) for i in range(r)),
+                       basis=rows.conj().T,
+                       multiplicities=np.sum(np.abs(factors) ** 2, axis=(1, 2)))
 
 
 def clamp_populations(raw: np.ndarray) -> np.ndarray:
@@ -203,7 +184,7 @@ def populations(measurement, state) -> np.ndarray:
     Accepts a PureState or DensityMatrix; tiny negative entries from
     round-off are clamped and the vector renormalized.
     """
-    if not isinstance(measurement, (ProjectiveMeasurement, Povm)):
+    if not isinstance(measurement, Measurement):
         raise TypeError(f"unsupported measurement type {type(measurement).__name__}")
     if isinstance(state, PureState):
         _check_dims(measurement.dim, state.dim)
@@ -221,14 +202,14 @@ def _check_dims(expected: int, got: int):
         raise ValueError(f"dimension mismatch: measurement dim {expected}, state dim {got}")
 
 
-def coarse_grained_state(measurement: ProjectiveMeasurement, state) -> DensityMatrix:
+def coarse_grained_state(measurement: Measurement, state) -> DensityMatrix:
     """State after forgetting everything but the outcome statistics:
     ``sum_i p_i Pi_i / V_i``.
 
     Only defined for projective measurements; the uniform filling of each
     eigenspace has no POVM analogue.
     """
-    if isinstance(measurement, Povm):
+    if not measurement.projective:
         raise TypeError("coarse graining is defined for projective measurements only")
     pops = populations(measurement, state)
     weights = np.empty(measurement.dim)

@@ -158,6 +158,13 @@ def _check_cap(sites: int) -> int:
     return dim
 
 
+def _check_bath_cap(bath_dim: int) -> int:
+    """Dimension 2 * bath_dim of a spin next to its bath, within the cap."""
+    if 2 * bath_dim > _DIMENSION_CAP:
+        raise DimensionCapError(f"2 * bath_dim = {2 * bath_dim} exceeds the dimension cap {_DIMENSION_CAP}")
+    return 2 * bath_dim
+
+
 def _site_bit(sites: int, site: int) -> int:
     if not 1 <= site <= sites:
         raise ValueError(f"site {site} outside 1..{sites}")
@@ -415,9 +422,10 @@ def spin_bath(g: float, bath_dim: int):
         raise ValueError("g must be nonzero (g = 0 has no dynamics)")
     if bath_dim < 1:
         raise ValueError("bath_dim must be >= 1")
+    dim = _check_bath_cap(bath_dim)
     eye_b = np.eye(bath_dim, dtype=complex)
     ham = np.kron(g * pauli("x"), eye_b)
     obs = np.kron(pauli("z"), eye_b)
-    amps = np.zeros(2 * bath_dim, dtype=complex)
+    amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0  # spin up, bath in its first basis state
     return ham, PureState(amps), obs

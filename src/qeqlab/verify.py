@@ -40,7 +40,7 @@ from .harness import (
     time_grid,
 )
 from .linalg import trace_norm
-from .measurement import Povm, ProjectiveMeasurement, populations, pvm_from_observable
+from .measurement import Measurement, populations, povm_from_factors, pvm_from_observable
 from .models import DensityMatrix, PureState, SpinChainParams, _check_cap
 # not called here: perfbench/tracing.py looks these names up on this module
 from .harness import sample_deviations
@@ -160,7 +160,7 @@ def random_pure_state(rng, dim: int) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
-def random_povm(rng, dim: int, outcomes: int) -> Povm:
+def random_povm(rng, dim: int, outcomes: int) -> Measurement:
     """Random POVM: Ginibre-positive pieces ``G_i G_i^dag`` whitened to sum
     to 1. The factors are ``G_i^dag W`` with ``W = (sum_i G_i G_i^dag)^(-1/2)``,
     so the effects are ``W G_i G_i^dag W``."""
@@ -168,10 +168,10 @@ def random_povm(rng, dim: int, outcomes: int) -> Povm:
     G_dag = np.swapaxes(G.conj(), 1, 2)
     w, V = np.linalg.eigh(np.sum(G @ G_dag, axis=0))
     inv_sqrt = (V * (1.0 / np.sqrt(w))) @ V.conj().T
-    return Povm(factors=G_dag @ inv_sqrt)
+    return povm_from_factors(G_dag @ inv_sqrt)
 
 
-def random_partition_pvm(rng, dim: int, outcomes: int):
+def random_partition_pvm(rng, dim: int, outcomes: int) -> Measurement:
     """PVM with multi-dimensional eigenspaces: random orthonormal basis
     split into random contiguous groups."""
     Q, _ = np.linalg.qr(_ginibre(rng, dim, dim))
@@ -179,7 +179,7 @@ def random_partition_pvm(rng, dim: int, outcomes: int):
     edges = np.concatenate([[0], cuts, [dim]])
     values = np.arange(outcomes, 0, -1, dtype=float)  # descending, arbitrary labels
     slices = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
-    return ProjectiveMeasurement(values=values, basis=Q, outcome_slices=slices)
+    return Measurement(values=values, basis=Q, outcome_slices=slices)
 
 
 # ---------------------------------------------------------------------------

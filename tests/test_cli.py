@@ -57,6 +57,18 @@ def test_simulate_t_max_below_one_step(tmp_path):
     assert (out / "report_mz_n7.json").exists() and (out / "trajectory_mz_n7.csv").exists()
 
 
+def test_simulate_window_just_past_a_whole_step(tmp_path):
+    # t_max is 7.5e-10 steps past 500 steps: inside the validators' 1e-12
+    # span tolerance of the window, so the grid must reach it too
+    out = tmp_path / "past"
+    rc = cli.main(["simulate", str(ROOT / "configs" / "simulate_chain.json"), "--out", str(out),
+                   "--set", "times.t_max=10.000000000015", "--set", "average_grid=[10.000000000015]",
+                   "--set", "times.dt=0.02", "--set", "fluctuation.count=100"])
+    assert rc == 0
+    last = (out / "trajectory_mz_n7.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) >= 10.000000000015
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
 def test_shipped_config_parses(path):
     from qeqlab.harness import ExperimentConfig, sweep_config
@@ -452,6 +464,7 @@ def test_non_string_output_dir_exits_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command, override", [
     ("simulate", "model.sites=14"),
+    ("simulate", 'model={"kind": "spin_bath", "bath_dim": 4097}'),
     ("verify", "sites=[5, 14, 6]"),
     ("verify", "fluctuation.sites=14"),
     ("verify", "averaged_state.sites=[2, 14]"),
@@ -462,6 +475,7 @@ def test_cap_error_exits_3_before_output_or_solve(tmp_path, capsys, monkeypatch,
         raise AssertionError("a chain was solved before the cap check")
 
     monkeypatch.setattr("qeqlab.harness.decompose_hermitian", no_solve)
+    monkeypatch.setattr("qeqlab.harness.spin_bath", no_solve)
     assert _run_with(tmp_path, command, [override]) == 3
     assert "cap" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -21,6 +21,7 @@ from qeqlab.harness import (
 from qeqlab.measurement import populations
 from qeqlab.models import (
     DensityMatrix,
+    DimensionCapError,
     SpinChainParams,
     all_down_state,
     bulk_magnetization,
@@ -110,6 +111,10 @@ def test_time_grid_covers_t_max():
 def test_time_grid_takes_at_least_one_step():
     # t_max below 1e-9 steps: the grid still reaches t_max
     assert np.array_equal(time_grid(1e-11, 0.02), [0.0, 0.02])
+    # t_max 7.5e-10 steps past a whole number of them: one more step
+    assert np.array_equal(time_grid(10.000000000015, 0.02), np.arange(502) * 0.02)
+    # t_max / dt rounded up past a whole number of steps: no extra step
+    assert 0.27 / 0.09 > 3 and np.array_equal(time_grid(0.27, 0.09), np.arange(4) * 0.09)
 
 
 def test_window_average_matches_oracle():
@@ -253,6 +258,15 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError, match="average_grid"):
         ExperimentConfig.from_dict({"model": {"kind": "precessing_spin"},
                                     "times": {"t_max": 5.0}, "average_grid": [10.0]})
+
+
+def test_spin_bath_dimension_is_capped_at_parse():
+    # 2 * bath_dim is checked against the cap before anything is built
+    with pytest.raises(DimensionCapError, match="bath_dim"):
+        ExperimentConfig.from_dict({"model": {"kind": "spin_bath", "bath_dim": 10**7}})
+    with pytest.raises(DimensionCapError, match="bath_dim"):
+        ExperimentConfig.from_dict({"model": {"kind": "spin_bath", "bath_dim": 4097}})
+    ExperimentConfig.from_dict({"model": {"kind": "spin_bath", "bath_dim": 4096}})
 
 
 def test_config_round_trip():

@@ -1,19 +1,18 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
 from qeqlab.entropy import observational_entropy, shannon_entropy, von_neumann_entropy
+from qeqlab.harness import chain_system
 from qeqlab.measurement import (
-    Povm,
-    ProjectiveMeasurement,
+    Measurement,
     clamp_populations,
     coarse_grained_state,
     population_distance,
     populations,
+    povm_from_factors,
     pvm_from_observable,
 )
-from qeqlab.models import DensityMatrix, PureState, all_down_state, bulk_magnetization, pauli
+from qeqlab.models import DensityMatrix, PureState, SpinChainParams, all_down_state, bulk_magnetization, pauli
 from qeqlab.verify import random_povm
 
 # the trivial two-outcome POVM E_0 = E_1 = 1/2: each factor is 1/sqrt(2)
@@ -66,7 +65,7 @@ def test_populations_all_down_mz():
 
 
 def test_populations_trivial_povm():
-    povm = Povm(factors=HALF_HALF)
+    povm = povm_from_factors(HALF_HALF)
     rng = np.random.default_rng(1)
     state = random_density(rng, 2)
     assert np.allclose(populations(povm, state), [0.5, 0.5], atol=1e-12)
@@ -135,8 +134,33 @@ def test_coarse_grained_all_down():
     assert np.allclose(cg.matrix, expected, atol=1e-12)
 
 
+def test_projective_tells_a_pvm_from_a_povm():
+    assert pvm_from_observable(bulk_magnetization(3, "x")).projective
+    for axis in ("z", "x"):
+        assert chain_system(SpinChainParams(sites=4), axis).measurement.projective
+    assert not random_povm(np.random.default_rng(0), 4, 2).projective
+
+
+def test_pvm_effects_are_its_projectors():
+    observable = bulk_magnetization(3, "y")
+    m = pvm_from_observable(observable)
+    vectors = m.vectors()
+    want = [vectors[:, sl] @ vectors[:, sl].conj().T for sl in m.outcome_slices]
+    assert np.array_equal(m.effects, want)
+    # degenerate outcomes 1, 3, 3, 1: orthogonal projectors that rebuild the observable
+    assert [round(np.trace(e).real) for e in m.effects] == [1, 3, 3, 1]
+    assert np.max(np.abs(np.einsum("i,iab->ab", m.values, m.effects) - observable)) < 1e-12
+    assert np.max(np.abs(m.effects[1] @ m.effects[1] - m.effects[1])) < 1e-12
+    assert np.max(np.abs(m.effects[1] @ m.effects[2])) < 1e-12
+    # no basis: each projector is the diagonal indicator of its slice
+    z = chain_system(SpinChainParams(sites=3), "z").measurement
+    identity = np.eye(z.dim)
+    for effect, sl in zip(z.effects, z.outcome_slices):
+        assert np.array_equal(effect, identity[:, sl] @ identity[sl])
+
+
 def test_coarse_grained_rejects_povm():
-    povm = Povm(factors=HALF_HALF)
+    povm = povm_from_factors(HALF_HALF)
     with pytest.raises(TypeError, match="projective"):
         coarse_grained_state(povm, PureState(np.array([1.0, 0.0], dtype=complex)))
 
@@ -187,20 +211,20 @@ def test_rank1_pvm_observational_equals_shannon():
 def test_povm_validation():
     incomplete = np.array([np.eye(2) / np.sqrt(2), np.eye(2) / np.sqrt(3)])
     with pytest.raises(ValueError, match="identity"):
-        Povm(factors=incomplete)
+        povm_from_factors(incomplete)
     non_finite = HALF_HALF.copy()
     non_finite[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        Povm(factors=non_finite)
+        povm_from_factors(non_finite)
     with pytest.raises(ValueError, match="factors"):
-        Povm(factors=np.eye(2))
+        povm_from_factors(np.eye(2))
 
 
 def test_povm_derives_effects_and_multiplicities_from_factors():
-    povm = Povm(factors=HALF_HALF)
+    povm = povm_from_factors(HALF_HALF)
     assert np.allclose(povm.effects, [np.eye(2) / 2] * 2, atol=1e-15)
     assert np.allclose(povm.multiplicities, [1.0, 1.0], atol=1e-15)
-    assert povm.values is None and [f.name for f in fields(Povm)] == ["factors"]
+    assert povm.values is None and not povm.projective
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -217,16 +241,16 @@ def test_random_povm_effects_are_the_whitened_pieces(seed):
     w, V = np.linalg.eigh(sum(pieces))
     W = (V / np.sqrt(w)) @ V.conj().T
     want = np.array([W @ piece @ W for piece in pieces])
-    assert povm.factors.shape == (outcomes, dim, dim)
+    assert povm.basis.shape == (dim, outcomes * dim)
     assert np.max(np.abs(povm.effects - want)) <= 1e-13
 
 
 def test_projective_measurement_converts_list_inputs():
-    m = ProjectiveMeasurement(values=[1.0, -1.0], outcome_slices=(slice(0, 1), slice(1, 2)))
+    m = Measurement(values=[1.0, -1.0], outcome_slices=(slice(0, 1), slice(1, 2)))
     assert m.values.dtype == float and not m.values.flags.writeable
     assert np.array_equal(m.multiplicities, [1, 1])
-    m = ProjectiveMeasurement(values=[1, -1], outcome_slices=(slice(0, 1), slice(1, 2)),
-                              basis=[[0, 1], [1, 0]], multiplicities=[2, 1])
+    m = Measurement(values=[1, -1], outcome_slices=(slice(0, 1), slice(1, 2)),
+                    basis=[[0, 1], [1, 0]], multiplicities=[2, 1])
     assert isinstance(m.basis, np.ndarray) and not m.basis.flags.writeable
     assert isinstance(m.multiplicities, np.ndarray) and m.values.dtype == float
     assert np.allclose(populations(m, PureState(np.array([0.0, 1.0]))), [1.0, 0.0])

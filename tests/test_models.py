@@ -147,6 +147,8 @@ def test_spin_bath_structure():
         spin_bath(0.0, 4)
     with pytest.raises(ValueError):
         spin_bath(1.0, 0)
+    with pytest.raises(DimensionCapError, match="bath_dim"):
+        spin_bath(1.0, 4097)
 
 
 def test_pure_state_normalization_enforced():

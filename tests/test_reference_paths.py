@@ -28,7 +28,7 @@ from qeqlab.harness import (
     prepare_system,
 )
 from qeqlab.linalg import decompose_hermitian
-from qeqlab.measurement import Povm
+from qeqlab.measurement import povm_from_factors
 from qeqlab.measurement import clamp_populations as _clamp_rows
 from qeqlab.models import (
     PureState,
@@ -158,8 +158,8 @@ def test_povm_of_pvm_projectors_matches_the_pvm(case):
     rng = np.random.default_rng(200 + case)
     dim = int(rng.integers(4, 17))
     pvm = random_partition_pvm(rng, dim, int(rng.integers(2, 5)))
-    povm = Povm(factors=np.array([pvm.vectors()[:, sl] @ pvm.vectors()[:, sl].conj().T
-                                  for sl in pvm.outcome_slices]))
+    povm = povm_from_factors(np.array([pvm.vectors()[:, sl] @ pvm.vectors()[:, sl].conj().T
+                                       for sl in pvm.outcome_slices]))
     ham, initial = random_hermitian(rng, dim), random_pure_state(rng, dim)
     as_pvm, as_povm = prepare_system(ham, pvm, initial), prepare_system(ham, povm, initial)
     times = np.linspace(0.0, 10.0, 257)
