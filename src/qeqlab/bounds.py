@@ -220,8 +220,7 @@ def average_entropy_check(trajectory: Trajectory, equilibrium_populations, T: fl
     averaged with the same weights, and Fannes-Audenaert bounds
     S(p_bar) - S(omega) by ``shannon_continuity_bound(p_bar, p_omega)``."""
     lhs = time_average_scalar(trajectory, "shannon", T)
-    p_bar = np.array([time_average_scalar(trajectory, column, T, check_refinement=False)
-                      for column in trajectory.populations.T])
+    p_bar = np.array([time_average_scalar(trajectory, column, T) for column in trajectory.populations.T])
     return BoundReport(
         name="average_entropy_vs_equilibrium",
         lhs=lhs,

@@ -4,7 +4,7 @@ Three subcommands, all driven by a JSON config file (schema documented
 in the README):
 
 * ``simulate`` -- run one experiment, write the trajectory CSV and the
-  report JSON;
+  report JSON; exits 1 if any inequality is violated;
 * ``verify``   -- run the full inequality suite and print a results
   table; exits 1 if any inequality is violated;
 * ``sweep``    -- sweep chain lengths, write the per-length summary CSV
@@ -107,7 +107,11 @@ def cmd_simulate(args) -> int:
     _write_manifest(outdir, args.config, config.resolved_dict(),
                     {"run": t_run, "write": t_write})
     print(f"simulate: wrote trajectory_{label}.csv and report_{label}.json to {outdir}")
-    return EXIT_OK
+    violated = [_context_name(b["name"], b["parameters"])
+                for b in report["bounds"] if b["status"] == "violated"]
+    if violated:
+        print(f"{len(violated)} violated bound(s): {', '.join(violated)}")
+    return EXIT_VIOLATION if violated else EXIT_OK
 
 
 def trajectory_csv(path, system, trajectory):
@@ -137,7 +141,7 @@ def cmd_verify(args) -> int:
           f"{'margin':>{widths[3]}}{'status':>{widths[4]}}")
     violated = []
     for rep in reports:
-        print(f"{_context_name(rep):<{widths[0]}}{rep.lhs:>{widths[1]}.4e}"
+        print(f"{_context_name(rep.name, rep.parameters):<{widths[0]}}{rep.lhs:>{widths[1]}.4e}"
               f"{rep.rhs:>{widths[2]}.4e}{rep.margin:>{widths[3]}.4e}{rep.status:>{widths[4]}}")
         if not rep.holds:
             violated.append(rep)
@@ -154,10 +158,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _context_name(report) -> str:
-    system = report.parameters.get("system")
-    T = report.parameters.get("T")
-    name = report.name
+def _context_name(name: str, parameters: dict) -> str:
+    system = parameters.get("system")
+    T = parameters.get("T")
     if system:
         name += f"[{system}"
         name += f", T={T:g}]" if T is not None else "]"

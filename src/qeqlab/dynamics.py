@@ -5,7 +5,8 @@ Evolution never exponentiates the Hamiltonian: states are rotated into
 the eigenbasis once and propagated by phases. Degenerate levels carry
 the clustered eigenvalue, so states inside one eigenspace acquire
 exactly equal phases and the infinite-time average is an exact fixed
-point of the evolution.
+point of the evolution. A sampled series is averaged by the trapezoid
+rule alone; the remainder that certifies it comes from the energy spread.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "time_average_scalar",
 ]
 
-# Relative tolerance for the trapezoidal-refinement convergence check.
-DEFAULT_AVG_RTOL = 1e-4
 # How far, relative to the span, an averaging window may reach past the
 # last sample (or a config's window past t_max): round-off, not time.
 _SPAN_RTOL = 1e-12
@@ -278,35 +277,14 @@ def _trapezoid_to(times: np.ndarray, values: np.ndarray, T: float) -> float:
     return total
 
 
-def time_average_scalar(
-    series: Trajectory,
-    quantity,
-    T: float,
-    check_refinement: bool = True,
-) -> float:
-    """Trapezoidal time average ``(1/T) int_0^T X(t) dt``.
-
-    ``quantity`` is a named series or a raw array aligned with the grid.
-    The average is recomputed on the grid thinned by half; a relative
-    change above ``DEFAULT_AVG_RTOL`` means the grid does not resolve the
-    signal and triggers a warning.
-    """
+def time_average_scalar(series: Trajectory, quantity, T: float) -> float:
+    """Trapezoidal time average ``(1/T) int_0^T X(t) dt`` of a named series or
+    a raw array aligned with a grid from t = 0: the exact average of the
+    samples' linear interpolant. :func:`~qeqlab.harness.evaluate_bounds`
+    adds the quadrature remainder that bounds its distance to the truth."""
     times = series.times
     values = series.quantity(quantity) if isinstance(quantity, str) else np.asarray(quantity, float)
-    if T <= 0 or T > times[-1] * (1 + _SPAN_RTOL):
-        raise ValueError(f"T = {T!r} outside the trajectory span (0, {times[-1]!r}]")
+    if times[0] != 0 or T <= 0 or T > times[-1] * (1 + _SPAN_RTOL):
+        raise ValueError(f"window (0, {T!r}] outside the sampled span [{times[0]!r}, {times[-1]!r}]")
     T = min(T, float(times[-1]))
-    avg = _trapezoid_to(times, values, T) / T
-    if check_refinement:
-        # keep the final sample so the coarse integral spans the same window
-        idx = np.arange(0, len(times), 2)
-        if idx[-1] != len(times) - 1:
-            idx = np.append(idx, len(times) - 1)
-        coarse = _trapezoid_to(times[idx], values[idx], T) / T
-        delta = abs(avg - coarse)
-        if delta > DEFAULT_AVG_RTOL * max(1.0, abs(avg)):
-            warnings.warn(
-                f"time average of {quantity!r} not converged: halving the "
-                f"step moves it by {delta:.3e}"
-            )
-    return avg
+    return _trapezoid_to(times, values, T) / T

@@ -114,6 +114,14 @@ class PreparedSystem:
         return None if values is None else float(np.max(np.abs(values)))
 
     @property
+    def energy_spread(self) -> float:
+        """Energy spread sigma_E of the initial state over the levels that
+        propagate it: ``|d rho/dt|_1 = 2 sigma_E`` for a pure state."""
+        weights = np.abs(self.amps_eig) ** 2
+        levels = self.decomposition.level_values
+        return math.sqrt(float(weights @ (levels - weights @ levels) ** 2))
+
+    @property
     def dim(self) -> int:
         """Bound dimension: the multiplicities add up to ``Tr 1``, for a
         PVM and for a POVM."""
@@ -345,7 +353,11 @@ def fluctuation_checks(system: PreparedSystem, window: float, count: int, seed: 
 def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
                     eps_points: int = 32) -> list:
     """Evaluate the population, entropy, and expectation inequalities for
-    every averaging window in ``T_grid``, on one count of the ε grid."""
+    every averaging window in ``T_grid``, on one count of the ε grid.
+    Each lhs is its trapezoid plus the quadrature remainder w(tau), tau =
+    sigma_E h / 2 on a grid of largest step h: a quantity moves by at most
+    w(sigma_E |t - s|), w concave (x, the entropy continuity bounds and
+    8 |A|^2 x), so it stays within w(tau) of the samples' interpolant."""
     reports = []
     stats = system.gap_stats
     r = system.measurement.r
@@ -353,6 +365,10 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
     norm = system.observable_norm
     if r < 2:
         raise ValueError("bound evaluation needs a measurement with r >= 2")
+    tau = system.energy_spread * float(np.max(np.diff(trajectory.times), initial=0.0)) / 2
+    remainders = {"population_distance": tau, "shannon_abs_dev": _bounds.shannon_deviation_bound(r, tau),
+                  "observational_abs_dev": _bounds.observational_deviation_bound(dim, tau),
+                  "expectation_sq_dev": 8 * norm**2 * tau if norm is not None else None}
     windows = [float(T) for T in T_grid]
     best = _bounds.optimal_epsilon(stats, windows, points=eps_points) if windows else []
     for T, (eps, factor, count) in zip(windows, best):
@@ -379,10 +395,12 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
         if norm is not None:
             rows.append(("expectation_deviation", "expectation_sq_dev",
                          _bounds.expectation_bound(norm, system.d_eff, factor), {}))
-        # one average per row, in row order, so reports and warnings keep their order
         for name, quantity, rhs, extra in rows:
-            reports.append(_bounds.BoundReport(name=name, lhs=time_average_scalar(trajectory, quantity, T),
-                                               rhs=rhs, parameters={**params, **extra}))
+            trapezoid = time_average_scalar(trajectory, quantity, T)
+            remainder = remainders[quantity]
+            reports.append(_bounds.BoundReport(
+                name=name, lhs=trapezoid + remainder, rhs=rhs,
+                parameters={**params, "trapezoid": trapezoid, "quadrature_remainder": remainder, **extra}))
     return reports
 
 
@@ -390,8 +408,8 @@ def window_average(trajectory: Trajectory, quantity: str, t0: float, t1: float) 
     """Average of a trajectory quantity over [t0, t1]."""
     if not 0 <= t0 < t1 <= trajectory.span * (1 + _SPAN_RTOL):
         raise ValueError(f"window [{t0}, {t1}] outside the trajectory span")
-    high = time_average_scalar(trajectory, quantity, t1, check_refinement=False) * t1
-    low = time_average_scalar(trajectory, quantity, t0, check_refinement=False) * t0 if t0 > 0 else 0.0
+    high = time_average_scalar(trajectory, quantity, t1) * t1
+    low = time_average_scalar(trajectory, quantity, t0) * t0 if t0 > 0 else 0.0
     return (high - low) / (t1 - t0)
 
 
@@ -727,6 +745,7 @@ def execute_experiment(config: ExperimentConfig):
         "min_gap": system.gap_stats.min_gap,
         "spectral_range": system.decomposition.spectral_range,
         "d_eff": system.d_eff,
+        "energy_spread": system.energy_spread,
         "eta_infinite": _bounds.population_distance_bound(r, system.d_eff, 1.0),
         **_asymptotic_bounds(system),
         "delta_applicable": system.gap_stats.degenerate_gap_multiplicity() <= 1,

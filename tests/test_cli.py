@@ -229,6 +229,23 @@ def test_verify_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["verify", config]) == 1
 
 
+def test_simulate_exits_1_on_a_grid_too_coarse_for_its_bounds(tmp_path, capsys):
+    # at dt = 50 the population average's quadrature remainder, sigma_E dt / 2
+    # (about 60), exceeds its rhs (5.71): the artifacts are still written
+    out = tmp_path / "coarse"
+    rc = cli.main(["simulate", str(ROOT / "configs" / "simulate_chain.json"), "--out", str(out),
+                   "--set", "times.dt=50", "--set", "average_grid=[100]"])
+    assert rc == 1
+    assert "4 violated bound(s): population_equilibration[T=100]" in capsys.readouterr().out
+    assert (out / "trajectory_mz_n7.csv").is_file() and (out / "manifest.json").is_file()
+    bounds = json.loads((out / "report_mz_n7.json").read_text())["bounds"]
+    population = bounds[0]
+    assert population["name"] == "population_equilibration" and population["status"] == "violated"
+    assert population["parameters"]["quadrature_remainder"] > 50 > population["rhs"] > 5
+    assert population["parameters"]["trapezoid"] < population["rhs"]
+    assert [b["status"] for b in bounds[4:]] == ["holds"] * 3
+
+
 def test_verify_report_written(tmp_path):
     config = write_config(tmp_path / "verify.json", {
         "sites": [3],

@@ -349,13 +349,16 @@ def test_trajectory_keeps_its_validated_float_times():
     assert time_average_scalar(traj, "expectation", 4.0) == pytest.approx(2.0, abs=1e-14)
 
 
-def test_time_average_errors_and_warning():
+def test_time_average_rejects_windows_outside_the_span():
     ts = np.linspace(0.0, 1.0, 11)
     traj = _toy_trajectory(ts, np.sin(40 * ts))
+    for T in (2.0, 0.0, -1.0):
+        with pytest.raises(ValueError, match="span"):
+            time_average_scalar(traj, "expectation", T)
+    # a grid that starts late leaves [0, t_0] unsampled
+    late = _toy_trajectory(ts + 1.0, np.ones_like(ts))
     with pytest.raises(ValueError, match="span"):
-        time_average_scalar(traj, "expectation", 2.0)
-    with pytest.warns(UserWarning, match="not converged"):
-        time_average_scalar(traj, "expectation", 1.0)
+        time_average_scalar(late, "expectation", 2.0)
 
 
 def test_time_average_population_distance_one_period(spin):

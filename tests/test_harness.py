@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qeqlab.bounds import shannon_deviation_bound
-from qeqlab.dynamics import evolve, time_average_scalar
+from qeqlab.dynamics import default_time_step, evolve, time_average_scalar
 from qeqlab.harness import (
     ConfigError,
     ExperimentConfig,
+    chain_system,
     compute_trajectory,
     evaluate_bounds,
     execute_experiment,
@@ -30,7 +31,7 @@ from qeqlab.models import (
     tilted_ising_chain,
 )
 from qeqlab.serialize import canonical_json
-from qeqlab.verify import random_povm
+from qeqlab.verify import random_hermitian, random_povm, random_pure_state
 
 
 def small_chain(sites=3, axis="z"):
@@ -141,9 +142,79 @@ def test_eigenstate_initial_state_has_zero_deviations():
     assert np.max(traj.quantity("population_distance")) < 1e-10
     for report in evaluate_bounds(system, traj, [5.0]):
         assert report.holds
+        assert report.parameters["quadrature_remainder"] < 1e-12
     shannon_dev, observational_dev = sample_deviations(system, 100.0, 50, seed=0)
     assert np.max(shannon_dev) < 1e-9
     assert np.max(observational_dev) < 1e-9
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+@pytest.mark.parametrize("sites", range(2, 10))
+def test_all_down_energy_spread_is_g_sqrt_n(sites, axis):
+    # H|down...down> = E0|down...down> + g sum_i sigma_x^(i)|down...down>,
+    # and the N single flips are orthonormal and orthogonal to the start
+    params = SpinChainParams(sites=sites)
+    spread = chain_system(params, axis).energy_spread
+    assert spread == pytest.approx(params.g * math.sqrt(sites), rel=1e-12)
+
+
+@pytest.mark.parametrize("couplings", [{}, {"g": 1.3, "h": -0.2, "J": 0.7}])
+@pytest.mark.parametrize("sites", [2, 5, 8])
+def test_energy_spread_matches_the_full_space_oracle(sites, couplings):
+    params = SpinChainParams(sites=sites, **couplings)
+    ham = tilted_ising_chain(params)
+    psi = all_down_state(sites).amplitudes
+    h_psi = ham @ psi
+    oracle = np.linalg.norm(h_psi - np.vdot(psi, h_psi).real * psi)
+    assert chain_system(params).energy_spread == pytest.approx(oracle, rel=1e-12)
+    # a complex state spread over every level, propagated in the full space
+    state = random_pure_state(np.random.default_rng(sites), 2**sites)
+    h_psi = ham @ state.amplitudes
+    oracle = np.linalg.norm(h_psi - np.vdot(state.amplitudes, h_psi).real * state.amplitudes)
+    system = prepare_system(ham, bulk_magnetization(sites, "z"), state)
+    assert system.energy_spread == pytest.approx(oracle, rel=1e-10)
+
+
+_QUANTITY = {"population_equilibration": "population_distance", "shannon_deviation": "shannon_abs_dev",
+             "observational_deviation": "observational_abs_dev", "expectation_deviation": "expectation_sq_dev"}
+
+
+def _remainder_system(name):
+    """A z chain (real weights), a y chain (complex weights) or a random POVM."""
+    if name != "povm":
+        return chain_system(SpinChainParams(sites=5), name)
+    rng = np.random.default_rng(7)
+    return prepare_system(random_hermitian(rng, 6), random_povm(rng, 6, 3), random_pure_state(rng, 6))
+
+
+@pytest.mark.parametrize("name", ["z", "y", "povm"])
+def test_quadrature_remainder_bounds_the_trapezoid_error(name):
+    # the default-grid trapezoid against one on a grid 64 times finer, at
+    # windows that end between samples of both grids
+    system = _remainder_system(name)
+    dt = default_time_step(system.decomposition.spectral_range)
+    coarse = compute_trajectory(system, time_grid(12.0, dt))
+    fine = compute_trajectory(system, time_grid(12.0, dt / 64))
+    windows = [3.7 + dt / 3, 10.0 + dt / 7]
+    assert not np.isin(windows, fine.times).any()
+    reports = evaluate_bounds(system, coarse, windows)
+    assert {r.name for r in reports} == set(_QUANTITY) - ({"expectation_deviation"} if name == "povm" else set())
+    for report in reports:
+        params = report.parameters
+        assert report.lhs == params["trapezoid"] + params["quadrature_remainder"]
+        assert params["trapezoid"] == time_average_scalar(coarse, _QUANTITY[report.name], params["T"])
+        refined = time_average_scalar(fine, _QUANTITY[report.name], params["T"])
+        assert abs(params["trapezoid"] - refined) <= params["quadrature_remainder"]
+
+
+def test_free_spins_average_without_a_warning():
+    # the suite turns warnings into errors; this run used to warn that
+    # halving the step moved an average by 1.354e-04
+    config = ExperimentConfig(model={"kind": "tilted_ising", "sites": 3, "g": 1.0, "h": 0.0, "J": 0.0},
+                              t_max=10.0, average_grid=(5.0, 10.0), fluctuation_count=100)
+    report, system, _ = execute_experiment(config)
+    assert report["system"]["energy_spread"] == system.energy_spread == pytest.approx(math.sqrt(3), rel=1e-12)
+    assert all(bound["status"] == "holds" for bound in report["bounds"])
 
 
 def test_sample_deviations_near_time_zero_gives_equilibrium_entropy():
