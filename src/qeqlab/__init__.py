@@ -11,10 +11,7 @@ __version__ = "0.1.0"
 from .bounds import (
     ATOL_BOUND,
     BoundReport,
-    asymptotic_observational_bound,
-    asymptotic_shannon_bound,
     average_entropy_check,
-    averaged_state_entropy_bound,
     equilibration_factor,
     expectation_bound,
     observational_deviation_bound,
@@ -22,6 +19,7 @@ from .bounds import (
     population_distance_bound,
     shannon_deviation_bound,
     tail_bound_check,
+    von_neumann_deviation_bound,
 )
 from .dynamics import (
     GapStatistics,
@@ -38,11 +36,8 @@ from .entropy import (
     binary_entropy,
     boltzmann_term,
     g_function,
-    observational_continuity_bound,
     observational_entropy,
-    shannon_continuity_bound,
     shannon_entropy,
-    von_neumann_continuity_bound,
     von_neumann_entropy,
 )
 from .harness import (

@@ -1,6 +1,10 @@
-"""Right-hand sides of the equilibration and entropy-deviation
-inequalities, and report objects pairing them with measured left-hand
-sides.
+"""Right-hand sides of every inequality the package checks, and report
+objects pairing them with measured left-hand sides.
+
+Each entropy bound is written once, as a function of a distance: a bound
+on the outcome-distribution distance (or the trace distance of two
+states) becomes an entropy bound through a Fannes-Audenaert-type
+continuity estimate (Audenaert, J. Phys. A 40, 8127 (2007)).
 
 Every exact inequality is compared with an absolute slack of
 ``ATOL_BOUND``; only the sampled fluctuation checks are statistical, and
@@ -16,16 +20,13 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .dynamics import GapStatistics, Trajectory, time_average_scalar
-from .entropy import capped_binary_entropy, g_function, shannon_continuity_bound, shannon_entropy
+from .entropy import capped_binary_entropy, g_function, shannon_entropy
 from .measurement import population_distance
 
 __all__ = [
     "ATOL_BOUND",
     "BoundReport",
-    "asymptotic_observational_bound",
-    "asymptotic_shannon_bound",
     "average_entropy_check",
-    "averaged_state_entropy_bound",
     "equilibration_factor",
     "expectation_bound",
     "observational_deviation_bound",
@@ -33,6 +34,7 @@ __all__ = [
     "population_distance_bound",
     "shannon_deviation_bound",
     "tail_bound_check",
+    "von_neumann_deviation_bound",
 ]
 
 ATOL_BOUND = 1e-9
@@ -125,8 +127,11 @@ def expectation_bound(norm: float, d_eff: float, factor: float) -> float:
 
 
 def shannon_deviation_bound(n_outcomes: int, eta: float, alt_prefactor: bool = False) -> float:
-    """Bound on the time-averaged Shannon-entropy deviation:
-    ``ln(r-1) eta + H2(eta)`` (ln 2 in place of H2 past its maximum).
+    """Bound on ``|S(p) - S(q)|`` for two r-outcome distributions at
+    distance ``population_distance(p, q) <= eta``, and so on the
+    time-averaged Shannon-entropy deviation when eta bounds the averaged
+    distance: ``ln(r-1) eta + H2(eta)`` (ln 2 in place of H2 past its
+    maximum).
 
     ``alt_prefactor`` switches ln(r-1) to ln(r+1) for comparison runs.
     """
@@ -139,7 +144,8 @@ def shannon_deviation_bound(n_outcomes: int, eta: float, alt_prefactor: bool = F
 
 
 def observational_deviation_bound(dim: int, eta: float) -> float:
-    """Observational-entropy version: ``ln(d) eta + g(eta)``."""
+    """Observational-entropy version for two states of dimension d sharing
+    a measurement, eta bounding their outcome distance: ``ln(d) eta + g(eta)``."""
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     if eta < 0:
@@ -147,29 +153,18 @@ def observational_deviation_bound(dim: int, eta: float) -> float:
     return math.log(dim) * eta + g_function(eta)
 
 
-def asymptotic_shannon_bound(n_outcomes: int, d_eff: float, alt_prefactor: bool = False) -> float:
-    """Infinite-time, nondegenerate-gap specialization of the Shannon
-    bound: eta reduces to ``(1/2) sqrt(r / d_eff)``."""
-    eta = population_distance_bound(n_outcomes, d_eff, 1.0)
-    return shannon_deviation_bound(n_outcomes, eta, alt_prefactor=alt_prefactor)
+def von_neumann_deviation_bound(dim: int, t: float) -> float:
+    """Bound on ``|S_vN(rho) - S_vN(sigma)|`` for d-dimensional states:
+    ``ln(d) t + H2(t)`` (ln 2 in place of H2 past its maximum), with t the
+    trace distance ``(1/2)|rho - sigma|_1``.
 
-
-def asymptotic_observational_bound(n_outcomes: int, d_eff: float, dim: int) -> float:
-    """Infinite-time observational-entropy bound:
-    ``ln(d)/2 sqrt(r/d_eff) + g((1/2) sqrt(r/d_eff))``."""
-    eta = population_distance_bound(n_outcomes, d_eff, 1.0)
-    return observational_deviation_bound(dim, eta)
-
-
-def averaged_state_entropy_bound(dim: int, min_gap: float, T: float) -> float:
-    """Bound on ``|S_vN[<rho>_T] - S_vN[omega]|`` via the trace-distance
-    continuity bound with ``theta = 2 sqrt(d) / (min_gap T)``."""
-    if min_gap <= 0:
-        raise ValueError("min_gap must be positive")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    theta = 2.0 * math.sqrt(dim) / (min_gap * T)
-    return math.log(dim) * theta + capped_binary_entropy(theta)
+    The bound is nondecreasing in t, so t may be any upper bound on the
+    trace distance, such as a bound on the full trace norm."""
+    if dim < 2:
+        raise ValueError("dimension must be >= 2")
+    if t < 0:
+        raise ValueError("distance must be nonnegative")
+    return math.log(dim) * t + capped_binary_entropy(t)
 
 
 def clopper_pearson_upper(successes: int, trials: int) -> float:
@@ -218,17 +213,17 @@ def average_entropy_check(trajectory: Trajectory, equilibrium_populations, T: fl
     the trapezoid average is a convex combination of samples, so by
     concavity it is at most S(p_bar), p_bar being the outcome populations
     averaged with the same weights, and Fannes-Audenaert bounds
-    S(p_bar) - S(omega) by ``shannon_continuity_bound(p_bar, p_omega)``."""
+    S(p_bar) - S(omega) by ``shannon_deviation_bound(r, TV(p_bar, p_omega))``."""
     lhs = time_average_scalar(trajectory, "shannon", T)
     p_bar = np.array([time_average_scalar(trajectory, column, T) for column in trajectory.populations.T])
+    distance = population_distance(p_bar, equilibrium_populations)
     return BoundReport(
         name="average_entropy_vs_equilibrium",
         lhs=lhs,
-        rhs=shannon_entropy(equilibrium_populations)
-        + shannon_continuity_bound(p_bar, equilibrium_populations),
+        rhs=shannon_entropy(equilibrium_populations) + shannon_deviation_bound(p_bar.size, distance),
         parameters={
             "T": T,
             "shannon_averaged_populations": shannon_entropy(p_bar),
-            "averaged_population_distance": population_distance(p_bar, equilibrium_populations),
+            "averaged_population_distance": distance,
         },
     )

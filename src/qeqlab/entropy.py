@@ -1,4 +1,6 @@
-"""Entropy functionals and the continuity-bound right-hand sides.
+"""Entropy functionals: Shannon, observational and von Neumann
+entropies, and the binary entropy and g function that the continuity
+bounds in :mod:`qeqlab.bounds` are written in.
 
 All entropies are in nats; converting to bits is a presentation concern.
 ``x log x`` terms treat populations below 1e-15 as exactly zero to avoid
@@ -11,19 +13,13 @@ import math
 
 import numpy as np
 
-from .linalg import trace_norm
-from .measurement import population_distance
-
 __all__ = [
     "binary_entropy",
     "boltzmann_term",
     "capped_binary_entropy",
     "g_function",
-    "observational_continuity_bound",
     "observational_entropy",
-    "shannon_continuity_bound",
     "shannon_entropy",
-    "von_neumann_continuity_bound",
     "von_neumann_entropy",
 ]
 
@@ -84,9 +80,9 @@ def binary_entropy(x: float) -> float:
 def capped_binary_entropy(x: float) -> float:
     """H2(x) for x <= 1/2, else ln 2.
 
-    Every continuity bound below uses the binary entropy only through a
-    monotone upper estimate; substituting ln 2 past the maximum keeps the
-    bounds valid for arbitrarily large distance arguments.
+    Every continuity bound in :mod:`qeqlab.bounds` uses the binary entropy
+    only through this monotone upper estimate; substituting ln 2 past the
+    maximum keeps the bounds valid for arbitrarily large distances.
     """
     if x < 0:
         raise ValueError(f"negative argument {x!r}")
@@ -102,40 +98,3 @@ def g_function(x: float) -> float:
     if x < 0:
         raise ValueError(f"negative argument {x!r}")
     return float(-_xlogx(x) + (1.0 + x) * math.log1p(x))
-
-
-def shannon_continuity_bound(p, q) -> float:
-    """Upper bound on |S(p) - S(q)| for two r-outcome distributions:
-    ``ln(r-1) * t + H2(t)`` with t the half-normalized l1 distance.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.size < 2:
-        raise ValueError("the continuity bound needs at least 2 outcomes")
-    dist = population_distance(p, q)
-    return math.log(p.size - 1) * dist + capped_binary_entropy(dist)
-
-
-def observational_continuity_bound(p, q, dim: int) -> float:
-    """Upper bound on the observational-entropy difference of two states
-    sharing a measurement: ``g(t) + ln(dim) * t`` with t the
-    half-normalized l1 distance of their outcome distributions.
-    """
-    if dim < 1:
-        raise ValueError(f"invalid dimension {dim!r}")
-    dist = population_distance(p, q)
-    return g_function(dist) + math.log(dim) * dist
-
-
-def von_neumann_continuity_bound(rho, sigma) -> float:
-    """Trace-distance continuity bound for the von Neumann entropy:
-    ``(1/2) ln(d) |rho - sigma|_1 + H2((1/2)|rho - sigma|_1)``.
-    """
-    a = getattr(rho, "matrix", rho)
-    b = getattr(sigma, "matrix", sigma)
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    dist = trace_norm(a - b)
-    dim = a.shape[0]
-    return 0.5 * math.log(dim) * dist + capped_binary_entropy(0.5 * dist)

@@ -307,12 +307,14 @@ def sample_deviations(system: PreparedSystem, window: float, count: int, seed: i
 
 def _asymptotic_bounds(system: PreparedSystem) -> dict:
     """The infinite-time Shannon bound delta, its ln(r + 1) variant, and
-    the observational bound nu."""
-    r, d_eff = system.r, system.d_eff
+    the observational bound nu: the deviation bounds at the infinite-time,
+    nondegenerate-gap distance bound ``(1/2) sqrt(r / d_eff)``."""
+    r = system.r
+    eta = _bounds.population_distance_bound(r, system.d_eff, 1.0)
     return {
-        "delta": _bounds.asymptotic_shannon_bound(r, d_eff),
-        "delta_alt_prefactor": _bounds.asymptotic_shannon_bound(r, d_eff, alt_prefactor=True),
-        "nu": _bounds.asymptotic_observational_bound(r, d_eff, system.dim),
+        "delta": _bounds.shannon_deviation_bound(r, eta),
+        "delta_alt_prefactor": _bounds.shannon_deviation_bound(r, eta, alt_prefactor=True),
+        "nu": _bounds.observational_deviation_bound(system.dim, eta),
     }
 
 

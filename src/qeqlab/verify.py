@@ -15,14 +15,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from .dynamics import finite_time_average_state, equilibrium_state, default_time_step
-from .entropy import (
-    observational_continuity_bound,
-    observational_entropy,
-    shannon_continuity_bound,
-    shannon_entropy,
-    von_neumann_continuity_bound,
-    von_neumann_entropy,
-)
+from .entropy import observational_entropy, shannon_entropy, von_neumann_entropy
 from .harness import (
     _check_windows,
     _field_defaults,
@@ -40,7 +33,7 @@ from .harness import (
     time_grid,
 )
 from .linalg import trace_norm
-from .measurement import Measurement, populations, povm_from_factors, pvm_from_observable
+from .measurement import Measurement, population_distance, populations, povm_from_factors, pvm_from_observable
 from .models import DensityMatrix, PureState, SpinChainParams, _check_cap
 # not called here: perfbench/tracing.py looks these names up on this module
 from .harness import sample_deviations
@@ -201,7 +194,7 @@ def _suite_report(name: str, cases, extra: dict) -> _bounds.BoundReport:
     return _bounds.BoundReport(name=name, lhs=worst[0], rhs=worst[1], parameters=params)
 
 
-def shannon_continuity_suite(rng, pairs: int = 10_000) -> _bounds.BoundReport:
+def shannon_continuity_suite(rng, pairs: int) -> _bounds.BoundReport:
     """|S(p) - S(q)| against the distribution continuity bound on random
     distribution pairs."""
     def draws():
@@ -209,12 +202,13 @@ def shannon_continuity_suite(rng, pairs: int = 10_000) -> _bounds.BoundReport:
             r = int(rng.integers(2, _SHANNON_MAX_OUTCOMES + 1))
             p = rng.dirichlet(np.ones(r))
             q = rng.dirichlet(np.ones(r))
-            yield abs(shannon_entropy(p) - shannon_entropy(q)), shannon_continuity_bound(p, q)
+            yield (abs(shannon_entropy(p) - shannon_entropy(q)),
+                   _bounds.shannon_deviation_bound(r, population_distance(p, q)))
 
     return _suite_report("shannon_continuity_suite", draws(), {"max_outcomes": _SHANNON_MAX_OUTCOMES})
 
 
-def observational_continuity_suite(rng, cases: int = 1_000) -> _bounds.BoundReport:
+def observational_continuity_suite(rng, cases: int) -> _bounds.BoundReport:
     """Observational-entropy continuity on random state pairs sharing a
     measurement; alternates nondegenerate and coarse measurements."""
     def draws():
@@ -231,12 +225,12 @@ def observational_continuity_suite(rng, cases: int = 1_000) -> _bounds.BoundRepo
             q = populations(measurement, sigma)
             mult = measurement.multiplicities
             yield (abs(observational_entropy(p, mult) - observational_entropy(q, mult)),
-                   observational_continuity_bound(p, q, dim))
+                   _bounds.observational_deviation_bound(dim, population_distance(p, q)))
 
     return _suite_report("observational_continuity_suite", draws(), {"max_dim": _OBSERVATIONAL_MAX_DIM})
 
 
-def von_neumann_continuity_suite(rng, cases: int = 1_000) -> _bounds.BoundReport:
+def von_neumann_continuity_suite(rng, cases: int) -> _bounds.BoundReport:
     """von Neumann entropy difference against the trace-distance bound."""
     def draws():
         for k in range(cases):
@@ -247,12 +241,12 @@ def von_neumann_continuity_suite(rng, cases: int = 1_000) -> _bounds.BoundReport
             else:
                 sigma = random_density_matrix(rng, dim, rank=int(rng.integers(1, dim + 1)))
             yield (abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma)),
-                   von_neumann_continuity_bound(rho, sigma))
+                   _bounds.von_neumann_deviation_bound(dim, 0.5 * trace_norm(rho.matrix - sigma.matrix)))
 
     return _suite_report("von_neumann_continuity_suite", draws(), {"max_dim": _VON_NEUMANN_MAX_DIM})
 
 
-def povm_equilibration_suite(rng, cases: int = 1_000) -> _bounds.BoundReport:
+def povm_equilibration_suite(rng, cases: int) -> _bounds.BoundReport:
     """Population equilibration (and the entropy bounds it implies) for
     random Hamiltonians measured through random POVMs."""
     def draws():
@@ -296,16 +290,18 @@ def time_averaged_state_suite(sites, windows) -> list:
         for T in map(float, windows):
             avg = finite_time_average_state(decomp, system.initial, T)
             params = {"system": f"avg_state_{n}", "sites": n, "dim": dim, "T": T, "min_gap": min_gap}
+            # theta bounds the full trace norm, so also the trace distance
+            theta = 2.0 * math.sqrt(dim) / (min_gap * T)
             reports.append(_bounds.BoundReport(
                 name="averaged_state_distance",
                 lhs=trace_norm(avg.matrix - omega.matrix),
-                rhs=2.0 * math.sqrt(dim) / (min_gap * T),
+                rhs=theta,
                 parameters=dict(params),
             ))
             reports.append(_bounds.BoundReport(
                 name="averaged_state_entropy",
                 lhs=abs(von_neumann_entropy(avg) - s_omega),
-                rhs=_bounds.averaged_state_entropy_bound(dim, min_gap, T),
+                rhs=_bounds.von_neumann_deviation_bound(dim, theta),
                 parameters=dict(params),
             ))
     return reports

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from qeqlab.bounds import (
-    asymptotic_observational_bound,
-    asymptotic_shannon_bound,
+    observational_deviation_bound,
     population_distance_bound,
+    shannon_deviation_bound,
     tail_bound_check,
 )
 from qeqlab.dynamics import default_time_step, time_average_scalar
@@ -149,12 +149,13 @@ def test_criterion_06_fluctuation_tail(chain_data):
     t0 = time.monotonic()
     # one draw of times feeds both checks, each valid on its own
     samples, obs_samples = sample_deviations(system, 1.0e4, 10_000, seed=123)
-    delta = asymptotic_shannon_bound(system.r, system.d_eff)
+    eta = population_distance_bound(system.r, system.d_eff, 1.0)
+    delta = shannon_deviation_bound(system.r, eta)
     report = tail_bound_check(samples, math.sqrt(delta), delta, "shannon_fluctuation")
     assert report.lhs <= math.sqrt(delta)      # Clopper-Pearson 99% upper edge
     assert report.holds
 
-    nu = asymptotic_observational_bound(system.r, system.d_eff, system.dim)
+    nu = observational_deviation_bound(system.dim, eta)
     obs_report = tail_bound_check(obs_samples, math.sqrt(nu), nu, "observational_fluctuation")
     assert obs_report.holds
 
@@ -208,7 +209,8 @@ def test_criterion_09_figure_reproduction(chain_data):
 
     # finite-window averages stay below the infinite-window bound value
     for n, (system_n, trajectory_n) in data.items():
-        delta_n = asymptotic_shannon_bound(system_n.r, system_n.d_eff)
+        eta_n = population_distance_bound(system_n.r, system_n.d_eff, 1.0)
+        delta_n = shannon_deviation_bound(system_n.r, eta_n)
         curve = [time_average_scalar(trajectory_n, "shannon_abs_dev", T)
                  for T in np.arange(10.0, 101.0, 10.0)]
         assert all(value <= delta_n for value in curve), (n, delta_n, curve)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import pkgutil
@@ -17,6 +18,17 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"qeqlab.{name}")
     missing = [item for item in getattr(module, "__all__", ()) if not hasattr(module, item)]
     assert missing == []
+
+
+def test_entropy_module_imports_only_math_and_numpy():
+    tree = ast.parse(Path(qeqlab.entropy.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", "math", "numpy"}
 
 
 def test_readme_quick_tour_runs(capsys):

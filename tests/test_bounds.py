@@ -6,10 +6,7 @@ from scipy.integrate import quad
 
 from qeqlab.bounds import (
     BoundReport,
-    asymptotic_observational_bound,
-    asymptotic_shannon_bound,
     average_entropy_check,
-    averaged_state_entropy_bound,
     clopper_pearson_upper,
     equilibration_factor,
     expectation_bound,
@@ -18,6 +15,7 @@ from qeqlab.bounds import (
     population_distance_bound,
     shannon_deviation_bound,
     tail_bound_check,
+    von_neumann_deviation_bound,
 )
 from qeqlab.dynamics import (
     equilibrium_state,
@@ -103,20 +101,40 @@ def test_observational_deviation_bound_values():
         observational_deviation_bound(1, 0.1)
 
 
+def eta_infinite(r, d_eff):
+    """The infinite-time, nondegenerate-gap distance bound (1/2) sqrt(r / d_eff)."""
+    return population_distance_bound(r, d_eff, 1.0)
+
+
+def test_von_neumann_deviation_bound_values():
+    assert von_neumann_deviation_bound(4, 0.0) == 0.0
+    assert von_neumann_deviation_bound(4, 0.25) == math.log(4) * 0.25 + binary_entropy(0.25)
+    # past the binary-entropy maximum the ln 2 substitution applies
+    assert von_neumann_deviation_bound(2, 3.0) == math.log(2) * 3.0 + LN2
+    ts = np.linspace(0.0, 2.0, 50)
+    vals = [von_neumann_deviation_bound(4, t) for t in ts]
+    assert all(a < b for a, b in zip(vals, vals[1:]))
+    with pytest.raises(ValueError, match="dimension"):
+        von_neumann_deviation_bound(1, 0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        von_neumann_deviation_bound(4, -0.1)
+
+
 def test_asymptotic_shannon_bound_values():
-    assert asymptotic_shannon_bound(2, 1e12) < 1e-4
-    assert np.isclose(asymptotic_shannon_bound(2, 2.0), LN2)
+    assert shannon_deviation_bound(2, eta_infinite(2, 1e12)) < 1e-4
+    assert np.isclose(shannon_deviation_bound(2, eta_infinite(2, 2.0)), LN2)
     # frozen from the defining formula at r = 14, d_eff = 4096
-    assert np.isclose(asymptotic_shannon_bound(14, 4096.0), 0.20703907423257234)
-    assert asymptotic_shannon_bound(14, 4096.0, alt_prefactor=True) > 0.20703907423257234
+    eta = eta_infinite(14, 4096.0)
+    assert np.isclose(shannon_deviation_bound(14, eta), 0.20703907423257234)
+    assert shannon_deviation_bound(14, eta, alt_prefactor=True) > 0.20703907423257234
 
 
 def test_asymptotic_observational_bound_values():
-    assert asymptotic_observational_bound(2, 1e12, 4) < 1e-4
+    assert observational_deviation_bound(4, eta_infinite(2, 1e12)) < 1e-4
     # frozen from the defining formula at r = 2, d_eff = 16, d = 4
     x = 0.5 * math.sqrt(2.0 / 16.0)
     expected = math.log(4) * x + g_function(x)
-    assert np.isclose(asymptotic_observational_bound(2, 16.0, 4), expected)
+    assert np.isclose(observational_deviation_bound(4, eta_infinite(2, 16.0)), expected)
     assert np.isclose(expected, 0.7429498413596375)
 
 
@@ -125,15 +143,17 @@ def test_observational_dominates_shannon_bound():
     for x in np.linspace(0.0, 0.5, 201):
         assert g_function(x) >= binary_entropy(x) - 1e-12
     for r, d_eff, dim in ((4, 50.0, 16), (6, 200.0, 64)):
-        assert (asymptotic_observational_bound(r, d_eff, dim)
-                >= asymptotic_shannon_bound(r, d_eff) - 1e-12)
+        eta = eta_infinite(r, d_eff)
+        assert observational_deviation_bound(dim, eta) >= shannon_deviation_bound(r, eta) - 1e-12
 
 
 def test_averaged_state_entropy_bound_values():
-    assert averaged_state_entropy_bound(4, 1.0, 1e9) < 1e-6
-    assert np.isclose(averaged_state_entropy_bound(4, 1.0, 16.0), 0.908908734898781)
-    with pytest.raises(ValueError):
-        averaged_state_entropy_bound(4, 0.0, 10.0)
+    # the trace-norm rate theta = 2 sqrt(d) / (min_gap T) at d = 4, min_gap = 1
+    def theta(T):
+        return 2.0 * math.sqrt(4) / (1.0 * T)
+
+    assert von_neumann_deviation_bound(4, theta(1e9)) < 1e-6
+    assert np.isclose(von_neumann_deviation_bound(4, theta(16.0)), 0.908908734898781)
 
 
 def test_averaged_state_trace_norm_on_two_level():
@@ -238,6 +258,14 @@ def test_average_entropy_check_certifies_the_weak_field_chain(weak_field_chain):
     assert report.lhs == pytest.approx(0.27994, abs=1e-5)
     assert report.rhs == pytest.approx(0.35621, abs=1e-5)
     assert s_bar == pytest.approx(0.30072, abs=1e-5)
+
+
+def test_average_entropy_check_rhs_is_the_shannon_bound_at_the_recorded_distance(weak_field_chain):
+    system, traj = weak_field_chain
+    p_omega = system.equilibrium.populations
+    report = average_entropy_check(traj, p_omega, 20.0)
+    distance = report.parameters["averaged_population_distance"]
+    assert report.rhs == shannon_entropy(p_omega) + shannon_deviation_bound(p_omega.size, distance)
 
 
 def test_average_entropy_check_fails_above_the_certified_bound(weak_field_chain):

@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeqlab.bounds import observational_deviation_bound, shannon_deviation_bound, von_neumann_deviation_bound
 from qeqlab.dynamics import evolve
 from qeqlab.entropy import (
     binary_entropy,
     boltzmann_term,
     capped_binary_entropy,
     g_function,
-    observational_continuity_bound,
     observational_entropy,
-    shannon_continuity_bound,
     shannon_entropy,
-    von_neumann_continuity_bound,
     von_neumann_entropy,
 )
-from qeqlab.linalg import decompose_hermitian
-from qeqlab.measurement import populations, pvm_from_observable
+from qeqlab.linalg import decompose_hermitian, trace_norm
+from qeqlab.measurement import population_distance, populations, pvm_from_observable
 from qeqlab.models import DensityMatrix
 
 LN2 = math.log(2.0)
@@ -98,14 +96,14 @@ def test_g_function_values():
 
 def test_shannon_continuity_bound_cases():
     p = np.array([0.2, 0.5, 0.3])
-    assert shannon_continuity_bound(p, p) == 0.0
+    assert shannon_deviation_bound(3, population_distance(p, p)) == 0.0
     # equality case: r = 2, distance 1/2, both sides equal ln 2
     lhs = abs(shannon_entropy([1.0, 0.0]) - shannon_entropy([0.5, 0.5]))
-    rhs = shannon_continuity_bound([1.0, 0.0], [0.5, 0.5])
+    rhs = shannon_deviation_bound(2, population_distance([1.0, 0.0], [0.5, 0.5]))
     assert np.isclose(lhs, rhs)
     assert np.isclose(rhs, LN2)
     with pytest.raises(ValueError):
-        shannon_continuity_bound([1.0], [1.0])
+        shannon_deviation_bound(1, population_distance([1.0], [1.0]))
 
 
 def test_shannon_continuity_bound_random():
@@ -114,18 +112,18 @@ def test_shannon_continuity_bound_random():
         r = int(rng.integers(2, 65))
         p, q = rng.dirichlet(np.ones(r)), rng.dirichlet(np.ones(r))
         lhs = abs(shannon_entropy(p) - shannon_entropy(q))
-        assert lhs <= shannon_continuity_bound(p, q) + 1e-9
+        assert lhs <= shannon_deviation_bound(r, population_distance(p, q)) + 1e-9
 
 
 def test_observational_continuity_bound_cases():
     p = np.array([0.5, 0.5])
-    assert observational_continuity_bound(p, p, 4) == 0.0
+    assert observational_deviation_bound(4, population_distance(p, p)) == 0.0
     # distance 1/2 and d = 4, from the defining formulas
-    val = observational_continuity_bound([1.0, 0.0], [0.5, 0.5], 4)
+    val = observational_deviation_bound(4, population_distance([1.0, 0.0], [0.5, 0.5]))
     assert np.isclose(val, math.log(4) * 0.5 + g_function(0.5))
     assert np.isclose(val, 1.6479184330021646)
     with pytest.raises(ValueError):
-        observational_continuity_bound(p, p, 0)
+        observational_deviation_bound(0, population_distance(p, p))
 
 
 def test_observational_continuity_bound_random():
@@ -137,18 +135,16 @@ def test_observational_continuity_bound_random():
         p, q = populations(m, rho), populations(m, sigma)
         mult = m.multiplicities
         lhs = abs(observational_entropy(p, mult) - observational_entropy(q, mult))
-        assert lhs <= observational_continuity_bound(p, q, dim) + 1e-9
+        assert lhs <= observational_deviation_bound(dim, population_distance(p, q)) + 1e-9
 
 
 def test_von_neumann_continuity_bound_cases():
     rho = np.diag([1.0, 0.0]).astype(complex)
     sigma = np.eye(2, dtype=complex) / 2
-    assert von_neumann_continuity_bound(rho, rho) == 0.0
-    rhs = von_neumann_continuity_bound(rho, sigma)
+    assert von_neumann_deviation_bound(2, 0.5 * trace_norm(rho - rho)) == 0.0
+    rhs = von_neumann_deviation_bound(2, 0.5 * trace_norm(rho - sigma))
     assert np.isclose(rhs, 1.5 * LN2)
     assert abs(von_neumann_entropy(sigma) - von_neumann_entropy(rho)) <= rhs
-    with pytest.raises(ValueError, match="mismatch"):
-        von_neumann_continuity_bound(np.eye(2) / 2, np.eye(3) / 3)
 
 
 def test_von_neumann_continuity_bound_random():
@@ -157,7 +153,7 @@ def test_von_neumann_continuity_bound_random():
         dim = int(rng.integers(2, 17))
         rho, sigma = random_density(rng, dim), random_density(rng, dim)
         lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
-        assert lhs <= von_neumann_continuity_bound(rho, sigma) + 1e-9
+        assert lhs <= von_neumann_deviation_bound(dim, 0.5 * trace_norm(rho.matrix - sigma.matrix)) + 1e-9
 
 
 def test_additive_split_and_upper_estimate():
@@ -211,4 +207,4 @@ def test_zhang_bound_property(seed):
     r = int(rng.integers(2, 65))
     p, q = rng.dirichlet(np.ones(r)), rng.dirichlet(np.ones(r))
     lhs = abs(shannon_entropy(p) - shannon_entropy(q))
-    assert lhs <= shannon_continuity_bound(p, q) + 1e-9
+    assert lhs <= shannon_deviation_bound(r, population_distance(p, q)) + 1e-9

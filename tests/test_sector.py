@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qeqlab.harness as harness
-from qeqlab.bounds import averaged_state_entropy_bound
+from qeqlab.bounds import von_neumann_deviation_bound
 from qeqlab.dynamics import equilibrium_state, finite_time_average_state
 from qeqlab.entropy import von_neumann_entropy
 from qeqlab.harness import chain_system, compute_trajectory, prepare_system, sample_deviations
@@ -145,9 +145,10 @@ def test_averaged_state_suite_agrees_with_the_full_space(sites):
     want = []
     for T in windows:
         avg = finite_time_average_state(decomp, full.initial, T)
-        want.append((trace_norm(avg.matrix - omega.matrix), 2.0 * math.sqrt(dim) / (min_gap * T)))
+        theta = 2.0 * math.sqrt(dim) / (min_gap * T)
+        want.append((trace_norm(avg.matrix - omega.matrix), theta))
         want.append((abs(von_neumann_entropy(avg) - von_neumann_entropy(omega)),
-                     averaged_state_entropy_bound(dim, min_gap, T)))
+                     von_neumann_deviation_bound(dim, theta)))
     for report, (lhs, rhs) in zip(reports, want, strict=True):
         assert report.parameters["dim"] == reflection_sector(sites).dim
         assert abs(report.lhs - lhs) <= 1e-13
@@ -218,3 +219,13 @@ def test_state_outside_the_sector_is_rejected(sites):
     even[dim - 2] = 1.0
     projected = sector.project_state(PureState(even / math.sqrt(2)))
     assert np.linalg.norm(projected.amplitudes) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_averaged_state_entropy_rhs_is_the_deviation_bound_at_the_distance_rhs():
+    """Each window's entropy rhs is the von Neumann deviation bound at the
+    rate theta that its distance report certifies."""
+    reports = time_averaged_state_suite([3, 5], (1.0e2, 1.0e4))
+    for distance, entropy in zip(reports[::2], reports[1::2], strict=True):
+        assert (distance.name, entropy.name) == ("averaged_state_distance", "averaged_state_entropy")
+        assert entropy.parameters == distance.parameters
+        assert entropy.rhs == von_neumann_deviation_bound(distance.parameters["dim"], distance.rhs)
