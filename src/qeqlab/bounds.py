@@ -155,16 +155,18 @@ def observational_deviation_bound(dim: int, eta: float) -> float:
 
 def von_neumann_deviation_bound(dim: int, t: float) -> float:
     """Bound on ``|S_vN(rho) - S_vN(sigma)|`` for d-dimensional states:
-    ``ln(d) t + H2(t)`` (ln 2 in place of H2 past its maximum), with t the
-    trace distance ``(1/2)|rho - sigma|_1``.
+    ``ln(d) t + H2(t)`` (ln 2 in place of H2 past its maximum), at most
+    ln d, with t the trace distance ``(1/2)|rho - sigma|_1``.
 
     The bound is nondecreasing in t, so t may be any upper bound on the
-    trace distance, such as a bound on the full trace norm."""
+    trace distance, such as half a bound on the full trace norm. Two
+    entropies in [0, ln d] differ by at most ln d, the cap of Audenaert's
+    sharp bound."""
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     if t < 0:
         raise ValueError("distance must be nonnegative")
-    return math.log(dim) * t + capped_binary_entropy(t)
+    return min(math.log(dim) * t + capped_binary_entropy(t), math.log(dim))
 
 
 def clopper_pearson_upper(successes: int, trials: int) -> float:
@@ -214,7 +216,7 @@ def average_entropy_check(trajectory: Trajectory, equilibrium_populations, T: fl
     concavity it is at most S(p_bar), p_bar being the outcome populations
     averaged with the same weights, and Fannes-Audenaert bounds
     S(p_bar) - S(omega) by ``shannon_deviation_bound(r, TV(p_bar, p_omega))``."""
-    lhs = time_average_scalar(trajectory, "shannon", T)
+    lhs = time_average_scalar(trajectory, trajectory.shannon, T)
     p_bar = np.array([time_average_scalar(trajectory, column, T) for column in trajectory.populations.T])
     distance = population_distance(p_bar, equilibrium_populations)
     return BoundReport(

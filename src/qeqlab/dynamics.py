@@ -210,17 +210,6 @@ def default_time_step(spectral_range: float) -> float:
 
 
 @dataclass(frozen=True)
-class EquilibriumReference:
-    """Per-observable values of the infinite-time-averaged state."""
-
-    populations: np.ndarray
-    expectation: float | None
-    shannon: float
-    observational: float
-    boltzmann: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled observables of an evolving state on an ascending time grid."""
 
@@ -230,7 +219,6 @@ class Trajectory:
     shannon: np.ndarray
     observational: np.ndarray
     boltzmann: np.ndarray
-    equilibrium: EquilibriumReference
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -242,49 +230,22 @@ class Trajectory:
     def span(self) -> float:
         return float(self.times[-1])
 
-    def quantity(self, name: str) -> np.ndarray:
-        """Resolve a named per-time series, including deviation series
-        taken relative to the equilibrium reference."""
-        eq = self.equilibrium
-        if name == "expectation":
-            return self.expectation
-        if name == "shannon":
-            return self.shannon
-        if name == "observational":
-            return self.observational
-        if name == "boltzmann":
-            return self.boltzmann
-        if name == "shannon_abs_dev":
-            return np.abs(self.shannon - eq.shannon)
-        if name == "observational_abs_dev":
-            return np.abs(self.observational - eq.observational)
-        if name == "population_distance":
-            return 0.5 * np.sum(np.abs(self.populations - eq.populations[None, :]), axis=1)
-        if name == "expectation_sq_dev":
-            return (self.expectation - eq.expectation) ** 2
-        raise KeyError(f"unknown trajectory quantity {name!r}")
 
-
-def _trapezoid_to(times: np.ndarray, values: np.ndarray, T: float) -> float:
-    """Integral of the sampled series over [0, T], with the final partial
-    interval handled by linear interpolation."""
+def time_average_scalar(trajectory: Trajectory, values, T: float) -> float:
+    """Trapezoidal time average ``(1/T) int_0^T X(t) dt`` of a series
+    sampled on the trajectory's grid, which must start at t = 0: the exact
+    average of the samples' linear interpolant, the final partial interval
+    included. :func:`~qeqlab.harness.evaluate_bounds` adds the quadrature
+    remainder that bounds its distance to the truth."""
+    times = trajectory.times
+    values = np.asarray(values, dtype=float)
+    if times[0] != 0 or T <= 0 or T > times[-1] * (1 + _SPAN_RTOL):
+        raise ValueError(f"window (0, {T!r}] outside the sampled span [{times[0]!r}, {times[-1]!r}]")
+    T = min(T, float(times[-1]))
     k = int(np.searchsorted(times, T, side="right")) - 1
     total = float(np.trapezoid(values[: k + 1], times[: k + 1])) if k >= 1 else 0.0
     if k + 1 < len(times) and times[k] < T:
         frac = (T - times[k]) / (times[k + 1] - times[k])
         v_t = values[k] + frac * (values[k + 1] - values[k])
         total += 0.5 * (values[k] + v_t) * (T - times[k])
-    return total
-
-
-def time_average_scalar(series: Trajectory, quantity, T: float) -> float:
-    """Trapezoidal time average ``(1/T) int_0^T X(t) dt`` of a named series or
-    a raw array aligned with a grid from t = 0: the exact average of the
-    samples' linear interpolant. :func:`~qeqlab.harness.evaluate_bounds`
-    adds the quadrature remainder that bounds its distance to the truth."""
-    times = series.times
-    values = series.quantity(quantity) if isinstance(quantity, str) else np.asarray(quantity, float)
-    if times[0] != 0 or T <= 0 or T > times[-1] * (1 + _SPAN_RTOL):
-        raise ValueError(f"window (0, {T!r}] outside the sampled span [{times[0]!r}, {times[-1]!r}]")
-    T = min(T, float(times[-1]))
-    return _trapezoid_to(times, values, T) / T
+    return total / T

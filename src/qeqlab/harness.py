@@ -19,7 +19,6 @@ import numpy as np
 from . import bounds as _bounds
 from .dynamics import (
     _SPAN_RTOL,
-    EquilibriumReference,
     GapStatistics,
     Trajectory,
     _check_dim,
@@ -84,6 +83,17 @@ _SITE_ROTATIONS = {
 
 
 @dataclass(frozen=True)
+class EquilibriumReference:
+    """Per-observable values of the infinite-time-averaged state."""
+
+    populations: np.ndarray
+    expectation: float | None
+    shannon: float
+    observational: float
+    boltzmann: float
+
+
+@dataclass(frozen=True)
 class PreparedSystem:
     """A diagonalized system bundled with its measurement and initial
     state, plus the eigenbasis caches propagation needs.
@@ -132,11 +142,14 @@ class PreparedSystem:
         return self.measurement.r
 
 
-def _entropy_rows(pops: np.ndarray, multiplicities: np.ndarray):
-    """Shannon, observational and multiplicity terms for population rows."""
+def _outcome_series(pops: np.ndarray, measurement: Measurement):
+    """Expectation value (None for a measurement without values), Shannon,
+    observational and Boltzmann entropy of each population row."""
+    values = measurement.values
+    expectation = pops @ values if values is not None else None
     shannon = -np.sum(_xlogx(pops), axis=1)
-    boltzmann = pops @ np.log(np.asarray(multiplicities, dtype=float))
-    return shannon, shannon + boltzmann, boltzmann
+    boltzmann = pops @ np.log(np.asarray(measurement.multiplicities, dtype=float))
+    return expectation, shannon, shannon + boltzmann, boltzmann
 
 
 def prepare_system(hamiltonian, observable, initial) -> PreparedSystem:
@@ -165,18 +178,8 @@ def prepare_system(hamiltonian, observable, initial) -> PreparedSystem:
     per_block = np.add.reduceat(weighted, edges, axis=1)
     weights = np.sum(np.abs(per_block) ** 2, axis=1)
     p_omega = clamp_populations(measurement.group_sums(weights))
-
-    values = measurement.values
-    expectation_omega = float(np.dot(values, p_omega)) if values is not None else None
-    mult = measurement.multiplicities
-    s_row, o_row, b_row = _entropy_rows(p_omega[None, :], mult)
-    equilibrium = EquilibriumReference(
-        populations=p_omega,
-        expectation=expectation_omega,
-        shannon=float(s_row[0]),
-        observational=float(o_row[0]),
-        boltzmann=float(b_row[0]),
-    )
+    series = _outcome_series(p_omega[None, :], measurement)
+    equilibrium = EquilibriumReference(p_omega, *(None if row is None else float(row[0]) for row in series))
     return PreparedSystem(
         decomposition=decomp,
         measurement=measurement,
@@ -271,18 +274,7 @@ def compute_trajectory(system: PreparedSystem, times) -> Trajectory:
     """Sample populations, expectation value, and entropies on a grid."""
     times = np.asarray(times, dtype=float)
     pops = _populations_at(system, times)
-    values = system.measurement.values
-    expectation = pops @ values if values is not None else None
-    shannon, observational, boltzmann = _entropy_rows(pops, system.measurement.multiplicities)
-    return Trajectory(
-        times=times,
-        populations=pops,
-        expectation=expectation,
-        shannon=shannon,
-        observational=observational,
-        boltzmann=boltzmann,
-        equilibrium=system.equilibrium,
-    )
+    return Trajectory(times, pops, *_outcome_series(pops, system.measurement))
 
 
 def sample_deviations(system: PreparedSystem, window: float, count: int, seed: int):
@@ -299,8 +291,7 @@ def sample_deviations(system: PreparedSystem, window: float, count: int, seed: i
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, window, size=count)
-    pops = _populations_at(system, times)
-    shannon, observational, _ = _entropy_rows(pops, system.measurement.multiplicities)
+    _, shannon, observational, _ = _outcome_series(_populations_at(system, times), system.measurement)
     eq = system.equilibrium
     return np.abs(shannon - eq.shannon), np.abs(observational - eq.observational)
 
@@ -368,9 +359,19 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
     if r < 2:
         raise ValueError("bound evaluation needs a measurement with r >= 2")
     tau = system.energy_spread * float(np.max(np.diff(trajectory.times), initial=0.0)) / 2
-    remainders = {"population_distance": tau, "shannon_abs_dev": _bounds.shannon_deviation_bound(r, tau),
-                  "observational_abs_dev": _bounds.observational_deviation_bound(dim, tau),
-                  "expectation_sq_dev": 8 * norm**2 * tau if norm is not None else None}
+    eq = system.equilibrium
+    # each report's deviation series, paired with its remainder w(tau)
+    deviations = [
+        ("population_equilibration",
+         0.5 * np.sum(np.abs(trajectory.populations - eq.populations), axis=1), tau),
+        ("shannon_deviation", np.abs(trajectory.shannon - eq.shannon),
+         _bounds.shannon_deviation_bound(r, tau)),
+        ("observational_deviation", np.abs(trajectory.observational - eq.observational),
+         _bounds.observational_deviation_bound(dim, tau)),
+    ]
+    if norm is not None:
+        deviations.append(("expectation_deviation", (trajectory.expectation - eq.expectation) ** 2,
+                           8 * norm**2 * tau))
     windows = [float(T) for T in T_grid]
     best = _bounds.optimal_epsilon(stats, windows, points=eps_points) if windows else []
     for T, (eps, factor, count) in zip(windows, best):
@@ -387,31 +388,28 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
             "d_eff": system.d_eff,
             "dim": dim,
         }
-        rows = [
-            ("population_equilibration", "population_distance", eta, {}),
-            ("shannon_deviation", "shannon_abs_dev", _bounds.shannon_deviation_bound(r, eta),
+        rhs_rows = [
+            (eta, {}),
+            (_bounds.shannon_deviation_bound(r, eta),
              {"rhs_alt_prefactor": _bounds.shannon_deviation_bound(r, eta, alt_prefactor=True)}),
-            ("observational_deviation", "observational_abs_dev",
-             _bounds.observational_deviation_bound(dim, eta), {}),
+            (_bounds.observational_deviation_bound(dim, eta), {}),
         ]
         if norm is not None:
-            rows.append(("expectation_deviation", "expectation_sq_dev",
-                         _bounds.expectation_bound(norm, system.d_eff, factor), {}))
-        for name, quantity, rhs, extra in rows:
-            trapezoid = time_average_scalar(trajectory, quantity, T)
-            remainder = remainders[quantity]
+            rhs_rows.append((_bounds.expectation_bound(norm, system.d_eff, factor), {}))
+        for (name, series, remainder), (rhs, extra) in zip(deviations, rhs_rows, strict=True):
+            trapezoid = time_average_scalar(trajectory, series, T)
             reports.append(_bounds.BoundReport(
                 name=name, lhs=trapezoid + remainder, rhs=rhs,
                 parameters={**params, "trapezoid": trapezoid, "quadrature_remainder": remainder, **extra}))
     return reports
 
 
-def window_average(trajectory: Trajectory, quantity: str, t0: float, t1: float) -> float:
-    """Average of a trajectory quantity over [t0, t1]."""
+def window_average(trajectory: Trajectory, values, t0: float, t1: float) -> float:
+    """Average over [t0, t1] of a series sampled on the trajectory's grid."""
     if not 0 <= t0 < t1 <= trajectory.span * (1 + _SPAN_RTOL):
         raise ValueError(f"window [{t0}, {t1}] outside the trajectory span")
-    high = time_average_scalar(trajectory, quantity, t1) * t1
-    low = time_average_scalar(trajectory, quantity, t0) * t0 if t0 > 0 else 0.0
+    high = time_average_scalar(trajectory, values, t1) * t1
+    low = time_average_scalar(trajectory, values, t0) * t0 if t0 > 0 else 0.0
     return (high - low) / (t1 - t0)
 
 
@@ -788,7 +786,8 @@ def sweep_chain_lengths(sites=(5, 6, 7, 8, 9), t_max: float = 100.0,
         system = chain_system(SpinChainParams(sites=int(n)), axis)
         dt = default_time_step(system.decomposition.spectral_range)
         trajectory = compute_trajectory(system, time_grid(t_max, dt))
-        late = window_average(trajectory, "shannon_abs_dev", late_window[0], late_window[1])
+        deviation = np.abs(trajectory.shannon - system.equilibrium.shannon)
+        late = window_average(trajectory, deviation, late_window[0], late_window[1])
         rows.append({
             "sites": int(n),
             "dim": system.dim,

@@ -95,7 +95,8 @@ def test_criterion_01_precessing_spin_oracle():
 
     period = math.pi / g
     fine = compute_trajectory(system, np.linspace(0.0, period, 20001))
-    avg = time_average_scalar(fine, "population_distance", period)
+    distance = 0.5 * np.sum(np.abs(fine.populations - system.equilibrium.populations), axis=1)
+    avg = time_average_scalar(fine, distance, period)
     assert abs(avg - 1.0 / math.pi) < 1e-6
     eta = population_distance_bound(2, system.d_eff, 1.0)
     assert np.isclose(eta, 0.5) and avg <= eta
@@ -211,7 +212,8 @@ def test_criterion_09_figure_reproduction(chain_data):
     for n, (system_n, trajectory_n) in data.items():
         eta_n = population_distance_bound(system_n.r, system_n.d_eff, 1.0)
         delta_n = shannon_deviation_bound(system_n.r, eta_n)
-        curve = [time_average_scalar(trajectory_n, "shannon_abs_dev", T)
+        deviation = np.abs(trajectory_n.shannon - system_n.equilibrium.shannon)
+        curve = [time_average_scalar(trajectory_n, deviation, T)
                  for T in np.arange(10.0, 101.0, 10.0)]
         assert all(value <= delta_n for value in curve), (n, delta_n, curve)
 
@@ -220,11 +222,11 @@ def test_criterion_09_figure_reproduction(chain_data):
     eq = system.equilibrium
     assert trajectory.shannon[0] == 0.0
     assert eq.shannon > 0.0
-    late_mean = window_average(trajectory, "shannon", 75.0, 100.0)
+    late_mean = window_average(trajectory, trajectory.shannon, 75.0, 100.0)
     assert late_mean > 0.75 * eq.shannon
     assert np.max(trajectory.shannon) > 0.9 * eq.shannon
     # magnetization relaxes from -1 toward its equilibrium value
-    late_exp = window_average(trajectory, "expectation", 75.0, 100.0)
+    late_exp = window_average(trajectory, trajectory.expectation, 75.0, 100.0)
     assert abs(late_exp - eq.expectation) < 0.25 * abs(-1.0 - eq.expectation)
 
     # y-magnetization: starts inside the late-time fluctuation band, dips early
@@ -241,8 +243,8 @@ def test_criterion_09_figure_reproduction(chain_data):
     assert np.all(trajectory.observational <= math.log(system.dim) + 1e-9)
     assert trajectory.observational[0] == pytest.approx(0.0, abs=1e-12)
     assert trajectory.boltzmann[0] == pytest.approx(0.0, abs=1e-12)
-    assert window_average(trajectory, "observational", 75.0, 100.0) > 0.75 * eq.observational
-    assert window_average(trajectory, "boltzmann", 75.0, 100.0) > 0.75 * eq.boltzmann
+    assert window_average(trajectory, trajectory.observational, 75.0, 100.0) > 0.75 * eq.observational
+    assert window_average(trajectory, trajectory.boltzmann, 75.0, 100.0) > 0.75 * eq.boltzmann
 
     announce(9, f"delta-curve fit b = {b_delta:.4f} (target -0.0920 +/- 20%), "
                 f"late-time fit b = {b_late:.4f} (factor 2 of -0.239); "

@@ -20,15 +20,27 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-def test_entropy_module_imports_only_math_and_numpy():
-    tree = ast.parse(Path(qeqlab.entropy.__file__).read_text())
+def _imports(path: Path) -> set:
+    """Every module a source file imports, relative ones with their dots."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
-    assert imported == {"__future__", "math", "numpy"}
+    return imported
+
+
+def test_entropy_module_imports_only_math_and_numpy():
+    assert _imports(Path(qeqlab.entropy.__file__)) == {"__future__", "math", "numpy"}
+
+
+def test_only_bounds_imports_scipy_and_only_scipy_special():
+    # the one SciPy call, a beta quantile, stays swappable for a NumPy one
+    package = Path(qeqlab.__file__).parent
+    uses = {path.name: {m for m in _imports(path) if m.split(".")[0] == "scipy"}
+            for path in sorted(package.glob("*.py"))}
+    assert {name: mods for name, mods in uses.items() if mods} == {"bounds.py": {"scipy.special"}}
 
 
 def test_readme_quick_tour_runs(capsys):

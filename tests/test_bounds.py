@@ -110,10 +110,15 @@ def test_von_neumann_deviation_bound_values():
     assert von_neumann_deviation_bound(4, 0.0) == 0.0
     assert von_neumann_deviation_bound(4, 0.25) == math.log(4) * 0.25 + binary_entropy(0.25)
     # past the binary-entropy maximum the ln 2 substitution applies
-    assert von_neumann_deviation_bound(2, 3.0) == math.log(2) * 3.0 + LN2
-    ts = np.linspace(0.0, 2.0, 50)
+    assert von_neumann_deviation_bound(16, 0.6) == math.log(16) * 0.6 + LN2
+    # capped at ln d, the largest difference of two d-dimensional entropies
+    assert von_neumann_deviation_bound(2, 3.0) == LN2
+    assert von_neumann_deviation_bound(16, 0.8) == math.log(16)
+    assert von_neumann_deviation_bound(4, 0.5) == pytest.approx(math.log(4), abs=1e-15)
+    ts = np.linspace(0.0, 0.5, 50)
     vals = [von_neumann_deviation_bound(4, t) for t in ts]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+    assert all(von_neumann_deviation_bound(4, t) == math.log(4) for t in np.linspace(0.51, 2.0, 50))
     with pytest.raises(ValueError, match="dimension"):
         von_neumann_deviation_bound(1, 0.1)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -221,16 +226,13 @@ def test_package_import_skips_scipy_stats():
 
 
 def test_average_entropy_check_constant_at_equilibrium():
-    from qeqlab.dynamics import EquilibriumReference, Trajectory
+    from qeqlab.dynamics import Trajectory
 
     ts = np.linspace(0.0, 10.0, 101)
     p = np.array([0.25, 0.75])
     s = np.full_like(ts, shannon_entropy(p))
-    eq = EquilibriumReference(populations=p, expectation=0.0,
-                              shannon=s[0], observational=s[0], boltzmann=0.0)
     traj = Trajectory(times=ts, populations=np.tile(p, (101, 1)), expectation=s,
-                      shannon=s, observational=s, boltzmann=np.zeros_like(ts),
-                      equilibrium=eq)
+                      shannon=s, observational=s, boltzmann=np.zeros_like(ts))
     report = average_entropy_check(traj, p, 10.0)
     assert abs(report.margin) < 1e-12
     with pytest.raises(ValueError, match="span"):
@@ -294,7 +296,7 @@ def test_average_entropy_strictly_below_equilibrium_for_spin():
     ham, initial, obs = precessing_spin(1.0)
     system = prepare_system(ham, obs, initial)
     traj = compute_trajectory(system, np.linspace(0.0, math.pi, 4001))
-    avg = time_average_scalar(traj, "shannon", math.pi)
+    avg = time_average_scalar(traj, traj.shannon, math.pi)
     assert abs(avg - oracle) < 1e-5
     assert avg < LN2
 

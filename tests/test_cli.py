@@ -213,19 +213,17 @@ def test_verify_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["verify", config]) == 0
 
     # negative control: a corrupted trajectory must flip the exit code
+    import dataclasses
+
     import qeqlab.verify as verify_mod
 
-    original = verify_mod.run_verification
+    original = verify_mod.compute_trajectory
 
-    def with_corruption(cfg, corrupt_trajectory=None):
-        def corrupt(traj):
-            import dataclasses
+    def corrupted(system, times):
+        traj = original(system, times)
+        return dataclasses.replace(traj, shannon=traj.shannon + 5.0)
 
-            return dataclasses.replace(traj, shannon=traj.shannon + 5.0)
-
-        return original(cfg, corrupt_trajectory=corrupt)
-
-    monkeypatch.setattr(cli, "run_verification", with_corruption)
+    monkeypatch.setattr(verify_mod, "compute_trajectory", corrupted)
     assert cli.main(["verify", config]) == 1
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qeqlab import dynamics
 from qeqlab.dynamics import (
     _BLOCK,
-    EquilibriumReference,
     GapStatistics,
     Trajectory,
     default_time_step,
@@ -327,26 +326,24 @@ def test_pruned_window_count_on_chain_epsilon_grids(sites):
 
 def _toy_trajectory(times, values):
     zeros = np.zeros_like(values)
-    eq = EquilibriumReference(populations=np.array([1.0]), expectation=0.0,
-                              shannon=0.0, observational=0.0, boltzmann=0.0)
     return Trajectory(times=times, populations=np.ones((len(times), 1)),
                       expectation=values, shannon=zeros, observational=zeros,
-                      boltzmann=zeros, equilibrium=eq)
+                      boltzmann=zeros)
 
 
 def test_time_average_constant_and_sine():
     ts = np.linspace(0.0, 2 * math.pi, 20001)
     const = _toy_trajectory(ts, np.full_like(ts, 3.25))
-    assert time_average_scalar(const, "expectation", 5.0) == pytest.approx(3.25, abs=1e-14)
+    assert time_average_scalar(const, const.expectation, 5.0) == pytest.approx(3.25, abs=1e-14)
     sine = _toy_trajectory(ts, np.sin(ts))
-    assert abs(time_average_scalar(sine, "expectation", 2 * math.pi)) < 1e-8
+    assert abs(time_average_scalar(sine, sine.expectation, 2 * math.pi)) < 1e-8
 
 
 def test_trajectory_keeps_its_validated_float_times():
     ts = [0, 1, 2, 3, 4]
     traj = _toy_trajectory(ts, np.full(len(ts), 2.0))
     assert isinstance(traj.times, np.ndarray) and traj.times.dtype == float
-    assert time_average_scalar(traj, "expectation", 4.0) == pytest.approx(2.0, abs=1e-14)
+    assert time_average_scalar(traj, traj.expectation, 4.0) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_time_average_rejects_windows_outside_the_span():
@@ -354,11 +351,11 @@ def test_time_average_rejects_windows_outside_the_span():
     traj = _toy_trajectory(ts, np.sin(40 * ts))
     for T in (2.0, 0.0, -1.0):
         with pytest.raises(ValueError, match="span"):
-            time_average_scalar(traj, "expectation", T)
+            time_average_scalar(traj, traj.expectation, T)
     # a grid that starts late leaves [0, t_0] unsampled
     late = _toy_trajectory(ts + 1.0, np.ones_like(ts))
     with pytest.raises(ValueError, match="span"):
-        time_average_scalar(late, "expectation", 2.0)
+        time_average_scalar(late, late.expectation, 2.0)
 
 
 def test_time_average_population_distance_one_period(spin):
@@ -369,7 +366,8 @@ def test_time_average_population_distance_one_period(spin):
     system = prepare_system(ham, measurement, initial)
     ts = np.linspace(0.0, math.pi, 20001)
     traj = compute_trajectory(system, ts)
-    avg = time_average_scalar(traj, "population_distance", math.pi)
+    distance = 0.5 * np.sum(np.abs(traj.populations - system.equilibrium.populations), axis=1)
+    avg = time_average_scalar(traj, distance, math.pi)
     assert abs(avg - 1.0 / math.pi) < 1e-6
 
 

@@ -142,9 +142,11 @@ def test_von_neumann_continuity_bound_cases():
     rho = np.diag([1.0, 0.0]).astype(complex)
     sigma = np.eye(2, dtype=complex) / 2
     assert von_neumann_deviation_bound(2, 0.5 * trace_norm(rho - rho)) == 0.0
+    # ln(2) / 2 + ln 2 before the ln d cap: the cap makes this pair its equality case
     rhs = von_neumann_deviation_bound(2, 0.5 * trace_norm(rho - sigma))
-    assert np.isclose(rhs, 1.5 * LN2)
+    assert rhs == LN2
     assert abs(von_neumann_entropy(sigma) - von_neumann_entropy(rho)) <= rhs
+    assert abs(von_neumann_entropy(sigma) - von_neumann_entropy(rho)) == pytest.approx(rhs, abs=1e-15)
 
 
 def test_von_neumann_continuity_bound_random():

@@ -121,7 +121,7 @@ def test_time_grid_takes_at_least_one_step():
 def test_window_average_matches_oracle():
     system = small_chain(3)
     traj = compute_trajectory(system, time_grid(20.0, 0.01))
-    got = window_average(traj, "shannon", 5.0, 15.0)
+    got = window_average(traj, traj.shannon, 5.0, 15.0)
     sel = (traj.times >= 5.0) & (traj.times <= 15.0)
     oracle = np.trapezoid(traj.shannon[sel], traj.times[sel]) / 10.0
     assert abs(got - oracle) < 1e-9
@@ -138,8 +138,9 @@ def test_eigenstate_initial_state_has_zero_deviations():
     system = prepare_system(ham, bulk_magnetization(3, "z"),
                             PureState(decomp.eigenvectors[:, 0]))
     traj = compute_trajectory(system, time_grid(5.0, 0.05))
-    assert np.max(traj.quantity("expectation_sq_dev")) < 1e-20
-    assert np.max(traj.quantity("population_distance")) < 1e-10
+    eq = system.equilibrium
+    assert np.max((traj.expectation - eq.expectation) ** 2) < 1e-20
+    assert np.max(0.5 * np.sum(np.abs(traj.populations - eq.populations), axis=1)) < 1e-10
     for report in evaluate_bounds(system, traj, [5.0]):
         assert report.holds
         assert report.parameters["quadrature_remainder"] < 1e-12
@@ -175,8 +176,17 @@ def test_energy_spread_matches_the_full_space_oracle(sites, couplings):
     assert system.energy_spread == pytest.approx(oracle, rel=1e-10)
 
 
-_QUANTITY = {"population_equilibration": "population_distance", "shannon_deviation": "shannon_abs_dev",
-             "observational_deviation": "observational_abs_dev", "expectation_deviation": "expectation_sq_dev"}
+def _deviation_series(system, trajectory):
+    """Each report's deviation series, from the sampled populations and
+    entropies and the equilibrium reference."""
+    eq = system.equilibrium
+    pops = trajectory.populations
+    series = {"population_equilibration": 0.5 * np.sum(np.abs(pops - eq.populations), axis=1),
+              "shannon_deviation": np.abs(trajectory.shannon - eq.shannon),
+              "observational_deviation": np.abs(trajectory.observational - eq.observational)}
+    if eq.expectation is not None:
+        series["expectation_deviation"] = (pops @ system.measurement.values - eq.expectation) ** 2
+    return series
 
 
 def _remainder_system(name):
@@ -198,12 +208,14 @@ def test_quadrature_remainder_bounds_the_trapezoid_error(name):
     windows = [3.7 + dt / 3, 10.0 + dt / 7]
     assert not np.isin(windows, fine.times).any()
     reports = evaluate_bounds(system, coarse, windows)
-    assert {r.name for r in reports} == set(_QUANTITY) - ({"expectation_deviation"} if name == "povm" else set())
+    coarse_series, fine_series = _deviation_series(system, coarse), _deviation_series(system, fine)
+    names = {"population_equilibration", "shannon_deviation", "observational_deviation"}
+    assert {r.name for r in reports} == names | (set() if name == "povm" else {"expectation_deviation"})
     for report in reports:
         params = report.parameters
         assert report.lhs == params["trapezoid"] + params["quadrature_remainder"]
-        assert params["trapezoid"] == time_average_scalar(coarse, _QUANTITY[report.name], params["T"])
-        refined = time_average_scalar(fine, _QUANTITY[report.name], params["T"])
+        assert params["trapezoid"] == time_average_scalar(coarse, coarse_series[report.name], params["T"])
+        refined = time_average_scalar(fine, fine_series[report.name], params["T"])
         assert abs(params["trapezoid"] - refined) <= params["quadrature_remainder"]
 
 

@@ -222,10 +222,11 @@ def test_state_outside_the_sector_is_rejected(sites):
 
 
 def test_averaged_state_entropy_rhs_is_the_deviation_bound_at_the_distance_rhs():
-    """Each window's entropy rhs is the von Neumann deviation bound at the
-    rate theta that its distance report certifies."""
+    """Each window's entropy rhs is the von Neumann deviation bound at half
+    the trace-norm rate theta that its distance report certifies: a trace
+    distance is half a trace norm."""
     reports = time_averaged_state_suite([3, 5], (1.0e2, 1.0e4))
     for distance, entropy in zip(reports[::2], reports[1::2], strict=True):
         assert (distance.name, entropy.name) == ("averaged_state_distance", "averaged_state_entropy")
         assert entropy.parameters == distance.parameters
-        assert entropy.rhs == von_neumann_deviation_bound(distance.parameters["dim"], distance.rhs)
+        assert entropy.rhs == von_neumann_deviation_bound(distance.parameters["dim"], distance.rhs / 2)
