@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .dynamics import GapStatistics, Trajectory, time_average_scalar
 from .entropy import capped_binary_entropy, g_function, shannon_entropy
@@ -169,14 +168,91 @@ def von_neumann_deviation_bound(dim: int, t: float) -> float:
     return min(math.log(dim) * t + capped_binary_entropy(t), math.log(dim))
 
 
+# ln n! minus Stirling's (n + 1/2) ln n - n + ln sqrt(2 pi), for n = 0..15 (Loader's table)
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
+    0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
+    0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+
+
+def _stirlerr(n: int) -> float:
+    """``ln n! - (n + 1/2) ln n + n - ln sqrt(2 pi)``: tabulated up to 15,
+    beyond that the Stirling series, with fewer terms as n grows."""
+    if n < len(_STIRLERR):
+        return _STIRLERR[n]
+    nn = float(n) * n
+    if n > 500:
+        return (1 / 12 - 1 / 360 / nn) / n
+    if n > 80:
+        return (1 / 12 - (1 / 360 - 1 / 1260 / nn) / nn) / n
+    if n > 35:
+        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / 1680 / nn) / nn) / nn) / n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """Deviance term ``x ln(x/m) + m - x``, summed as a series in
+    ``(x - m)/(x + m)`` when x is near m, where the closed form cancels."""
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    s = (x - m) * v
+    term = 2 * x * v
+    j = 1
+    while True:
+        term *= v * v
+        s_next = s + term / (2 * j + 1)
+        if s_next == s:
+            return s
+        s = s_next
+        j += 1
+
+
+def _binomial_lower_tail(k: int, n: int, p: float) -> float:
+    """``P(X <= k)`` for X ~ Binomial(n, p), 0 < k < n. The pmf at k is
+    Loader's saddle-point form (C. Loader, "Fast and Accurate Computation
+    of Binomial Probabilities", 2000); each lower term follows from the
+    one above by the exact ratio ``j/(n - j + 1) (1 - p)/p``. For
+    ``p >= k/n`` every ratio is below 1, so nothing overflows."""
+    q = 1.0 - p
+    log_pmf = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * p) - _bd0(n - k, n * q)
+               - 0.5 * (math.log(2 * math.pi) + math.log(k) + math.log1p(-k / n)))
+    j = np.arange(k, 0, -1, dtype=float)
+    return math.exp(log_pmf) * (1.0 + float(np.cumprod(j / (n - j + 1) * (q / p)).sum()))
+
+
 def clopper_pearson_upper(successes: int, trials: int) -> float:
-    """One-sided upper confidence limit for a binomial proportion: the
-    ``CONFIDENCE`` quantile of Beta(successes + 1, trials - successes)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if successes >= trials:
+    """One-sided upper confidence limit for a binomial proportion
+    (Clopper & Pearson, Biometrika 26, 404 (1934)): the p at which
+    ``P(X <= successes)`` for X ~ Binomial(trials, p) falls to
+    ``1 - CONFIDENCE``, that is the ``CONFIDENCE`` quantile of
+    Beta(successes + 1, trials - successes).
+
+    Closed forms hold at 0 and trials - 1 successes. Otherwise the
+    quantile is bisected to the last bit on the lower tail, which is the
+    small target itself, so no ``1 - x`` cancels; the smallest p whose
+    computed tail is at most the target is returned."""
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not isinstance(successes, (int, np.integer)) or not 0 <= successes <= trials:
+        raise ValueError(f"successes must be an integer in [0, {trials}], got {successes!r}")
+    alpha = 1.0 - CONFIDENCE
+    if successes == trials:
         return 1.0
-    return float(betaincinv(successes + 1, trials - successes, CONFIDENCE))
+    if successes == 0:
+        return -math.expm1(math.log(alpha) / trials)
+    if successes == trials - 1:
+        return CONFIDENCE ** (1.0 / trials)
+    # the tail at p = k/n is at least 1/2 (k is then a median), so the root lies above
+    lo, hi = successes / trials, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _binomial_lower_tail(successes, trials, mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def tail_bound_check(samples, threshold: float, mean_bound: float, name: str) -> BoundReport:

@@ -124,10 +124,9 @@ def trajectory_csv(path, system, trajectory):
     header = ["t", "expectation", "shannon", "observational", "boltzmann",
               "expectation_eq", "shannon_eq", "observational_eq", "boltzmann_eq"]
     expectation = repeat(None) if trajectory.expectation is None else trajectory.expectation
-    eq_values = (eq.expectation, eq.shannon, eq.observational, eq.boltzmann)
-    rows = (row + eq_values for row in zip(trajectory.times, expectation, trajectory.shannon,
-                                           trajectory.observational, trajectory.boltzmann))
-    write_csv(path, header, rows)
+    rows = zip(trajectory.times, expectation, trajectory.shannon, trajectory.observational,
+               trajectory.boltzmann)
+    write_csv(path, header, rows, (eq.expectation, eq.shannon, eq.observational, eq.boltzmann))
 
 
 def cmd_verify(args) -> int:

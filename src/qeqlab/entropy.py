@@ -35,6 +35,12 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return np.where(p > _ZERO_CUTOFF, p * np.log(safe), 0.0)
 
 
+def _xlogx_float(x: float) -> float:
+    """``_xlogx`` of one float, without the array round trip; NumPy's log
+    keeps it bit-identical to the array path (``math.log`` is not)."""
+    return x * float(np.log(x)) if x > _ZERO_CUTOFF else 0.0
+
+
 def shannon_entropy(pops) -> float:
     """Shannon entropy ``-sum p_i ln p_i`` of an outcome distribution."""
     return float(-np.sum(_xlogx(pops)))
@@ -74,7 +80,7 @@ def binary_entropy(x: float) -> float:
     """``H2(x) = -x ln x - (1-x) ln(1-x)`` on [0, 1], endpoints 0."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary entropy argument {x!r} outside [0, 1]")
-    return float(-_xlogx(x) - _xlogx(1.0 - x))
+    return float(-_xlogx_float(x) - _xlogx_float(1.0 - x))
 
 
 def capped_binary_entropy(x: float) -> float:
@@ -97,4 +103,4 @@ def g_function(x: float) -> float:
     """
     if x < 0:
         raise ValueError(f"negative argument {x!r}")
-    return float(-_xlogx(x) + (1.0 + x) * math.log1p(x))
+    return float(-_xlogx_float(x) + (1.0 + x) * math.log1p(x))

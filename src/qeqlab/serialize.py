@@ -74,10 +74,16 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical_json(resolved).encode()).hexdigest()
 
 
-def write_csv(path, header, rows):
+def _cell(v) -> str:
+    return "" if v is None else format_number(v)
+
+
+def write_csv(path, header, rows, constant=()):
     """Write rows of numbers (or None) under a fixed header, each row as it
-    comes: ``rows`` may be a generator, and no file-sized text is built."""
+    comes: ``rows`` may be a generator, and no file-sized text is built.
+    The ``constant`` cells end every row and are formatted once."""
+    end = "".join("," + _cell(v) for v in constant) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join("" if v is None else format_number(v) for v in row) + "\n")
+            fh.write(",".join(map(_cell, row)) + end)

@@ -35,12 +35,24 @@ def test_entropy_module_imports_only_math_and_numpy():
     assert _imports(Path(qeqlab.entropy.__file__)) == {"__future__", "math", "numpy"}
 
 
-def test_only_bounds_imports_scipy_and_only_scipy_special():
-    # the one SciPy call, a beta quantile, stays swappable for a NumPy one
+def test_no_package_module_imports_scipy():
     package = Path(qeqlab.__file__).parent
-    uses = {path.name: {m for m in _imports(path) if m.split(".")[0] == "scipy"}
-            for path in sorted(package.glob("*.py"))}
-    assert {name: mods for name, mods in uses.items() if mods} == {"bounds.py": {"scipy.special"}}
+    users = [path.name for path in sorted(package.glob("*.py"))
+             if any(m.split(".")[0] == "scipy" for m in _imports(path))]
+    assert users == []
+
+
+def test_scipy_is_no_run_time_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(README.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+
+    def names(requirements):
+        return {re.split(r"[\s<>=!~\[;]", item, maxsplit=1)[0].lower() for item in requirements}
+
+    assert names(project["dependencies"]) == {"numpy"}
+    # the tests still compare the quantile with SciPy's
+    assert "scipy" in names(project["optional-dependencies"]["test"])
 
 
 def test_readme_quick_tour_runs(capsys):

@@ -91,6 +91,23 @@ def test_simulate_rerun_byte_identical(tmp_path):
     assert (tmp_path / "out" / "trajectory_n5.csv").read_bytes() == first_csv
 
 
+def test_trajectory_csv_is_the_row_by_row_formatting(tmp_path):
+    from qeqlab.harness import ExperimentConfig, execute_experiment
+
+    config = {"label": "n5", "model": {"kind": "tilted_ising", "sites": 5}, "times": {"t_max": 20.0},
+              "average_grid": [20.0], "fluctuation": {"window": 100.0, "count": 20}}
+    _, system, trajectory = execute_experiment(ExperimentConfig.from_dict(config))
+    cli.trajectory_csv(tmp_path / "t.csv", system, trajectory)
+    eq = system.equilibrium
+    lines = ["t,expectation,shannon,observational,boltzmann,"
+             "expectation_eq,shannon_eq,observational_eq,boltzmann_eq"]
+    for row in zip(trajectory.times, trajectory.expectation, trajectory.shannon,
+                   trajectory.observational, trajectory.boltzmann):
+        cells = (*row, eq.expectation, eq.shannon, eq.observational, eq.boltzmann)
+        lines.append(",".join(format_number(v) for v in cells))
+    assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("axis", ["z", "y"])
 def test_chain_results_do_not_depend_on_the_seed(tmp_path, axis):
     """The chain starts from the one exact all-down state: the seed only

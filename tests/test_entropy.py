@@ -94,6 +94,19 @@ def test_g_function_values():
         g_function(-0.1)
 
 
+def test_scalar_xlogx_keeps_the_array_path_bits():
+    from qeqlab.entropy import _xlogx, _xlogx_float
+
+    rng = np.random.default_rng(0)
+    cutoff = 1e-15
+    edges = [0.0, 1.0, 0.5, cutoff, np.nextafter(cutoff, 0.0), np.nextafter(cutoff, 1.0), 1.0 - cutoff]
+    xs = np.concatenate([edges, rng.random(5000), 10.0 ** rng.uniform(-16.0, 0.0, 5000)])
+    for x in xs.tolist():
+        assert _xlogx_float(x).hex() == float(_xlogx(x)).hex()
+        assert binary_entropy(x).hex() == float(-_xlogx(x) - _xlogx(1.0 - x)).hex()
+        assert g_function(x).hex() == float(-_xlogx(x) + (1.0 + x) * math.log1p(x)).hex()
+
+
 def test_shannon_continuity_bound_cases():
     p = np.array([0.2, 0.5, 0.3])
     assert shannon_deviation_bound(3, population_distance(p, p)) == 0.0
