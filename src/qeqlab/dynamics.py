@@ -188,8 +188,12 @@ def gap_statistics(decomp: SpectralDecomposition) -> GapStatistics:
     """Build exact gap statistics for a decomposition.
 
     The gap multiset holds the m(m - 1) differences of the m distinct
-    eigenvalues over all ordered pairs, so its memory grows
-    quadratically with m.
+    eigenvalues over all ordered pairs. Its negative half mirrors its
+    positive half, since IEEE subtraction gives fl(a - b) = -fl(b - a):
+    the m(m - 1)/2 positive gaps are written into the upper half of the
+    result and sorted there in place, and their negated reverse fills the
+    lower half. No m x m difference matrix is built, so the build peaks at
+    about the m(m - 1) float64 of the result.
     """
     values = decomp.cluster_values
     m = len(values)
@@ -197,8 +201,16 @@ def gap_statistics(decomp: SpectralDecomposition) -> GapStatistics:
         warnings.warn("single distinct eigenvalue: no gaps, window counts are 0")
         return GapStatistics(distinct_count=m, min_gap=None, _gaps=np.array([]))
     min_gap = float(np.min(np.diff(values)))  # values ascending
-    diff = values[None, :] - values[:, None]
-    gaps = np.sort(diff[~np.eye(m, dtype=bool)])
+    half = m * (m - 1) // 2
+    gaps = np.empty(2 * half)
+    positive = gaps[half:]
+    start = 0
+    for i in range(m - 1):
+        # v_j - v_i for every j > i
+        np.subtract(values[i + 1 :], values[i], out=positive[start : start + m - 1 - i])
+        start += m - 1 - i
+    positive.sort()
+    np.negative(positive[::-1], out=gaps[:half])
     return GapStatistics(distinct_count=m, min_gap=min_gap, _gaps=gaps)
 
 

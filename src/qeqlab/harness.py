@@ -61,15 +61,13 @@ __all__ = [
     "window_average",
 ]
 
-# Byte budget of one propagation chunk array: (rows or levels) x times
-# entries of the weights' itemsize. A chunk holds at most three such
-# arrays at once, 24 MiB in all.
-_CHUNK_BYTES = 2**23
-# Fewest times per chunk, which overrides the budget for rows of more than
-# 8 KiB (m > 1024 real levels): every chunk's GEMMs re-pack the whole
-# weight matrix, and at N = 13 chunks of 248 times made the trajectory 36 %
-# slower than chunks of 1008.
-_MIN_CHUNK_TIMES = 1024
+# Times per propagation chunk. A chunk holds at most three arrays of
+# (rows or levels) x 1024 entries of the weights' itemsize. Every chunk's
+# GEMMs re-pack the whole weight matrix, so much narrower chunks cost time:
+# at N = 13 chunks of 248 times made the trajectory 36 % slower than chunks
+# of 1008. A multiple of 8: with OpenBLAS, a chunk edge inside a group of 8
+# GEMM columns moved the last digits of that group's populations.
+_CHUNK_TIMES = 1024
 # Per site: columns are the +1 and -1 Pauli eigenvectors; None along z.
 _SITE_ROTATIONS = {
     "x": np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
@@ -245,12 +243,8 @@ def _populations_at(system: PreparedSystem, times: np.ndarray) -> np.ndarray:
     measurement = system.measurement
     weighted = system.weighted_contraction
     out = np.empty((len(times), measurement.r))
-    width = _CHUNK_BYTES // (max(weighted.shape) * weighted.itemsize)
-    # whole groups of 8 times: with OpenBLAS, a chunk edge inside a group
-    # of 8 GEMM columns moved the last digits of that group's populations
-    chunk = max(_MIN_CHUNK_TIMES, width - width % 8)
-    for start in range(0, len(times), chunk):
-        ts = times[start : start + chunk]
+    for start in range(0, len(times), _CHUNK_TIMES):
+        ts = times[start : start + _CHUNK_TIMES]
         # one expression, so no chunk's array outlives its iteration
         out[start : start + len(ts)] = measurement.group_sums(_sq_amplitudes(weighted, levels, ts)).T
     return clamp_populations(out)

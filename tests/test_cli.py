@@ -584,9 +584,10 @@ def _peak_rss_mib(tmp_path, command, config, overrides):
 def test_simulate_n10_peak_rss(tmp_path):
     # With one BLAS thread, `simulate` at N = 10 peaked at 197 MiB when the
     # chain was built in the full space and propagated in 2**24-entry
-    # chunks, and at about 100 MiB with the sector builds and the 8 MiB
-    # chunk budget. 150 MiB lies between the two, so the guard fails if
-    # either saving is lost, with room for allocator and BLAS-build spread.
+    # chunks, and at about 100 MiB with the sector builds and chunks of at
+    # most 8 MiB per array. 150 MiB lies between the two, so the guard
+    # fails if either saving is lost, with room for allocator and
+    # BLAS-build spread.
     assert _peak_rss_mib(tmp_path, "simulate", "simulate_chain.json", ["model.sites=10"]) <= 150
 
 
@@ -601,6 +602,19 @@ def test_verify_averaged_state_n10_peak_rss(tmp_path):
                  "fluctuation.sites=2", "fluctuation.count=1", "suites.shannon_pairs=1",
                  "suites.observational_cases=1", "suites.von_neumann_cases=1", "suites.povm_cases=1"]
     assert _peak_rss_mib(tmp_path, "verify", "verify_default.json", overrides) <= 150
+
+
+def test_verify_n9_chain_peak_rss(tmp_path):
+    # The chains and fixed suites of `verify_default` with the chains cut
+    # to N = 9, which sets the full run's peak, and one case per randomized
+    # suite. With one BLAS thread it peaked at 65 MiB when each propagation
+    # chunk array held up to 8 MiB (chunks of 3848 times at m = 272) and at
+    # 48 MiB with chunks of 1024 times. 60 MiB lies between the two, so the
+    # guard fails if the chunks grow back, with room for allocator and
+    # BLAS-build spread.
+    overrides = ["sites=[9]", "suites.shannon_pairs=1", "suites.observational_cases=1",
+                 "suites.von_neumann_cases=1", "suites.povm_cases=1"]
+    assert _peak_rss_mib(tmp_path, "verify", "verify_default.json", overrides) <= 60
 
 
 # Runs cli.main with the grid-count entry budget set from argv[1].

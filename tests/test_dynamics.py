@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -273,6 +274,39 @@ def test_gap_statistics_exact_above_a_thousand_levels():
     assert stats.window_count(0.5) == m - 1
     assert stats.window_count(1.5) == (m - 1) + (m - 2)
     assert stats.degenerate_gap_multiplicity() == m - 1
+
+
+def all_pairs_gaps(values):
+    """Oracle for the mirrored build: every ordered pair's difference from
+    the m x m difference matrix, sorted."""
+    diff = values[None, :] - values[:, None]
+    return np.sort(diff[~np.eye(len(values), dtype=bool)])
+
+
+def test_gap_multiset_matches_all_pairs_sort():
+    rng = np.random.default_rng(24)
+    spectra = [np.sort(rng.normal(size=m)) * rng.choice([1e-3, 1.0, 40.0]) for m in range(2, 65)]
+    # degenerate clusters: each distinct value enters once, whatever its multiplicity
+    spectra.append(np.repeat([-2.0, -0.5, 0.0, 0.25, 3.0], [3, 1, 4, 2, 5]))
+    spectra.append(np.arange(1100.0))  # the spectrum of the m = 1100 test above
+    for values in spectra:
+        decomp = decompose_hermitian(np.diag(values))
+        assert np.array_equal(gap_statistics(decomp)._gaps, all_pairs_gaps(decomp.cluster_values))
+
+
+def test_gap_multiset_build_stays_within_its_array():
+    # the m(m - 1) float64 result, and at most 60 % more while building;
+    # the all-pairs build holds about three m x m float64 arrays at once
+    m = 1500
+    decomp = decompose_hermitian(np.diag(np.sort(np.random.default_rng(5).normal(size=m))))
+    tracemalloc.start()
+    try:
+        stats = gap_statistics(decomp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats._gaps.size == m * (m - 1)
+    assert peak <= 1.6 * m * m * 8 + 2**20
 
 
 def direct_window_count(gaps, eps):

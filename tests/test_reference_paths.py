@@ -173,10 +173,11 @@ def test_povm_chunks_cover_every_time(monkeypatch):
     system = prepare_system(random_hermitian(rng, 8), random_povm(rng, 8, 3),
                             random_pure_state(rng, 8))
     times = np.linspace(0.0, 5.0, 4000)
-    whole = _populations_at(system, times)  # one chunk
-    # four chunks: 1024 times each at r * d = 24 complex weighted rows per time
-    monkeypatch.setattr(harness, "_CHUNK_BYTES", 24 * 16 * 1024)
-    assert np.max(np.abs(_populations_at(system, times) - whole)) <= TOL
+    # four chunks of 1024 times, against one chunk that holds every time
+    assert 3 * harness._CHUNK_TIMES < len(times) <= 4 * harness._CHUNK_TIMES
+    chunked = _populations_at(system, times)
+    monkeypatch.setattr(harness, "_CHUNK_TIMES", 4096)
+    assert np.max(np.abs(chunked - _populations_at(system, times))) <= TOL
 
     # a PVM chain, real: four chunks of 72 sector rows of float64. GEMM
     # column blocking may round differently with the chunk width, so the
@@ -184,24 +185,26 @@ def test_povm_chunks_cover_every_time(monkeypatch):
     monkeypatch.undo()
     chain = chain_system(SpinChainParams(sites=7), "z")
     times = np.linspace(0.0, 1.0e3, 4000)
-    whole = _populations_at(chain, times)
-    monkeypatch.setattr(harness, "_CHUNK_BYTES", 72 * 8 * 1024)
-    assert np.max(np.abs(_populations_at(chain, times) - whole)) <= 1e-13
+    chunked = _populations_at(chain, times)
+    monkeypatch.setattr(harness, "_CHUNK_TIMES", 4096)
+    assert np.max(np.abs(chunked - _populations_at(chain, times))) <= 1e-13
 
 
 def test_propagation_stays_within_its_byte_budget():
-    # three chunk arrays at once, plus the output and 1 MiB for the rest
+    # three chunk arrays of m x 1024 float64 at once, plus the output and
+    # 1 MiB for the rest
     system = chain_system(SpinChainParams(sites=9), "z")
     times = np.random.default_rng(9).uniform(0.0, 1.0e4, size=10_000)
-    # at least three chunks: one chunk's three arrays would break the bound
-    assert len(times) * system.decomposition.dim * 8 > 2 * harness._CHUNK_BYTES
+    # at least three chunks
+    assert len(times) > 2 * harness._CHUNK_TIMES
     tracemalloc.start()
     try:
         pops = _populations_at(system, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * harness._CHUNK_BYTES + pops.nbytes + 2**20
+    chunk_array = system.decomposition.dim * harness._CHUNK_TIMES * 8
+    assert peak <= 3 * chunk_array + pops.nbytes + 2**20
 
 
 def test_evaluate_bounds_counts_the_grid_once(monkeypatch):
