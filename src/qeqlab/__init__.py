@@ -43,6 +43,7 @@ from .entropy import (
 from .harness import (
     ExperimentConfig,
     PreparedSystem,
+    SweepConfig,
     build_system,
     chain_system,
     compute_trajectory,

@@ -27,11 +27,11 @@ from . import __version__
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    SweepConfig,
     _get,
     _str,
     execute_experiment,
     sweep_chain_lengths,
-    sweep_config,
 )
 from .models import DimensionCapError
 from .serialize import canonical_json, config_hash, write_csv
@@ -169,9 +169,9 @@ def _context_name(name: str, parameters: dict) -> str:
 
 
 def cmd_sweep(args) -> int:
-    kwargs, outdir = _parse_config(args, sweep_config)
+    config, outdir = _parse_config(args, SweepConfig.from_dict)
     t0 = time.monotonic()
-    sweep = sweep_chain_lengths(**kwargs)
+    sweep = sweep_chain_lengths(config)
     t_run = time.monotonic() - t0
 
     header = ["sites", "outcomes", "d_eff", "delta", "late_abs_dev",
@@ -180,7 +180,7 @@ def cmd_sweep(args) -> int:
     write_csv(outdir / "sweep_summary.csv", header, rows)
     fits = sweep["fits"]
     (outdir / "sweep_fits.json").write_text(canonical_json(fits) + "\n")
-    _write_manifest(outdir, args.config, {"sweep": True, **kwargs},
+    _write_manifest(outdir, args.config, {"sweep": True, **config.resolved_dict()},
                     {"run": t_run})
     print(f"sweep: wrote sweep_summary.csv and sweep_fits.json to {outdir}")
     print(f"delta fit: a={fits['delta_fit']['a']:.4g} b={fits['delta_fit']['b']:.4g}; "

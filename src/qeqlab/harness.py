@@ -1,6 +1,10 @@
-"""Experiment orchestration: prepared systems, trajectory generation,
-bound evaluation per averaging window, fluctuation sampling, chain-length
-sweeps, and exponential fits.
+"""Experiment orchestration: configs, prepared systems, trajectory
+generation, bound evaluation per averaging window, fluctuation sampling,
+chain-length sweeps, and exponential fits.
+
+A config is a dataclass whose fields are its schema: each field names its
+dotted key and the converter of its value (:func:`_key`), and the base
+:class:`_Config` parses and resolves every config from those fields.
 
 Everything is deterministic given the configuration (including its
 seed); an experiment's report and a sweep's fits are the plain JSON
@@ -9,7 +13,6 @@ objects the CLI writes.
 
 from __future__ import annotations
 
-import inspect
 import math
 from copy import copy
 from dataclasses import MISSING, dataclass, field, fields
@@ -46,6 +49,7 @@ from .models import bulk_magnetization, tilted_ising_chain
 __all__ = [
     "ExperimentConfig",
     "PreparedSystem",
+    "SweepConfig",
     "build_system",
     "chain_system",
     "compute_trajectory",
@@ -56,7 +60,6 @@ __all__ = [
     "prepare_system",
     "sample_deviations",
     "sweep_chain_lengths",
-    "sweep_config",
     "time_grid",
     "window_average",
 ]
@@ -511,50 +514,52 @@ def _check_keys(section: str, mapping, allowed: set):
             raise ConfigError(f"{section}.{key}" if section else key, "unknown configuration key")
 
 
-def _field_defaults(cls) -> dict:
-    """Default value of every field of a config dataclass that has one."""
-    out = {}
-    for f in fields(cls):
-        if f.default is not MISSING:
-            out[f.name] = f.default
-        elif f.default_factory is not MISSING:
-            out[f.name] = f.default_factory()
-    return out
+def _key(dotted: str, convert, default=MISSING):
+    """A config field read from the dotted key ``dotted`` and converted by
+    ``convert``; an absent key takes ``default`` (a required key has none).
+    A free-form section's default mapping is copied for each config."""
+    metadata = {"key": dotted, "convert": convert}
+    if isinstance(default, dict):
+        return field(default_factory=lambda: dict(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
-def _parse(table: dict, raw: dict, default: dict, free: dict | None = None) -> dict:
-    """Field values from a raw nested config. The key table ``table`` is a
-    config's schema: it maps each dotted key to the field (or keyword
-    argument) it sets and the converter of its value. ``free`` maps each
-    free-form section, a leaf of the table, to its allowed sub-keys.
-    Unknown keys and sub-keys are rejected, and an absent key takes
-    ``default[field]`` (a required key has none)."""
-    free = free or {}
-    sections = {}
-    for dotted in table:
-        section, _, key = dotted.partition(".")
-        sections.setdefault(section, set()).update([key] if key else free.get(section, ()))
-    _check_keys("", raw, set(sections))
-    for section, keys in sections.items():
-        if keys and section in raw:
-            _check_keys(section, raw[section], keys)
-    return {name: _get(raw, dotted, convert, default.get(name, MISSING))
-            for dotted, (name, convert) in table.items()}
+class _Config:
+    """Base of the config dataclasses, whose fields (each made by
+    :func:`_key`) are the config's schema."""
 
+    # the sub-keys allowed in each free-form section (a field that holds a mapping)
+    _free = {}
 
-def _nest(table: dict, values: dict) -> dict:
-    """Canonical nested config of field values, the inverse of
-    :func:`_parse`: parsing it back yields the same values."""
-    out = {}
-    for dotted, (name, _) in table.items():
-        *sections, key = dotted.split(".")
-        node = out
-        for section in sections:
-            node = node.setdefault(section, {})
-        value = values[name]
-        # a list for a tuple; a free-form section is copied
-        node[key] = list(value) if isinstance(value, tuple) else copy(value)
-    return out
+    @classmethod
+    def from_dict(cls, raw: dict):
+        """The config of a raw nested dict. Unknown keys and sub-keys are
+        rejected, and an absent key takes its field's default."""
+        sections = {}
+        for f in fields(cls):
+            section, _, key = f.metadata["key"].partition(".")
+            sections.setdefault(section, set()).update([key] if key else cls._free.get(section, ()))
+        _check_keys("", raw, set(sections))
+        for section, keys in sections.items():
+            if keys and section in raw:
+                _check_keys(section, raw[section], keys)
+        return cls(**{f.name: _get(raw, f.metadata["key"], f.metadata["convert"],
+                                   f.default if f.default_factory is MISSING else f.default_factory())
+                      for f in fields(cls)})
+
+    def resolved_dict(self) -> dict:
+        """Canonical nested form with every default filled in; parsing it
+        back yields an identical configuration (config round-trip contract)."""
+        out = {}
+        for f in fields(self):
+            *sections, key = f.metadata["key"].split(".")
+            node = out
+            for section in sections:
+                node = node.setdefault(section, {})
+            value = getattr(self, f.name)
+            # a list for a tuple; a free-form section is copied
+            node[key] = list(value) if isinstance(value, tuple) else copy(value)
+        return out
 
 
 # the model sub-keys each kind reads
@@ -565,17 +570,6 @@ _MODEL_KINDS = tuple(_MODEL_KEYS)
 _ANALYTIC_DEFAULTS = {"g": 1.0, "bath_dim": 4}
 _AXES = ("x", "y", "z")
 
-_SIMULATE_KEYS = {
-    "label": ("label", _str),
-    "model": ("model", dict),
-    "observable": ("observable", dict),
-    "times.t_max": ("t_max", _float),
-    "times.dt": ("dt", lambda dt: None if dt is None else _float(dt)),
-    "average_grid": ("average_grid", _tuple(_float)),
-    "fluctuation.window": ("fluctuation_window", _float),
-    "fluctuation.count": ("fluctuation_count", _int),
-    "seed": ("seed", _int),
-}
 _SIMULATE_FREE = {"model": set().union(*_MODEL_KEYS.values()), "observable": {"axis"}}
 
 
@@ -597,19 +591,21 @@ def _chain_params(model: dict) -> SpinChainParams:
     return SpinChainParams(sites=sites, **couplings)
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class ExperimentConfig(_Config):
     """Declarative description of one experiment run."""
 
-    model: dict
-    label: str = "experiment"
-    observable: dict = field(default_factory=lambda: {"axis": "z"})
-    t_max: float = 100.0
-    dt: float | None = None
-    average_grid: tuple = (10.0, 25.0, 50.0, 100.0)
-    fluctuation_window: float = 1.0e4
-    fluctuation_count: int = 10_000
-    seed: int = 0
+    label: str = _key("label", _str, "experiment")
+    model: dict = _key("model", dict)
+    observable: dict = _key("observable", dict, {"axis": "z"})
+    t_max: float = _key("times.t_max", _float, 100.0)
+    dt: float | None = _key("times.dt", lambda dt: None if dt is None else _float(dt), None)
+    average_grid: tuple = _key("average_grid", _tuple(_float), (10.0, 25.0, 50.0, 100.0))
+    fluctuation_window: float = _key("fluctuation.window", _float, 1.0e4)
+    fluctuation_count: int = _key("fluctuation.count", _int, 10_000)
+    seed: int = _key("seed", _int, 0)
+
+    _free = _SIMULATE_FREE
 
     def __post_init__(self):
         # the label becomes part of the output file names
@@ -637,15 +633,6 @@ class ExperimentConfig:
         _require(self.fluctuation_window > 0, "fluctuation.window", "must be positive")
         _require(self.fluctuation_count >= 1, "fluctuation.count", "must be >= 1")
         _require(self.seed >= 0, "seed", "must be >= 0")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        return cls(**_parse(_SIMULATE_KEYS, raw, _field_defaults(cls), _SIMULATE_FREE))
-
-    def resolved_dict(self) -> dict:
-        """Canonical nested form; parsing it back yields an identical
-        configuration (config round-trip contract)."""
-        return _nest(_SIMULATE_KEYS, vars(self))
 
 
 def build_system(config: ExperimentConfig) -> PreparedSystem:
@@ -769,19 +756,39 @@ def execute_experiment(config: ExperimentConfig):
 # chain-length sweep
 
 
-def sweep_chain_lengths(sites=(5, 6, 7, 8, 9), t_max: float = 100.0,
-                        late_window: tuple = (50.0, 80.0), axis: str = "z") -> dict:
+@dataclass(kw_only=True)
+class SweepConfig(_Config):
+    """The chain lengths, time span, late-time window and measured axis of
+    one chain-length sweep."""
+
+    sites: tuple = _key("sites", _tuple(_int), (5, 6, 7, 8, 9))
+    t_max: float = _key("t_max", _float, 100.0)
+    late_window: tuple = _key("late_window", _tuple(_float), (50.0, 80.0))
+    axis: str = _key("axis", _str, "z")
+
+    def __post_init__(self):
+        _require(len(set(self.sites)) == len(self.sites) >= 3 and min(self.sites) >= 2, "sites",
+                 "the fits need at least 3 distinct chain lengths, each >= 2")
+        for n in self.sites:
+            _check_cap(n)
+        late = self.late_window
+        _require(len(late) == 2 and 0 <= late[0] < late[1] <= self.t_max, "late_window",
+                 "must be [t0, t1] with 0 <= t0 < t1 <= t_max")
+        _require(self.axis in _AXES, "axis", f"must be one of {_AXES}")
+
+
+def sweep_chain_lengths(config: SweepConfig) -> dict:
     """Sweep the chain length and collect the scaling data: ``rows`` holds
     the per-N effective dimension, asymptotic bounds, and late-time-averaged
     entropy deviation; ``fits`` the exponential fits of both curves, as
     ``sweep`` writes them."""
     rows = []
-    for n in sites:
-        system = chain_system(SpinChainParams(sites=int(n)), axis)
+    for n in config.sites:
+        system = chain_system(SpinChainParams(sites=int(n)), config.axis)
         dt = default_time_step(system.decomposition.spectral_range)
-        trajectory = compute_trajectory(system, time_grid(t_max, dt))
+        trajectory = compute_trajectory(system, time_grid(config.t_max, dt))
         deviation = np.abs(trajectory.shannon - system.equilibrium.shannon)
-        late = window_average(trajectory, deviation, late_window[0], late_window[1])
+        late = window_average(trajectory, deviation, *config.late_window)
         rows.append({
             "sites": int(n),
             "dim": system.dim,
@@ -794,37 +801,13 @@ def sweep_chain_lengths(sites=(5, 6, 7, 8, 9), t_max: float = 100.0,
     deltas = [row["delta"] for row in rows]
     lates = [row["late_abs_dev"] for row in rows]
     fits = {
-        "late_window": list(late_window),
+        "late_window": list(config.late_window),
         "delta_fit": fit_exponential(zip(lengths, deltas)),
         "late_fit": fit_exponential(zip(lengths, lates)),
         "delta_inversions": _count_inversions(deltas),
         "late_inversions": _count_inversions(lates),
     }
     return {"rows": rows, "fits": fits}
-
-
-_SWEEP_KEYS = {
-    "sites": ("sites", _tuple(_int)),
-    "t_max": ("t_max", _float),
-    "late_window": ("late_window", _tuple(_float)),
-    "axis": ("axis", _str),
-}
-
-
-def sweep_config(raw: dict) -> dict:
-    """Keyword arguments of :func:`sweep_chain_lengths` from a sweep config;
-    an absent key takes the function's default."""
-    default = {name: p.default for name, p in inspect.signature(sweep_chain_lengths).parameters.items()}
-    kw = _parse(_SWEEP_KEYS, raw, default)
-    _require(len(set(kw["sites"])) == len(kw["sites"]) >= 3 and min(kw["sites"]) >= 2, "sites",
-             "the fits need at least 3 distinct chain lengths, each >= 2")
-    for n in kw["sites"]:
-        _check_cap(n)
-    late = kw["late_window"]
-    _require(len(late) == 2 and 0 <= late[0] < late[1] <= kw["t_max"], "late_window",
-             "must be [t0, t1] with 0 <= t0 < t1 <= t_max")
-    _require(kw["axis"] in _AXES, "axis", f"must be one of {_AXES}")
-    return kw
 
 
 def _count_inversions(values) -> int:

@@ -18,11 +18,10 @@ from .dynamics import finite_time_average_state, equilibrium_state, default_time
 from .entropy import observational_entropy, shannon_entropy, von_neumann_entropy
 from .harness import (
     _check_windows,
-    _field_defaults,
+    _Config,
     _float,
     _int,
-    _nest,
-    _parse,
+    _key,
     _require,
     _tuple,
     chain_system,
@@ -52,22 +51,6 @@ __all__ = [
 ]
 
 
-_VERIFY_KEYS = {
-    "sites": ("sites", _tuple(_int)),
-    "average_grid": ("average_grid", _tuple(_float)),
-    "t_max": ("t_max", _float),
-    "fluctuation.sites": ("fluctuation_sites", _int),
-    "fluctuation.window": ("fluctuation_window", _float),
-    "fluctuation.count": ("fluctuation_count", _int),
-    "averaged_state.sites": ("averaged_state_sites", _tuple(_int)),
-    "averaged_state.windows": ("averaged_state_windows", _tuple(_float)),
-    "suites.shannon_pairs": ("shannon_pairs", _int),
-    "suites.observational_cases": ("observational_cases", _int),
-    "suites.von_neumann_cases": ("von_neumann_cases", _int),
-    "suites.povm_cases": ("povm_cases", _int),
-    "seed": ("seed", _int),
-}
-
 # Fixed shapes of the randomized suites (largest outcome count and dimension
 # drawn, POVM averaging window and epsilon grid); the reports record them.
 _SHANNON_MAX_OUTCOMES = 64
@@ -79,23 +62,23 @@ _POVM_WINDOW = 10.0
 _POVM_EPS_POINTS = 16
 
 
-@dataclass
-class VerifyConfig:
+@dataclass(kw_only=True)
+class VerifyConfig(_Config):
     """Knob set for one verification run."""
 
-    sites: tuple = (5, 6, 7, 8, 9)
-    average_grid: tuple = (10.0, 25.0, 50.0, 100.0)
-    t_max: float = 100.0
-    fluctuation_sites: int = 7
-    fluctuation_window: float = 1.0e4
-    fluctuation_count: int = 10_000
-    averaged_state_sites: tuple = (2, 3, 4, 5, 6)
-    averaged_state_windows: tuple = (1.0e2, 1.0e3, 1.0e4)
-    shannon_pairs: int = 10_000
-    observational_cases: int = 1_000
-    von_neumann_cases: int = 1_000
-    povm_cases: int = 1_000
-    seed: int = 0
+    sites: tuple = _key("sites", _tuple(_int), (5, 6, 7, 8, 9))
+    average_grid: tuple = _key("average_grid", _tuple(_float), (10.0, 25.0, 50.0, 100.0))
+    t_max: float = _key("t_max", _float, 100.0)
+    fluctuation_sites: int = _key("fluctuation.sites", _int, 7)
+    fluctuation_window: float = _key("fluctuation.window", _float, 1.0e4)
+    fluctuation_count: int = _key("fluctuation.count", _int, 10_000)
+    averaged_state_sites: tuple = _key("averaged_state.sites", _tuple(_int), (2, 3, 4, 5, 6))
+    averaged_state_windows: tuple = _key("averaged_state.windows", _tuple(_float), (1.0e2, 1.0e3, 1.0e4))
+    shannon_pairs: int = _key("suites.shannon_pairs", _int, 10_000)
+    observational_cases: int = _key("suites.observational_cases", _int, 1_000)
+    von_neumann_cases: int = _key("suites.von_neumann_cases", _int, 1_000)
+    povm_cases: int = _key("suites.povm_cases", _int, 1_000)
+    seed: int = _key("seed", _int, 0)
 
     def __post_init__(self):
         for key, sites in (("sites", self.sites), ("fluctuation.sites", [self.fluctuation_sites]),
@@ -114,15 +97,6 @@ class VerifyConfig:
                            ("suites.povm_cases", self.povm_cases)):
             _require(count >= 1, key, "must be >= 1")
         _require(self.seed >= 0, "seed", "must be >= 0")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "VerifyConfig":
-        return cls(**_parse(_VERIFY_KEYS, raw, _field_defaults(cls)))
-
-    def resolved_dict(self) -> dict:
-        """Canonical nested form with every default filled in; parsing it
-        back yields an identical configuration."""
-        return _nest(_VERIFY_KEYS, vars(self))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from qeqlab.bounds import (
 )
 from qeqlab.dynamics import default_time_step, time_average_scalar
 from qeqlab.harness import (
+    SweepConfig,
     compute_trajectory,
     evaluate_bounds,
     prepare_system,
@@ -197,7 +198,7 @@ def test_criterion_08_continuity_suites():
 
 def test_criterion_09_figure_reproduction(chain_data):
     data, _ = chain_data
-    fits = sweep_chain_lengths(range(5, 11))["fits"]
+    fits = sweep_chain_lengths(SweepConfig(sites=tuple(range(5, 11))))["fits"]
 
     b_delta = fits["delta_fit"]["b"]
     assert abs(b_delta - (-0.0920)) <= 0.2 * 0.0920, fits["delta_fit"]

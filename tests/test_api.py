@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import json
 import pkgutil
@@ -79,6 +80,11 @@ def _dotted_keys(mapping, free, prefix=""):
     return keys
 
 
+def _config_keys(config) -> set:
+    """The dotted keys of a config dataclass, one per field."""
+    return {f.metadata["key"] for f in dataclasses.fields(config)}
+
+
 def test_readme_schemas_match_the_key_tables():
     blocks = re.findall(r"## Config schema \((\w+)\)\n.*?```jsonc\n(.*?)```", README.read_text(),
                         flags=re.DOTALL)
@@ -93,11 +99,11 @@ def test_readme_schemas_match_the_key_tables():
     for kind, keys in harness._MODEL_KEYS.items():
         model = {key: value for key, value in simulate["model"].items() if key in keys}
         harness.ExperimentConfig.from_dict({**simulate, "model": {**model, "kind": kind}})
-    assert _dotted_keys(simulate, harness._SIMULATE_FREE) == set(harness._SIMULATE_KEYS)
+    assert _dotted_keys(simulate, harness._SIMULATE_FREE) == _config_keys(harness.ExperimentConfig)
     assert {section: set(simulate[section]) for section in harness._SIMULATE_FREE} == harness._SIMULATE_FREE
 
     # the verify and sweep blocks show the defaults
-    assert _dotted_keys(schema["verify"], {}) == set(verify._VERIFY_KEYS)
+    assert _dotted_keys(schema["verify"], {}) == _config_keys(verify.VerifyConfig)
     assert verify.VerifyConfig.from_dict(schema["verify"]) == verify.VerifyConfig()
-    assert _dotted_keys(schema["sweep"], {}) == set(harness._SWEEP_KEYS)
-    assert harness.sweep_config(schema["sweep"]) == harness.sweep_config({})
+    assert _dotted_keys(schema["sweep"], {}) == _config_keys(harness.SweepConfig)
+    assert harness.SweepConfig.from_dict(schema["sweep"]) == harness.SweepConfig()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import qeqlab.cli as cli
+from qeqlab.harness import ExperimentConfig, SweepConfig
 from qeqlab.serialize import canonical_json, config_hash, format_number
+from qeqlab.verify import VerifyConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,11 +74,8 @@ def test_simulate_window_just_past_a_whole_step(tmp_path):
 
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
 def test_shipped_config_parses(path):
-    from qeqlab.harness import ExperimentConfig, sweep_config
-    from qeqlab.verify import VerifyConfig
-
     parse = {"simulate": ExperimentConfig.from_dict, "verify": VerifyConfig.from_dict,
-             "sweep": sweep_config}[path.name.split("_")[0]]
+             "sweep": SweepConfig.from_dict}[path.name.split("_")[0]]
     raw = json.loads(path.read_text())
     raw.pop("output_dir", None)
     parse(raw)
@@ -92,7 +92,7 @@ def test_simulate_rerun_byte_identical(tmp_path):
 
 
 def test_trajectory_csv_is_the_row_by_row_formatting(tmp_path):
-    from qeqlab.harness import ExperimentConfig, execute_experiment
+    from qeqlab.harness import execute_experiment
 
     config = {"label": "n5", "model": {"kind": "tilted_ising", "sites": 5}, "times": {"t_max": 20.0},
               "average_grid": [20.0], "fluctuation": {"window": 100.0, "count": 20}}
@@ -184,8 +184,6 @@ def test_manifest_hash_stable_under_key_reordering(tmp_path):
     b = {"fluctuation": {"count": 200, "window": 100.0}, "times": {"t_max": 20.0},
          "average_grid": [10.0, 20.0], "model": {"sites": 5, "kind": "tilted_ising"},
          "label": "n5"}
-    from qeqlab.harness import ExperimentConfig
-
     ha = config_hash(ExperimentConfig.from_dict(a).resolved_dict())
     hb = config_hash(ExperimentConfig.from_dict(b).resolved_dict())
     assert ha == hb
@@ -195,8 +193,6 @@ def test_report_config_round_trips(tmp_path):
     config = minimal_sim_config(tmp_path)
     assert cli.main(["simulate", config]) == 0
     report = json.loads((tmp_path / "out" / "report_n5.json").read_text())
-    from qeqlab.harness import ExperimentConfig
-
     source = {k: v for k, v in json.loads((tmp_path / "config.json").read_text()).items()
               if k != "output_dir"}
     parsed = ExperimentConfig.from_dict(report["config"])
@@ -204,9 +200,6 @@ def test_report_config_round_trips(tmp_path):
 
 
 def test_config_defaults_are_the_dataclass_defaults():
-    from qeqlab.harness import ExperimentConfig
-    from qeqlab.verify import VerifyConfig
-
     assert VerifyConfig.from_dict({}) == VerifyConfig()
     assert config_hash(VerifyConfig.from_dict({}).resolved_dict()) == config_hash(VerifyConfig().resolved_dict())
     model = {"kind": "tilted_ising", "sites": 5}
@@ -230,8 +223,6 @@ def test_verify_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["verify", config]) == 0
 
     # negative control: a corrupted trajectory must flip the exit code
-    import dataclasses
-
     import qeqlab.verify as verify_mod
 
     original = verify_mod.compute_trajectory
@@ -298,16 +289,17 @@ def test_verify_and_sweep_hash_the_resolved_config(tmp_path):
     explicit = _manifest_hash(tmp_path, "verify", "v_explicit", {**verify, "seed": 0})
     changed = _manifest_hash(tmp_path, "verify", "v_changed", {**verify, "seed": 1})
     assert implicit == explicit != changed
-    from qeqlab.verify import VerifyConfig
-
-    resolved = VerifyConfig.from_dict(verify)
-    assert VerifyConfig.from_dict(resolved.resolved_dict()) == resolved
 
     sweep = {"sites": [3, 4, 5], "t_max": 20.0, "late_window": [5.0, 15.0]}
     implicit = _manifest_hash(tmp_path, "sweep", "s_implicit", sweep)
     explicit = _manifest_hash(tmp_path, "sweep", "s_explicit", {**sweep, "axis": "z"})
     changed = _manifest_hash(tmp_path, "sweep", "s_changed", {**sweep, "axis": "x"})
     assert implicit == explicit != changed
+
+    for config in (VerifyConfig.from_dict(verify), SweepConfig.from_dict(sweep)):
+        again = type(config).from_dict(config.resolved_dict())
+        assert again == config
+        assert config_hash(again.resolved_dict()) == config_hash(config.resolved_dict())
 
 
 def test_sweep_outputs(tmp_path):
@@ -332,12 +324,12 @@ def test_sweep_outputs(tmp_path):
 def test_written_report_and_fits_are_the_returned_objects(tmp_path):
     # simulate and sweep write what execute_experiment and
     # sweep_chain_lengths return, with nothing picked out or converted
-    from qeqlab.harness import ExperimentConfig, execute_experiment, sweep_chain_lengths, sweep_config
+    from qeqlab.harness import execute_experiment, sweep_chain_lengths
 
     assert _run_with(tmp_path, "simulate", []) == 0
     assert _run_with(tmp_path, "sweep", []) == 0
     report = execute_experiment(ExperimentConfig.from_dict(BASE_CONFIGS["simulate"]))[0]
-    fits = sweep_chain_lengths(**sweep_config(BASE_CONFIGS["sweep"]))["fits"]
+    fits = sweep_chain_lengths(SweepConfig.from_dict(BASE_CONFIGS["sweep"]))["fits"]
     out = tmp_path / "out"
     assert (out / "report_n3.json").read_bytes() == (canonical_json(report) + "\n").encode()
     assert (out / "sweep_fits.json").read_bytes() == (canonical_json(fits) + "\n").encode()
@@ -513,23 +505,34 @@ def test_cap_error_exits_3_before_output_or_solve(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+CONFIGS = {"simulate": ExperimentConfig, "verify": VerifyConfig, "sweep": SweepConfig}
+
+
+def _rejected(convert):
+    """A value that ``convert`` rejects: a string is no number, list or
+    mapping, and a fraction is no string."""
+    for value in ("abc", 2.5):
+        try:
+            convert(value)
+        except (TypeError, ValueError):
+            return value
+    raise AssertionError(f"{convert!r} accepts every probe")
+
+
+# every key of every config, and a model sub-key and a list entry
 @pytest.mark.parametrize("command, override, key", [
-    ("simulate", "times.t_max=abc", "times.t_max"),
-    ("simulate", "fluctuation.window=abc", "fluctuation.window"),
+    *((command, f"{f.metadata['key']}={_rejected(f.metadata['convert'])}", f.metadata["key"])
+      for command, config in CONFIGS.items() for f in dataclasses.fields(config)),
     ("simulate", "model.h=abc", "model.h"),
-    ("verify", "fluctuation.window=abc", "fluctuation.window"),
     ("verify", "sites=[3, \"x\"]", "sites"),
-    ("sweep", "t_max=abc", "t_max"),
 ])
 def test_conversion_errors_name_the_dotted_key(tmp_path, capsys, command, override, key):
     assert _run_with(tmp_path, command, [override]) == 2
     assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_integral_floats_still_parse_as_integers():
-    from qeqlab.harness import ExperimentConfig, sweep_config
-    from qeqlab.verify import VerifyConfig
-
     model = {"kind": "tilted_ising", "sites": 5}
     as_float = ExperimentConfig.from_dict({"model": model, "fluctuation": {"count": 10000.0},
                                            "seed": 3.0})
@@ -537,7 +540,7 @@ def test_integral_floats_still_parse_as_integers():
     assert as_float == as_int
     assert config_hash(as_float.resolved_dict()) == config_hash(as_int.resolved_dict())
     assert VerifyConfig.from_dict({"sites": [5.0, 7]}).sites == (5, 7)
-    assert sweep_config({"sites": [3, 4.0, 5]})["sites"] == (3, 4, 5)
+    assert SweepConfig.from_dict({"sites": [3, 4.0, 5]}).sites == (3, 4, 5)
 
 
 def test_numerical_faults_are_not_config_errors(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from qeqlab.dynamics import default_time_step, evolve, time_average_scalar
 from qeqlab.harness import (
     ConfigError,
     ExperimentConfig,
+    SweepConfig,
     chain_system,
     compute_trajectory,
     evaluate_bounds,
@@ -476,7 +477,7 @@ def test_spin_bath_counterexample_experiment():
 
 
 def test_sweep_chain_lengths_structure():
-    sweep = sweep_chain_lengths([2, 3, 4], t_max=30.0, late_window=(10.0, 25.0))
+    sweep = sweep_chain_lengths(SweepConfig(sites=(2, 3, 4), t_max=30.0, late_window=(10.0, 25.0)))
     assert [row["sites"] for row in sweep["rows"]] == [2, 3, 4]
     for row in sweep["rows"]:
         assert row["outcomes"] == row["sites"] + 1
@@ -527,7 +528,7 @@ def test_shannon_reports_carry_the_alt_prefactor_bound():
 
 
 def test_sweep_inversions_count_upward_steps():
-    sweep = sweep_chain_lengths([2, 3, 4], t_max=30.0, late_window=(10.0, 25.0))
+    sweep = sweep_chain_lengths(SweepConfig(sites=(2, 3, 4), t_max=30.0, late_window=(10.0, 25.0)))
     for key, column in (("delta_inversions", "delta"), ("late_inversions", "late_abs_dev")):
         values = [row[column] for row in sweep["rows"]]
         assert sweep["fits"][key] == sum(b > a for a, b in zip(values, values[1:]))
