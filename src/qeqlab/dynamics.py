@@ -38,8 +38,8 @@ _SPAN_RTOL = 1e-12
 # Gaps per block of the pruned window count: its first pass counts
 # exactly at every _BLOCK-th gap.
 _BLOCK = 16
-# Entries of the (width, block head) table a grid count builds at once; a
-# group of widths holds as many as fit.
+# Entries of the (width, block head) table a grid count builds at once (a
+# group of widths holds as many as fit), and gaps of one candidate gather.
 _HEAD_ENTRIES = 2**18
 
 
@@ -132,7 +132,8 @@ class GapStatistics:
     are at most ``upper[i1] - i0``. Only blocks whose bound beats the
     best head count are then counted gap by gap. A grid of widths is
     counted in groups that keep the (width, head) table within
-    ``_HEAD_ENTRIES``, one head pass and one candidate gather per group.
+    ``_HEAD_ENTRIES``, one head pass per group, and the candidate blocks
+    are gathered in slices of at most ``_HEAD_ENTRIES`` gaps.
     """
 
     distinct_count: int
@@ -159,15 +160,21 @@ class GapStatistics:
         heads = np.append(gaps[::_BLOCK], np.inf)
         starts = np.arange(0, gaps.size, _BLOCK)
         group = max(1, _HEAD_ENTRIES // heads.size)
+        step = max(1, _HEAD_ENTRIES // _BLOCK)
         for lo in range(0, widths.size, group):
             eps = widths[lo:lo + group]
             upper = np.searchsorted(gaps, heads + eps[:, None])
             best = (upper[:, :-1] - starts).max(axis=1, initial=0)  # 0 with no gaps
             rows, blocks = np.nonzero(upper[:, 1:] - starts > best[:, None])
-            # indices past the last gap clip to it and count less than it
-            idx = starts[blocks, None] + np.arange(_BLOCK)
-            ends = np.searchsorted(gaps, gaps.take(idx, mode="clip") + eps[rows, None])
-            np.maximum.at(best, rows, (ends - idx).max(axis=1))
+            # gathered a slice of candidates at a time: at a width near 0
+            # every block is one, and all at once would copy every gap
+            # several times; the max does not depend on the order
+            for k in range(0, rows.size, step):
+                row = rows[k:k + step]
+                # indices past the last gap clip to it and count less than it
+                idx = starts[blocks[k:k + step], None] + np.arange(_BLOCK)
+                ends = np.searchsorted(gaps, gaps.take(idx, mode="clip") + eps[row, None])
+                np.maximum.at(best, row, (ends - idx).max(axis=1))
             counts[lo:lo + group] = best
         return counts
 

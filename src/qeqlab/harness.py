@@ -71,6 +71,8 @@ __all__ = [
 # of 1008. A multiple of 8: with OpenBLAS, a chunk edge inside a group of 8
 # GEMM columns moved the last digits of that group's populations.
 _CHUNK_TIMES = 1024
+# Rows per block of the p_omega sum in prepare_system.
+_P_OMEGA_ROWS = 256
 # Per site: columns are the +1 and -1 Pauli eigenvectors; None along z.
 _SITE_ROTATIONS = {
     "x": np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
@@ -174,10 +176,15 @@ def prepare_system(hamiltonian, observable, initial) -> PreparedSystem:
     d_eff = effective_dimension(decomp, amps_eig)
     weighted = measurement.in_basis(decomp.eigenvectors) * amps_eig[None, :]
     # dephased-state populations without materializing omega:
-    # accumulate |C[:, block] @ amps[block]|^2 over energy eigenspaces
+    # accumulate |C[:, block] @ amps[block]|^2 over energy eigenspaces,
+    # with no m x m copy: single levels need no reduceat, and |.|^2 is
+    # summed a block of rows at a time
     edges = [sl.start for sl in decomp.cluster_slices]
-    per_block = np.add.reduceat(weighted, edges, axis=1)
-    weights = np.sum(np.abs(per_block) ** 2, axis=1)
+    per_block = weighted if len(edges) == decomp.dim else np.add.reduceat(weighted, edges, axis=1)
+    weights = np.empty(len(per_block))
+    for start in range(0, len(per_block), _P_OMEGA_ROWS):
+        rows = per_block[start : start + _P_OMEGA_ROWS]
+        weights[start : start + len(rows)] = np.sum(np.abs(rows) ** 2, axis=1)
     p_omega = clamp_populations(measurement.group_sums(weights))
     series = _outcome_series(p_omega[None, :], measurement)
     equilibrium = EquilibriumReference(p_omega, *(None if row is None else float(row[0]) for row in series))
@@ -664,27 +671,38 @@ def _oracle_populations(config: ExperimentConfig, times: np.ndarray) -> np.ndarr
 def execute_experiment(config: ExperimentConfig):
     """Run one configured experiment end to end.
 
-    Builds and diagonalizes the model, samples the trajectory, evaluates
-    every inequality on the averaging grid, samples fluctuations, and
-    records the initial-versus-equilibrium entropy data. Nothing is
-    written to disk; the CLI layer handles persistence.
+    Builds and diagonalizes the model, samples the trajectory and, on a
+    second thread meanwhile, the fluctuations, evaluates every inequality
+    on the averaging grid, and records the initial-versus-equilibrium
+    entropy data. Nothing is written to disk; the CLI layer handles
+    persistence.
 
     Returns ``(report, system, trajectory)``, where ``report`` is the JSON
     object ``simulate`` writes.
     """
+    # imported here, not with the module: concurrent.futures loads
+    # logging, and every subcommand's start-up would pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     system = build_system(config)
     dt = config.dt if config.dt is not None else default_time_step(system.decomposition.spectral_range)
     times = time_grid(config.t_max, dt)
-    trajectory = compute_trajectory(system, times)
+    # The fluctuation sample propagates on a second thread while the
+    # trajectory propagates on this one. Both only read the system, NumPy
+    # releases the GIL in their GEMMs and ufuncs, and every GEMM keeps its
+    # shape, so the results keep their bytes.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        sample = pool.submit(fluctuation_checks, system, config.fluctuation_window,
+                             config.fluctuation_count, config.seed)
+        trajectory = compute_trajectory(system, times)
+        checks, fluctuations = sample.result()
 
     reports = evaluate_bounds(system, trajectory, config.average_grid)
     reports.append(_bounds.average_entropy_check(trajectory, system.equilibrium.populations, config.t_max))
+    reports.extend(checks)
 
     # evaluate_bounds has rejected measurements with fewer than two outcomes
     r = system.r
-    checks, fluctuations = fluctuation_checks(system, config.fluctuation_window,
-                                              config.fluctuation_count, config.seed)
-    reports.extend(checks)
 
     late_start = 0.75 * config.t_max
     late_sel = trajectory.times >= late_start

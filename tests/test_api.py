@@ -2,8 +2,11 @@ import ast
 import dataclasses
 import importlib
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,17 @@ def test_scipy_is_no_run_time_dependency():
     assert names(project["dependencies"]) == {"numpy"}
     # the tests still compare the quantile with SciPy's
     assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+def test_cli_import_loads_no_executor_or_logging():
+    # simulate imports its thread pool when it runs: concurrent.futures
+    # loads logging, and every subcommand's start-up would pay for both
+    src = str(Path(qeqlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, qeqlab.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_readme_quick_tour_runs(capsys):

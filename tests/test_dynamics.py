@@ -358,6 +358,38 @@ def test_pruned_window_count_on_chain_epsilon_grids(sites):
     assert stats.window_counts(grid).tolist() == [direct_window_count(stats._gaps, e) for e in grid]
 
 
+@pytest.mark.parametrize("params", [SpinChainParams(sites=7),
+                                    SpinChainParams(sites=7, g=1.0, h=0.0, J=0.0)])
+def test_window_count_gathers_candidates_in_slices(monkeypatch, params):
+    # 64 entries: slices of 4 blocks, so the candidates of a width near 0
+    # (every block) take many slices
+    monkeypatch.setattr(dynamics, "_HEAD_ENTRIES", 64)
+    stats = chain_system(params).gap_stats
+    gaps = stats._gaps
+    tiny = 1e-12 * max(1.0, stats.max_gap)
+    widths = np.concatenate([[tiny, 1e-300], stats.epsilon_grid(16)])
+    assert stats.window_counts(widths).tolist() == [direct_window_count(gaps, e) for e in widths]
+    assert stats.degenerate_gap_multiplicity() == direct_window_count(gaps, tiny)
+
+
+def test_window_count_near_zero_stays_small():
+    # At a width near 0 every block is a candidate. Gathered all at once
+    # they peaked at 3.4 times the bytes of the gaps here, and gathered in
+    # slices at 0.8 times: the slices' buffers of fixed size and the
+    # candidate indices, 16 bytes a block.
+    m = 1500
+    decomp = decompose_hermitian(np.diag(np.sort(np.random.default_rng(6).normal(size=m))))
+    stats = gap_statistics(decomp)
+    tracemalloc.start()
+    try:
+        count = stats.degenerate_gap_multiplicity()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == direct_window_count(stats._gaps, 1e-12 * stats.max_gap)
+    assert peak <= stats._gaps.nbytes
+
+
 def _toy_trajectory(times, values):
     zeros = np.zeros_like(values)
     return Trajectory(times=times, populations=np.ones((len(times), 1)),

@@ -1,26 +1,31 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from qeqlab.bounds import shannon_deviation_bound
+from qeqlab import harness
+from qeqlab.bounds import average_entropy_check, shannon_deviation_bound
 from qeqlab.dynamics import default_time_step, evolve, time_average_scalar
 from qeqlab.harness import (
     ConfigError,
     ExperimentConfig,
     SweepConfig,
+    build_system,
     chain_system,
     compute_trajectory,
     evaluate_bounds,
     execute_experiment,
     fit_exponential,
+    fluctuation_checks,
     prepare_system,
     sample_deviations,
     sweep_chain_lengths,
     time_grid,
     window_average,
 )
-from qeqlab.measurement import populations
+from qeqlab.measurement import clamp_populations, populations
 from qeqlab.models import (
     DensityMatrix,
     DimensionCapError,
@@ -99,6 +104,31 @@ def test_equilibrium_reference_matches_omega_oracle():
         omega = equilibrium_state(system.decomposition, system.initial)
         oracle = populations(system.measurement, omega)
         assert np.max(np.abs(system.equilibrium.populations - oracle)) < 1e-10
+
+
+def _reduceat_p_omega(system):
+    """p_omega by the m x m formula: |sum over each level cluster|^2,
+    grouped by outcome and clamped."""
+    edges = [sl.start for sl in system.decomposition.cluster_slices]
+    per_block = np.add.reduceat(system.weighted_contraction, edges, axis=1)
+    weights = np.sum(np.abs(per_block) ** 2, axis=1)
+    return clamp_populations(system.measurement.group_sums(weights))
+
+
+@pytest.mark.parametrize("params, degenerate", [
+    (SpinChainParams(sites=7), False),
+    # free spins: levels g (N - 2k), each many times over
+    (SpinChainParams(sites=7, g=1.0, h=0.0, J=0.0), True),
+])
+@pytest.mark.parametrize("axis", ["z", "y"])
+def test_p_omega_by_row_blocks_matches_the_reduceat_formula(monkeypatch, params, degenerate, axis):
+    # blocks of 5 rows: several blocks and a partial last one
+    monkeypatch.setattr(harness, "_P_OMEGA_ROWS", 5)
+    system = chain_system(params, axis)
+    decomp = system.decomposition
+    assert (len(decomp.cluster_slices) < decomp.dim) == degenerate
+    assert decomp.dim % 5 != 0
+    assert np.array_equal(system.equilibrium.populations, _reduceat_p_omega(system))
 
 
 def test_time_grid_covers_t_max():
@@ -532,3 +562,54 @@ def test_sweep_inversions_count_upward_steps():
     for key, column in (("delta_inversions", "delta"), ("late_inversions", "late_abs_dev")):
         values = [row[column] for row in sweep["rows"]]
         assert sweep["fits"][key] == sum(b > a for a, b in zip(values, values[1:]))
+
+
+_OVERLAP_CONFIGS = {
+    "chain": {"label": "overlap", "model": {"kind": "tilted_ising", "sites": 5},
+              "times": {"t_max": 30.0}, "average_grid": [10.0, 30.0],
+              # more than one propagation chunk of times on both threads
+              "fluctuation": {"window": 500.0, "count": 2500}, "seed": 3},
+    "oracle": {"label": "overlap", "model": {"kind": "precessing_spin", "g": 1.0},
+               "times": {"t_max": 20.0, "dt": 0.01}, "average_grid": [10.0, 20.0],
+               "fluctuation": {"window": 100.0, "count": 300}, "seed": 4},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERLAP_CONFIGS))
+def test_overlapped_run_equals_the_sequential_composition(name):
+    config = ExperimentConfig.from_dict(_OVERLAP_CONFIGS[name])
+    before = threading.active_count()
+    # switch threads as often as the interpreter can, to interleave the
+    # two propagations finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report, _, trajectory = execute_experiment(config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    # the same stages, one after the other on this thread
+    system = build_system(config)
+    times = time_grid(config.t_max, default_time_step(system.decomposition.spectral_range)
+                      if config.dt is None else config.dt)
+    sequential = compute_trajectory(system, times)
+    reports = evaluate_bounds(system, sequential, config.average_grid)
+    reports.append(average_entropy_check(sequential, system.equilibrium.populations, config.t_max))
+    checks, fluctuations = fluctuation_checks(system, config.fluctuation_window,
+                                              config.fluctuation_count, config.seed)
+    for key in ("times", "populations", "shannon", "observational", "boltzmann"):
+        assert np.array_equal(getattr(trajectory, key), getattr(sequential, key))
+    assert canonical_json(report["bounds"]) == canonical_json([rep.to_json_dict() for rep in reports + checks])
+    assert canonical_json(report["fluctuations"]) == canonical_json(fluctuations)
+
+
+def test_overlapped_fluctuation_failure_propagates(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("fluctuation stage failed")
+
+    monkeypatch.setattr(harness, "sample_deviations", fail)
+    config = ExperimentConfig.from_dict(_OVERLAP_CONFIGS["chain"])
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="fluctuation stage failed"):
+        execute_experiment(config)
+    assert threading.active_count() == before
