@@ -14,7 +14,6 @@ objects the CLI writes.
 from __future__ import annotations
 
 import math
-from copy import copy
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -523,20 +522,13 @@ def _check_keys(section: str, mapping, allowed: set):
 
 def _key(dotted: str, convert, default=MISSING):
     """A config field read from the dotted key ``dotted`` and converted by
-    ``convert``; an absent key takes ``default`` (a required key has none).
-    A free-form section's default mapping is copied for each config."""
-    metadata = {"key": dotted, "convert": convert}
-    if isinstance(default, dict):
-        return field(default_factory=lambda: dict(default), metadata=metadata)
-    return field(default=default, metadata=metadata)
+    ``convert``; an absent key takes ``default`` (a required key has none)."""
+    return field(default=default, metadata={"key": dotted, "convert": convert})
 
 
 class _Config:
     """Base of the config dataclasses, whose fields (each made by
     :func:`_key`) are the config's schema."""
-
-    # the sub-keys allowed in each free-form section (a field that holds a mapping)
-    _free = {}
 
     @classmethod
     def from_dict(cls, raw: dict):
@@ -545,13 +537,12 @@ class _Config:
         sections = {}
         for f in fields(cls):
             section, _, key = f.metadata["key"].partition(".")
-            sections.setdefault(section, set()).update([key] if key else cls._free.get(section, ()))
+            sections.setdefault(section, set()).update([key] if key else ())
         _check_keys("", raw, set(sections))
         for section, keys in sections.items():
             if keys and section in raw:
                 _check_keys(section, raw[section], keys)
-        return cls(**{f.name: _get(raw, f.metadata["key"], f.metadata["convert"],
-                                   f.default if f.default_factory is MISSING else f.default_factory())
+        return cls(**{f.name: _get(raw, f.metadata["key"], f.metadata["convert"], f.default)
                       for f in fields(cls)})
 
     def resolved_dict(self) -> dict:
@@ -564,8 +555,7 @@ class _Config:
             for section in sections:
                 node = node.setdefault(section, {})
             value = getattr(self, f.name)
-            # a list for a tuple; a free-form section is copied
-            node[key] = list(value) if isinstance(value, tuple) else copy(value)
+            node[key] = list(value) if isinstance(value, tuple) else value
         return out
 
 
@@ -573,38 +563,22 @@ class _Config:
 _MODEL_KEYS = {"tilted_ising": {"kind", "sites", "g", "h", "J"}, "precessing_spin": {"kind", "g"},
                "spin_bath": {"kind", "g", "bath_dim"}}
 _MODEL_KINDS = tuple(_MODEL_KEYS)
-# defaults of the analytic models' keys: one value for the run and its oracle
-_ANALYTIC_DEFAULTS = {"g": 1.0, "bath_dim": 4}
 _AXES = ("x", "y", "z")
-
-_SIMULATE_FREE = {"model": set().union(*_MODEL_KEYS.values()), "observable": {"axis"}}
-
-
-def _analytic(model: dict, key: str, convert):
-    """An analytic model's key, or its default."""
-    return _get({"model": model}, f"model.{key}", convert, _ANALYTIC_DEFAULTS[key])
-
-
-def _chain_params(model: dict) -> SpinChainParams:
-    """A tilted_ising model's couplings, an absent one taking its
-    :class:`~qeqlab.models.SpinChainParams` default."""
-    raw = {"model": model}
-    _require("sites" in model, "model.sites", "required for tilted_ising")
-    sites = _get(raw, "model.sites", _int)
-    _require(sites >= 2, "model.sites", "must be >= 2")
-    _check_cap(sites)
-    couplings = {key: _get(raw, f"model.{key}", _float, getattr(SpinChainParams, key)) for key in "ghJ"}
-    _require(any(couplings.values()), "model", "g, h and J are all zero: H = 0 has no dynamics")
-    return SpinChainParams(sites=sites, **couplings)
 
 
 @dataclass(kw_only=True)
 class ExperimentConfig(_Config):
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run. A model key the kind
+    does not read stays None; an absent one it reads takes the kind's default."""
 
     label: str = _key("label", _str, "experiment")
-    model: dict = _key("model", dict)
-    observable: dict = _key("observable", dict, {"axis": "z"})
+    kind: str = _key("model.kind", _str)
+    sites: int | None = _key("model.sites", _int, None)
+    g: float | None = _key("model.g", _float, None)
+    h: float | None = _key("model.h", _float, None)
+    J: float | None = _key("model.J", _float, None)
+    bath_dim: int | None = _key("model.bath_dim", _int, None)
+    axis: str = _key("observable.axis", _str, "z")
     t_max: float = _key("times.t_max", _float, 100.0)
     dt: float | None = _key("times.dt", lambda dt: None if dt is None else _float(dt), None)
     average_grid: tuple = _key("average_grid", _tuple(_float), (10.0, 25.0, 50.0, 100.0))
@@ -612,28 +586,33 @@ class ExperimentConfig(_Config):
     fluctuation_count: int = _key("fluctuation.count", _int, 10_000)
     seed: int = _key("seed", _int, 0)
 
-    _free = _SIMULATE_FREE
-
     def __post_init__(self):
         # the label becomes part of the output file names
         _require(self.label not in ("", ".", "..") and not any(c in self.label for c in "/\\\0"),
                  "label", "must be a file name part: non-empty, not '.' or '..', no '/', '\\' or NUL")
-        kind = self.model.get("kind")
+        kind = self.kind
         _require(kind in _MODEL_KINDS, "model.kind", f"must be one of {_MODEL_KINDS}, got {kind!r}")
-        for key in self.model:
-            _require(key in _MODEL_KEYS[kind], f"model.{key}", f"not read by model kind {kind!r}")
-        axis = self.observable.get("axis", "z")
+        for f in fields(self):
+            if f.metadata["key"].startswith("model.") and f.name not in _MODEL_KEYS[kind]:
+                _require(getattr(self, f.name) is None, f.metadata["key"], f"not read by model kind {kind!r}")
         if kind == "tilted_ising":
-            _chain_params(self.model)
-            _require(axis in _AXES, "observable.axis", f"must be one of {_AXES}")
+            _require(self.sites is not None, "model.sites", "required for tilted_ising")
+            _require(self.sites >= 2, "model.sites", "must be >= 2")
+            _check_cap(self.sites)
+            for key in "ghJ":  # an absent coupling takes its SpinChainParams default
+                if getattr(self, key) is None:
+                    setattr(self, key, getattr(SpinChainParams, key))
+            _require(any((self.g, self.h, self.J)), "model", "g, h and J are all zero: H = 0 has no dynamics")
+            _require(self.axis in _AXES, "observable.axis", f"must be one of {_AXES}")
         else:
             # the analytic models carry their own observable, sigma_z
-            _require(axis == "z", "observable.axis", f"model kind {kind!r} measures sigma_z: must be 'z'")
-            _require(_analytic(self.model, "g", _float) != 0, "model.g", "must be nonzero")
+            _require(self.axis == "z", "observable.axis", f"model kind {kind!r} measures sigma_z: must be 'z'")
+            self.g = 1.0 if self.g is None else self.g
+            _require(self.g != 0, "model.g", "must be nonzero")
         if kind == "spin_bath":
-            bath_dim = _analytic(self.model, "bath_dim", _int)
-            _require(bath_dim >= 1, "model.bath_dim", "must be >= 1")
-            _check_bath_cap(bath_dim)
+            self.bath_dim = 4 if self.bath_dim is None else self.bath_dim
+            _require(self.bath_dim >= 1, "model.bath_dim", "must be >= 1")
+            _check_bath_cap(self.bath_dim)
         _require(self.t_max > 0, "times.t_max", "must be positive")
         _require(self.dt is None or self.dt > 0, "times.dt", "must be positive")
         _check_windows("average_grid", self.average_grid, self.t_max)
@@ -641,17 +620,21 @@ class ExperimentConfig(_Config):
         _require(self.fluctuation_count >= 1, "fluctuation.count", "must be >= 1")
         _require(self.seed >= 0, "seed", "must be >= 0")
 
+    def resolved_dict(self) -> dict:
+        out = super().resolved_dict()
+        # only the model keys the kind reads, each with its value or default
+        out["model"] = {key: value for key, value in out["model"].items() if key in _MODEL_KEYS[self.kind]}
+        return out
+
 
 def build_system(config: ExperimentConfig) -> PreparedSystem:
     """Construct the model, measurement and initial state of a config."""
-    kind = config.model["kind"]
-    if kind == "tilted_ising":
-        return chain_system(_chain_params(config.model), config.observable.get("axis", "z"))
-    g = _analytic(config.model, "g", _float)
-    if kind == "precessing_spin":
-        ham, initial, obs = precessing_spin(g)
+    if config.kind == "tilted_ising":
+        return chain_system(SpinChainParams(config.sites, config.g, config.h, config.J), config.axis)
+    if config.kind == "precessing_spin":
+        ham, initial, obs = precessing_spin(config.g)
     else:
-        ham, initial, obs = spin_bath(g, _analytic(config.model, "bath_dim", _int))
+        ham, initial, obs = spin_bath(config.g, config.bath_dim)
     return prepare_system(ham, obs, initial)
 
 
@@ -661,10 +644,9 @@ def build_system(config: ExperimentConfig) -> PreparedSystem:
 
 def _oracle_populations(config: ExperimentConfig, times: np.ndarray) -> np.ndarray | None:
     """Closed-form outcome populations for the analytic models."""
-    kind = config.model["kind"]
-    if kind not in ("precessing_spin", "spin_bath"):
+    if config.kind == "tilted_ising":
         return None
-    up = np.cos(_analytic(config.model, "g", _float) * times) ** 2
+    up = np.cos(config.g * times) ** 2
     return np.column_stack([up, 1.0 - up])
 
 
@@ -734,7 +716,7 @@ def execute_experiment(config: ExperimentConfig):
         "late_band": late_band,
     }
     system_info = {
-        "kind": config.model["kind"],
+        "kind": config.kind,
         "dim": system.dim,
         "outcomes": r,
         "multiplicities": [float(v) for v in system.measurement.multiplicities],

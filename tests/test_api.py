@@ -83,12 +83,12 @@ def test_readme_quick_tour_runs(capsys):
     assert all(line.endswith("holds") for line in lines[2:])
 
 
-def _dotted_keys(mapping, free, prefix=""):
-    """Dotted keys of a nested config; a free-form section is one key."""
+def _dotted_keys(mapping, prefix=""):
+    """Dotted keys of a nested config."""
     keys = set()
     for key, value in mapping.items():
-        if isinstance(value, dict) and key not in free:
-            keys |= _dotted_keys(value, free, f"{prefix}{key}.")
+        if isinstance(value, dict):
+            keys |= _dotted_keys(value, f"{prefix}{key}.")
         else:
             keys.add(prefix + key)
     return keys
@@ -113,11 +113,10 @@ def test_readme_schemas_match_the_key_tables():
     for kind, keys in harness._MODEL_KEYS.items():
         model = {key: value for key, value in simulate["model"].items() if key in keys}
         harness.ExperimentConfig.from_dict({**simulate, "model": {**model, "kind": kind}})
-    assert _dotted_keys(simulate, harness._SIMULATE_FREE) == _config_keys(harness.ExperimentConfig)
-    assert {section: set(simulate[section]) for section in harness._SIMULATE_FREE} == harness._SIMULATE_FREE
+    assert _dotted_keys(simulate) == _config_keys(harness.ExperimentConfig)
 
     # the verify and sweep blocks show the defaults
-    assert _dotted_keys(schema["verify"], {}) == _config_keys(verify.VerifyConfig)
+    assert _dotted_keys(schema["verify"]) == _config_keys(verify.VerifyConfig)
     assert verify.VerifyConfig.from_dict(schema["verify"]) == verify.VerifyConfig()
-    assert _dotted_keys(schema["sweep"], {}) == _config_keys(harness.SweepConfig)
+    assert _dotted_keys(schema["sweep"]) == _config_keys(harness.SweepConfig)
     assert harness.SweepConfig.from_dict(schema["sweep"]) == harness.SweepConfig()

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import qeqlab.cli as cli
-from qeqlab.harness import ExperimentConfig, SweepConfig
+from qeqlab.harness import _MODEL_KEYS, ExperimentConfig, SweepConfig, execute_experiment
+from qeqlab.models import SpinChainParams
 from qeqlab.serialize import canonical_json, config_hash, format_number
 from qeqlab.verify import VerifyConfig
 
@@ -72,13 +73,25 @@ def test_simulate_window_just_past_a_whole_step(tmp_path):
     assert float(last.split(",")[0]) >= 10.000000000015
 
 
+# the manifest hash of each shipped config: a move is a change of the
+# config schema or of its defaults, and must be meant
+SHIPPED_HASHES = {
+    "simulate_chain.json": "90989f03711166a65bdb08f906196878c802ddb03c5a6922118b33352e08e075",
+    "simulate_oracle.json": "be2a87016bde5d9a1eceac010d075b9ff64c02c85439fbf979de921a5d4c3375",
+    "sweep_lengths.json": "13ed12f2e1fb0080234b4f41eb27ea557754fde28da00c7d2d623f5c3a2cf2d6",
+    "verify_default.json": "da504b5d3c7a940bff9f26fafba19eada86033bc5f26e4233d1ffaf436a6bdff",
+}
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
 def test_shipped_config_parses(path):
-    parse = {"simulate": ExperimentConfig.from_dict, "verify": VerifyConfig.from_dict,
-             "sweep": SweepConfig.from_dict}[path.name.split("_")[0]]
+    command = path.name.split("_")[0]
+    config = {"simulate": ExperimentConfig, "verify": VerifyConfig, "sweep": SweepConfig}[command]
     raw = json.loads(path.read_text())
     raw.pop("output_dir", None)
-    parse(raw)
+    # hashed as cmd_simulate, cmd_verify and cmd_sweep hash it
+    prefix = {} if command == "simulate" else {command: True}
+    assert config_hash({**prefix, **config.from_dict(raw).resolved_dict()}) == SHIPPED_HASHES[path.name]
 
 
 def test_simulate_rerun_byte_identical(tmp_path):
@@ -92,8 +105,6 @@ def test_simulate_rerun_byte_identical(tmp_path):
 
 
 def test_trajectory_csv_is_the_row_by_row_formatting(tmp_path):
-    from qeqlab.harness import execute_experiment
-
     config = {"label": "n5", "model": {"kind": "tilted_ising", "sites": 5}, "times": {"t_max": 20.0},
               "average_grid": [20.0], "fluctuation": {"window": 100.0, "count": 20}}
     _, system, trajectory = execute_experiment(ExperimentConfig.from_dict(config))
@@ -148,7 +159,7 @@ def test_simulate_oracle_config(tmp_path):
 def test_config_errors_name_the_key(tmp_path, capsys):
     config = write_config(tmp_path / "bad.json", {"times": {"t_max": 10.0}})
     assert cli.main(["simulate", config]) == 2
-    assert "model" in capsys.readouterr().err
+    assert "config key 'model.kind'" in capsys.readouterr().err
 
     config = write_config(tmp_path / "bad2.json", {
         "model": {"kind": "tilted_ising", "sites": 3}, "unknown_key": 1,
@@ -204,9 +215,24 @@ def test_config_defaults_are_the_dataclass_defaults():
     assert config_hash(VerifyConfig.from_dict({}).resolved_dict()) == config_hash(VerifyConfig().resolved_dict())
     model = {"kind": "tilted_ising", "sites": 5}
     parsed = ExperimentConfig.from_dict({"model": model})
-    assert parsed == ExperimentConfig(label="experiment", model=model)
+    assert parsed == ExperimentConfig(label="experiment", kind="tilted_ising", sites=5)
     assert config_hash(parsed.resolved_dict()) == config_hash(
-        ExperimentConfig(label="experiment", model=model).resolved_dict())
+        ExperimentConfig(label="experiment", kind="tilted_ising", sites=5).resolved_dict())
+
+    # writing a model or observable default out does not change the hash
+    same = [{"model": model}, {"model": {**model, "g": SpinChainParams.g}},
+            {"model": model, "observable": {}}]
+    assert len({config_hash(ExperimentConfig.from_dict(raw).resolved_dict()) for raw in same}) == 1
+
+    # a report's model block holds exactly the keys its kind reads, each
+    # resolved, and parses back to the run's config
+    small = {"times": {"t_max": 2.0}, "average_grid": [2.0], "fluctuation": {"window": 2.0, "count": 10}}
+    for model in ({"kind": "tilted_ising", "sites": 3}, {"kind": "precessing_spin"}, {"kind": "spin_bath"}):
+        config = ExperimentConfig.from_dict({**small, "model": model})
+        block = execute_experiment(config)[0]["config"]
+        assert set(block["model"]) == _MODEL_KEYS[model["kind"]]
+        assert None not in block["model"].values()
+        assert ExperimentConfig.from_dict(block) == config
 
 
 def test_verify_exit_codes(tmp_path, monkeypatch):
@@ -324,7 +350,7 @@ def test_sweep_outputs(tmp_path):
 def test_written_report_and_fits_are_the_returned_objects(tmp_path):
     # simulate and sweep write what execute_experiment and
     # sweep_chain_lengths return, with nothing picked out or converted
-    from qeqlab.harness import execute_experiment, sweep_chain_lengths
+    from qeqlab.harness import sweep_chain_lengths
 
     assert _run_with(tmp_path, "simulate", []) == 0
     assert _run_with(tmp_path, "sweep", []) == 0
@@ -509,8 +535,8 @@ CONFIGS = {"simulate": ExperimentConfig, "verify": VerifyConfig, "sweep": SweepC
 
 
 def _rejected(convert):
-    """A value that ``convert`` rejects: a string is no number, list or
-    mapping, and a fraction is no string."""
+    """A value that ``convert`` rejects: a string is no number or list,
+    and a fraction is no string."""
     for value in ("abc", 2.5):
         try:
             convert(value)
@@ -519,11 +545,12 @@ def _rejected(convert):
     raise AssertionError(f"{convert!r} accepts every probe")
 
 
-# every key of every config, and a model sub-key and a list entry
+# every key of every config, a section that is not a mapping, and a list entry
 @pytest.mark.parametrize("command, override, key", [
     *((command, f"{f.metadata['key']}={_rejected(f.metadata['convert'])}", f.metadata["key"])
       for command, config in CONFIGS.items() for f in dataclasses.fields(config)),
-    ("simulate", "model.h=abc", "model.h"),
+    ("simulate", "model=abc", "model"),
+    ("simulate", "observable=abc", "observable"),
     ("verify", "sites=[3, \"x\"]", "sites"),
 ])
 def test_conversion_errors_name_the_dotted_key(tmp_path, capsys, command, override, key):

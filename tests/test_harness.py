@@ -253,7 +253,7 @@ def test_quadrature_remainder_bounds_the_trapezoid_error(name):
 def test_free_spins_average_without_a_warning():
     # the suite turns warnings into errors; this run used to warn that
     # halving the step moved an average by 1.354e-04
-    config = ExperimentConfig(model={"kind": "tilted_ising", "sites": 3, "g": 1.0, "h": 0.0, "J": 0.0},
+    config = ExperimentConfig(kind="tilted_ising", sites=3, g=1.0, h=0.0, J=0.0,
                               t_max=10.0, average_grid=(5.0, 10.0), fluctuation_count=100)
     report, system, _ = execute_experiment(config)
     assert report["system"]["energy_spread"] == system.energy_spread == pytest.approx(math.sqrt(3), rel=1e-12)
@@ -358,7 +358,7 @@ def test_evaluate_bounds_requires_two_outcomes():
 
 
 def test_config_validation_errors():
-    with pytest.raises(ConfigError, match="'model'"):
+    with pytest.raises(ConfigError, match="'model.kind'"):
         ExperimentConfig.from_dict({})
     with pytest.raises(ConfigError, match="bogus"):
         ExperimentConfig.from_dict({"model": {"kind": "tilted_ising", "sites": 3}, "bogus": 1})
@@ -473,8 +473,6 @@ def test_run_experiment_oracle_flag():
 @pytest.mark.parametrize("model", [{"kind": "precessing_spin"}, {"kind": "spin_bath"},
                                    {"kind": "spin_bath", "g": 0.7, "bath_dim": 3}])
 def test_analytic_run_and_oracle_share_g(model):
-    from qeqlab.harness import _ANALYTIC_DEFAULTS
-
     config = ExperimentConfig.from_dict({
         "label": "analytic",
         "model": model,
@@ -482,11 +480,12 @@ def test_analytic_run_and_oracle_share_g(model):
         "average_grid": [10.0],
         "fluctuation": {"window": 10.0, "count": 10},
     })
+    # an absent g or bath_dim takes the README default, 1.0 or 4
+    assert config.g == model.get("g", 1.0)
+    assert config.bath_dim == (model.get("bath_dim", 4) if model["kind"] == "spin_bath" else None)
     report, system, _ = execute_experiment(config)
-    g = model.get("g", _ANALYTIC_DEFAULTS["g"])
-    assert system.decomposition.spectral_range == pytest.approx(2 * g, abs=1e-12)
-    bath = model.get("bath_dim", _ANALYTIC_DEFAULTS["bath_dim"]) if model["kind"] == "spin_bath" else 1
-    assert system.dim == 2 * bath
+    assert system.decomposition.spectral_range == pytest.approx(2 * config.g, abs=1e-12)
+    assert system.dim == 2 * (config.bath_dim or 1)
     assert report["oracle"]["passed"]
 
 
