@@ -77,7 +77,6 @@ from .models import (
     all_down_state,
     bulk_magnetization,
     pauli,
-    precessing_spin,
     reflection_sector,
     spin_bath,
     tilted_ising_chain,

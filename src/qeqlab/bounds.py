@@ -90,7 +90,7 @@ def equilibration_factor(stats: GapStatistics, eps: float, T: float) -> float:
     return _factor(stats.window_count(eps), eps, T, stats.distinct_count)
 
 
-def optimal_epsilon(stats: GapStatistics, windows, points: int = 32) -> list:
+def optimal_epsilon(stats: GapStatistics, windows, points: int) -> list:
     """Scan a logarithmic grid of window widths and return, per averaging
     window T of ``windows``, the ``(eps, factor, count)`` minimizing the
     equilibration factor.

@@ -178,7 +178,7 @@ class GapStatistics:
             counts[lo:lo + group] = best
         return counts
 
-    def epsilon_grid(self, points: int = 32) -> np.ndarray:
+    def epsilon_grid(self, points: int) -> np.ndarray:
         """Logarithmic grid of window widths from the smallest gap
         magnitude to the spectral range."""
         if self.min_gap is None:

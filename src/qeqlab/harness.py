@@ -38,7 +38,6 @@ from .models import (
     _check_bath_cap,
     _check_cap,
     all_down_state,
-    precessing_spin,
     reflection_sector,
     spin_bath,
 )
@@ -482,9 +481,10 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """A finite number; a boolean, a string, and infinity and NaN (which
-    ``json`` accepts) are an error, not a value a run can use."""
-    if isinstance(value, (bool, str)) or not math.isfinite(float(value)):
+    """A finite number; a boolean, a string, a null, a list, a mapping, and
+    infinity and NaN (which ``json`` accepts) are an error, not a value a
+    run can use."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
@@ -631,23 +631,13 @@ def build_system(config: ExperimentConfig) -> PreparedSystem:
     """Construct the model, measurement and initial state of a config."""
     if config.kind == "tilted_ising":
         return chain_system(SpinChainParams(config.sites, config.g, config.h, config.J), config.axis)
-    if config.kind == "precessing_spin":
-        ham, initial, obs = precessing_spin(config.g)
-    else:
-        ham, initial, obs = spin_bath(config.g, config.bath_dim)
+    # a precessing_spin is a spin_bath with a one-state bath
+    ham, initial, obs = spin_bath(config.g, config.bath_dim or 1)
     return prepare_system(ham, obs, initial)
 
 
 # ---------------------------------------------------------------------------
 # experiment driver
-
-
-def _oracle_populations(config: ExperimentConfig, times: np.ndarray) -> np.ndarray | None:
-    """Closed-form outcome populations for the analytic models."""
-    if config.kind == "tilted_ising":
-        return None
-    up = np.cos(config.g * times) ** 2
-    return np.column_stack([up, 1.0 - up])
 
 
 def execute_experiment(config: ExperimentConfig):
@@ -700,9 +690,10 @@ def execute_experiment(config: ExperimentConfig):
     }
 
     oracle = None
-    analytic = _oracle_populations(config, times)
-    if analytic is not None:
-        err = float(np.max(np.abs(trajectory.populations - analytic)))
+    if config.kind != "tilted_ising":
+        # the analytic models' closed-form populations (cos^2 gt, sin^2 gt)
+        up = np.cos(config.g * times) ** 2
+        err = float(np.max(np.abs(trajectory.populations - np.column_stack([up, 1.0 - up]))))
         oracle = {"max_population_error": err, "passed": err <= 1e-8}
 
     trajectory_summary = {

@@ -1,7 +1,7 @@
 """Physical systems: the mixed-field Ising chain and its reflection-even
-sector, bulk magnetization observables, product initial states, and two
-analytically solvable reference systems (precessing spin, uncoupled
-spin--bath).
+sector, bulk magnetization observables, product initial states, and an
+analytically solvable reference system: a spin precessing next to an
+inert bath, which at bath dimension 1 is the lone precessing spin.
 
 Conventions (fixed once, used everywhere):
 
@@ -43,7 +43,6 @@ __all__ = [
     "all_down_state",
     "bulk_magnetization",
     "pauli",
-    "precessing_spin",
     "reflection_sector",
     "spin_bath",
     "tilted_ising_chain",
@@ -393,30 +392,19 @@ def reflection_sector(sites: int) -> ReflectionSector:
                             down_counts=down[order])
 
 
-def precessing_spin(g: float):
-    """Single spin precessing about x, measured along z.
-
-    Returns ``(hamiltonian, initial, observable)`` with H = g sigma_x,
-    initial state |up>, observable sigma_z. The outcome populations are
-    exactly ``p(t) = (cos^2(g t), sin^2(g t))``, which makes this system
-    the closed-form oracle for the dynamics and bound machinery.
-    """
-    if g == 0:
-        raise ValueError("g must be nonzero (g = 0 has no dynamics)")
-    ham = g * pauli("x")
-    initial = PureState(np.array([1.0, 0.0], dtype=complex))
-    return ham, initial, pauli("z")
-
-
 def spin_bath(g: float, bath_dim: int):
     """Uncoupled spin-1/2 next to a bath of dimension ``bath_dim``.
 
     Returns ``(hamiltonian, initial, observable)`` with
     H = g sigma_x (x) 1_B and observable sigma_z (x) 1_B; the bath is
-    inert. The spin keeps precessing forever, so the outcome-distribution
-    entropy oscillates between 0 and log 2 while both outcome
-    multiplicities stay equal to bath_dim. Used as the counterexample
-    where eigenspace coarse-graining masks the absence of equilibration.
+    inert. The outcome populations are exactly
+    ``p(t) = (cos^2(g t), sin^2(g t))``; at ``bath_dim = 1`` this is the
+    lone spin precessing about x, the closed-form oracle for the dynamics
+    and bound machinery. The spin keeps precessing forever, so the
+    outcome-distribution entropy oscillates between 0 and log 2 while both
+    outcome multiplicities stay equal to bath_dim. Used as the
+    counterexample where eigenspace coarse-graining masks the absence of
+    equilibration.
     """
     if g == 0:
         raise ValueError("g must be nonzero (g = 0 has no dynamics)")

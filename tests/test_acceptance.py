@@ -19,12 +19,10 @@ from qeqlab.bounds import (
 )
 from qeqlab.dynamics import default_time_step, time_average_scalar
 from qeqlab.harness import (
-    SweepConfig,
     compute_trajectory,
     evaluate_bounds,
     prepare_system,
     sample_deviations,
-    sweep_chain_lengths,
     time_grid,
     window_average,
 )
@@ -32,7 +30,6 @@ from qeqlab.models import (
     SpinChainParams,
     all_down_state,
     bulk_magnetization,
-    precessing_spin,
     spin_bath,
     tilted_ising_chain,
 )
@@ -82,7 +79,7 @@ def chain_reports(chain_data):
 def test_criterion_01_precessing_spin_oracle():
     t0 = time.monotonic()
     g = 1.3
-    ham, initial, obs = precessing_spin(g)
+    ham, initial, obs = spin_bath(g, 1)
     system = prepare_system(ham, obs, initial)
 
     times = np.linspace(0.0, 8 * math.pi / g, 1000)
@@ -196,9 +193,11 @@ def test_criterion_08_continuity_suites():
         f"{r.name}({r.parameters['cases']})" for r in suites) + f" [{elapsed:.1f}s]")
 
 
-def test_criterion_09_figure_reproduction(chain_data):
+def test_criterion_09_figure_reproduction(chain_data, shipped_sweep):
     data, _ = chain_data
-    fits = sweep_chain_lengths(SweepConfig(sites=tuple(range(5, 11))))["fits"]
+    # the sweep of configs/sweep_lengths.json: N = 5..10 at the defaults
+    assert [row["sites"] for row in shipped_sweep["rows"]] == list(range(5, 11))
+    fits = shipped_sweep["fits"]
 
     b_delta = fits["delta_fit"]["b"]
     assert abs(b_delta - (-0.0920)) <= 0.2 * 0.0920, fits["delta_fit"]

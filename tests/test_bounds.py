@@ -24,14 +24,14 @@ from qeqlab.dynamics import (
 )
 from qeqlab.entropy import binary_entropy, g_function, shannon_entropy
 from qeqlab.linalg import decompose_hermitian, trace_norm
-from qeqlab.models import SpinChainParams, bulk_magnetization, precessing_spin
+from qeqlab.models import SpinChainParams, bulk_magnetization, spin_bath
 
 LN2 = math.log(2.0)
 
 
 @pytest.fixture()
 def two_level_stats():
-    ham, _, _ = precessing_spin(1.0)
+    ham, _, _ = spin_bath(1.0, 1)
     return gap_statistics(decompose_hermitian(ham))
 
 
@@ -52,14 +52,14 @@ def test_optimal_epsilon_minimizes(two_level_stats):
     stats = two_level_stats
     grid = [float(e) for e in stats.epsilon_grid(32)]
     windows = [5.0, 50.0, math.inf]
-    for T, (eps, factor, count) in zip(windows, optimal_epsilon(stats, windows), strict=True):
+    for T, (eps, factor, count) in zip(windows, optimal_epsilon(stats, windows, 32), strict=True):
         factors = [equilibration_factor(stats, e, T) for e in grid]
         assert factor == min(factors)
         assert eps == grid[factors.index(factor)]  # the first minimum
         assert count == stats.window_count(eps)
-    assert optimal_epsilon(stats, []) == []
+    assert optimal_epsilon(stats, [], 32) == []
     with pytest.raises(ValueError):
-        optimal_epsilon(stats, [0.0])
+        optimal_epsilon(stats, [0.0], 32)
 
 
 def test_population_distance_bound_values():
@@ -164,7 +164,7 @@ def test_averaged_state_entropy_bound_values():
 def test_averaged_state_trace_norm_on_two_level():
     # sinc-form state against the 2 sqrt(d) / (min_gap T) rate
     g = 0.9
-    ham, initial, _ = precessing_spin(g)
+    ham, initial, _ = spin_bath(g, 1)
     decomp = decompose_hermitian(ham)
     omega = equilibrium_state(decomp, initial)
     for T in (5.0, 20.0, 200.0):
@@ -320,7 +320,7 @@ def test_average_entropy_strictly_below_equilibrium_for_spin():
     from qeqlab.harness import compute_trajectory, prepare_system
     from qeqlab.dynamics import time_average_scalar
 
-    ham, initial, obs = precessing_spin(1.0)
+    ham, initial, obs = spin_bath(1.0, 1)
     system = prepare_system(ham, obs, initial)
     traj = compute_trajectory(system, np.linspace(0.0, math.pi, 4001))
     avg = time_average_scalar(traj, traj.shannon, math.pi)

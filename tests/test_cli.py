@@ -545,6 +545,14 @@ def _rejected(convert):
     raise AssertionError(f"{convert!r} accepts every probe")
 
 
+# values that no converter takes, with the message each gives
+NOT_A_NUMBER = {
+    "model.g=null": "expected a finite number, got None",
+    "times.t_max=[1]": "expected a finite number, got [1]",
+    "fluctuation.window={}": "expected a finite number, got {}",
+}
+
+
 # every key of every config, a section that is not a mapping, and a list entry
 @pytest.mark.parametrize("command, override, key", [
     *((command, f"{f.metadata['key']}={_rejected(f.metadata['convert'])}", f.metadata["key"])
@@ -552,10 +560,14 @@ def _rejected(convert):
     ("simulate", "model=abc", "model"),
     ("simulate", "observable=abc", "observable"),
     ("verify", "sites=[3, \"x\"]", "sites"),
+    # a null, a list or a mapping is no number either
+    ("simulate", "model.g=null", "model.g"),
+    ("simulate", "times.t_max=[1]", "times.t_max"),
+    ("verify", "fluctuation.window={}", "fluctuation.window"),
 ])
 def test_conversion_errors_name_the_dotted_key(tmp_path, capsys, command, override, key):
     assert _run_with(tmp_path, command, [override]) == 2
-    assert f"config key {key!r}" in capsys.readouterr().err
+    assert f"config key {key!r}: {NOT_A_NUMBER.get(override, '')}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

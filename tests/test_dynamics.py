@@ -29,7 +29,6 @@ from qeqlab.models import (
     PureState,
     SpinChainParams,
     pauli,
-    precessing_spin,
     spin_bath,
 )
 
@@ -69,7 +68,7 @@ def brute_force_window_count(values, eps):
 
 @pytest.fixture()
 def spin():
-    ham, initial, obs = precessing_spin(1.0)
+    ham, initial, obs = spin_bath(1.0, 1)
     return decompose_hermitian(ham), initial, pvm_from_observable(obs)
 
 

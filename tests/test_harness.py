@@ -32,7 +32,6 @@ from qeqlab.models import (
     SpinChainParams,
     all_down_state,
     bulk_magnetization,
-    precessing_spin,
     spin_bath,
     tilted_ising_chain,
 )

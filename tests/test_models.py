@@ -12,7 +12,6 @@ from qeqlab.models import (
     all_down_state,
     bulk_magnetization,
     pauli,
-    precessing_spin,
     spin_bath,
     tilted_ising_chain,
 )
@@ -116,7 +115,7 @@ def test_chain_does_not_commute_with_magnetization():
 
 
 def test_precessing_spin_analytics():
-    ham, initial, obs = precessing_spin(0.7)
+    ham, initial, obs = spin_bath(0.7, 1)
     assert np.array_equal(ham, 0.7 * pauli("x"))
     measurement = pvm_from_observable(obs)
     decomp = decompose_hermitian(ham)
@@ -133,7 +132,7 @@ def test_precessing_spin_analytics():
     assert abs(effective_dimension(decomp, decomp.eigenvectors.conj().T @ initial.amplitudes) - 2.0) < 1e-12
 
     with pytest.raises(ValueError, match="nonzero"):
-        precessing_spin(0.0)
+        spin_bath(0.0, 1)
 
 
 def test_spin_bath_structure():

@@ -227,7 +227,7 @@ def test_evaluate_bounds_counts_the_grid_once(monkeypatch):
         factors = [equilibration_factor(stats, eps, T) for eps in grid]
         k = factors.index(min(factors))
         scans[T] = (grid[k], factors[k], stats.window_count(grid[k]))
-    assert optimal_epsilon(stats, list(scans)) == list(scans.values())
+    assert optimal_epsilon(stats, list(scans), 32) == list(scans.values())
     assert {r.parameters["T"] for r in reports} == set(windows)
     for report in reports:
         p = report.parameters
