@@ -13,7 +13,9 @@ objects the CLI writes.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -245,16 +247,23 @@ def _sq_amplitudes(weighted: np.ndarray, levels: np.ndarray, ts: np.ndarray) -> 
     return sq
 
 
+# How _populations_at maps over its chunks: the builtin map, one chunk at a
+# time, unless execute_experiment sets a map onto its two-worker pool.
+_chunk_map = contextvars.ContextVar("_chunk_map", default=map)
+
+
 def _populations_at(system: PreparedSystem, times: np.ndarray) -> np.ndarray:
     """Outcome populations at arbitrary times, (len(times), r)."""
     levels = system.decomposition.level_values
     measurement = system.measurement
     weighted = system.weighted_contraction
+    starts = range(0, len(times), _CHUNK_TIMES)
+    # one expression per chunk, so no chunk's array outlives its task
+    chunks = _chunk_map.get()(lambda ts: measurement.group_sums(_sq_amplitudes(weighted, levels, ts)).T,
+                              (times[start : start + _CHUNK_TIMES] for start in starts))
     out = np.empty((len(times), measurement.r))
-    for start in range(0, len(times), _CHUNK_TIMES):
-        ts = times[start : start + _CHUNK_TIMES]
-        # one expression, so no chunk's array outlives its iteration
-        out[start : start + len(ts)] = measurement.group_sums(_sq_amplitudes(weighted, levels, ts)).T
+    for start, pops in zip(starts, chunks):
+        out[start : start + len(pops)] = pops
     return clamp_populations(out)
 
 
@@ -643,8 +652,8 @@ def build_system(config: ExperimentConfig) -> PreparedSystem:
 def execute_experiment(config: ExperimentConfig):
     """Run one configured experiment end to end.
 
-    Builds and diagonalizes the model, samples the trajectory and, on a
-    second thread meanwhile, the fluctuations, evaluates every inequality
+    Builds and diagonalizes the model, samples the trajectory and the
+    fluctuations on two shared workers, evaluates every inequality
     on the averaging grid, and records the initial-versus-equilibrium
     entropy data. Nothing is written to disk; the CLI layer handles
     persistence.
@@ -659,19 +668,49 @@ def execute_experiment(config: ExperimentConfig):
     system = build_system(config)
     dt = config.dt if config.dt is not None else default_time_step(system.decomposition.spectral_range)
     times = time_grid(config.t_max, dt)
-    # The fluctuation sample propagates on a second thread while the
-    # trajectory propagates on this one. Both only read the system, NumPy
-    # releases the GIL in their GEMMs and ufuncs, and every GEMM keeps its
-    # shape, so the results keep their bytes.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        sample = pool.submit(fluctuation_checks, system, config.fluctuation_window,
-                             config.fluctuation_count, config.seed)
-        trajectory = compute_trajectory(system, times)
-        checks, fluctuations = sample.result()
+    # The trajectory's and the sample's propagation chunks share one
+    # two-worker pool. The trajectory queues its chunks first, from this
+    # thread, then a task that holds one worker while the stages that need
+    # only the trajectory run here; the sample queues its chunks behind
+    # them, from a second thread. So two threads work until the last chunk,
+    # and at most two chunk sets, or one and those stages' temporaries, are
+    # live. Each chunk only reads the system, releases the GIL in its GEMMs
+    # and ufuncs and keeps its GEMM shape, so the results keep their bytes.
+    # A failure cancels every chunk not yet started.
+    with ThreadPoolExecutor(max_workers=2) as chunks, ThreadPoolExecutor(max_workers=1) as side:
+        queued, tail_done = threading.Event(), threading.Event()
 
+        def trajectory_chunks(fn, items):
+            results = chunks.map(fn, items)
+            chunks.submit(tail_done.wait)
+            queued.set()
+            return results
+
+        trajectory_context, sample_context = contextvars.copy_context(), contextvars.copy_context()
+        trajectory_context.run(_chunk_map.set, trajectory_chunks)
+        sample_context.run(_chunk_map.set, lambda fn, items: queued.wait() and chunks.map(fn, items))
+        try:
+            sample = side.submit(sample_context.run, fluctuation_checks, system,
+                                 config.fluctuation_window, config.fluctuation_count, config.seed)
+            trajectory = trajectory_context.run(compute_trajectory, system, times)
+            report = _trajectory_report(config, system, trajectory, dt)
+            tail_done.set()
+            checks, fluctuations = sample.result()
+        except BaseException:
+            queued.set()
+            tail_done.set()
+            chunks.shutdown(cancel_futures=True)
+            raise
+    report["bounds"].extend(rep.to_json_dict() for rep in checks)
+    report["fluctuations"] = fluctuations
+    return report, system, trajectory
+
+
+def _trajectory_report(config: ExperimentConfig, system: PreparedSystem, trajectory: Trajectory,
+                       dt: float) -> dict:
+    """The report of an experiment, short of its fluctuation checks."""
     reports = evaluate_bounds(system, trajectory, config.average_grid)
     reports.append(_bounds.average_entropy_check(trajectory, system.equilibrium.populations, config.t_max))
-    reports.extend(checks)
 
     # evaluate_bounds has rejected measurements with fewer than two outcomes
     r = system.r
@@ -692,12 +731,12 @@ def execute_experiment(config: ExperimentConfig):
     oracle = None
     if config.kind != "tilted_ising":
         # the analytic models' closed-form populations (cos^2 gt, sin^2 gt)
-        up = np.cos(config.g * times) ** 2
+        up = np.cos(config.g * trajectory.times) ** 2
         err = float(np.max(np.abs(trajectory.populations - np.column_stack([up, 1.0 - up]))))
         oracle = {"max_population_error": err, "passed": err <= 1e-8}
 
     trajectory_summary = {
-        "samples": int(len(times)),
+        "samples": int(len(trajectory.times)),
         "dt": float(dt),
         "t_max": float(config.t_max),
         "shannon_initial": initial_shannon,
@@ -729,7 +768,7 @@ def execute_experiment(config: ExperimentConfig):
         "observational": system.equilibrium.observational,
         "boltzmann": system.equilibrium.boltzmann,
     }
-    report = {
+    return {
         "label": config.label,
         "config": config.resolved_dict(),
         "system": system_info,
@@ -737,10 +776,8 @@ def execute_experiment(config: ExperimentConfig):
         "past_hypothesis": past_hypothesis,
         "trajectory_summary": trajectory_summary,
         "bounds": [rep.to_json_dict() for rep in reports],
-        "fluctuations": fluctuations,
         "oracle": oracle,
     }
-    return report, system, trajectory
 
 
 # ---------------------------------------------------------------------------

@@ -601,13 +601,99 @@ def test_overlapped_run_equals_the_sequential_composition(name):
     assert canonical_json(report["fluctuations"]) == canonical_json(fluctuations)
 
 
-def test_overlapped_fluctuation_failure_propagates(monkeypatch):
-    def fail(*args):
-        raise RuntimeError("fluctuation stage failed")
+# many chunks on both streams, so some are still queued when a stage fails
+# or while the bounds are evaluated
+_LONG_RUN = {**_OVERLAP_CONFIGS["chain"], "times": {"t_max": 200.0},
+             "fluctuation": {"window": 500.0, "count": 50_000}}
 
-    monkeypatch.setattr(harness, "sample_deviations", fail)
-    config = ExperimentConfig.from_dict(_OVERLAP_CONFIGS["chain"])
+
+def _fail_overlapped_run(monkeypatch, stage):
+    """Run _LONG_RUN with ``stage`` failing: the error surfaces, no thread
+    is left behind, and the chunks still queued were cancelled."""
+
+    def fail(*args):
+        raise RuntimeError(f"{stage} failed")
+
+    # chunk calls per stream; the grid's chunks are the increasing ones
+    calls = {"trajectory": 0, "sample": 0}
+    lock = threading.Lock()
+    original = harness._sq_amplitudes
+
+    def counted(weighted, levels, ts):
+        stream = "trajectory" if np.all(np.diff(ts) > 0) else "sample"
+        with lock:
+            calls[stream] += 1
+            k = calls[stream]
+        if stage == f"{stream}_chunk" and k == 2:
+            fail()
+        return original(weighted, levels, ts)
+
+    monkeypatch.setattr(harness, "_sq_amplitudes", counted)
+    if stage in ("sample_deviations", "evaluate_bounds"):
+        monkeypatch.setattr(harness, stage, fail)
+    config = ExperimentConfig.from_dict(_LONG_RUN)
+    system = build_system(config)
+    samples = len(time_grid(config.t_max, default_time_step(system.decomposition.spectral_range)))
+    chunks = sum(math.ceil(n / harness._CHUNK_TIMES) for n in (samples, config.fluctuation_count))
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="fluctuation stage failed"):
+    with pytest.raises(RuntimeError, match=f"{stage} failed"):
         execute_experiment(config)
     assert threading.active_count() == before
+    assert sum(calls.values()) < chunks
+
+
+def test_overlapped_fluctuation_failure_propagates(monkeypatch):
+    _fail_overlapped_run(monkeypatch, "sample_deviations")
+
+
+@pytest.mark.parametrize("stage", ["trajectory_chunk", "sample_chunk", "evaluate_bounds"])
+def test_overlapped_stage_failure_cancels_queued_chunks(monkeypatch, stage):
+    # the second chunk of one stream, or the bounds of the trajectory, fail
+    _fail_overlapped_run(monkeypatch, stage)
+
+
+@pytest.mark.parametrize("run", [_OVERLAP_CONFIGS["chain"], _LONG_RUN], ids=["chain", "long"])
+def test_overlap_holds_at_most_two_chunk_sets(monkeypatch, run):
+    # Each chunk holds three rows x 1024 arrays while _sq_amplitudes runs.
+    # simulate's two streams share two workers, so at most two chunks run
+    # at once, and at most one while the trajectory's bounds are evaluated;
+    # a bare propagation, as verify and sweep call it, runs one.
+    active = peak = tail_peak = 0
+    in_tail = False
+    lock = threading.Lock()
+    original, evaluate = harness._sq_amplitudes, harness.evaluate_bounds
+
+    def counted(*args):
+        nonlocal active, peak, tail_peak
+        with lock:
+            active += 1
+            peak = max(peak, active)
+            if in_tail:
+                tail_peak = max(tail_peak, active)
+        try:
+            return original(*args)
+        finally:
+            with lock:
+                active -= 1
+
+    def tail(*args):
+        nonlocal in_tail, tail_peak
+        with lock:
+            in_tail, tail_peak = True, active
+        try:
+            return evaluate(*args)
+        finally:
+            in_tail = False
+
+    monkeypatch.setattr(harness, "_sq_amplitudes", counted)
+    monkeypatch.setattr(harness, "evaluate_bounds", tail)
+    config = ExperimentConfig.from_dict(run)
+    _, system, trajectory = execute_experiment(config)
+    assert 1 <= peak <= 2
+    assert tail_peak <= 1
+    peak = 0
+    compute_trajectory(system, trajectory.times)
+    assert peak == 1
+    peak = 0
+    fluctuation_checks(system, config.fluctuation_window, config.fluctuation_count, config.seed)
+    assert peak == 1
