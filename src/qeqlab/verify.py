@@ -3,13 +3,22 @@ against freshly generated systems and randomized inputs, and reports one
 :class:`~qeqlab.bounds.BoundReport` per check.
 
 The randomized suites draw from seeded generators, so a verification run
-is reproducible bit for bit.
+is reproducible bit for bit. :func:`run_verification` splits the run
+between its process and one forked worker; each process makes every seeded
+draw and evaluates alternate systems and cases, and the parent merges the
+results back into case order, so the split keeps the run reproducible bit
+for bit: every report equals that of the one-process run.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -109,9 +118,12 @@ def _ginibre(rng, *shape) -> np.ndarray:
 
 
 def random_density_matrix(rng, dim: int, rank: int | None = None):
-    """Haar-ish random mixed state from a Ginibre factor."""
-    rank = rank or dim
-    G = _ginibre(rng, dim, rank)
+    """Haar-ish random mixed state from a Ginibre factor (:func:`_density_matrix`)."""
+    return _density_matrix(_ginibre(rng, dim, rank or dim))
+
+
+def _density_matrix(G: np.ndarray) -> DensityMatrix:
+    """The state ``G G^dag / tr(G G^dag)`` of the Ginibre factor ``G``."""
     rho = G @ G.conj().T
     rho /= np.trace(rho).real
     return DensityMatrix(rho)
@@ -129,9 +141,14 @@ def random_pure_state(rng, dim: int) -> PureState:
 
 def random_povm(rng, dim: int, outcomes: int) -> Measurement:
     """Random POVM: Ginibre-positive pieces ``G_i G_i^dag`` whitened to sum
-    to 1. The factors are ``G_i^dag W`` with ``W = (sum_i G_i G_i^dag)^(-1/2)``,
-    so the effects are ``W G_i G_i^dag W``."""
-    G = np.stack([_ginibre(rng, dim, dim) for _ in range(outcomes)])
+    to 1 (:func:`_whitened_povm`)."""
+    return _whitened_povm(np.stack([_ginibre(rng, dim, dim) for _ in range(outcomes)]))
+
+
+def _whitened_povm(G: np.ndarray) -> Measurement:
+    """The POVM of the Ginibre stack ``G``. The factors are ``G_i^dag W``
+    with ``W = (sum_i G_i G_i^dag)^(-1/2)``, so the effects are
+    ``W G_i G_i^dag W``."""
     G_dag = np.swapaxes(G.conj(), 1, 2)
     w, V = np.linalg.eigh(np.sum(G @ G_dag, axis=0))
     inv_sqrt = (V * (1.0 / np.sqrt(w))) @ V.conj().T
@@ -140,17 +157,38 @@ def random_povm(rng, dim: int, outcomes: int) -> Measurement:
 
 def random_partition_pvm(rng, dim: int, outcomes: int) -> Measurement:
     """PVM with multi-dimensional eigenspaces: random orthonormal basis
-    split into random contiguous groups."""
-    Q, _ = np.linalg.qr(_ginibre(rng, dim, dim))
-    cuts = np.sort(rng.choice(np.arange(1, dim), size=outcomes - 1, replace=False))
+    split into random contiguous groups (:func:`_partition_pvm`)."""
+    return _partition_pvm(*_partition_draws(rng, dim, outcomes))
+
+
+def _partition_draws(rng, dim: int, outcomes: int) -> tuple:
+    """The draws of a random partition PVM: a Ginibre matrix and the
+    sorted cuts between the groups."""
+    G = _ginibre(rng, dim, dim)
+    return G, np.sort(rng.choice(np.arange(1, dim), size=outcomes - 1, replace=False))
+
+
+def _partition_pvm(G: np.ndarray, cuts: np.ndarray) -> Measurement:
+    """The basis of ``G``'s QR factor, split into contiguous groups at ``cuts``."""
+    dim = G.shape[0]
+    Q, _ = np.linalg.qr(G)
     edges = np.concatenate([[0], cuts, [dim]])
-    values = np.arange(outcomes, 0, -1, dtype=float)  # descending, arbitrary labels
+    values = np.arange(len(cuts) + 1, 0, -1, dtype=float)  # descending, arbitrary labels
     slices = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
     return Measurement(values=values, basis=Q, outcome_slices=slices)
 
 
 # ---------------------------------------------------------------------------
 # randomized suites (each returns a single summarizing report)
+#
+# A suite's loop is a case generator ``_*_cases(rng, count, owned)``. It makes
+# every seeded draw of every case, in one order, and yields the ``(lhs, rhs)``
+# pairs of each case k with ``owned(k)``, one list per case; a case it does not
+# own costs only its draws.
+
+
+def _every(k: int) -> bool:
+    return True
 
 
 def _suite_report(name: str, cases, extra: dict) -> _bounds.BoundReport:
@@ -168,76 +206,100 @@ def _suite_report(name: str, cases, extra: dict) -> _bounds.BoundReport:
     return _bounds.BoundReport(name=name, lhs=worst[0], rhs=worst[1], parameters=params)
 
 
+def _shannon_cases(rng, pairs: int, owned):
+    for k in range(pairs):
+        r = int(rng.integers(2, _SHANNON_MAX_OUTCOMES + 1))
+        p = rng.dirichlet(np.ones(r))
+        q = rng.dirichlet(np.ones(r))
+        if owned(k):
+            yield [(abs(shannon_entropy(p) - shannon_entropy(q)),
+                    _bounds.shannon_deviation_bound(r, population_distance(p, q)))]
+
+
+def _observational_cases(rng, cases: int, owned):
+    for k in range(cases):
+        dim = int(rng.integers(2, _OBSERVATIONAL_MAX_DIM + 1))
+        if k % 2 == 0:
+            observable = random_hermitian(rng, dim)
+        else:
+            partition = _partition_draws(rng, dim, int(rng.integers(2, min(dim, 8) + 1)))
+        rho, sigma = _ginibre(rng, dim, dim), _ginibre(rng, dim, dim)
+        if not owned(k):
+            continue
+        measurement = pvm_from_observable(observable) if k % 2 == 0 else _partition_pvm(*partition)
+        p = populations(measurement, _density_matrix(rho))
+        q = populations(measurement, _density_matrix(sigma))
+        mult = measurement.multiplicities
+        yield [(abs(observational_entropy(p, mult) - observational_entropy(q, mult)),
+                _bounds.observational_deviation_bound(dim, population_distance(p, q)))]
+
+
+def _von_neumann_cases(rng, cases: int, owned):
+    for k in range(cases):
+        dim = int(rng.integers(2, _VON_NEUMANN_MAX_DIM + 1))
+        rho = _ginibre(rng, dim, dim)
+        pure = k % 3 == 0
+        sigma = random_pure_state(rng, dim) if pure else _ginibre(rng, dim, int(rng.integers(1, dim + 1)))
+        if owned(k):
+            rho = _density_matrix(rho)
+            sigma = sigma.density_matrix() if pure else _density_matrix(sigma)
+            yield [(abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma)),
+                    _bounds.von_neumann_deviation_bound(dim, 0.5 * trace_norm(rho.matrix - sigma.matrix)))]
+
+
+def _povm_cases(rng, cases: int, owned):
+    for k in range(cases):
+        dim = int(rng.integers(4, _POVM_MAX_DIM + 1))
+        outcomes = int(rng.integers(2, _POVM_MAX_OUTCOMES + 1))
+        ham = random_hermitian(rng, dim)
+        G = np.stack([_ginibre(rng, dim, dim) for _ in range(outcomes)])
+        state = random_pure_state(rng, dim)
+        if not owned(k):
+            continue
+        system = prepare_system(ham, _whitened_povm(G), state)
+        dt = default_time_step(system.decomposition.spectral_range)
+        trajectory = compute_trajectory(system, time_grid(_POVM_WINDOW, dt))
+        yield [(report.lhs, report.rhs)
+               for report in evaluate_bounds(system, trajectory, [_POVM_WINDOW], eps_points=_POVM_EPS_POINTS)]
+
+
+def _report(suite, count: int, cases) -> _bounds.BoundReport:
+    """The report of case generator ``suite`` run on ``count`` cases, from
+    its per-case pair lists ``cases`` in case order."""
+    name, extra = {
+        _shannon_cases: ("shannon_continuity_suite", {"max_outcomes": _SHANNON_MAX_OUTCOMES}),
+        _observational_cases: ("observational_continuity_suite", {"max_dim": _OBSERVATIONAL_MAX_DIM}),
+        _von_neumann_cases: ("von_neumann_continuity_suite", {"max_dim": _VON_NEUMANN_MAX_DIM}),
+        _povm_cases: ("povm_equilibration_suite",
+                      {"systems": count, "max_dim": _POVM_MAX_DIM, "max_outcomes": _POVM_MAX_OUTCOMES,
+                       "window": _POVM_WINDOW}),
+    }[suite]
+    if count < 1:
+        raise ValueError(f"{name}: count must be >= 1, got {count}")
+    return _suite_report(name, chain.from_iterable(cases), extra)
+
+
 def shannon_continuity_suite(rng, pairs: int) -> _bounds.BoundReport:
     """|S(p) - S(q)| against the distribution continuity bound on random
     distribution pairs."""
-    def draws():
-        for _ in range(pairs):
-            r = int(rng.integers(2, _SHANNON_MAX_OUTCOMES + 1))
-            p = rng.dirichlet(np.ones(r))
-            q = rng.dirichlet(np.ones(r))
-            yield (abs(shannon_entropy(p) - shannon_entropy(q)),
-                   _bounds.shannon_deviation_bound(r, population_distance(p, q)))
-
-    return _suite_report("shannon_continuity_suite", draws(), {"max_outcomes": _SHANNON_MAX_OUTCOMES})
+    return _report(_shannon_cases, pairs, _shannon_cases(rng, pairs, _every))
 
 
 def observational_continuity_suite(rng, cases: int) -> _bounds.BoundReport:
     """Observational-entropy continuity on random state pairs sharing a
     measurement; alternates nondegenerate and coarse measurements."""
-    def draws():
-        for k in range(cases):
-            dim = int(rng.integers(2, _OBSERVATIONAL_MAX_DIM + 1))
-            if k % 2 == 0:
-                measurement = pvm_from_observable(random_hermitian(rng, dim))
-            else:
-                outcomes = int(rng.integers(2, min(dim, 8) + 1))
-                measurement = random_partition_pvm(rng, dim, outcomes)
-            rho = random_density_matrix(rng, dim)
-            sigma = random_density_matrix(rng, dim)
-            p = populations(measurement, rho)
-            q = populations(measurement, sigma)
-            mult = measurement.multiplicities
-            yield (abs(observational_entropy(p, mult) - observational_entropy(q, mult)),
-                   _bounds.observational_deviation_bound(dim, population_distance(p, q)))
-
-    return _suite_report("observational_continuity_suite", draws(), {"max_dim": _OBSERVATIONAL_MAX_DIM})
+    return _report(_observational_cases, cases, _observational_cases(rng, cases, _every))
 
 
 def von_neumann_continuity_suite(rng, cases: int) -> _bounds.BoundReport:
     """von Neumann entropy difference against the trace-distance bound."""
-    def draws():
-        for k in range(cases):
-            dim = int(rng.integers(2, _VON_NEUMANN_MAX_DIM + 1))
-            rho = random_density_matrix(rng, dim)
-            if k % 3 == 0:
-                sigma = random_pure_state(rng, dim).density_matrix()
-            else:
-                sigma = random_density_matrix(rng, dim, rank=int(rng.integers(1, dim + 1)))
-            yield (abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma)),
-                   _bounds.von_neumann_deviation_bound(dim, 0.5 * trace_norm(rho.matrix - sigma.matrix)))
-
-    return _suite_report("von_neumann_continuity_suite", draws(), {"max_dim": _VON_NEUMANN_MAX_DIM})
+    return _report(_von_neumann_cases, cases, _von_neumann_cases(rng, cases, _every))
 
 
 def povm_equilibration_suite(rng, cases: int) -> _bounds.BoundReport:
     """Population equilibration (and the entropy bounds it implies) for
     random Hamiltonians measured through random POVMs."""
-    def draws():
-        for _ in range(cases):
-            dim = int(rng.integers(4, _POVM_MAX_DIM + 1))
-            outcomes = int(rng.integers(2, _POVM_MAX_OUTCOMES + 1))
-            ham = random_hermitian(rng, dim)
-            povm = random_povm(rng, dim, outcomes)
-            system = prepare_system(ham, povm, random_pure_state(rng, dim))
-            dt = default_time_step(system.decomposition.spectral_range)
-            trajectory = compute_trajectory(system, time_grid(_POVM_WINDOW, dt))
-            for report in evaluate_bounds(system, trajectory, [_POVM_WINDOW], eps_points=_POVM_EPS_POINTS):
-                yield report.lhs, report.rhs
-
-    return _suite_report("povm_equilibration_suite", draws(),
-                         {"systems": cases, "max_dim": _POVM_MAX_DIM, "max_outcomes": _POVM_MAX_OUTCOMES,
-                          "window": _POVM_WINDOW})
+    return _report(_povm_cases, cases, _povm_cases(rng, cases, _every))
 
 
 def time_averaged_state_suite(sites, windows) -> list:
@@ -285,35 +347,109 @@ def time_averaged_state_suite(sites, windows) -> list:
 # full run
 
 
-def run_verification(config: VerifyConfig) -> list:
-    """Run the complete inequality suite and return all reports."""
-    by_system = []  # (system name, its reports)
-    for n in config.sites:
-        system = chain_system(SpinChainParams(sites=int(n)))
-        dt = default_time_step(system.decomposition.spectral_range)
-        trajectory = compute_trajectory(system, time_grid(config.t_max, dt))
-        checks = evaluate_bounds(system, trajectory, config.average_grid)
-        jensen = _bounds.average_entropy_check(trajectory, system.equilibrium.populations, config.t_max)
-        by_system.append((f"chain_{n}", checks + [jensen]))
+def _named(name: str, reports: list) -> list:
+    for report in reports:
+        report.parameters["system"] = name
+    return reports
 
+
+def _chain_reports(config: VerifyConfig, n: int) -> list:
+    system = chain_system(SpinChainParams(sites=int(n)))
+    dt = default_time_step(system.decomposition.spectral_range)
+    trajectory = compute_trajectory(system, time_grid(config.t_max, dt))
+    checks = evaluate_bounds(system, trajectory, config.average_grid)
+    jensen = _bounds.average_entropy_check(trajectory, system.equilibrium.populations, config.t_max)
+    return _named(f"chain_{n}", checks + [jensen])
+
+
+def _fluctuation_reports(config: VerifyConfig) -> list:
     n = config.fluctuation_sites
     system = chain_system(SpinChainParams(sites=int(n)))
     checks, _ = fluctuation_checks(system, config.fluctuation_window, config.fluctuation_count,
                                    config.seed)
-    by_system.append((f"fluct_{n}", checks))
+    return _named(f"fluct_{n}", checks)
 
-    reports = []
-    for name, checks in by_system:
-        for report in checks:
-            report.parameters["system"] = name
-        reports.extend(checks)
 
-    reports.extend(time_averaged_state_suite(config.averaged_state_sites,
-                                             config.averaged_state_windows))
+# The randomized suites in draw order, each with the config field counting its cases.
+_SUITES = ((_shannon_cases, "shannon_pairs"), (_observational_cases, "observational_cases"),
+           (_von_neumann_cases, "von_neumann_cases"), (_povm_cases, "povm_cases"))
 
+
+def _share(config: VerifyConfig, rank: int) -> tuple:
+    """Share ``rank`` (0 or 1) of a run: the reports of every unit (each
+    chain, the fluctuation chain, each averaged-state chain, in report
+    order) and the per-case pairs of every suite case whose index k has
+    ``k % 2 == rank``. Every seeded draw is made, so each case sees the
+    bytes it sees in a run of the whole suite."""
+    def owned(k: int) -> bool:
+        return k % 2 == rank
+
+    units = ([partial(_chain_reports, config, n) for n in config.sites]
+             + [partial(_fluctuation_reports, config)]
+             + [partial(time_averaged_state_suite, [n], config.averaged_state_windows)
+                for n in config.averaged_state_sites])
     rng = np.random.default_rng(config.seed)
-    reports.append(shannon_continuity_suite(rng, config.shannon_pairs))
-    reports.append(observational_continuity_suite(rng, config.observational_cases))
-    reports.append(von_neumann_continuity_suite(rng, config.von_neumann_cases))
-    reports.append(povm_equilibration_suite(rng, config.povm_cases))
+    return ([unit() for k, unit in enumerate(units) if owned(k)],
+            [list(suite(rng, getattr(config, count), owned)) for suite, count in _SUITES])
+
+
+def _interleave(first: list, second: list) -> list:
+    """Shares 0 and 1 of a sequence merged back into index order."""
+    merged = first + second
+    merged[0::2], merged[1::2] = first, second
+    return merged
+
+
+def _worker(config: VerifyConfig, read_end: int, write_end: int):
+    """The forked worker: evaluates share 1, pickles it down the pipe and
+    leaves with ``os._exit``, with status 0 only once it is written."""
+    status = 1
+    try:
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as pipe:
+            pickle.dump(_share(config, 1), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+        raise
+    finally:  # never returns into the caller's code, whatever was raised
+        os._exit(status)
+
+
+def run_verification(config: VerifyConfig) -> list:
+    """Run the complete inequality suite and return all reports.
+
+    The run forks one worker. This process evaluates share 0 and the worker
+    share 1 (:func:`_share`), and the shares merge back into unit and case
+    order, so the reports equal those of the whole run in one process. The
+    worker is reaped before this returns or raises; it is killed first if
+    this process's share raises, and a worker that fails raises here.
+
+    ``fork`` copies only the calling thread, so the caller should run no
+    other threads; OpenBLAS stops its own in its fork handler."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _worker(config, read_end, write_end)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        try:
+            mine = _share(config, 0)
+            theirs = pipe.read()
+        except BaseException:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise RuntimeError(f"the verification worker exited with code {code}")
+    (my_units, my_suites), (their_units, their_suites) = mine, pickle.loads(theirs)
+    reports = [report for unit in _interleave(my_units, their_units) for report in unit]
+    for (suite, count), first, second in zip(_SUITES, my_suites, their_suites):
+        reports.append(_report(suite, getattr(config, count), _interleave(first, second)))
     return reports
