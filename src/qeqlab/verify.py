@@ -2,12 +2,13 @@
 against freshly generated systems and randomized inputs, and reports one
 :class:`~qeqlab.bounds.BoundReport` per check.
 
-The randomized suites draw from seeded generators, so a verification run
-is reproducible bit for bit. :func:`run_verification` splits the run
-between its process and one forked worker; each process makes every seeded
-draw and evaluates alternate systems and cases, and the parent merges the
-results back into case order, so the split keeps the run reproducible bit
-for bit: every report equals that of the one-process run.
+The randomized suites draw their cases in blocks of 64, each block from
+its own generator spawned from the seeded one, so a verification run is
+reproducible bit for bit and a block's cases do not depend on which other
+blocks are drawn. :func:`run_verification` splits the run between its
+process and one forked worker; each process draws and evaluates alternate
+systems and blocks, and the parent merges the results back into case
+order, so every report equals that of the one-process run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from .dynamics import finite_time_average_state, equilibrium_state, default_time_step
-from .entropy import observational_entropy, shannon_entropy, von_neumann_entropy
+from .entropy import _xlogx, observational_entropy, von_neumann_entropy
 from .harness import (
     _check_windows,
     _Config,
@@ -118,12 +119,8 @@ def _ginibre(rng, *shape) -> np.ndarray:
 
 
 def random_density_matrix(rng, dim: int, rank: int | None = None):
-    """Haar-ish random mixed state from a Ginibre factor (:func:`_density_matrix`)."""
-    return _density_matrix(_ginibre(rng, dim, rank or dim))
-
-
-def _density_matrix(G: np.ndarray) -> DensityMatrix:
-    """The state ``G G^dag / tr(G G^dag)`` of the Ginibre factor ``G``."""
+    """Haar-ish random mixed state from a Ginibre factor."""
+    G = _ginibre(rng, dim, rank or dim)
     rho = G @ G.conj().T
     rho /= np.trace(rho).real
     return DensityMatrix(rho)
@@ -141,14 +138,9 @@ def random_pure_state(rng, dim: int) -> PureState:
 
 def random_povm(rng, dim: int, outcomes: int) -> Measurement:
     """Random POVM: Ginibre-positive pieces ``G_i G_i^dag`` whitened to sum
-    to 1 (:func:`_whitened_povm`)."""
-    return _whitened_povm(np.stack([_ginibre(rng, dim, dim) for _ in range(outcomes)]))
-
-
-def _whitened_povm(G: np.ndarray) -> Measurement:
-    """The POVM of the Ginibre stack ``G``. The factors are ``G_i^dag W``
-    with ``W = (sum_i G_i G_i^dag)^(-1/2)``, so the effects are
-    ``W G_i G_i^dag W``."""
+    to 1. The factors are ``G_i^dag W`` with ``W = (sum_i G_i G_i^dag)^(-1/2)``,
+    so the effects are ``W G_i G_i^dag W``."""
+    G = np.stack([_ginibre(rng, dim, dim) for _ in range(outcomes)])
     G_dag = np.swapaxes(G.conj(), 1, 2)
     w, V = np.linalg.eigh(np.sum(G @ G_dag, axis=0))
     inv_sqrt = (V * (1.0 / np.sqrt(w))) @ V.conj().T
@@ -157,23 +149,11 @@ def _whitened_povm(G: np.ndarray) -> Measurement:
 
 def random_partition_pvm(rng, dim: int, outcomes: int) -> Measurement:
     """PVM with multi-dimensional eigenspaces: random orthonormal basis
-    split into random contiguous groups (:func:`_partition_pvm`)."""
-    return _partition_pvm(*_partition_draws(rng, dim, outcomes))
-
-
-def _partition_draws(rng, dim: int, outcomes: int) -> tuple:
-    """The draws of a random partition PVM: a Ginibre matrix and the
-    sorted cuts between the groups."""
-    G = _ginibre(rng, dim, dim)
-    return G, np.sort(rng.choice(np.arange(1, dim), size=outcomes - 1, replace=False))
-
-
-def _partition_pvm(G: np.ndarray, cuts: np.ndarray) -> Measurement:
-    """The basis of ``G``'s QR factor, split into contiguous groups at ``cuts``."""
-    dim = G.shape[0]
-    Q, _ = np.linalg.qr(G)
+    split into random contiguous groups."""
+    Q, _ = np.linalg.qr(_ginibre(rng, dim, dim))
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=outcomes - 1, replace=False))
     edges = np.concatenate([[0], cuts, [dim]])
-    values = np.arange(len(cuts) + 1, 0, -1, dtype=float)  # descending, arbitrary labels
+    values = np.arange(outcomes, 0, -1, dtype=float)  # descending, arbitrary labels
     slices = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
     return Measurement(values=values, basis=Q, outcome_slices=slices)
 
@@ -181,14 +161,11 @@ def _partition_pvm(G: np.ndarray, cuts: np.ndarray) -> Measurement:
 # ---------------------------------------------------------------------------
 # randomized suites (each returns a single summarizing report)
 #
-# A suite's loop is a case generator ``_*_cases(rng, count, owned)``. It makes
-# every seeded draw of every case, in one order, and yields the ``(lhs, rhs)``
-# pairs of each case k with ``owned(k)``, one list per case; a case it does not
-# own costs only its draws.
+# A suite's case generator ``_*_cases(rng, start, stop)`` draws cases ``start``
+# to ``stop - 1``, one block of ``_BLOCK``, from the block's own generator
+# (:func:`_blocks`) and yields their ``(lhs, rhs)`` pairs in case order.
 
-
-def _every(k: int) -> bool:
-    return True
+_BLOCK = 64
 
 
 def _suite_report(name: str, cases, extra: dict) -> _bounds.BoundReport:
@@ -199,73 +176,85 @@ def _suite_report(name: str, cases, extra: dict) -> _bounds.BoundReport:
     count = violations = 0
     for lhs, rhs in cases:
         count += 1
-        violations += lhs > rhs + _bounds.ATOL_BOUND
+        violations += int(lhs > rhs + _bounds.ATOL_BOUND)
         if worst is None or lhs - rhs > worst[0] - worst[1]:
             worst = (lhs, rhs)
     params = {"cases": count, "violations": violations, **extra}
     return _bounds.BoundReport(name=name, lhs=worst[0], rhs=worst[1], parameters=params)
 
 
-def _shannon_cases(rng, pairs: int, owned):
-    for k in range(pairs):
-        r = int(rng.integers(2, _SHANNON_MAX_OUTCOMES + 1))
-        p = rng.dirichlet(np.ones(r))
-        q = rng.dirichlet(np.ones(r))
-        if owned(k):
-            yield [(abs(shannon_entropy(p) - shannon_entropy(q)),
-                    _bounds.shannon_deviation_bound(r, population_distance(p, q)))]
+def _shannon_block(rng, n: int) -> tuple:
+    """``n`` random distribution pairs and their entropy differences and
+    distances, as arrays: the outcome counts ``r``, the pairs ``pq`` of
+    shape ``(n, 2, _SHANNON_MAX_OUTCOMES)`` (zero past ``r``), ``|S(p) - S(q)|``
+    and ``population_distance(p, q)``. Each row is a row of standard
+    exponentials normalized to sum to 1, which is Dirichlet(1, ..., 1)."""
+    r = rng.integers(2, _SHANNON_MAX_OUTCOMES + 1, size=n)
+    pq = rng.standard_exponential((n, 2, _SHANNON_MAX_OUTCOMES))
+    pq *= np.arange(_SHANNON_MAX_OUTCOMES) < r[:, None, None]
+    pq /= pq.sum(axis=2, keepdims=True)
+    entropy = -_xlogx(pq).sum(axis=2)
+    return r, pq, np.abs(entropy[:, 0] - entropy[:, 1]), 0.5 * np.abs(pq[:, 0] - pq[:, 1]).sum(axis=1)
 
 
-def _observational_cases(rng, cases: int, owned):
-    for k in range(cases):
+def _shannon_cases(rng, start: int, stop: int):
+    r, _, diffs, distances = _shannon_block(rng, stop - start)
+    for outcomes, diff, eta in zip(r.tolist(), diffs.tolist(), distances.tolist()):
+        yield diff, _bounds.shannon_deviation_bound(outcomes, eta)
+
+
+def _observational_cases(rng, start: int, stop: int):
+    for k in range(start, stop):
         dim = int(rng.integers(2, _OBSERVATIONAL_MAX_DIM + 1))
         if k % 2 == 0:
-            observable = random_hermitian(rng, dim)
+            measurement = pvm_from_observable(random_hermitian(rng, dim))
         else:
-            partition = _partition_draws(rng, dim, int(rng.integers(2, min(dim, 8) + 1)))
-        rho, sigma = _ginibre(rng, dim, dim), _ginibre(rng, dim, dim)
-        if not owned(k):
-            continue
-        measurement = pvm_from_observable(observable) if k % 2 == 0 else _partition_pvm(*partition)
-        p = populations(measurement, _density_matrix(rho))
-        q = populations(measurement, _density_matrix(sigma))
+            measurement = random_partition_pvm(rng, dim, int(rng.integers(2, min(dim, 8) + 1)))
+        p = populations(measurement, random_density_matrix(rng, dim))
+        q = populations(measurement, random_density_matrix(rng, dim))
         mult = measurement.multiplicities
-        yield [(abs(observational_entropy(p, mult) - observational_entropy(q, mult)),
-                _bounds.observational_deviation_bound(dim, population_distance(p, q)))]
+        yield (abs(observational_entropy(p, mult) - observational_entropy(q, mult)),
+               _bounds.observational_deviation_bound(dim, population_distance(p, q)))
 
 
-def _von_neumann_cases(rng, cases: int, owned):
-    for k in range(cases):
+def _von_neumann_cases(rng, start: int, stop: int):
+    for k in range(start, stop):
         dim = int(rng.integers(2, _VON_NEUMANN_MAX_DIM + 1))
-        rho = _ginibre(rng, dim, dim)
-        pure = k % 3 == 0
-        sigma = random_pure_state(rng, dim) if pure else _ginibre(rng, dim, int(rng.integers(1, dim + 1)))
-        if owned(k):
-            rho = _density_matrix(rho)
-            sigma = sigma.density_matrix() if pure else _density_matrix(sigma)
-            yield [(abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma)),
-                    _bounds.von_neumann_deviation_bound(dim, 0.5 * trace_norm(rho.matrix - sigma.matrix)))]
+        rho = random_density_matrix(rng, dim)
+        if k % 3 == 0:
+            sigma = random_pure_state(rng, dim).density_matrix()
+        else:
+            sigma = random_density_matrix(rng, dim, rank=int(rng.integers(1, dim + 1)))
+        yield (abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma)),
+               _bounds.von_neumann_deviation_bound(dim, 0.5 * trace_norm(rho.matrix - sigma.matrix)))
 
 
-def _povm_cases(rng, cases: int, owned):
-    for k in range(cases):
+def _povm_cases(rng, start: int, stop: int):
+    for _ in range(start, stop):
         dim = int(rng.integers(4, _POVM_MAX_DIM + 1))
         outcomes = int(rng.integers(2, _POVM_MAX_OUTCOMES + 1))
         ham = random_hermitian(rng, dim)
-        G = np.stack([_ginibre(rng, dim, dim) for _ in range(outcomes)])
-        state = random_pure_state(rng, dim)
-        if not owned(k):
-            continue
-        system = prepare_system(ham, _whitened_povm(G), state)
+        povm = random_povm(rng, dim, outcomes)
+        system = prepare_system(ham, povm, random_pure_state(rng, dim))
         dt = default_time_step(system.decomposition.spectral_range)
         trajectory = compute_trajectory(system, time_grid(_POVM_WINDOW, dt))
-        yield [(report.lhs, report.rhs)
-               for report in evaluate_bounds(system, trajectory, [_POVM_WINDOW], eps_points=_POVM_EPS_POINTS)]
+        for report in evaluate_bounds(system, trajectory, [_POVM_WINDOW], eps_points=_POVM_EPS_POINTS):
+            yield report.lhs, report.rhs
 
 
-def _report(suite, count: int, cases) -> _bounds.BoundReport:
+def _blocks(suite, rng, count: int, first: int = 0, step: int = 1) -> list:
+    """The ``(lhs, rhs)`` pairs of blocks ``first``, ``first + step``, ...
+    of case generator ``suite`` run on ``count`` cases, one list per block.
+    Every block's generator is spawned from ``rng``, in block order, so a
+    block draws the same cases whichever blocks are evaluated."""
+    streams = rng.spawn(-(-count // _BLOCK))
+    return [list(suite(streams[b], b * _BLOCK, min(count, (b + 1) * _BLOCK)))
+            for b in range(first, len(streams), step)]
+
+
+def _report(suite, count: int, blocks) -> _bounds.BoundReport:
     """The report of case generator ``suite`` run on ``count`` cases, from
-    its per-case pair lists ``cases`` in case order."""
+    its per-block pair lists ``blocks`` in block order."""
     name, extra = {
         _shannon_cases: ("shannon_continuity_suite", {"max_outcomes": _SHANNON_MAX_OUTCOMES}),
         _observational_cases: ("observational_continuity_suite", {"max_dim": _OBSERVATIONAL_MAX_DIM}),
@@ -276,30 +265,30 @@ def _report(suite, count: int, cases) -> _bounds.BoundReport:
     }[suite]
     if count < 1:
         raise ValueError(f"{name}: count must be >= 1, got {count}")
-    return _suite_report(name, chain.from_iterable(cases), extra)
+    return _suite_report(name, chain.from_iterable(blocks), extra)
 
 
 def shannon_continuity_suite(rng, pairs: int) -> _bounds.BoundReport:
     """|S(p) - S(q)| against the distribution continuity bound on random
     distribution pairs."""
-    return _report(_shannon_cases, pairs, _shannon_cases(rng, pairs, _every))
+    return _report(_shannon_cases, pairs, _blocks(_shannon_cases, rng, pairs))
 
 
 def observational_continuity_suite(rng, cases: int) -> _bounds.BoundReport:
     """Observational-entropy continuity on random state pairs sharing a
     measurement; alternates nondegenerate and coarse measurements."""
-    return _report(_observational_cases, cases, _observational_cases(rng, cases, _every))
+    return _report(_observational_cases, cases, _blocks(_observational_cases, rng, cases))
 
 
 def von_neumann_continuity_suite(rng, cases: int) -> _bounds.BoundReport:
     """von Neumann entropy difference against the trace-distance bound."""
-    return _report(_von_neumann_cases, cases, _von_neumann_cases(rng, cases, _every))
+    return _report(_von_neumann_cases, cases, _blocks(_von_neumann_cases, rng, cases))
 
 
 def povm_equilibration_suite(rng, cases: int) -> _bounds.BoundReport:
     """Population equilibration (and the entropy bounds it implies) for
     random Hamiltonians measured through random POVMs."""
-    return _report(_povm_cases, cases, _povm_cases(rng, cases, _every))
+    return _report(_povm_cases, cases, _blocks(_povm_cases, rng, cases))
 
 
 def time_averaged_state_suite(sites, windows) -> list:
@@ -370,7 +359,7 @@ def _fluctuation_reports(config: VerifyConfig) -> list:
     return _named(f"fluct_{n}", checks)
 
 
-# The randomized suites in draw order, each with the config field counting its cases.
+# The randomized suites in spawn order, each with the config field counting its cases.
 _SUITES = ((_shannon_cases, "shannon_pairs"), (_observational_cases, "observational_cases"),
            (_von_neumann_cases, "von_neumann_cases"), (_povm_cases, "povm_cases"))
 
@@ -378,19 +367,15 @@ _SUITES = ((_shannon_cases, "shannon_pairs"), (_observational_cases, "observatio
 def _share(config: VerifyConfig, rank: int) -> tuple:
     """Share ``rank`` (0 or 1) of a run: the reports of every unit (each
     chain, the fluctuation chain, each averaged-state chain, in report
-    order) and the per-case pairs of every suite case whose index k has
-    ``k % 2 == rank``. Every seeded draw is made, so each case sees the
-    bytes it sees in a run of the whole suite."""
-    def owned(k: int) -> bool:
-        return k % 2 == rank
-
+    order) whose index k has ``k % 2 == rank``, and the per-block pairs of
+    every suite block whose index b has ``b % 2 == rank``."""
     units = ([partial(_chain_reports, config, n) for n in config.sites]
              + [partial(_fluctuation_reports, config)]
              + [partial(time_averaged_state_suite, [n], config.averaged_state_windows)
                 for n in config.averaged_state_sites])
     rng = np.random.default_rng(config.seed)
-    return ([unit() for k, unit in enumerate(units) if owned(k)],
-            [list(suite(rng, getattr(config, count), owned)) for suite, count in _SUITES])
+    return ([unit() for unit in units[rank::2]],
+            [_blocks(suite, rng, getattr(config, count), rank, 2) for suite, count in _SUITES])
 
 
 def _interleave(first: list, second: list) -> list:

@@ -10,6 +10,10 @@ that difference times ``t``. Populations of the two decompositions are
 therefore compared over the trajectory span (t <= 100), while the
 propagation arithmetic alone is compared out to t = 1e4 on one shared
 decomposition.
+
+The Shannon continuity suite draws and evaluates a block of distribution
+pairs in whole-array calls, padded to the largest outcome count; the
+entropy and distance of each pair, one at a time, are its reference.
 """
 
 import math
@@ -21,6 +25,7 @@ import pytest
 import qeqlab.harness as harness
 from qeqlab.bounds import equilibration_factor, optimal_epsilon
 from qeqlab.dynamics import GapStatistics, default_time_step
+from qeqlab.entropy import shannon_entropy
 from qeqlab.harness import (
     _populations_at,
     chain_system,
@@ -28,7 +33,7 @@ from qeqlab.harness import (
     prepare_system,
 )
 from qeqlab.linalg import decompose_hermitian
-from qeqlab.measurement import povm_from_factors
+from qeqlab.measurement import population_distance, povm_from_factors
 from qeqlab.measurement import clamp_populations as _clamp_rows
 from qeqlab.models import (
     PureState,
@@ -37,7 +42,13 @@ from qeqlab.models import (
     bulk_magnetization,
     tilted_ising_chain,
 )
-from qeqlab.verify import random_hermitian, random_partition_pvm, random_povm, random_pure_state
+from qeqlab.verify import (
+    _shannon_block,
+    random_hermitian,
+    random_partition_pvm,
+    random_povm,
+    random_pure_state,
+)
 
 TOL = 1e-12
 
@@ -232,3 +243,16 @@ def test_evaluate_bounds_counts_the_grid_once(monkeypatch):
     for report in reports:
         p = report.parameters
         assert (p["eps"], p["factor"], p["window_count"]) == scans[p["T"]]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shannon_block_matches_the_pairs_one_at_a_time(seed):
+    r, pq, lhs, distance = _shannon_block(np.random.default_rng(seed), 64)
+    assert pq.shape == (64, 2, 64) and len(set(r.tolist())) > 1
+    for k, outcomes in enumerate(r.tolist()):
+        assert np.all(np.count_nonzero(pq[k], axis=1) == outcomes)
+        assert np.all(pq[k, :, outcomes:] == 0.0)
+        assert np.max(np.abs(pq[k].sum(axis=1) - 1.0)) <= TOL
+        p, q = pq[k, :, :outcomes]
+        assert abs(lhs[k] - abs(shannon_entropy(p) - shannon_entropy(q))) <= TOL
+        assert abs(distance[k] - population_distance(p, q)) <= TOL

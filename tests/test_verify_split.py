@@ -1,8 +1,10 @@
 """``run_verification`` splits its run between its process and one forked
-worker. Both make every seeded draw; each evaluates alternate units and
-cases, and the parent merges them back into order. These tests hold the
-merged run to the whole run in one process, and check that no worker
-outlives the call."""
+worker. Each suite's cases come in blocks of 64, each block with its own
+generator spawned from the seeded one; each process draws and evaluates
+alternate units and blocks, and the parent merges them back into order.
+These tests hold the merged run to the whole run in one process, check
+that a share draws only its own blocks, and check that no worker outlives
+the call."""
 
 import os
 import time
@@ -26,16 +28,14 @@ from qeqlab.verify import (
     VerifyConfig,
     observational_continuity_suite,
     povm_equilibration_suite,
-    random_density_matrix,
-    random_partition_pvm,
-    random_povm,
     run_verification,
     shannon_continuity_suite,
     time_averaged_state_suite,
     von_neumann_continuity_suite,
 )
 
-# odd counts everywhere, so share 0 holds one unit and one case more than share 1
+# an odd unit count, so share 0 holds one unit more than share 1; each suite is
+# one block, which share 0 holds
 SMALL = {
     "sites": [3, 4],
     "average_grid": [5.0],
@@ -93,23 +93,38 @@ def test_split_run_equals_the_one_share_composition():
     assert suites[3]["systems"] == 7
 
 
-@pytest.mark.parametrize("draw, build", [
-    (lambda rng: random_povm(rng, 6, 3),
-     lambda rng: verify._whitened_povm(np.stack([verify._ginibre(rng, 6, 6) for _ in range(3)]))),
-    (lambda rng: random_partition_pvm(rng, 7, 3),
-     lambda rng: verify._partition_pvm(*verify._partition_draws(rng, 7, 3))),
-    (lambda rng: random_density_matrix(rng, 5, 2),
-     lambda rng: verify._density_matrix(verify._ginibre(rng, 5, 2))),
-])
-def test_random_inputs_are_their_draws_built(draw, build):
-    """A case a share does not own makes only its draws; the build from
-    them is deterministic and equals the random input bit for bit."""
-    drawn, built = np.random.default_rng(11), np.random.default_rng(11)
-    a, b = draw(drawn), build(built)
-    assert drawn.bit_generator.state == built.bit_generator.state
-    for field in ("outcome_slices", "basis", "values", "multiplicities", "matrix"):
-        x, y = getattr(a, field, None), getattr(b, field, None)
-        assert (x is None and y is None) or np.array_equal(x, y), field
+@pytest.mark.parametrize("suite", [suite for suite, _ in verify._SUITES])
+def test_a_block_draws_the_same_cases_in_a_longer_run(suite):
+    short = verify._blocks(suite, np.random.default_rng(5), 64)
+    long = verify._blocks(suite, np.random.default_rng(5), 200)
+    assert [len(block) for block in long] == [len(short[0])] * 3 + [len(short[0]) // 8]
+    assert short == long[:1]
+
+
+def test_a_share_draws_only_its_own_blocks(monkeypatch):
+    config = VerifyConfig.from_dict({**SMALL, "suites": {
+        "shannon_pairs": 300, "observational_cases": 130, "von_neumann_cases": 129, "povm_cases": 65}})
+    suites = [suite for suite, _ in verify._SUITES]
+    counts = [getattr(config, count) for _, count in verify._SUITES]
+    calls = []
+
+    def recorded(suite):
+        def cases(rng, start, stop):
+            calls.append((suite, start, stop))
+            return suite(rng, start, stop)
+
+        return cases
+
+    rng = np.random.default_rng(config.seed)
+    whole = [verify._blocks(suite, rng, count) for suite, count in zip(suites, counts)]
+    monkeypatch.setattr(verify, "_SUITES", [(recorded(suite), count) for suite, count in verify._SUITES])
+    shares = []
+    for rank in (0, 1):
+        calls.clear()
+        shares.append(verify._share(config, rank)[1])
+        assert calls == [(suite, b * 64, min(count, b * 64 + 64)) for suite, count in zip(suites, counts)
+                         for b in range(rank, -(-count // 64), 2)]
+    assert [verify._interleave(*pair) for pair in zip(*shares)] == whole
 
 
 def patch_trajectory(monkeypatch, here, in_worker):
