@@ -6,7 +6,8 @@ the eigenbasis once and propagated by phases. Degenerate levels carry
 the clustered eigenvalue, so states inside one eigenspace acquire
 exactly equal phases and the infinite-time average is an exact fixed
 point of the evolution. A sampled series is averaged by the trapezoid
-rule alone; the remainder that certifies it comes from the energy spread.
+rule alone; the remainder that certifies it comes from the initial
+state's energy moments, which also size the default time step.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = [
 # How far, relative to the span, an averaging window may reach past the
 # last sample (or a config's window past t_max): round-off, not time.
 _SPAN_RTOL = 1e-12
+# The population remainder h^2 M / 16 of a default time step.
+_STEP_REMAINDER = 0.008
 # Gaps per block of the pruned window count: its first pass counts
 # exactly at every _BLOCK-th gap.
 _BLOCK = 16
@@ -221,11 +224,14 @@ def gap_statistics(decomp: SpectralDecomposition) -> GapStatistics:
     return GapStatistics(distinct_count=m, min_gap=min_gap, _gaps=gaps)
 
 
-def default_time_step(spectral_range: float) -> float:
-    """Grid step resolving the fastest phase of the evolution."""
-    if spectral_range <= 0:
+def default_time_step(curvature: float) -> float:
+    """Grid step sized by the quadrature certificate: on it the populations
+    stay within TV distance ``h^2 M / 16 = _STEP_REMAINDER`` of their
+    linear interpolant, M the initial state's curvature
+    (``PreparedSystem.curvature``); 0.02 for a state that does not move (M = 0)."""
+    if curvature <= 0:
         return 0.02
-    return min(0.02, math.pi / (10.0 * spectral_range))
+    return math.sqrt(16.0 * _STEP_REMAINDER / curvature)
 
 
 @dataclass(frozen=True)
@@ -255,7 +261,7 @@ def time_average_scalar(trajectory: Trajectory, values, T: float) -> float:
     sampled on the trajectory's grid, which must start at t = 0: the exact
     average of the samples' linear interpolant, the final partial interval
     included. :func:`~qeqlab.harness.evaluate_bounds` adds the quadrature
-    remainder that bounds its distance to the truth."""
+    remainder that makes it an upper bound on the true average."""
     times = trajectory.times
     values = np.asarray(values, dtype=float)
     if times[0] != 0 or T <= 0 or T > times[-1] * (1 + _SPAN_RTOL):
@@ -267,4 +273,4 @@ def time_average_scalar(trajectory: Trajectory, values, T: float) -> float:
         frac = (T - times[k]) / (times[k + 1] - times[k])
         v_t = values[k] + frac * (values[k + 1] - values[k])
         total += 0.5 * (values[k] + v_t) * (T - times[k])
-    return total / T
+    return float(total / T)

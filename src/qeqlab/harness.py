@@ -31,7 +31,7 @@ from .dynamics import (
     gap_statistics,
     time_average_scalar,
 )
-from .entropy import _xlogx
+from .entropy import _ZERO_CUTOFF, _xlogx
 from .linalg import SpectralDecomposition, decompose_hermitian
 from .measurement import Measurement, clamp_populations, pvm_from_observable
 from .models import (
@@ -126,13 +126,28 @@ class PreparedSystem:
         values = self.measurement.values
         return None if values is None else float(np.max(np.abs(values)))
 
+    def _energy_moments(self) -> tuple:
+        """Second and fourth central moments of the initial state's energy
+        over the levels that propagate it."""
+        weights = np.abs(self.amps_eig) ** 2
+        levels = self.decomposition.level_values
+        centered = levels - weights @ levels
+        return float(weights @ centered**2), float(weights @ centered**4)
+
     @property
     def energy_spread(self) -> float:
         """Energy spread sigma_E of the initial state over the levels that
         propagate it: ``|d rho/dt|_1 = 2 sigma_E`` for a pure state."""
-        weights = np.abs(self.amps_eig) ** 2
-        levels = self.decomposition.level_values
-        return math.sqrt(float(weights @ (levels - weights @ levels) ** 2))
+        return math.sqrt(self._energy_moments()[0])
+
+    @property
+    def curvature(self) -> float:
+        """``M = 2 (sqrt(mu_4) + sigma_E^2)``, mu_4 the fourth central moment
+        of the energy: ``|d^2 rho/dt^2|_1 = |[H, [H, rho]]|_1 <= M`` for a pure
+        state, since ``|(H - E)^2 psi| = sqrt(mu_4)`` and ``|(H - E) psi|^2 =
+        sigma_E^2``."""
+        variance, fourth = self._energy_moments()
+        return 2.0 * (math.sqrt(fourth) + variance)
 
     @property
     def dim(self) -> int:
@@ -354,14 +369,57 @@ def fluctuation_checks(system: PreparedSystem, window: float, count: int, seed: 
 # bound evaluation
 
 
+def _segment_jeffreys(pops: np.ndarray) -> np.ndarray:
+    """Jeffreys divergence ``sum (q_b - q_a)(ln q_b - ln q_a)`` of each pair
+    of consecutive population rows, q the rows with every population at or
+    below the entropies' zero cutoff set to 0, as their entropies count
+    them: infinite where an outcome is zero at one end of a segment only."""
+    q = np.where(pops > _ZERO_CUTOFF, pops, 0.0)
+    change = np.diff(q, axis=0)
+    with np.errstate(divide="ignore"):
+        logs = np.log(q)
+    log_change = np.subtract(logs[1:], logs[:-1], out=np.zeros_like(change), where=change != 0)
+    return np.sum(change * log_change, axis=1)
+
+
+def _quadrature_remainders(times: np.ndarray, h: float, windows: np.ndarray, second: float, first: float,
+                           triangles) -> np.ndarray:
+    """Per window T, (1/T) times the sum over the grid segments of [0, T]
+    of ``min(l w2 + h triangle, l w1)``, l the segment's length inside the
+    window and h the largest step: :func:`evaluate_bounds`' remainders of
+    one report, whose pointwise terms are w2 and w1 and whose triangles are
+    per segment (or 0)."""
+    inside = np.clip(windows[:, None] - times[None, :-1], 0.0, h)
+    return np.sum(np.minimum(inside * second + h * triangles, inside * first), axis=1) / windows
+
+
 def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
                     eps_points: int = 32) -> list:
     """Evaluate the population, entropy, and expectation inequalities for
     every averaging window in ``T_grid``, on one count of the ε grid.
-    Each lhs is its trapezoid plus the quadrature remainder w(tau), tau =
-    sigma_E h / 2 on a grid of largest step h: a quantity moves by at most
-    w(sigma_E |t - s|), w concave (x, the entropy continuity bounds and
-    8 |A|^2 x), so it stays within w(tau) of the samples' interpolant."""
+
+    Each lhs is its trapezoid plus a quadrature remainder, so it bounds the
+    true average from above. On a grid of largest step h every segment
+    adds the smaller of two proven terms, w being the report's continuity
+    bound (x, the entropy continuity bounds, or 8 |A|^2 x):
+
+    * second order, h w(tau2) plus a triangle: the populations stay within
+      TV distance tau2 = h^2 M / 16 of their linear interpolant, M the
+      ``curvature``. On the interpolant the convex population distance and
+      squared expectation deviation stay under their chord; the concave
+      entropies exceed it by at most the triangle under the endpoint
+      tangents, of area at most (h/8) J(p_a, p_b), J the Jeffreys
+      divergence of the two samples;
+    * first order, h w(tau1), tau1 = sigma_E h / 2: the populations move at
+      TV rate at most sigma_E, so a quantity stays within w(tau1) of the
+      samples' interpolant. A segment with an outcome zero at one end only
+      has J infinite and takes this term.
+
+    A window ending inside a segment takes that segment's pointwise terms
+    in part and its triangle whole. The proof covers the exact
+    populations; their rounding in the samples enters through w at the
+    round-off scale, and so does the entropies' zero cutoff, which J
+    applies too."""
     reports = []
     stats = system.gap_stats
     r = system.measurement.r
@@ -369,23 +427,29 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
     norm = system.observable_norm
     if r < 2:
         raise ValueError("bound evaluation needs a measurement with r >= 2")
-    tau = system.energy_spread * float(np.max(np.diff(trajectory.times), initial=0.0)) / 2
+    times = trajectory.times
+    h = float(np.max(np.diff(times), initial=0.0))
+    tau2, tau1 = system.curvature * h * h / 16, system.energy_spread * h / 2
+    triangle = _segment_jeffreys(trajectory.populations) / 8
     eq = system.equilibrium
-    # each report's deviation series, paired with its remainder w(tau)
+    # each report's deviation series, with w(tau2), w(tau1) and its
+    # triangle terms: none for the convex ones
     deviations = [
         ("population_equilibration",
-         0.5 * np.sum(np.abs(trajectory.populations - eq.populations), axis=1), tau),
+         0.5 * np.sum(np.abs(trajectory.populations - eq.populations), axis=1), tau2, tau1, 0.0),
         ("shannon_deviation", np.abs(trajectory.shannon - eq.shannon),
-         _bounds.shannon_deviation_bound(r, tau)),
+         _bounds.shannon_deviation_bound(r, tau2), _bounds.shannon_deviation_bound(r, tau1), triangle),
         ("observational_deviation", np.abs(trajectory.observational - eq.observational),
-         _bounds.observational_deviation_bound(dim, tau)),
+         _bounds.observational_deviation_bound(dim, tau2), _bounds.observational_deviation_bound(dim, tau1),
+         triangle),
     ]
     if norm is not None:
         deviations.append(("expectation_deviation", (trajectory.expectation - eq.expectation) ** 2,
-                           8 * norm**2 * tau))
+                           8 * norm**2 * tau2, 8 * norm**2 * tau1, 0.0))
     windows = [float(T) for T in T_grid]
     best = _bounds.optimal_epsilon(stats, windows, points=eps_points) if windows else []
-    for T, (eps, factor, count) in zip(windows, best):
+    remainders = [_quadrature_remainders(times, h, np.array(windows), *terms) for _, _, *terms in deviations]
+    for i, (T, (eps, factor, count)) in enumerate(zip(windows, best)):
         eta = _bounds.population_distance_bound(r, system.d_eff, factor)
         params = {
             "T": T,
@@ -407,8 +471,9 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
         ]
         if norm is not None:
             rhs_rows.append((_bounds.expectation_bound(norm, system.d_eff, factor), {}))
-        for (name, series, remainder), (rhs, extra) in zip(deviations, rhs_rows, strict=True):
+        for (name, series, *_), per_window, (rhs, extra) in zip(deviations, remainders, rhs_rows, strict=True):
             trapezoid = time_average_scalar(trajectory, series, T)
+            remainder = float(per_window[i])
             reports.append(_bounds.BoundReport(
                 name=name, lhs=trapezoid + remainder, rhs=rhs,
                 parameters={**params, "trapezoid": trapezoid, "quadrature_remainder": remainder, **extra}))
@@ -666,7 +731,7 @@ def execute_experiment(config: ExperimentConfig):
     from concurrent.futures import ThreadPoolExecutor
 
     system = build_system(config)
-    dt = config.dt if config.dt is not None else default_time_step(system.decomposition.spectral_range)
+    dt = config.dt if config.dt is not None else default_time_step(system.curvature)
     times = time_grid(config.t_max, dt)
     # The trajectory's and the sample's propagation chunks share one
     # two-worker pool. The trajectory queues its chunks first, from this
@@ -813,7 +878,7 @@ def sweep_chain_lengths(config: SweepConfig) -> dict:
     rows = []
     for n in config.sites:
         system = chain_system(SpinChainParams(sites=int(n)), config.axis)
-        dt = default_time_step(system.decomposition.spectral_range)
+        dt = default_time_step(system.curvature)
         trajectory = compute_trajectory(system, time_grid(config.t_max, dt))
         deviation = np.abs(trajectory.shannon - system.equilibrium.shannon)
         late = window_average(trajectory, deviation, *config.late_window)

@@ -236,7 +236,7 @@ def _povm_cases(rng, start: int, stop: int):
         ham = random_hermitian(rng, dim)
         povm = random_povm(rng, dim, outcomes)
         system = prepare_system(ham, povm, random_pure_state(rng, dim))
-        dt = default_time_step(system.decomposition.spectral_range)
+        dt = default_time_step(system.curvature)
         trajectory = compute_trajectory(system, time_grid(_POVM_WINDOW, dt))
         for report in evaluate_bounds(system, trajectory, [_POVM_WINDOW], eps_points=_POVM_EPS_POINTS):
             yield report.lhs, report.rhs
@@ -344,7 +344,7 @@ def _named(name: str, reports: list) -> list:
 
 def _chain_reports(config: VerifyConfig, n: int) -> list:
     system = chain_system(SpinChainParams(sites=int(n)))
-    dt = default_time_step(system.decomposition.spectral_range)
+    dt = default_time_step(system.curvature)
     trajectory = compute_trajectory(system, time_grid(config.t_max, dt))
     checks = evaluate_bounds(system, trajectory, config.average_grid)
     jensen = _bounds.average_entropy_check(trajectory, system.equilibrium.populations, config.t_max)

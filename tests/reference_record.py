@@ -2,9 +2,10 @@
 
 ``tests/reference_record.json`` holds, for ``simulate_chain``,
 ``simulate_oracle`` and ``verify_default``, each bound report's name,
-status, lhs and rhs, with the window count, epsilon, d_eff and minimum
-gap where the report has them (and each simulate run's oracle check),
-and for ``sweep_lengths`` the sweep rows and fits.
+status, lhs and rhs, with the window count, epsilon, d_eff, minimum gap
+and quadrature remainder where the report has them (and each simulate
+run's oracle check and the step and sample count of its trajectory), and
+for ``sweep_lengths`` the sweep rows and fits.
 ``test_reference_record.py`` recomputes the record in-process and
 compares it field by field. A change that moves a reported number on
 purpose regenerates the record, with one BLAS thread, by running
@@ -26,7 +27,9 @@ ROOT = Path(__file__).resolve().parents[1]
 RECORD = ROOT / "tests" / "reference_record.json"
 # the report fields the record keeps: top-level keys, then parameters
 _REPORT_KEYS = ("name", "status", "lhs", "rhs")
-_PARAMETER_KEYS = ("window_count", "eps", "d_eff", "min_gap")
+_PARAMETER_KEYS = ("window_count", "eps", "d_eff", "min_gap", "quadrature_remainder")
+# the trajectory_summary fields a simulate run keeps
+_TRAJECTORY_KEYS = ("dt", "samples")
 # float tolerances; integers, strings and statuses compare exactly
 RTOL = 1e-9
 ATOL = 1e-12
@@ -52,7 +55,8 @@ def compute_record(sweep: dict | None = None) -> dict:
     record = {}
     for name in ("simulate_chain", "simulate_oracle"):
         report = execute_experiment(ExperimentConfig.from_dict(shipped_config(name)))[0]
-        record[name] = {"bounds": [_bound_fields(b) for b in report["bounds"]], "oracle": report["oracle"]}
+        record[name] = {"bounds": [_bound_fields(b) for b in report["bounds"]], "oracle": report["oracle"],
+                        "trajectory": {key: report["trajectory_summary"][key] for key in _TRAJECTORY_KEYS}}
     reports = run_verification(VerifyConfig.from_dict(shipped_config("verify_default")))
     record["verify_default"] = {"bounds": [_bound_fields(rep.to_json_dict()) for rep in reports]}
     if sweep is None:

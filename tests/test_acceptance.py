@@ -55,7 +55,7 @@ def build_chain(sites, axis="z", t_max=100.0):
         bulk_magnetization(sites, axis),
         all_down_state(sites),
     )
-    dt = default_time_step(system.decomposition.spectral_range)
+    dt = default_time_step(system.curvature)
     trajectory = compute_trajectory(system, time_grid(t_max, dt))
     return system, trajectory
 

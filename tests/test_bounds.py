@@ -273,7 +273,7 @@ def weak_field_chain():
     from qeqlab.harness import chain_system, compute_trajectory, time_grid
 
     system = chain_system(SpinChainParams(sites=4, g=0.02, h=0.5, J=0.3))
-    dt = default_time_step(system.decomposition.spectral_range)
+    dt = default_time_step(system.curvature)
     return system, compute_trajectory(system, time_grid(20.0, dt))
 
 
@@ -284,9 +284,9 @@ def test_average_entropy_check_certifies_the_weak_field_chain(weak_field_chain):
     assert report.lhs > system.equilibrium.shannon  # S(omega) alone is no bound here
     assert report.lhs <= s_bar <= report.rhs
     assert report.status == "holds"
-    assert report.lhs == pytest.approx(0.27994, abs=1e-5)
-    assert report.rhs == pytest.approx(0.35621, abs=1e-5)
-    assert s_bar == pytest.approx(0.30072, abs=1e-5)
+    assert report.lhs == pytest.approx(0.27904, abs=1e-5)
+    assert report.rhs == pytest.approx(0.35424, abs=1e-5)
+    assert s_bar == pytest.approx(0.29983, abs=1e-5)
 
 
 def test_average_entropy_check_rhs_is_the_shannon_bound_at_the_recorded_distance(weak_field_chain):

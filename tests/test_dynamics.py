@@ -437,6 +437,17 @@ def test_time_average_population_distance_one_period(spin):
 
 
 def test_default_time_step():
-    assert default_time_step(1.0) == 0.02
-    assert np.isclose(default_time_step(100.0), math.pi / 1000.0)
+    # the default step fixes the second-order population remainder h^2 M / 16
+    from qeqlab.harness import compute_trajectory, evaluate_bounds, time_grid
+
+    for sites in (3, 7):
+        system = chain_system(SpinChainParams(sites=sites))
+        dt = default_time_step(system.curvature)
+        trajectory = compute_trajectory(system, time_grid(10.0, dt))
+        population = evaluate_bounds(system, trajectory, [10.0])[0]
+        assert population.name == "population_equilibration"
+        remainder = population.parameters["quadrature_remainder"]
+        assert dt**2 * system.curvature / 16 == pytest.approx(remainder, rel=1e-12)
+        assert remainder == pytest.approx(dynamics._STEP_REMAINDER, rel=1e-12)
+    # a state that does not move keeps the fixed step
     assert default_time_step(0.0) == 0.02

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qeqlab import harness
-from qeqlab.bounds import average_entropy_check, shannon_deviation_bound
+from qeqlab.bounds import average_entropy_check, observational_deviation_bound, shannon_deviation_bound
 from qeqlab.dynamics import default_time_step, evolve, time_average_scalar
 from qeqlab.harness import (
     ConfigError,
@@ -206,6 +206,25 @@ def test_energy_spread_matches_the_full_space_oracle(sites, couplings):
     assert system.energy_spread == pytest.approx(oracle, rel=1e-10)
 
 
+def _curvature_oracle(ham, psi):
+    # 2 (|(H - E) psi|^2 + |(H - E)^2 psi|), E the energy mean
+    h_psi = ham @ psi
+    centered = h_psi - np.vdot(psi, h_psi).real * psi
+    return 2 * (np.linalg.norm(centered) ** 2
+                + np.linalg.norm(ham @ centered - np.vdot(psi, h_psi).real * centered))
+
+
+@pytest.mark.parametrize("sites", [2, 5, 8])
+def test_curvature_matches_the_full_space_oracle(sites):
+    params = SpinChainParams(sites=sites)
+    ham = tilted_ising_chain(params)
+    oracle = _curvature_oracle(ham, all_down_state(sites).amplitudes)
+    assert chain_system(params).curvature == pytest.approx(oracle, rel=1e-12)
+    state = random_pure_state(np.random.default_rng(sites), 2**sites)
+    system = prepare_system(ham, bulk_magnetization(sites, "z"), state)
+    assert system.curvature == pytest.approx(_curvature_oracle(ham, state.amplitudes), rel=1e-10)
+
+
 def _deviation_series(system, trajectory):
     """Each report's deviation series, from the sampled populations and
     entropies and the equilibrium reference."""
@@ -228,11 +247,21 @@ def _remainder_system(name):
 
 
 @pytest.mark.parametrize("name", ["z", "y", "povm"])
+def test_curvature_bounds_the_populations_second_derivative(name):
+    # central second differences of the populations on a fine grid
+    system = _remainder_system(name)
+    step = 1e-3
+    pops = compute_trajectory(system, time_grid(6.0, step)).populations
+    second = np.abs(pops[2:] - 2 * pops[1:-1] + pops[:-2]).sum(axis=1) / step**2
+    assert second.max() <= system.curvature
+
+
+@pytest.mark.parametrize("name", ["z", "y", "povm"])
 def test_quadrature_remainder_bounds_the_trapezoid_error(name):
     # the default-grid trapezoid against one on a grid 64 times finer, at
     # windows that end between samples of both grids
     system = _remainder_system(name)
-    dt = default_time_step(system.decomposition.spectral_range)
+    dt = default_time_step(system.curvature)
     coarse = compute_trajectory(system, time_grid(12.0, dt))
     fine = compute_trajectory(system, time_grid(12.0, dt / 64))
     windows = [3.7 + dt / 3, 10.0 + dt / 7]
@@ -247,6 +276,52 @@ def test_quadrature_remainder_bounds_the_trapezoid_error(name):
         assert params["trapezoid"] == time_average_scalar(coarse, coarse_series[report.name], params["T"])
         refined = time_average_scalar(fine, fine_series[report.name], params["T"])
         assert abs(params["trapezoid"] - refined) <= params["quadrature_remainder"]
+
+
+@pytest.mark.parametrize("axis", ["z", "y"])
+def test_first_order_remainder_on_a_segment_with_an_outcome_zero_at_one_end(axis):
+    # along z the all-down chain starts with every outcome but one at zero,
+    # so the first segment's Jeffreys divergence is infinite; along y every
+    # outcome starts positive and the second-order term is the smaller
+    system = chain_system(SpinChainParams(sites=5), axis)
+    dt = default_time_step(system.curvature)
+    trajectory = compute_trajectory(system, time_grid(3 * dt, dt))
+    jeffreys = harness._segment_jeffreys(trajectory.populations)
+    assert np.isinf(jeffreys[0]) == (axis == "z")
+    assert np.all(np.isfinite(jeffreys[1:]))
+    h = float(np.max(np.diff(trajectory.times)))
+    tau1, tau2 = system.energy_spread * h / 2, system.curvature * h * h / 16
+    first_order = {"shannon_deviation": shannon_deviation_bound(system.r, tau1),
+                   "observational_deviation": observational_deviation_bound(system.dim, tau1)}
+    second_order = {"shannon_deviation": shannon_deviation_bound(system.r, tau2),
+                    "observational_deviation": observational_deviation_bound(system.dim, tau2)}
+    # the window [0, dt] is the first segment
+    window = float(trajectory.times[1])
+    for report in evaluate_bounds(system, trajectory, [window]):
+        remainder = report.parameters["quadrature_remainder"]
+        if report.name in first_order:
+            with_triangle = second_order[report.name] + h * jeffreys[0] / 8 / window
+            assert remainder == pytest.approx(min(first_order[report.name], with_triangle), rel=1e-12)
+            assert (remainder == pytest.approx(first_order[report.name], rel=1e-12)) == (axis == "z")
+        else:
+            # the convex reports stay under their chord: no triangle
+            scale = 1.0 if report.name == "population_equilibration" else 8 * system.observable_norm**2
+            assert remainder == pytest.approx(scale * min(tau1, tau2), rel=1e-12)
+
+
+@pytest.mark.parametrize("axis", ["x", "z"])
+def test_an_eigenstate_has_no_curvature_and_no_remainder(axis):
+    # with no transverse field the all-down state is an eigenstate
+    system = chain_system(SpinChainParams(sites=5, g=0.0, h=0.5, J=1.0), axis)
+    assert system.curvature == 0.0
+    dt = default_time_step(system.curvature)
+    assert dt == 0.02
+    trajectory = compute_trajectory(system, time_grid(10.0, dt))
+    reports = evaluate_bounds(system, trajectory, [3.7, 10.0])
+    assert len(reports) == 8
+    for report in reports:
+        assert report.holds
+        assert report.parameters["quadrature_remainder"] < 1e-12
 
 
 def test_free_spins_average_without_a_warning():
@@ -564,8 +639,9 @@ def test_sweep_inversions_count_upward_steps():
 
 _OVERLAP_CONFIGS = {
     "chain": {"label": "overlap", "model": {"kind": "tilted_ising", "sites": 5},
-              "times": {"t_max": 30.0}, "average_grid": [10.0, 30.0],
+              "times": {"t_max": 100.0}, "average_grid": [10.0, 30.0],
               # more than one propagation chunk of times on both threads
+              # (1385 grid times at the default step of 0.0723)
               "fluctuation": {"window": 500.0, "count": 2500}, "seed": 3},
     "oracle": {"label": "overlap", "model": {"kind": "precessing_spin", "g": 1.0},
                "times": {"t_max": 20.0, "dt": 0.01}, "average_grid": [10.0, 20.0],
@@ -588,7 +664,7 @@ def test_overlapped_run_equals_the_sequential_composition(name):
     assert threading.active_count() == before
     # the same stages, one after the other on this thread
     system = build_system(config)
-    times = time_grid(config.t_max, default_time_step(system.decomposition.spectral_range)
+    times = time_grid(config.t_max, default_time_step(system.curvature)
                       if config.dt is None else config.dt)
     sequential = compute_trajectory(system, times)
     reports = evaluate_bounds(system, sequential, config.average_grid)
@@ -633,7 +709,7 @@ def _fail_overlapped_run(monkeypatch, stage):
         monkeypatch.setattr(harness, stage, fail)
     config = ExperimentConfig.from_dict(_LONG_RUN)
     system = build_system(config)
-    samples = len(time_grid(config.t_max, default_time_step(system.decomposition.spectral_range)))
+    samples = len(time_grid(config.t_max, default_time_step(system.curvature)))
     chunks = sum(math.ceil(n / harness._CHUNK_TIMES) for n in (samples, config.fluctuation_count))
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{stage} failed"):

@@ -222,7 +222,7 @@ def test_evaluate_bounds_counts_the_grid_once(monkeypatch):
     system = chain_system(SpinChainParams(sites=7))
     stats = system.gap_stats
     windows = [10.0, 25.0, 50.0, 100.0]
-    dt = default_time_step(system.decomposition.spectral_range)
+    dt = default_time_step(system.curvature)
     trajectory = compute_trajectory(system, harness.time_grid(100.0, dt))
     calls = []
     original = GapStatistics.window_counts

@@ -53,7 +53,7 @@ def one_share(config: VerifyConfig) -> list:
     reports = []
     for n in config.sites:
         system = chain_system(SpinChainParams(sites=n))
-        dt = default_time_step(system.decomposition.spectral_range)
+        dt = default_time_step(system.curvature)
         trajectory = compute_trajectory(system, time_grid(config.t_max, dt))
         checks = evaluate_bounds(system, trajectory, config.average_grid)
         checks.append(average_entropy_check(trajectory, system.equilibrium.populations, config.t_max))
