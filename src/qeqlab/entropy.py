@@ -41,13 +41,20 @@ def _xlogx_float(x: float) -> float:
     return x * float(np.log(x)) if x > _ZERO_CUTOFF else 0.0
 
 
-def shannon_entropy(pops) -> float:
-    """Shannon entropy ``-sum p_i ln p_i`` of an outcome distribution."""
-    return float(-np.sum(_xlogx(pops)))
+def _float_or_array(values: np.ndarray):
+    """A Python float for one value, the array for a stack of them."""
+    return float(values) if values.ndim == 0 else values
 
 
-def observational_entropy(pops, multiplicities) -> float:
-    """Multiplicity-weighted outcome entropy ``-sum p_i ln(p_i / V_i)``.
+def shannon_entropy(pops):
+    """Shannon entropy ``-sum p_i ln p_i`` of an outcome distribution (the
+    last axis): a float, or one entropy per distribution of a stack."""
+    return _float_or_array(-np.sum(_xlogx(pops), axis=-1))
+
+
+def observational_entropy(pops, multiplicities):
+    """Multiplicity-weighted outcome entropy ``-sum p_i ln(p_i / V_i)``,
+    per distribution like :func:`shannon_entropy`.
 
     Equals the Shannon entropy plus the Boltzmann term, and equals the
     von Neumann entropy of the coarse-grained state. Bounded above by
@@ -56,24 +63,27 @@ def observational_entropy(pops, multiplicities) -> float:
     return shannon_entropy(pops) + boltzmann_term(pops, multiplicities)
 
 
-def boltzmann_term(pops, multiplicities) -> float:
-    """Outcome-averaged log-multiplicity ``sum_i p_i ln V_i >= 0``."""
+def boltzmann_term(pops, multiplicities):
+    """Outcome-averaged log-multiplicity ``sum_i p_i ln V_i >= 0``, per
+    distribution; the multiplicities broadcast against the populations."""
     pops = np.asarray(pops, dtype=float)
     mult = np.asarray(multiplicities, dtype=float)
-    if pops.shape != mult.shape:
+    if pops.shape[-1:] != mult.shape[-1:]:
         raise ValueError(f"length mismatch: {pops.shape} vs {mult.shape}")
     if np.any(mult <= 0):
         raise ValueError("multiplicities must be positive")
-    return float(np.sum(pops * np.log(mult)))
+    return _float_or_array(np.sum(pops * np.log(mult), axis=-1))
 
 
-def von_neumann_entropy(rho) -> float:
-    """``-Tr[rho ln rho]`` from the eigenvalues, clamped into [0, 1]."""
+def von_neumann_entropy(rho):
+    """``-Tr[rho ln rho]`` from the eigenvalues, clamped into [0, 1]: a
+    float, or one entropy per state of a stack (n, d, d)."""
     matrix = getattr(rho, "matrix", rho)
     eigenvalues = np.linalg.eigvalsh(np.asarray(matrix, dtype=complex))
-    if eigenvalues[0] < _PSD_FLOOR:
-        raise ValueError(f"state not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e}")
-    return float(-np.sum(_xlogx(np.clip(eigenvalues, 0.0, 1.0))))
+    lowest = np.min(eigenvalues[..., 0])
+    if lowest < _PSD_FLOOR:
+        raise ValueError(f"state not positive semidefinite: min eigenvalue {lowest:.3e}")
+    return _float_or_array(-np.sum(_xlogx(np.clip(eigenvalues, 0.0, 1.0)), axis=-1))
 
 
 def binary_entropy(x: float) -> float:

@@ -17,6 +17,7 @@ import contextvars
 import math
 import threading
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .dynamics import (
     GapStatistics,
     Trajectory,
     _check_dim,
+    _trapezoids,
     default_time_step,
     effective_dimension,
     gap_statistics,
@@ -71,6 +73,10 @@ __all__ = [
 # of 1008. A multiple of 8: with OpenBLAS, a chunk edge inside a group of 8
 # GEMM columns moved the last digits of that group's populations.
 _CHUNK_TIMES = 1024
+# A curvature at most this times m range^2 (m levels) is round-off
+# (PreparedSystem.curvature): computed energy eigenstates of the chains up
+# to N = 8 read 1e-16 to 1.2e-15 range^2.
+_ROUND_OFF_CURVATURE = 64 * np.finfo(float).eps
 # Rows per block of the p_omega sum in prepare_system.
 _P_OMEGA_ROWS = 256
 # Per site: columns are the +1 and -1 Pauli eigenvectors; None along z.
@@ -126,6 +132,7 @@ class PreparedSystem:
         values = self.measurement.values
         return None if values is None else float(np.max(np.abs(values)))
 
+    @cached_property
     def _energy_moments(self) -> tuple:
         """Second and fourth central moments of the initial state's energy
         over the levels that propagate it."""
@@ -138,18 +145,26 @@ class PreparedSystem:
     def energy_spread(self) -> float:
         """Energy spread sigma_E of the initial state over the levels that
         propagate it: ``|d rho/dt|_1 = 2 sigma_E`` for a pure state."""
-        return math.sqrt(self._energy_moments()[0])
+        return math.sqrt(self._energy_moments[0])
 
     @property
     def curvature(self) -> float:
         """``M = 2 (sqrt(mu_4) + sigma_E^2)``, mu_4 the fourth central moment
         of the energy: ``|d^2 rho/dt^2|_1 = |[H, [H, rho]]|_1 <= M`` for a pure
         state, since ``|(H - E)^2 psi| = sqrt(mu_4)`` and ``|(H - E) psi|^2 =
-        sigma_E^2``."""
-        variance, fourth = self._energy_moments()
-        return 2.0 * (math.sqrt(fourth) + variance)
+        sigma_E^2``. An M at the round-off scale of the spectrum, at most
+        ``_ROUND_OFF_CURVATURE * m * range^2`` for m solved levels, is 0: a
+        computed energy eigenstate carries amplitudes of order eps on the
+        other levels, so sqrt(mu_4) reads about eps range^2, and the state
+        does not move."""
+        variance, fourth = self._energy_moments
+        curvature = 2.0 * (math.sqrt(fourth) + variance)
+        decomp = self.decomposition
+        if curvature <= _ROUND_OFF_CURVATURE * decomp.dim * decomp.spectral_range**2:
+            return 0.0
+        return curvature
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Bound dimension: the multiplicities add up to ``Tr 1``, for a
         PVM and for a POVM."""
@@ -160,14 +175,27 @@ class PreparedSystem:
         return self.measurement.r
 
 
-def _outcome_series(pops: np.ndarray, measurement: Measurement):
+def _outcome_series(pops: np.ndarray, samples, values, multiplicities):
     """Expectation value (None for a measurement without values), Shannon,
-    observational and Boltzmann entropy of each population row."""
-    values = measurement.values
-    expectation = pops @ values if values is not None else None
-    shannon = -np.sum(_xlogx(pops), axis=1)
-    boltzmann = pops @ np.log(np.asarray(measurement.multiplicities, dtype=float))
+    observational and Boltzmann entropy of each population row. ``pops``
+    is (systems, rows, r), of which each system fills its first
+    ``samples``; ``values`` (or None) and ``multiplicities`` are (systems,
+    r), each system's outcome values and weights."""
+    logs = np.log(np.asarray(multiplicities, dtype=float))
+    expectation = None if values is None else _row_products(pops, samples, values)
+    shannon = -np.sum(_xlogx(pops), axis=-1)
+    boltzmann = _row_products(pops, samples, logs)
     return expectation, shannon, shannon + boltzmann, boltzmann
+
+
+def _row_products(pops: np.ndarray, samples, vectors: np.ndarray) -> np.ndarray:
+    """``pops[i] @ vectors[i]`` over each system's own rows, 0 past them: a
+    GEMV's row count sets the last digits of its rows (with OpenBLAS), so
+    each system takes one of its own length."""
+    out = np.zeros(pops.shape[:-1])
+    for row, system_pops, vector, length in zip(out, pops, vectors, samples):
+        row[:length] = system_pops[:length] @ vector
+    return out
 
 
 def prepare_system(hamiltonian, observable, initial) -> PreparedSystem:
@@ -186,33 +214,62 @@ def prepare_system(hamiltonian, observable, initial) -> PreparedSystem:
         measurement = observable
     else:
         measurement = pvm_from_observable(np.asarray(observable))
-    stats = gap_statistics(decomp)
-    amps_eig = decomp.eigenvectors.conj().T @ initial.amplitudes
-    d_eff = effective_dimension(decomp, amps_eig)
-    weighted = measurement.in_basis(decomp.eigenvectors) * amps_eig[None, :]
+    return _prepared_systems([decomp], [measurement], [initial])[0]
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """Equal-shape arrays along a new leading axis; one array is not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _prepared_systems(decomps: list, measurements: list, initials: list) -> list:
+    """:func:`prepare_system` of a stack of systems of one shape: the
+    decompositions share a dimension, the measurements their vector count
+    and outcome slices. The eigenbasis products are stacked; each system's
+    arrays do not depend on the stack."""
+    # the gap statistics, which the systems keep, are built before the
+    # products' temporaries, so that those are freed below them in the heap
+    stats = [gap_statistics(decomp) for decomp in decomps]
+    vectors = _stacked([decomp.eigenvectors for decomp in decomps])
+    amps = (np.swapaxes(vectors.conj(), 1, 2) @ _stacked([state.amplitudes for state in initials])[..., None])[..., 0]
+    # each system's eigenvectors in its measurement basis, written into one
+    # stack a system at a time: stacking the bases first would copy them twice
+    first = measurements[0].in_basis(decomps[0].eigenvectors)
+    weighted = np.empty((len(decomps), *first.shape), dtype=np.result_type(first, amps))
+    weighted[0] = first
+    del first
+    for out, measurement, decomp in zip(weighted[1:], measurements[1:], decomps[1:]):
+        out[...] = measurement.in_basis(decomp.eigenvectors)
+    weighted *= amps[:, None, :]
     # dephased-state populations without materializing omega:
     # accumulate |C[:, block] @ amps[block]|^2 over energy eigenspaces,
     # with no m x m copy: single levels need no reduceat, and |.|^2 is
     # summed a block of rows at a time
-    edges = [sl.start for sl in decomp.cluster_slices]
-    per_block = weighted if len(edges) == decomp.dim else np.add.reduceat(weighted, edges, axis=1)
-    weights = np.empty(len(per_block))
-    for start in range(0, len(per_block), _P_OMEGA_ROWS):
-        rows = per_block[start : start + _P_OMEGA_ROWS]
-        weights[start : start + len(rows)] = np.sum(np.abs(rows) ** 2, axis=1)
-    p_omega = clamp_populations(measurement.group_sums(weights))
-    series = _outcome_series(p_omega[None, :], measurement)
-    equilibrium = EquilibriumReference(p_omega, *(None if row is None else float(row[0]) for row in series))
-    return PreparedSystem(
-        decomposition=decomp,
-        measurement=measurement,
-        initial=initial,
-        gap_stats=stats,
-        d_eff=d_eff,
-        equilibrium=equilibrium,
-        amps_eig=amps_eig,
-        weighted_contraction=weighted,
-    )
+    weights = np.empty(weighted.shape[:2])
+    for decomp, rows, out in zip(decomps, weighted, weights):
+        edges = [sl.start for sl in decomp.cluster_slices]
+        per_block = rows if len(edges) == decomp.dim else np.add.reduceat(rows, edges, axis=1)
+        for start in range(0, len(per_block), _P_OMEGA_ROWS):
+            block = per_block[start : start + _P_OMEGA_ROWS]
+            out[start : start + len(block)] = np.sum(np.abs(block) ** 2, axis=1)
+    p_omega = clamp_populations(measurements[0].outcome_sums(weights))
+    values = [m.values for m in measurements]
+    series = _outcome_series(p_omega[:, None, :], [1] * len(decomps), None if values[0] is None else _stacked(values),
+                             _stacked([np.asarray(m.multiplicities) for m in measurements]))
+    return [
+        PreparedSystem(
+            decomposition=decomp,
+            measurement=measurement,
+            initial=initial,
+            gap_stats=stats[i],
+            d_eff=effective_dimension(decomp, amps[i]),
+            equilibrium=EquilibriumReference(p_omega[i], *(None if row is None else float(row[i, 0])
+                                                           for row in series)),
+            amps_eig=amps[i],
+            weighted_contraction=weighted[i],
+        )
+        for i, (decomp, measurement, initial) in enumerate(zip(decomps, measurements, initials))
+    ]
 
 
 def chain_system(params: SpinChainParams, axis: str = "z") -> PreparedSystem:
@@ -249,10 +306,18 @@ def chain_system(params: SpinChainParams, axis: str = "z") -> PreparedSystem:
 def _sq_amplitudes(weighted: np.ndarray, levels: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """``|weighted @ exp(-i E t)|^2`` per row of ``weighted`` and time,
     (rows, len(ts)). Real weights take two real GEMMs, on ``cos(E t)`` and
-    ``sin(E t)``; complex weights one complex GEMM."""
+    ``sin(E t)``; complex weights one complex GEMM, on the phases written
+    as ``cos(E t) - i sin(E t)``: with glibc's ``cexp`` these are the bits
+    of ``exp(-i E t)``, in about 3/4 of its time."""
     arg = np.outer(levels, ts)
     if np.iscomplexobj(weighted):
-        return np.abs(weighted @ np.exp(arg * (-1j))) ** 2
+        phases = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=phases.real)
+        np.sin(arg, out=phases.imag)
+        np.negative(phases.imag, out=phases.imag)
+        sq = np.abs(weighted @ phases)
+        np.square(sq, out=sq)
+        return sq
     sq = weighted @ np.cos(arg)
     np.sin(arg, out=arg)
     im = weighted @ arg
@@ -262,24 +327,39 @@ def _sq_amplitudes(weighted: np.ndarray, levels: np.ndarray, ts: np.ndarray) -> 
     return sq
 
 
-# How _populations_at maps over its chunks: the builtin map, one chunk at a
-# time, unless execute_experiment sets a map onto its two-worker pool.
+# How _stacked_populations maps over its chunks: the builtin map, one chunk
+# at a time, unless execute_experiment sets a map onto its two-worker pool.
 _chunk_map = contextvars.ContextVar("_chunk_map", default=map)
+
+
+def _stacked_populations(systems: list, grids: list) -> np.ndarray:
+    """Outcome populations of a stack of systems whose measurements share
+    their outcome slices, each on its own grid: (systems, samples, r),
+    ``samples`` the longest grid's length; a shorter grid's last row is
+    repeated past its end. Each system propagates alone, in chunks of at
+    most ``_CHUNK_TIMES`` of its own times: a GEMM's shape sets the last
+    digits of its columns (with OpenBLAS), so a system's populations do
+    not depend on the stack."""
+    measurement = systems[0].measurement
+    chunks = [(i, slice(start, start + _CHUNK_TIMES))
+              for i, grid in enumerate(grids) for start in range(0, len(grid), _CHUNK_TIMES)]
+    # one expression per chunk, so no chunk's array outlives its task
+    results = _chunk_map.get()(
+        lambda chunk: measurement.group_sums(_sq_amplitudes(
+            systems[chunk[0]].weighted_contraction, systems[chunk[0]].decomposition.level_values,
+            grids[chunk[0]][chunk[1]])).T, chunks)
+    out = np.empty((len(systems), max(map(len, grids)), measurement.r))
+    for (i, times), pops in zip(chunks, results):
+        out[i, times][: len(pops)] = pops
+    for row, grid in zip(out, grids):
+        if len(grid) < len(row):
+            row[len(grid):] = row[len(grid) - 1]
+    return clamp_populations(out)
 
 
 def _populations_at(system: PreparedSystem, times: np.ndarray) -> np.ndarray:
     """Outcome populations at arbitrary times, (len(times), r)."""
-    levels = system.decomposition.level_values
-    measurement = system.measurement
-    weighted = system.weighted_contraction
-    starts = range(0, len(times), _CHUNK_TIMES)
-    # one expression per chunk, so no chunk's array outlives its task
-    chunks = _chunk_map.get()(lambda ts: measurement.group_sums(_sq_amplitudes(weighted, levels, ts)).T,
-                              (times[start : start + _CHUNK_TIMES] for start in starts))
-    out = np.empty((len(times), measurement.r))
-    for start, pops in zip(starts, chunks):
-        out[start : start + len(pops)] = pops
-    return clamp_populations(out)
+    return _stacked_populations([system], [times])[0]
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
@@ -299,8 +379,20 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
 def compute_trajectory(system: PreparedSystem, times) -> Trajectory:
     """Sample populations, expectation value, and entropies on a grid."""
     times = np.asarray(times, dtype=float)
-    pops = _populations_at(system, times)
-    return Trajectory(times, pops, *_outcome_series(pops, system.measurement))
+    return Trajectory(times, *(None if row is None else row[0] for row in _stack_trajectory([system], [times])))
+
+
+def _stack_trajectory(systems: list, grids: list) -> tuple:
+    """:func:`compute_trajectory` of a stack of systems of one shape (as for
+    :func:`_prepared_systems`), each on its own grid: the populations
+    (systems, samples, r) of :func:`_stacked_populations` and the
+    expectation (None without values), Shannon, observational and
+    Boltzmann series (systems, samples)."""
+    pops = _stacked_populations(systems, grids)
+    measurements = [system.measurement for system in systems]
+    values = None if measurements[0].values is None else _stacked([m.values for m in measurements])
+    samples = [len(grid) for grid in grids]
+    return pops, *_outcome_series(pops, samples, values, _stacked([np.asarray(m.multiplicities) for m in measurements]))
 
 
 def sample_deviations(system: PreparedSystem, window: float, count: int, seed: int):
@@ -317,9 +409,9 @@ def sample_deviations(system: PreparedSystem, window: float, count: int, seed: i
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, window, size=count)
-    _, shannon, observational, _ = _outcome_series(_populations_at(system, times), system.measurement)
+    _, _, shannon, observational, _ = _stack_trajectory([system], [times])
     eq = system.equilibrium
-    return np.abs(shannon - eq.shannon), np.abs(observational - eq.observational)
+    return np.abs(shannon[0] - eq.shannon), np.abs(observational[0] - eq.observational)
 
 
 def _asymptotic_bounds(system: PreparedSystem) -> dict:
@@ -371,26 +463,46 @@ def fluctuation_checks(system: PreparedSystem, window: float, count: int, seed: 
 
 def _segment_jeffreys(pops: np.ndarray) -> np.ndarray:
     """Jeffreys divergence ``sum (q_b - q_a)(ln q_b - ln q_a)`` of each pair
-    of consecutive population rows, q the rows with every population at or
-    below the entropies' zero cutoff set to 0, as their entropies count
-    them: infinite where an outcome is zero at one end of a segment only."""
+    of consecutive population rows (the second-to-last axis), q the rows
+    with every population at or below the entropies' zero cutoff set to 0,
+    as their entropies count them: infinite where an outcome is zero at one
+    end of a segment only."""
     q = np.where(pops > _ZERO_CUTOFF, pops, 0.0)
-    change = np.diff(q, axis=0)
+    change = np.diff(q, axis=-2)
     with np.errstate(divide="ignore"):
         logs = np.log(q)
-    log_change = np.subtract(logs[1:], logs[:-1], out=np.zeros_like(change), where=change != 0)
-    return np.sum(change * log_change, axis=1)
+    log_change = np.subtract(logs[..., 1:, :], logs[..., :-1, :], out=np.zeros_like(change), where=change != 0)
+    return np.sum(change * log_change, axis=-1)
 
 
-def _quadrature_remainders(times: np.ndarray, h: float, windows: np.ndarray, second: float, first: float,
-                           triangles) -> np.ndarray:
-    """Per window T, (1/T) times the sum over the grid segments of [0, T]
-    of ``min(l w2 + h triangle, l w1)``, l the segment's length inside the
-    window and h the largest step: :func:`evaluate_bounds`' remainders of
-    one report, whose pointwise terms are w2 and w1 and whose triangles are
-    per segment (or 0)."""
-    inside = np.clip(windows[:, None] - times[None, :-1], 0.0, h)
-    return np.sum(np.minimum(inside * second + h * triangles, inside * first), axis=1) / windows
+def _quadrature_remainders(times: np.ndarray, samples, h: np.ndarray, windows: np.ndarray, second: np.ndarray,
+                           first: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Per system, report and window T, (1/T) times the sum over the grid
+    segments of [0, T] of ``min(l w2 + h triangle, l w1)``, l the segment's
+    length inside the window and h the system's largest step:
+    :func:`evaluate_bounds`' remainders. ``times`` (systems, length) holds
+    each system's grid in its first ``samples`` entries; ``h`` (systems,),
+    the pointwise terms ``second`` and ``first`` (systems, reports) and the
+    per-segment ``triangles`` (systems, reports, length - 1) give (systems,
+    reports, len(windows)). Each system sums its own segments."""
+    inside = np.clip(windows[None, :, None] - times[:, None, :-1], 0.0, h[:, None, None])
+    sums = np.empty(second.shape + windows.shape)
+    for j in range(second.shape[1]):  # a report at a time keeps the terms (systems, windows, segments)
+        terms = np.minimum(inside * second[:, j, None, None] + h[:, None, None] * triangles[:, j, None, :],
+                           inside * first[:, j, None, None])
+        sums[:, j] = [np.sum(row[:, : length - 1], axis=-1) for row, length in zip(terms, samples)]
+    return sums / windows
+
+
+# Each evaluate_bounds report: its name, its continuity bound w as a
+# function of a population distance, and whether its segments take the
+# entropies' triangle term (the convex reports need none).
+_DEVIATIONS = (
+    ("population_equilibration", lambda system, x: x, False),
+    ("shannon_deviation", lambda system, x: _bounds.shannon_deviation_bound(system.r, x), True),
+    ("observational_deviation", lambda system, x: _bounds.observational_deviation_bound(system.dim, x), True),
+    ("expectation_deviation", lambda system, x: 8 * system.observable_norm**2 * x, False),
+)
 
 
 def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
@@ -420,35 +532,65 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
     populations; their rounding in the samples enters through w at the
     round-off scale, and so does the entropies' zero cutoff, which J
     applies too."""
+    series = (trajectory.populations, trajectory.expectation, trajectory.shannon, trajectory.observational)
+    return _stack_reports([system], [trajectory.times], *(None if row is None else row[None] for row in series),
+                          T_grid, eps_points)[0]
+
+
+def _stack_reports(systems: list, grids: list, pops: np.ndarray, expectation, shannon: np.ndarray,
+                   observational: np.ndarray, T_grid, eps_points: int) -> list:
+    """:func:`evaluate_bounds` of a stack of systems that all have an
+    observable norm or all have none, each on its own grid, from the
+    arrays of :func:`_stack_trajectory`: ``pops`` (systems, samples, r) and
+    the expectation (None without a norm), Shannon and observational series
+    (systems, samples), each row past its grid's end ignored. One list of
+    reports per system; each system's reports do not depend on the stack."""
+    for system in systems:
+        if system.r < 2:
+            raise ValueError("bound evaluation needs a measurement with r >= 2")
+    deviations = _DEVIATIONS[:3] if systems[0].observable_norm is None else _DEVIATIONS
+    windows = [float(T) for T in T_grid]
+    # the optimal widths first, as a system alone counts them: their
+    # temporaries then come before the series' in the heap
+    bests = [_bounds.optimal_epsilon(system.gap_stats, windows, points=eps_points) if windows else []
+             for system in systems]
+    samples = [len(grid) for grid in grids]
+    # each grid padded with its last time, so the padding adds no step
+    times = np.empty(pops.shape[:2])
+    for row, grid in zip(times, grids):
+        row[: len(grid)] = grid
+        if len(grid) < len(row):
+            row[len(grid):] = grid[-1]
+    h = np.max(np.diff(times, axis=-1), axis=-1, initial=0.0)
+    tau2 = np.array([system.curvature for system in systems]) * h * h / 16
+    tau1 = np.array([system.energy_spread for system in systems]) * h / 2
+    second, first = (np.array([[w(system, float(tau)) for _, w, _ in deviations]
+                               for system, tau in zip(systems, taus)]) for taus in (tau2, tau1))
+    triangular = np.array([takes_triangle for *_, takes_triangle in deviations])
+    triangles = np.where(triangular[:, None], _segment_jeffreys(pops)[:, None, :] / 8, 0.0)
+    eqs = [system.equilibrium for system in systems]
+    # each report's deviation series
+    rows = [0.5 * np.sum(np.abs(pops - np.array([eq.populations for eq in eqs])[:, None, :]), axis=-1),
+            np.abs(shannon - np.array([eq.shannon for eq in eqs])[:, None]),
+            np.abs(observational - np.array([eq.observational for eq in eqs])[:, None])]
+    if len(deviations) == 4:
+        rows.append((expectation - np.array([eq.expectation for eq in eqs])[:, None]) ** 2)
+    trapezoids = _trapezoids(times, samples, np.stack(rows, axis=1), windows)
+    remainders = _quadrature_remainders(times, samples, h, np.array(windows), second, first, triangles)
+    return [_system_reports(system, windows, best, trapezoid, remainder)
+            for system, best, trapezoid, remainder in zip(systems, bests, trapezoids, remainders)]
+
+
+def _system_reports(system: PreparedSystem, windows: list, best: list, trapezoids: np.ndarray,
+                    remainders: np.ndarray) -> list:
+    """One system's reports from its optimal widths (one ``(eps, factor,
+    count)`` per window) and (report, window) trapezoids and quadrature
+    remainders."""
     reports = []
     stats = system.gap_stats
-    r = system.measurement.r
+    r = system.r
     dim = system.dim
     norm = system.observable_norm
-    if r < 2:
-        raise ValueError("bound evaluation needs a measurement with r >= 2")
-    times = trajectory.times
-    h = float(np.max(np.diff(times), initial=0.0))
-    tau2, tau1 = system.curvature * h * h / 16, system.energy_spread * h / 2
-    triangle = _segment_jeffreys(trajectory.populations) / 8
-    eq = system.equilibrium
-    # each report's deviation series, with w(tau2), w(tau1) and its
-    # triangle terms: none for the convex ones
-    deviations = [
-        ("population_equilibration",
-         0.5 * np.sum(np.abs(trajectory.populations - eq.populations), axis=1), tau2, tau1, 0.0),
-        ("shannon_deviation", np.abs(trajectory.shannon - eq.shannon),
-         _bounds.shannon_deviation_bound(r, tau2), _bounds.shannon_deviation_bound(r, tau1), triangle),
-        ("observational_deviation", np.abs(trajectory.observational - eq.observational),
-         _bounds.observational_deviation_bound(dim, tau2), _bounds.observational_deviation_bound(dim, tau1),
-         triangle),
-    ]
-    if norm is not None:
-        deviations.append(("expectation_deviation", (trajectory.expectation - eq.expectation) ** 2,
-                           8 * norm**2 * tau2, 8 * norm**2 * tau1, 0.0))
-    windows = [float(T) for T in T_grid]
-    best = _bounds.optimal_epsilon(stats, windows, points=eps_points) if windows else []
-    remainders = [_quadrature_remainders(times, h, np.array(windows), *terms) for _, _, *terms in deviations]
     for i, (T, (eps, factor, count)) in enumerate(zip(windows, best)):
         eta = _bounds.population_distance_bound(r, system.d_eff, factor)
         params = {
@@ -471,9 +613,9 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
         ]
         if norm is not None:
             rhs_rows.append((_bounds.expectation_bound(norm, system.d_eff, factor), {}))
-        for (name, series, *_), per_window, (rhs, extra) in zip(deviations, remainders, rhs_rows, strict=True):
-            trapezoid = time_average_scalar(trajectory, series, T)
-            remainder = float(per_window[i])
+        for (name, *_), trapezoid, remainder, (rhs, extra) in zip(_DEVIATIONS[:len(rhs_rows)], trapezoids[:, i],
+                                                                   remainders[:, i], rhs_rows, strict=True):
+            trapezoid, remainder = float(trapezoid), float(remainder)
             reports.append(_bounds.BoundReport(
                 name=name, lhs=trapezoid + remainder, rhs=rhs,
                 parameters={**params, "trapezoid": trapezoid, "quadrature_remainder": remainder, **extra}))

@@ -138,25 +138,37 @@ def decompose_hermitian(matrix) -> SpectralDecomposition:
     eigenvectors, real for a real symmetric input. Deterministic for a
     fixed input.
     """
-    arr = check_hermitian(matrix)
+    return _decompositions(check_hermitian(matrix)[None])[0]
+
+
+def _decompositions(stack: np.ndarray) -> list:
+    """:func:`decompose_hermitian` of each matrix of a stack (n, d, d) of
+    Hermitian matrices, in one stacked ``eigh``: LAPACK solves each matrix
+    as it would alone."""
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(arr)
+        eigenvalues, eigenvectors = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
-    spread = float(eigenvalues[-1] - eigenvalues[0]) if len(eigenvalues) else 0.0
-    slices = cluster_indices(eigenvalues, DEFAULT_DEGENERACY_TOL * max(1.0, spread))
-    starts = [sl.start for sl in slices]
-    widths = np.array([sl.stop - sl.start for sl in slices])
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        cluster_slices=slices,
-        cluster_values=np.add.reduceat(eigenvalues, starts) / widths,
-    )
+    decomps = []
+    for values, vectors in zip(eigenvalues, eigenvectors):
+        spread = float(values[-1] - values[0]) if len(values) else 0.0
+        slices = cluster_indices(values, DEFAULT_DEGENERACY_TOL * max(1.0, spread))
+        starts = [sl.start for sl in slices]
+        widths = np.array([sl.stop - sl.start for sl in slices])
+        decomps.append(SpectralDecomposition(
+            eigenvalues=values,
+            eigenvectors=vectors,
+            cluster_slices=slices,
+            cluster_values=np.add.reduceat(values, starts) / widths,
+        ))
+    return decomps
 
 
-def trace_norm(matrix) -> float:
-    """Trace norm ``Tr sqrt(M^dag M)`` = sum of singular values."""
-    arr = _as_square_array(matrix)
-    return float(np.sum(np.linalg.svd(arr, compute_uv=False)))
-
+def trace_norm(matrix):
+    """Trace norm ``Tr sqrt(M^dag M)`` = sum of singular values; a stack
+    (n, d, d) gives one norm per matrix."""
+    arr = np.asarray(matrix)
+    if arr.ndim != 3:
+        arr = _as_square_array(arr)
+    norms = np.sum(np.linalg.svd(arr, compute_uv=False), axis=-1)
+    return float(norms) if arr.ndim == 2 else norms

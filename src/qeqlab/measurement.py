@@ -107,14 +107,19 @@ class Measurement:
         squared magnitudes :meth:`group_sums` adds up to populations."""
         return vectors if self.basis is None else self.basis.conj().T @ vectors
 
+    def outcome_sums(self, per_vector: np.ndarray) -> np.ndarray:
+        """Sum per-vector values over the measurement vectors of each
+        outcome along the last axis: a vector, or a stack of vectors."""
+        return np.add.reduceat(per_vector, [sl.start for sl in self.outcome_slices], axis=-1)
+
     def group_sums(self, per_vector: np.ndarray) -> np.ndarray:
-        """Sum an array over the measurement vectors of each outcome (first
-        axis). A (vectors, times) block is summed one outcome slice at a
-        time, which is faster there than ``reduceat``; a vector takes
-        ``reduceat``."""
+        """Sum an array over the measurement vectors of each outcome: a
+        vector, or the second-to-last axis of a (..., vectors, times)
+        block. A block is summed one outcome slice at a time, which is
+        faster there than ``reduceat``; a vector takes ``reduceat``."""
         if per_vector.ndim == 1:
-            return np.add.reduceat(per_vector, [sl.start for sl in self.outcome_slices])
-        return np.stack([per_vector[sl].sum(axis=0) for sl in self.outcome_slices])
+            return self.outcome_sums(per_vector)
+        return np.stack([per_vector[..., sl, :].sum(axis=-2) for sl in self.outcome_slices], axis=-2)
 
 
 def pvm_from_observable(observable) -> Measurement:
@@ -124,7 +129,11 @@ def pvm_from_observable(observable) -> Measurement:
     is the cluster mean; outcomes are ordered by descending value so the
     serialization is deterministic.
     """
-    decomp = decompose_hermitian(observable)
+    return _pvm_from_decomposition(decompose_hermitian(observable))
+
+
+def _pvm_from_decomposition(decomp) -> Measurement:
+    """:func:`pvm_from_observable` of the observable's decomposition."""
     # flip to descending outcome order
     perm = np.empty(decomp.dim, dtype=int)
     new_slices = []
@@ -153,15 +162,23 @@ def povm_from_factors(factors) -> Measurement:
     factors = np.asarray(factors, dtype=complex)
     if factors.ndim != 3:
         raise ValueError(f"factors must be (r, k, d), got {factors.shape}")
+    return _povms_from_factors(factors[None])[0]
+
+
+def _povms_from_factors(factors: np.ndarray) -> list:
+    """:func:`povm_from_factors` of each of a stack (n, r, k, d) of factor
+    sets, checked in one pass."""
     if not np.all(np.isfinite(factors)):
         raise ValueError("factors contain non-finite entries")
-    r, k, d = factors.shape
-    rows = factors.reshape(-1, d)
-    if np.max(np.abs(rows.conj().T @ rows - np.eye(d))) > _NORM_TOL:
+    n, r, k, d = factors.shape
+    rows = factors.reshape(n, -1, d)
+    bases = np.swapaxes(rows.conj(), 1, 2)
+    if np.max(np.abs(bases @ rows - np.eye(d))) > _NORM_TOL:
         raise ValueError("effects do not sum to the identity")
-    return Measurement(outcome_slices=tuple(slice(i * k, (i + 1) * k) for i in range(r)),
-                       basis=rows.conj().T,
-                       multiplicities=np.sum(np.abs(factors) ** 2, axis=(1, 2)))
+    slices = tuple(slice(i * k, (i + 1) * k) for i in range(r))
+    multiplicities = np.sum(np.abs(factors) ** 2, axis=(2, 3))
+    return [Measurement(outcome_slices=slices, basis=basis, multiplicities=mult)
+            for basis, mult in zip(bases, multiplicities)]
 
 
 def clamp_populations(raw: np.ndarray) -> np.ndarray:
@@ -192,9 +209,15 @@ def populations(measurement, state) -> np.ndarray:
     else:
         rho = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
         _check_dims(measurement.dim, rho.shape[0])
-        vectors = measurement.vectors()
-        per_column = np.einsum("ij,ij->j", vectors.conj(), rho @ vectors).real
+        per_column = _vector_weights(measurement.vectors(), rho)
     return clamp_populations(measurement.group_sums(per_column))
+
+
+def _vector_weights(vectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``<b|rho|b>`` per measurement vector (column of ``vectors``), for a
+    density matrix or, broadcast, a stack of them against a stack of
+    vector sets: (..., d, n) and (..., d, d) give (..., n)."""
+    return np.sum(vectors.conj() * (rho @ vectors), axis=-2).real
 
 
 def _check_dims(expected: int, got: int):
@@ -220,10 +243,12 @@ def coarse_grained_state(measurement: Measurement, state) -> DensityMatrix:
     return DensityMatrix(matrix)
 
 
-def population_distance(p, q) -> float:
-    """Half the l1 distance ``(1/2) sum_i |p_i - q_i|``, in [0, 1]."""
+def population_distance(p, q):
+    """Half the l1 distance ``(1/2) sum_i |p_i - q_i|``, in [0, 1]: a float,
+    or one distance per pair of rows of two stacks of distributions."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    return 0.5 * float(np.sum(np.abs(p - q)))
+    distance = 0.5 * np.sum(np.abs(p - q), axis=-1)
+    return float(distance) if distance.ndim == 0 else distance

@@ -2,13 +2,17 @@
 against freshly generated systems and randomized inputs, and reports one
 :class:`~qeqlab.bounds.BoundReport` per check.
 
-The randomized suites draw their cases in blocks of 64, each block from
-its own generator spawned from the seeded one, so a verification run is
+The randomized suites draw their cases in blocks, each block from its own
+generator spawned from the seeded one, so a verification run is
 reproducible bit for bit and a block's cases do not depend on which other
-blocks are drawn. :func:`run_verification` splits the run between its
-process and one forked worker; each process draws and evaluates alternate
-systems and blocks, and the parent merges the results back into case
-order, so every report equals that of the one-process run.
+blocks are drawn. The Shannon suite draws blocks of 64 distribution pairs
+as one array; the observational, von Neumann and POVM suites draw one
+shape per block of 8 cases and evaluate the block as one stack, in which
+each case gives what it gives as a stack of one. :func:`run_verification`
+splits the run between its process and one forked worker; each process
+draws and evaluates alternate systems and blocks, and the parent merges
+the results back into case order, so every report equals that of the
+one-process run.
 """
 
 from __future__ import annotations
@@ -25,27 +29,38 @@ import numpy as np
 
 from . import bounds as _bounds
 from .dynamics import finite_time_average_state, equilibrium_state, default_time_step
-from .entropy import _xlogx, observational_entropy, von_neumann_entropy
+from .entropy import observational_entropy, shannon_entropy, von_neumann_entropy
 from .harness import (
     _check_windows,
     _Config,
     _float,
     _int,
     _key,
+    _prepared_systems,
     _require,
+    _stack_reports,
+    _stack_trajectory,
     _tuple,
     chain_system,
     compute_trajectory,
     evaluate_bounds,
     fluctuation_checks,
-    prepare_system,
     time_grid,
 )
-from .linalg import trace_norm
-from .measurement import Measurement, population_distance, populations, povm_from_factors, pvm_from_observable
+from .linalg import _decompositions, trace_norm
+from .measurement import (
+    Measurement,
+    _povms_from_factors,
+    _pvm_from_decomposition,
+    _vector_weights,
+    clamp_populations,
+    population_distance,
+    povm_from_factors,
+)
 from .models import DensityMatrix, PureState, SpinChainParams, _check_cap
 # not called here: perfbench/tracing.py looks these names up on this module
-from .harness import sample_deviations
+from .harness import prepare_system, sample_deviations
+from .measurement import pvm_from_observable
 from .models import all_down_state, bulk_magnetization, tilted_ising_chain
 
 __all__ = [
@@ -62,7 +77,8 @@ __all__ = [
 
 
 # Fixed shapes of the randomized suites (largest outcome count and dimension
-# drawn, POVM averaging window and epsilon grid); the reports record them.
+# drawn, POVM averaging window and epsilon grid, and the cases per block of
+# one shape); the reports record them.
 _SHANNON_MAX_OUTCOMES = 64
 _OBSERVATIONAL_MAX_DIM = 32
 _VON_NEUMANN_MAX_DIM = 16
@@ -111,61 +127,108 @@ class VerifyConfig(_Config):
 
 # ---------------------------------------------------------------------------
 # random inputs
+#
+# Each ``_*`` generator draws a stack of n inputs in one call per kind of
+# draw; a public ``random_*`` helper is a stack of one, and draws the
+# numbers it drew as a single input.
 
 
-def _ginibre(rng, *shape) -> np.ndarray:
-    """Complex Gaussian array, real part drawn first."""
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+def _ginibre(rng, n: int, *shape) -> np.ndarray:
+    """``n`` complex Gaussian arrays of ``shape``, each drawn real part first."""
+    pair = rng.normal(size=(n, 2, *shape))
+    out = np.empty((n, *shape), dtype=complex)
+    out.real, out.imag = pair[:, 0], pair[:, 1]
+    return out
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return np.swapaxes(stack.conj(), -1, -2)
+
+
+def _density_matrices(rng, n: int, dim: int, rank: int) -> np.ndarray:
+    """``n`` Haar-ish random mixed states of one rank, (n, dim, dim), from
+    Ginibre factors."""
+    G = _ginibre(rng, n, dim, rank)
+    rho = G @ _dagger(G)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
 
 def random_density_matrix(rng, dim: int, rank: int | None = None):
     """Haar-ish random mixed state from a Ginibre factor."""
-    G = _ginibre(rng, dim, rank or dim)
-    rho = G @ G.conj().T
-    rho /= np.trace(rho).real
-    return DensityMatrix(rho)
+    return DensityMatrix(_density_matrices(rng, 1, dim, rank or dim)[0])
+
+
+def _hermitians(rng, n: int, dim: int) -> np.ndarray:
+    G = _ginibre(rng, n, dim, dim)
+    return (G + _dagger(G)) / 2
 
 
 def random_hermitian(rng, dim: int) -> np.ndarray:
-    G = _ginibre(rng, dim, dim)
-    return (G + G.conj().T) / 2
+    return _hermitians(rng, 1, dim)[0]
+
+
+def _pure_states(rng, n: int, dim: int) -> np.ndarray:
+    v = _ginibre(rng, n, dim)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def random_pure_state(rng, dim: int) -> PureState:
-    v = _ginibre(rng, dim)
-    return PureState(v / np.linalg.norm(v))
+    return PureState(_pure_states(rng, 1, dim)[0])
+
+
+def _povm_factors(G: np.ndarray) -> np.ndarray:
+    """Square-root factors (n, outcomes, dim, dim) of random POVMs from a
+    stack of Ginibre matrices of the same shape: the positive pieces
+    ``G_i G_i^dag`` whitened to sum to 1. The factors are ``G_i^dag W`` with
+    ``W = (sum_i G_i G_i^dag)^(-1/2)``, so the effects are ``W G_i G_i^dag W``."""
+    G_dag = _dagger(G)
+    w, V = np.linalg.eigh(np.sum(G @ G_dag, axis=1))
+    inv_sqrt = (V * (1.0 / np.sqrt(w))[:, None, :]) @ _dagger(V)
+    return G_dag @ inv_sqrt[:, None]
 
 
 def random_povm(rng, dim: int, outcomes: int) -> Measurement:
-    """Random POVM: Ginibre-positive pieces ``G_i G_i^dag`` whitened to sum
-    to 1. The factors are ``G_i^dag W`` with ``W = (sum_i G_i G_i^dag)^(-1/2)``,
-    so the effects are ``W G_i G_i^dag W``."""
-    G = np.stack([_ginibre(rng, dim, dim) for _ in range(outcomes)])
-    G_dag = np.swapaxes(G.conj(), 1, 2)
-    w, V = np.linalg.eigh(np.sum(G @ G_dag, axis=0))
-    inv_sqrt = (V * (1.0 / np.sqrt(w))) @ V.conj().T
-    return povm_from_factors(G_dag @ inv_sqrt)
+    """Random POVM (:func:`_povm_factors`)."""
+    return povm_from_factors(_povm_factors(_ginibre(rng, outcomes, dim, dim)[None])[0])
+
+
+def _partition_pvms(rng, n: int, dim: int, outcomes: int) -> list:
+    """``n`` PVMs with multi-dimensional eigenspaces: random orthonormal
+    bases, each split into random contiguous groups."""
+    values = np.arange(outcomes, 0, -1, dtype=float)  # descending, arbitrary labels
+    pvms = []
+    for basis in np.linalg.qr(_ginibre(rng, n, dim, dim)).Q:
+        cuts = np.sort(rng.choice(np.arange(1, dim), size=outcomes - 1, replace=False))
+        edges = np.concatenate([[0], cuts, [dim]])
+        slices = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
+        pvms.append(Measurement(values=values, basis=basis, outcome_slices=slices))
+    return pvms
 
 
 def random_partition_pvm(rng, dim: int, outcomes: int) -> Measurement:
-    """PVM with multi-dimensional eigenspaces: random orthonormal basis
-    split into random contiguous groups."""
-    Q, _ = np.linalg.qr(_ginibre(rng, dim, dim))
-    cuts = np.sort(rng.choice(np.arange(1, dim), size=outcomes - 1, replace=False))
-    edges = np.concatenate([[0], cuts, [dim]])
-    values = np.arange(outcomes, 0, -1, dtype=float)  # descending, arbitrary labels
-    slices = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
-    return Measurement(values=values, basis=Q, outcome_slices=slices)
+    """PVM with multi-dimensional eigenspaces (:func:`_partition_pvms`)."""
+    return _partition_pvms(rng, 1, dim, outcomes)[0]
 
 
 # ---------------------------------------------------------------------------
 # randomized suites (each returns a single summarizing report)
 #
-# A suite's case generator ``_*_cases(rng, start, stop)`` draws cases ``start``
-# to ``stop - 1``, one block of ``_BLOCK``, from the block's own generator
+# A suite's case generator ``_*_cases(rng, start, stop)`` draws the cases
+# ``start`` to ``stop - 1`` of one block from the block's own generator
 # (:func:`_blocks`) and yields their ``(lhs, rhs)`` pairs in case order.
+# The Shannon suite draws a block of pairs as one array. Every other suite
+# draws one shape per block, its dimension and outcome count (the rank of
+# the mixed states for the von Neumann suite), and evaluates the block's
+# cases as one stack; each case gives what it gives as a stack of one.
 
+# Cases per block of the Shannon suite, and of each suite drawn by shape.
+# 1000 cases of the POVM suite spread over about 200 (dimension, outcomes)
+# pairs, so a block of 64 grouped by shape would rarely stack two cases; a
+# shape drawn per block of 8 stacks 8, and a POVM block at the largest
+# shape peaks at about 5.5 MiB (tracemalloc), below a chain unit's 8.3 MiB.
 _BLOCK = 64
+_SHAPE_BLOCK = 8
 
 
 def _suite_report(name: str, cases, extra: dict) -> _bounds.BoundReport:
@@ -193,8 +256,8 @@ def _shannon_block(rng, n: int) -> tuple:
     pq = rng.standard_exponential((n, 2, _SHANNON_MAX_OUTCOMES))
     pq *= np.arange(_SHANNON_MAX_OUTCOMES) < r[:, None, None]
     pq /= pq.sum(axis=2, keepdims=True)
-    entropy = -_xlogx(pq).sum(axis=2)
-    return r, pq, np.abs(entropy[:, 0] - entropy[:, 1]), 0.5 * np.abs(pq[:, 0] - pq[:, 1]).sum(axis=1)
+    entropy = shannon_entropy(pq)
+    return r, pq, np.abs(entropy[:, 0] - entropy[:, 1]), population_distance(pq[:, 0], pq[:, 1])
 
 
 def _shannon_cases(rng, start: int, stop: int):
@@ -204,51 +267,100 @@ def _shannon_cases(rng, start: int, stop: int):
 
 
 def _observational_cases(rng, start: int, stop: int):
-    for k in range(start, stop):
-        dim = int(rng.integers(2, _OBSERVATIONAL_MAX_DIM + 1))
-        if k % 2 == 0:
-            measurement = pvm_from_observable(random_hermitian(rng, dim))
-        else:
-            measurement = random_partition_pvm(rng, dim, int(rng.integers(2, min(dim, 8) + 1)))
-        p = populations(measurement, random_density_matrix(rng, dim))
-        q = populations(measurement, random_density_matrix(rng, dim))
-        mult = measurement.multiplicities
-        yield (abs(observational_entropy(p, mult) - observational_entropy(q, mult)),
-               _bounds.observational_deviation_bound(dim, population_distance(p, q)))
+    """Cases alternate by index: a nondegenerate observable's PVM (even),
+    a coarse partition PVM (odd); each measures two random mixed states."""
+    dim = int(rng.integers(2, _OBSERVATIONAL_MAX_DIM + 1))
+    outcomes = int(rng.integers(2, min(dim, 8) + 1))
+    n = stop - start
+    # a block starts at an even index, so its even cases come first
+    fine = [_pvm_from_decomposition(decomp) for decomp in _decompositions(_hermitians(rng, (n + 1) // 2, dim))]
+    measurements = _interleave(fine, _partition_pvms(rng, n // 2, dim, outcomes))
+    states = _density_matrices(rng, 2 * n, dim, dim).reshape(n, 2, dim, dim)
+    weights = _vector_weights(np.stack([m.basis for m in measurements])[:, None], states)
+    yield from _observational_pairs(dim, measurements, [m.outcome_sums(w) for m, w in zip(measurements, weights)])
+
+
+def _observational_pairs(dim: int, measurements: list, pairs: list) -> list:
+    """``(|S_obs(p) - S_obs(q)|, bound)`` per case, from each case's
+    unclamped population pair (2, r); the cases of one outcome count
+    are evaluated as one stack."""
+    out = [None] * len(pairs)
+    for r in sorted({pair.shape[-1] for pair in pairs}):
+        cases = [i for i, pair in enumerate(pairs) if pair.shape[-1] == r]
+        pops = clamp_populations(np.stack([pairs[i] for i in cases]))
+        entropy = observational_entropy(pops, np.stack([measurements[i].multiplicities for i in cases])[:, None])
+        lhs = np.abs(entropy[:, 0] - entropy[:, 1])
+        for i, diff, eta in zip(cases, lhs.tolist(), population_distance(pops[:, 0], pops[:, 1]).tolist()):
+            out[i] = (diff, _bounds.observational_deviation_bound(dim, eta))
+    return out
 
 
 def _von_neumann_cases(rng, start: int, stop: int):
-    for k in range(start, stop):
-        dim = int(rng.integers(2, _VON_NEUMANN_MAX_DIM + 1))
-        rho = random_density_matrix(rng, dim)
-        if k % 3 == 0:
-            sigma = random_pure_state(rng, dim).density_matrix()
-        else:
-            sigma = random_density_matrix(rng, dim, rank=int(rng.integers(1, dim + 1)))
-        yield (abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma)),
-               _bounds.von_neumann_deviation_bound(dim, 0.5 * trace_norm(rho.matrix - sigma.matrix)))
+    """Every case draws a full-rank state; every third case (by index)
+    compares it with a pure state, the others with a mixed state of the
+    block's rank."""
+    dim = int(rng.integers(2, _VON_NEUMANN_MAX_DIM + 1))
+    rank = int(rng.integers(1, dim + 1))
+    pure = np.array([k % 3 == 0 for k in range(start, stop)])
+    rho = _density_matrices(rng, len(pure), dim, dim)
+    psi = _pure_states(rng, int(pure.sum()), dim)
+    sigma = np.empty_like(rho)
+    sigma[pure] = psi[:, :, None] * psi.conj()[:, None, :]
+    sigma[~pure] = _density_matrices(rng, int((~pure).sum()), dim, rank)
+    yield from _von_neumann_pairs(rho, sigma)
+
+
+def _von_neumann_pairs(rho: np.ndarray, sigma: np.ndarray) -> list:
+    """``(|S(rho) - S(sigma)|, bound)`` per pair of a stack of state pairs."""
+    dim = rho.shape[-1]
+    entropy = von_neumann_entropy(np.stack([rho, sigma], axis=1).reshape(-1, dim, dim)).reshape(-1, 2)
+    distance = 0.5 * trace_norm(rho - sigma)
+    return [(diff, _bounds.von_neumann_deviation_bound(dim, t))
+            for diff, t in zip(np.abs(entropy[:, 0] - entropy[:, 1]).tolist(), distance.tolist())]
+
+
+def _povm_systems(rng, n: int, dim: int, outcomes: int) -> list:
+    """``n`` prepared random systems of one shape: a random Hamiltonian
+    measured through a random POVM, started in a random pure state."""
+    hamiltonians = _hermitians(rng, n, dim)
+    povms = _povms_from_factors(_povm_factors(_ginibre(rng, n * outcomes, dim, dim).reshape(n, outcomes, dim, dim)))
+    states = [PureState(state) for state in _pure_states(rng, n, dim)]
+    return _prepared_systems(_decompositions(hamiltonians), povms, states)
+
+
+def _povm_grids(systems: list) -> list:
+    """Each system's grid over the window, at its own certified step."""
+    return [time_grid(_POVM_WINDOW, default_time_step(system.curvature)) for system in systems]
+
+
+def _povm_reports(systems: list, grids: list) -> list:
+    """The window's bound reports of each system of a stack, each on its
+    own grid."""
+    pops, _, shannon, observational, _ = _stack_trajectory(systems, grids)
+    return _stack_reports(systems, grids, pops, None, shannon, observational, [_POVM_WINDOW], _POVM_EPS_POINTS)
+
+
+def _povm_block(rng, n: int, dim: int, outcomes: int) -> list:
+    """The ``(lhs, rhs)`` pairs of ``n`` random POVM systems of one shape."""
+    systems = _povm_systems(rng, n, dim, outcomes)
+    return [(report.lhs, report.rhs) for reports in _povm_reports(systems, _povm_grids(systems))
+            for report in reports]
 
 
 def _povm_cases(rng, start: int, stop: int):
-    for _ in range(start, stop):
-        dim = int(rng.integers(4, _POVM_MAX_DIM + 1))
-        outcomes = int(rng.integers(2, _POVM_MAX_OUTCOMES + 1))
-        ham = random_hermitian(rng, dim)
-        povm = random_povm(rng, dim, outcomes)
-        system = prepare_system(ham, povm, random_pure_state(rng, dim))
-        dt = default_time_step(system.curvature)
-        trajectory = compute_trajectory(system, time_grid(_POVM_WINDOW, dt))
-        for report in evaluate_bounds(system, trajectory, [_POVM_WINDOW], eps_points=_POVM_EPS_POINTS):
-            yield report.lhs, report.rhs
+    dim = int(rng.integers(4, _POVM_MAX_DIM + 1))
+    outcomes = int(rng.integers(2, _POVM_MAX_OUTCOMES + 1))
+    yield from _povm_block(rng, stop - start, dim, outcomes)
 
 
-def _blocks(suite, rng, count: int, first: int = 0, step: int = 1) -> list:
+def _blocks(suite, rng, count: int, size: int, first: int = 0, step: int = 1) -> list:
     """The ``(lhs, rhs)`` pairs of blocks ``first``, ``first + step``, ...
-    of case generator ``suite`` run on ``count`` cases, one list per block.
-    Every block's generator is spawned from ``rng``, in block order, so a
-    block draws the same cases whichever blocks are evaluated."""
-    streams = rng.spawn(-(-count // _BLOCK))
-    return [list(suite(streams[b], b * _BLOCK, min(count, (b + 1) * _BLOCK)))
+    of case generator ``suite`` run on ``count`` cases in blocks of
+    ``size``, one list per block. Every block's generator is spawned from
+    ``rng``, in block order, so a block draws the same cases whichever
+    blocks are evaluated."""
+    streams = rng.spawn(-(-count // size))
+    return [list(suite(streams[b], b * size, min(count, (b + 1) * size)))
             for b in range(first, len(streams), step)]
 
 
@@ -257,11 +369,13 @@ def _report(suite, count: int, blocks) -> _bounds.BoundReport:
     its per-block pair lists ``blocks`` in block order."""
     name, extra = {
         _shannon_cases: ("shannon_continuity_suite", {"max_outcomes": _SHANNON_MAX_OUTCOMES}),
-        _observational_cases: ("observational_continuity_suite", {"max_dim": _OBSERVATIONAL_MAX_DIM}),
-        _von_neumann_cases: ("von_neumann_continuity_suite", {"max_dim": _VON_NEUMANN_MAX_DIM}),
+        _observational_cases: ("observational_continuity_suite",
+                               {"max_dim": _OBSERVATIONAL_MAX_DIM, "shape_block": _SHAPE_BLOCK}),
+        _von_neumann_cases: ("von_neumann_continuity_suite",
+                             {"max_dim": _VON_NEUMANN_MAX_DIM, "shape_block": _SHAPE_BLOCK}),
         _povm_cases: ("povm_equilibration_suite",
                       {"systems": count, "max_dim": _POVM_MAX_DIM, "max_outcomes": _POVM_MAX_OUTCOMES,
-                       "window": _POVM_WINDOW}),
+                       "window": _POVM_WINDOW, "shape_block": _SHAPE_BLOCK}),
     }[suite]
     if count < 1:
         raise ValueError(f"{name}: count must be >= 1, got {count}")
@@ -271,24 +385,24 @@ def _report(suite, count: int, blocks) -> _bounds.BoundReport:
 def shannon_continuity_suite(rng, pairs: int) -> _bounds.BoundReport:
     """|S(p) - S(q)| against the distribution continuity bound on random
     distribution pairs."""
-    return _report(_shannon_cases, pairs, _blocks(_shannon_cases, rng, pairs))
+    return _report(_shannon_cases, pairs, _blocks(_shannon_cases, rng, pairs, _BLOCK))
 
 
 def observational_continuity_suite(rng, cases: int) -> _bounds.BoundReport:
     """Observational-entropy continuity on random state pairs sharing a
     measurement; alternates nondegenerate and coarse measurements."""
-    return _report(_observational_cases, cases, _blocks(_observational_cases, rng, cases))
+    return _report(_observational_cases, cases, _blocks(_observational_cases, rng, cases, _SHAPE_BLOCK))
 
 
 def von_neumann_continuity_suite(rng, cases: int) -> _bounds.BoundReport:
     """von Neumann entropy difference against the trace-distance bound."""
-    return _report(_von_neumann_cases, cases, _blocks(_von_neumann_cases, rng, cases))
+    return _report(_von_neumann_cases, cases, _blocks(_von_neumann_cases, rng, cases, _SHAPE_BLOCK))
 
 
 def povm_equilibration_suite(rng, cases: int) -> _bounds.BoundReport:
     """Population equilibration (and the entropy bounds it implies) for
     random Hamiltonians measured through random POVMs."""
-    return _report(_povm_cases, cases, _blocks(_povm_cases, rng, cases))
+    return _report(_povm_cases, cases, _blocks(_povm_cases, rng, cases, _SHAPE_BLOCK))
 
 
 def time_averaged_state_suite(sites, windows) -> list:
@@ -359,9 +473,12 @@ def _fluctuation_reports(config: VerifyConfig) -> list:
     return _named(f"fluct_{n}", checks)
 
 
-# The randomized suites in spawn order, each with the config field counting its cases.
-_SUITES = ((_shannon_cases, "shannon_pairs"), (_observational_cases, "observational_cases"),
-           (_von_neumann_cases, "von_neumann_cases"), (_povm_cases, "povm_cases"))
+# The randomized suites in spawn order, each with the config field counting
+# its cases and its cases per block.
+_SUITES = ((_shannon_cases, "shannon_pairs", _BLOCK),
+           (_observational_cases, "observational_cases", _SHAPE_BLOCK),
+           (_von_neumann_cases, "von_neumann_cases", _SHAPE_BLOCK),
+           (_povm_cases, "povm_cases", _SHAPE_BLOCK))
 
 
 def _share(config: VerifyConfig, rank: int) -> tuple:
@@ -375,7 +492,7 @@ def _share(config: VerifyConfig, rank: int) -> tuple:
                 for n in config.averaged_state_sites])
     rng = np.random.default_rng(config.seed)
     return ([unit() for unit in units[rank::2]],
-            [_blocks(suite, rng, getattr(config, count), rank, 2) for suite, count in _SUITES])
+            [_blocks(suite, rng, getattr(config, count), size, rank, 2) for suite, count, size in _SUITES])
 
 
 def _interleave(first: list, second: list) -> list:
@@ -435,6 +552,6 @@ def run_verification(config: VerifyConfig) -> list:
         raise RuntimeError(f"the verification worker exited with code {code}")
     (my_units, my_suites), (their_units, their_suites) = mine, pickle.loads(theirs)
     reports = [report for unit in _interleave(my_units, their_units) for report in unit]
-    for (suite, count), first, second in zip(_SUITES, my_suites, their_suites):
+    for (suite, count, _), first, second in zip(_SUITES, my_suites, their_suites):
         reports.append(_report(suite, getattr(config, count), _interleave(first, second)))
     return reports

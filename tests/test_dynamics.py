@@ -344,8 +344,12 @@ def test_pruned_window_count_matches_direct_count(gaps, data):
     for eps, count in zip(widths, direct):
         assert stats.window_count(eps) == count
     assert stats.window_counts(widths).tolist() == direct
-    # a budget below one head table puts every width in a group of its own
     with pytest.MonkeyPatch.context() as mp:
+        # grids this small are counted directly; with no direct budget they
+        # take the pruned count
+        mp.setattr(dynamics, "_DIRECT_KEYS", 0)
+        assert stats.window_counts(widths).tolist() == direct
+        # a budget below one head table puts every width in a group of its own
         mp.setattr(dynamics, "_HEAD_ENTRIES", 1)
         assert stats.window_counts(widths).tolist() == direct
 

@@ -179,6 +179,34 @@ def test_eigenstate_initial_state_has_zero_deviations():
     assert np.max(observational_dev) < 1e-9
 
 
+def test_a_computed_eigenstate_takes_the_step_of_a_state_that_does_not_move():
+    # the eigensolver leaves amplitudes of order eps on the other levels, so
+    # M reads 6.8e-14 here: at the round-off scale it is 0, the default step
+    # is 0.02 and the default grid ends within one step past t_max
+    from qeqlab.linalg import decompose_hermitian
+    from qeqlab.models import PureState
+
+    ham = tilted_ising_chain(SpinChainParams(sites=3))
+    decomp = decompose_hermitian(ham)
+    system = prepare_system(ham, bulk_magnetization(3, "z"), PureState(decomp.eigenvectors[:, 0]))
+    assert system.curvature == 0.0
+    dt = default_time_step(system.curvature)
+    assert dt == 0.02
+    grid = time_grid(100.0, dt)
+    assert grid[-1] <= 100.0 + 0.02
+    reports = evaluate_bounds(system, compute_trajectory(system, grid), [10.0, 100.0])
+    assert reports and all(report.holds for report in reports)
+
+
+def test_a_moving_state_keeps_its_curvature():
+    # the round-off cut reaches no state that moves: the all-down chains read
+    # M / (m range^2) far above it
+    for sites in (2, 5, 9):
+        system = chain_system(SpinChainParams(sites=sites))
+        decomp = system.decomposition
+        assert system.curvature > 1e6 * harness._ROUND_OFF_CURVATURE * decomp.dim * decomp.spectral_range**2
+
+
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
 @pytest.mark.parametrize("sites", range(2, 10))
 def test_all_down_energy_spread_is_g_sqrt_n(sites, axis):

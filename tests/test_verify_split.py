@@ -1,10 +1,11 @@
 """``run_verification`` splits its run between its process and one forked
-worker. Each suite's cases come in blocks of 64, each block with its own
-generator spawned from the seeded one; each process draws and evaluates
-alternate units and blocks, and the parent merges them back into order.
-These tests hold the merged run to the whole run in one process, check
-that a share draws only its own blocks, and check that no worker outlives
-the call."""
+worker. Each suite's cases come in blocks (of 64 for the Shannon suite, of
+8 for the suites drawn by shape), each block with its own generator
+spawned from the seeded one; each process draws and evaluates alternate
+units and blocks, and the parent merges them back into order. These tests
+hold the merged run to the whole run in one process, check that a share
+draws only its own blocks, check that no worker outlives the call, and
+hold each case of a stacked block to the same case as a block of one."""
 
 import os
 import time
@@ -34,8 +35,9 @@ from qeqlab.verify import (
     von_neumann_continuity_suite,
 )
 
-# an odd unit count, so share 0 holds one unit more than share 1; each suite is
-# one block, which share 0 holds
+# an odd unit count, so share 0 holds one unit more than share 1; the Shannon
+# and POVM suites are one block each, which share 0 holds, and the
+# observational and von Neumann suites three blocks each
 SMALL = {
     "sites": [3, 4],
     "average_grid": [5.0],
@@ -93,10 +95,18 @@ def test_split_run_equals_the_one_share_composition():
     assert suites[3]["systems"] == 7
 
 
-@pytest.mark.parametrize("suite", [suite for suite, _ in verify._SUITES])
+BLOCK_SIZES = {suite: size for suite, _, size in verify._SUITES}
+
+
+def test_block_sizes():
+    assert list(BLOCK_SIZES.values()) == [64, 8, 8, 8]
+
+
+@pytest.mark.parametrize("suite", list(BLOCK_SIZES))
 def test_a_block_draws_the_same_cases_in_a_longer_run(suite):
-    short = verify._blocks(suite, np.random.default_rng(5), 64)
-    long = verify._blocks(suite, np.random.default_rng(5), 200)
+    size = BLOCK_SIZES[suite]
+    short = verify._blocks(suite, np.random.default_rng(5), size, size)
+    long = verify._blocks(suite, np.random.default_rng(5), 3 * size + size // 8, size)
     assert [len(block) for block in long] == [len(short[0])] * 3 + [len(short[0]) // 8]
     assert short == long[:1]
 
@@ -104,8 +114,9 @@ def test_a_block_draws_the_same_cases_in_a_longer_run(suite):
 def test_a_share_draws_only_its_own_blocks(monkeypatch):
     config = VerifyConfig.from_dict({**SMALL, "suites": {
         "shannon_pairs": 300, "observational_cases": 130, "von_neumann_cases": 129, "povm_cases": 65}})
-    suites = [suite for suite, _ in verify._SUITES]
-    counts = [getattr(config, count) for _, count in verify._SUITES]
+    suites = [suite for suite, *_ in verify._SUITES]
+    counts = [getattr(config, count) for _, count, _ in verify._SUITES]
+    sizes = [size for *_, size in verify._SUITES]
     calls = []
 
     def recorded(suite):
@@ -116,14 +127,16 @@ def test_a_share_draws_only_its_own_blocks(monkeypatch):
         return cases
 
     rng = np.random.default_rng(config.seed)
-    whole = [verify._blocks(suite, rng, count) for suite, count in zip(suites, counts)]
-    monkeypatch.setattr(verify, "_SUITES", [(recorded(suite), count) for suite, count in verify._SUITES])
+    whole = [verify._blocks(suite, rng, count, size) for suite, count, size in zip(suites, counts, sizes)]
+    monkeypatch.setattr(verify, "_SUITES", [(recorded(suite), count, size)
+                                            for suite, count, size in verify._SUITES])
     shares = []
     for rank in (0, 1):
         calls.clear()
         shares.append(verify._share(config, rank)[1])
-        assert calls == [(suite, b * 64, min(count, b * 64 + 64)) for suite, count in zip(suites, counts)
-                         for b in range(rank, -(-count // 64), 2)]
+        assert calls == [(suite, b * size, min(count, b * size + size))
+                         for suite, count, size in zip(suites, counts, sizes)
+                         for b in range(rank, -(-count // size), 2)]
     assert [verify._interleave(*pair) for pair in zip(*shares)] == whole
 
 
