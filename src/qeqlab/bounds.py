@@ -25,6 +25,7 @@ from .measurement import population_distance
 __all__ = [
     "ATOL_BOUND",
     "BoundReport",
+    "CEILINGS",
     "average_entropy_check",
     "equilibration_factor",
     "expectation_bound",
@@ -150,6 +151,20 @@ def observational_deviation_bound(dim: int, eta: float) -> float:
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     return math.log(dim) * eta + g_function(eta)
+
+
+# The largest value the quantity of each time-averaged report can take, as
+# a function of the outcome count r and the dimension d; a rhs above it
+# certifies nothing. The population distance of two distributions is at
+# most 1. A Shannon entropy of r outcomes lies in [0, ln r], and an
+# observational entropy in [0, ln d] (each p_i = Tr E_i rho is at most
+# V_i = Tr E_i, and the V_i add up to d), so neither deviation exceeds the
+# upper end.
+CEILINGS = {
+    "population_equilibration": lambda n_outcomes, dim: 1.0,
+    "shannon_deviation": lambda n_outcomes, dim: math.log(n_outcomes),
+    "observational_deviation": lambda n_outcomes, dim: math.log(dim),
+}
 
 
 def von_neumann_deviation_bound(dim: int, t: float) -> float:

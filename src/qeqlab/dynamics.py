@@ -201,8 +201,33 @@ class GapStatistics:
 
     def degenerate_gap_multiplicity(self) -> int:
         """Maximum multiplicity of a single gap value (the eps -> 0 limit
-        of the window count), up to a relative tolerance of 1e-12."""
-        return self.window_count(1e-12 * max(1.0, self.max_gap))
+        of the window count), up to a relative tolerance of 1e-12: the
+        window count at eps = 1e-12 max(1, max_gap), without a count at
+        every gap.
+
+        eps is above half an ulp of every gap, so the window starting at
+        gap i holds it, and holds a second gap only if gap i is linked:
+        ``g[i+1] < fl(g[i] + eps)``. The links are tested in slices of at
+        most ``_HEAD_ENTRIES`` gaps. A window starting in a run of linked
+        gaps ends inside the run (the gap after it is at or past fl(g + eps)
+        for every g of the run), so a run whose last gap lies below
+        fl(g + eps) of its first holds no window of more than its gaps.
+        Every other run, and a run reaching its slice's end, is counted at
+        each start, as :meth:`window_counts` counts."""
+        gaps = self._gaps
+        eps = 1e-12 * max(1.0, self.max_gap)
+        best = min(gaps.size, 1)
+        for lo in range(0, gaps.size - 1, _HEAD_ENTRIES):
+            part = gaps[lo : lo + _HEAD_ENTRIES + 1]
+            linked = part[1:] < part[:-1] + eps
+            # runs of linked starts [a, b): gaps a to b of the part
+            a, b = np.flatnonzero(np.diff(linked, prepend=False, append=False)).reshape(-1, 2).T
+            whole = (part[b] < part[a] + eps) & (b < linked.size)
+            lengths = b[~whole] - a[~whole]
+            starts = np.arange(lengths.sum()) + np.repeat(a[~whole] - (np.cumsum(lengths) - lengths), lengths)
+            counts = np.searchsorted(gaps, part[starts] + eps) - lo - starts
+            best = max(best, int((b - a)[whole].max(initial=0)) + 1, int(counts.max(initial=0)))
+        return best
 
 
 def gap_statistics(decomp: SpectralDecomposition) -> GapStatistics:

@@ -503,6 +503,39 @@ _DEVIATIONS = (
     ("observational_deviation", lambda system, x: _bounds.observational_deviation_bound(system.dim, x), True),
     ("expectation_deviation", lambda system, x: 8 * system.observable_norm**2 * x, False),
 )
+# Relative slack of a ceiling certificate for rounding: a trapezoid or a
+# remainder sums n samples, so it rounds by about n eps relative.
+_CEILING_RTOL = 1e-9
+
+
+def _pointwise_terms(systems: list, taus, deviations) -> np.ndarray:
+    """Each report's continuity bound w at each system's distance tau:
+    (systems, reports)."""
+    return np.array([[w(system, float(tau)) for _, w, _ in deviations] for system, tau in zip(systems, taus)])
+
+
+def _first_order_terms(systems: list, h: np.ndarray, deviations) -> np.ndarray:
+    """Each report's first-order pointwise term w(tau1), tau1 = sigma_E h / 2,
+    at each system's largest step h: (systems, reports)."""
+    return _pointwise_terms(systems, np.array([system.energy_spread for system in systems]) * h / 2, deviations)
+
+
+def _ceiling_certificates(systems: list, grids: list) -> np.ndarray:
+    """Per system of a stack without observable norms, each on its own grid,
+    an upper bound U on the lhs of each of its :func:`evaluate_bounds`
+    reports (population, Shannon, observational) at any window inside the
+    grid, from no propagation: ``U = (C + w(tau1)) (1 + _CEILING_RTOL)``,
+    C the report's ceiling (``bounds.CEILINGS``) and w(tau1) its
+    first-order pointwise term. The trapezoid average of a series bounded
+    by C is at most C, and each segment adds a remainder of at most its
+    length inside the window times w(tau1); on a :func:`time_grid`, whose
+    steps all equal h up to rounding, those lengths add up to the window.
+    (systems, 3)."""
+    deviations = _DEVIATIONS[:3]
+    h = np.array([np.max(np.diff(grid), initial=0.0) for grid in grids])
+    ceilings = np.array([[_bounds.CEILINGS[name](system.r, system.dim) for name, *_ in deviations]
+                         for system in systems])
+    return (ceilings + _first_order_terms(systems, h, deviations)) * (1 + _CEILING_RTOL)
 
 
 def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
@@ -538,22 +571,25 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
 
 
 def _stack_reports(systems: list, grids: list, pops: np.ndarray, expectation, shannon: np.ndarray,
-                   observational: np.ndarray, T_grid, eps_points: int) -> list:
+                   observational: np.ndarray, T_grid, eps_points: int, bests: list | None = None) -> list:
     """:func:`evaluate_bounds` of a stack of systems that all have an
     observable norm or all have none, each on its own grid, from the
     arrays of :func:`_stack_trajectory`: ``pops`` (systems, samples, r) and
     the expectation (None without a norm), Shannon and observational series
-    (systems, samples), each row past its grid's end ignored. One list of
-    reports per system; each system's reports do not depend on the stack."""
+    (systems, samples), each row past its grid's end ignored. ``bests``
+    holds each system's optimal widths at the windows, if they are already
+    counted. One list of reports per system; each system's reports do not
+    depend on the stack."""
     for system in systems:
         if system.r < 2:
             raise ValueError("bound evaluation needs a measurement with r >= 2")
     deviations = _DEVIATIONS[:3] if systems[0].observable_norm is None else _DEVIATIONS
     windows = [float(T) for T in T_grid]
-    # the optimal widths first, as a system alone counts them: their
-    # temporaries then come before the series' in the heap
-    bests = [_bounds.optimal_epsilon(system.gap_stats, windows, points=eps_points) if windows else []
-             for system in systems]
+    if bests is None:
+        # the optimal widths first, as a system alone counts them: their
+        # temporaries then come before the series' in the heap
+        bests = [_bounds.optimal_epsilon(system.gap_stats, windows, points=eps_points) if windows else []
+                 for system in systems]
     samples = [len(grid) for grid in grids]
     # each grid padded with its last time, so the padding adds no step
     times = np.empty(pops.shape[:2])
@@ -563,9 +599,8 @@ def _stack_reports(systems: list, grids: list, pops: np.ndarray, expectation, sh
             row[len(grid):] = grid[-1]
     h = np.max(np.diff(times, axis=-1), axis=-1, initial=0.0)
     tau2 = np.array([system.curvature for system in systems]) * h * h / 16
-    tau1 = np.array([system.energy_spread for system in systems]) * h / 2
-    second, first = (np.array([[w(system, float(tau)) for _, w, _ in deviations]
-                               for system, tau in zip(systems, taus)]) for taus in (tau2, tau1))
+    second = _pointwise_terms(systems, tau2, deviations)
+    first = _first_order_terms(systems, h, deviations)
     triangular = np.array([takes_triangle for *_, takes_triangle in deviations])
     triangles = np.where(triangular[:, None], _segment_jeffreys(pops)[:, None, :] / 8, 0.0)
     eqs = [system.equilibrium for system in systems]
@@ -588,31 +623,20 @@ def _system_reports(system: PreparedSystem, windows: list, best: list, trapezoid
     remainders."""
     reports = []
     stats = system.gap_stats
-    r = system.r
-    dim = system.dim
-    norm = system.observable_norm
     for i, (T, (eps, factor, count)) in enumerate(zip(windows, best)):
-        eta = _bounds.population_distance_bound(r, system.d_eff, factor)
+        rhs_rows = _rhs_rows(system, factor)
         params = {
             "T": T,
             "eps": eps,
             "factor": factor,
-            "eta": eta,
+            "eta": rhs_rows[0][0],
             "window_count": count,
             "distinct_count": stats.distinct_count,
             "min_gap": stats.min_gap,
-            "outcomes": r,
+            "outcomes": system.r,
             "d_eff": system.d_eff,
-            "dim": dim,
+            "dim": system.dim,
         }
-        rhs_rows = [
-            (eta, {}),
-            (_bounds.shannon_deviation_bound(r, eta),
-             {"rhs_alt_prefactor": _bounds.shannon_deviation_bound(r, eta, alt_prefactor=True)}),
-            (_bounds.observational_deviation_bound(dim, eta), {}),
-        ]
-        if norm is not None:
-            rhs_rows.append((_bounds.expectation_bound(norm, system.d_eff, factor), {}))
         for (name, *_), trapezoid, remainder, (rhs, extra) in zip(_DEVIATIONS[:len(rhs_rows)], trapezoids[:, i],
                                                                    remainders[:, i], rhs_rows, strict=True):
             trapezoid, remainder = float(trapezoid), float(remainder)
@@ -620,6 +644,23 @@ def _system_reports(system: PreparedSystem, windows: list, best: list, trapezoid
                 name=name, lhs=trapezoid + remainder, rhs=rhs,
                 parameters={**params, "trapezoid": trapezoid, "quadrature_remainder": remainder, **extra}))
     return reports
+
+
+def _rhs_rows(system: PreparedSystem, factor: float) -> list:
+    """Each report's ``(rhs, extra parameters)`` at an equilibration factor,
+    in :data:`_DEVIATIONS` order; the population rhs is the distance bound
+    eta that the entropy bounds take."""
+    r, dim, norm = system.r, system.dim, system.observable_norm
+    eta = _bounds.population_distance_bound(r, system.d_eff, factor)
+    rows = [
+        (eta, {}),
+        (_bounds.shannon_deviation_bound(r, eta),
+         {"rhs_alt_prefactor": _bounds.shannon_deviation_bound(r, eta, alt_prefactor=True)}),
+        (_bounds.observational_deviation_bound(dim, eta), {}),
+    ]
+    if norm is not None:
+        rows.append((_bounds.expectation_bound(norm, system.d_eff, factor), {}))
+    return rows
 
 
 def window_average(trajectory: Trajectory, values, t0: float, t1: float) -> float:

@@ -8,15 +8,17 @@ reproducible bit for bit and a block's cases do not depend on which other
 blocks are drawn. The Shannon suite draws blocks of 64 distribution pairs
 as one array; the observational, von Neumann and POVM suites draw one
 shape per block of 8 cases and evaluate the block as one stack, in which
-each case gives what it gives as a stack of one. :func:`run_verification`
-splits the run between its process and one forked worker; each process
-draws and evaluates alternate systems and blocks, and the parent merges
-the results back into case order, so every report equals that of the
-one-process run.
+each case gives what it gives as a stack of one. The POVM suite
+propagates only the systems whose lhs could change its report.
+:func:`run_verification` splits the run between its process and one
+forked worker; each process draws and evaluates alternate systems and
+blocks, and the parent merges the results back into case order, so every
+report equals that of the one-process run.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import pickle
@@ -31,6 +33,7 @@ from . import bounds as _bounds
 from .dynamics import finite_time_average_state, equilibrium_state, default_time_step
 from .entropy import observational_entropy, shannon_entropy, von_neumann_entropy
 from .harness import (
+    _ceiling_certificates,
     _check_windows,
     _Config,
     _float,
@@ -38,6 +41,7 @@ from .harness import (
     _key,
     _prepared_systems,
     _require,
+    _rhs_rows,
     _stack_reports,
     _stack_trajectory,
     _tuple,
@@ -333,18 +337,42 @@ def _povm_grids(systems: list) -> list:
     return [time_grid(_POVM_WINDOW, default_time_step(system.curvature)) for system in systems]
 
 
-def _povm_reports(systems: list, grids: list) -> list:
+def _povm_reports(systems: list, grids: list, bests: list | None = None) -> list:
     """The window's bound reports of each system of a stack, each on its
-    own grid."""
+    own grid, from its optimal widths ``bests`` if they are counted."""
     pops, _, shannon, observational, _ = _stack_trajectory(systems, grids)
-    return _stack_reports(systems, grids, pops, None, shannon, observational, [_POVM_WINDOW], _POVM_EPS_POINTS)
+    return _stack_reports(systems, grids, pops, None, shannon, observational, [_POVM_WINDOW], _POVM_EPS_POINTS,
+                          bests)
+
+
+def _settled(ceilings: list, rhs: list, floor: float) -> bool:
+    """Whether a system's pairs need no lhs: each certified ceiling U is at
+    most its rhs + ``ATOL_BOUND`` and falls short of ``floor`` by U - rhs,
+    so the pair can be neither a violation nor the suite's worst case."""
+    return all(u <= b + _bounds.ATOL_BOUND and u - b < floor for u, b in zip(ceilings, rhs))
 
 
 def _povm_block(rng, n: int, dim: int, outcomes: int) -> list:
-    """The ``(lhs, rhs)`` pairs of ``n`` random POVM systems of one shape."""
+    """The ``(lhs, rhs)`` pairs of ``n`` random POVM systems of one shape.
+
+    Each system's optimal width and rhs come first. A system that its
+    ceiling certificates (:func:`~qeqlab.harness._ceiling_certificates`)
+    settle against the block's floor (:data:`_floor`, :func:`_settled`) is
+    not propagated; its pairs are ``(U, rhs)``, which give the suite's
+    report what the lhs would."""
     systems = _povm_systems(rng, n, dim, outcomes)
-    return [(report.lhs, report.rhs) for reports in _povm_reports(systems, _povm_grids(systems))
-            for report in reports]
+    grids = _povm_grids(systems)
+    bests = [_bounds.optimal_epsilon(system.gap_stats, [_POVM_WINDOW], _POVM_EPS_POINTS) for system in systems]
+    rhs = [[rhs for rhs, _ in _rhs_rows(system, best[0][1])] for system, best in zip(systems, bests)]
+    ceilings = _ceiling_certificates(systems, grids).tolist()
+    floor = _floor.get()
+    pairs = [list(zip(us, bs)) for us, bs in zip(ceilings, rhs)]
+    kept = [i for i, (us, bs) in enumerate(zip(ceilings, rhs)) if not _settled(us, bs, floor)]
+    if kept:
+        reports = _povm_reports([systems[i] for i in kept], [grids[i] for i in kept], [bests[i] for i in kept])
+        for i, system_reports in zip(kept, reports):
+            pairs[i] = [(report.lhs, report.rhs) for report in system_reports]
+    return [pair for system_pairs in pairs for pair in system_pairs]
 
 
 def _povm_cases(rng, start: int, stop: int):
@@ -353,15 +381,32 @@ def _povm_cases(rng, start: int, stop: int):
     yield from _povm_block(rng, stop - start, dim, outcomes)
 
 
+# The largest lhs - rhs among the pairs of a suite's earlier blocks of the
+# parity (b % 2) of the block being drawn, -inf before the first; the POVM
+# cases read it (_povm_block). The blocks of one parity are the blocks one
+# share evaluates, so a share's pairs equal the one-process run's.
+_floor = contextvars.ContextVar("_floor", default=-math.inf)
+
+
 def _blocks(suite, rng, count: int, size: int, first: int = 0, step: int = 1) -> list:
     """The ``(lhs, rhs)`` pairs of blocks ``first``, ``first + step``, ...
     of case generator ``suite`` run on ``count`` cases in blocks of
-    ``size``, one list per block. Every block's generator is spawned from
-    ``rng``, in block order, so a block draws the same cases whichever
-    blocks are evaluated."""
+    ``size``, one list per block, each drawn at its parity's
+    :data:`_floor`. Every block's generator is spawned from ``rng``, in
+    block order, so a block draws the same cases whichever blocks are
+    evaluated."""
     streams = rng.spawn(-(-count // size))
-    return [list(suite(streams[b], b * size, min(count, (b + 1) * size)))
-            for b in range(first, len(streams), step)]
+    floors = [-math.inf, -math.inf]
+    blocks = []
+    for b in range(first, len(streams), step):
+        token = _floor.set(floors[b % 2])
+        try:
+            pairs = list(suite(streams[b], b * size, min(count, (b + 1) * size)))
+        finally:
+            _floor.reset(token)
+        floors[b % 2] = max([floors[b % 2], *(lhs - rhs for lhs, rhs in pairs)])
+        blocks.append(pairs)
+    return blocks
 
 
 def _report(suite, count: int, blocks) -> _bounds.BoundReport:

@@ -393,6 +393,55 @@ def test_window_count_near_zero_stays_small():
     assert peak <= stats._gaps.nbytes
 
 
+def tolerance_count(stats):
+    """The window count ``degenerate_gap_multiplicity`` stands for."""
+    return stats.window_count(1e-12 * max(1.0, stats.max_gap))
+
+
+@st.composite
+def mirrored_gap_arrays(draw):
+    """Gap arrays as ``gap_statistics`` builds them (each positive gap
+    mirrored): few integer levels repeat values, and offsets of 0.4 times
+    the multiplicity's tolerance chain gaps into runs longer than a window."""
+    n = draw(st.integers(0, 6 * _BLOCK))
+    levels = np.array(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)), dtype=float)
+    scale = draw(st.sampled_from([1.0, 0.1, 3.7e-3, 1e5]))
+    offsets = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=float)
+    positive = levels * scale
+    positive = np.sort(positive + offsets * 0.4e-12 * max(1.0, positive.max(initial=0.0)))
+    return np.concatenate([-positive[::-1], positive])
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=mirrored_gap_arrays(), entries=st.sampled_from([1, 2, 3, 7, dynamics._HEAD_ENTRIES]))
+def test_degenerate_gap_multiplicity_matches_the_window_count(gaps, entries):
+    stats = GapStatistics(distinct_count=0, min_gap=None, _gaps=gaps)
+    with pytest.MonkeyPatch.context() as mp:
+        # slices of a few gaps cut the runs at their edges
+        mp.setattr(dynamics, "_HEAD_ENTRIES", entries)
+        assert stats.degenerate_gap_multiplicity() == direct_window_count(gaps, 1e-12 * max(1.0, stats.max_gap))
+
+
+def test_degenerate_gap_multiplicity_on_random_spectra():
+    rng = np.random.default_rng(14)
+    for dim in (2, 3, 8, 40, 130):
+        for decomp in (decompose_hermitian(random_hermitian(rng, dim)),
+                       decompose_hermitian(np.diag(rng.integers(0, 6, size=dim).astype(float)))):
+            stats = gap_statistics(decomp)
+            assert stats.degenerate_gap_multiplicity() == tolerance_count(stats)
+
+
+def test_degenerate_gap_multiplicity_on_transverse_field_chains():
+    # h = 0: the chains' gaps repeat, up to 272 times at N = 11, whose
+    # 1.1 million gaps take five slices
+    multiplicities = []
+    for sites in range(3, 12):
+        stats = chain_system(SpinChainParams(sites=sites, h=0.0)).gap_stats
+        multiplicities.append(stats.degenerate_gap_multiplicity())
+        assert multiplicities[-1] == tolerance_count(stats)
+    assert multiplicities[0] == 2 and multiplicities[-1] > 200
+
+
 def _toy_trajectory(times, values):
     zeros = np.zeros_like(values)
     return Trajectory(times=times, populations=np.ones((len(times), 1)),
