@@ -300,31 +300,26 @@ def time_average_scalar(trajectory: Trajectory, values, T: float) -> float:
     included. :func:`~qeqlab.harness.evaluate_bounds` adds the quadrature
     remainder that makes it an upper bound on the true average."""
     values = np.asarray(values, dtype=float)
-    times = trajectory.times
-    return float(_trapezoids(times[None], [len(times)], values[None, None], [T])[0, 0, 0])
+    return float(_trapezoids(trajectory.times, values[None], [T])[0, 0])
 
 
-def _trapezoids(times: np.ndarray, samples, series: np.ndarray, windows) -> np.ndarray:
-    """:func:`time_average_scalar` per system, series and window: ``times``
-    (systems, length) holds each system's grid in its first ``samples``
-    entries, and ``series`` (systems, k, length) and the windows T give
-    (systems, k, len(windows)). Each average adds the trapezoids of its own
-    system's segments inside (0, T], in sample order, as ``np.trapezoid``
-    does, so it does not depend on the stack."""
-    terms = np.diff(times, axis=-1)[:, None, :] * (series[..., 1:] + series[..., :-1]) / 2.0
-    out = np.empty(series.shape[:2] + (len(windows),))
-    for i, length in enumerate(samples):
-        t = times[i, :length]
-        for j, T in enumerate(windows):
-            if t[0] != 0 or T <= 0 or T > t[-1] * (1 + _SPAN_RTOL):
-                raise ValueError(f"window (0, {T!r}] outside the sampled span [{t[0]!r}, {t[-1]!r}]")
-            T = min(T, float(t[-1]))
-            k = int(np.searchsorted(t, T, side="right")) - 1
-            total = np.add.reduce(terms[i, :, :k], axis=-1)
-            if k + 1 < len(t) and t[k] < T:
-                frac = (T - t[k]) / (t[k + 1] - t[k])
-                v_k = series[i, :, k]
-                v_t = v_k + frac * (series[i, :, k + 1] - v_k)
-                total = total + 0.5 * (v_k + v_t) * (T - t[k])
-            out[i, :, j] = total / T
+def _trapezoids(times: np.ndarray, series: np.ndarray, windows) -> np.ndarray:
+    """:func:`time_average_scalar` per series and window: the series
+    (k, len(times)) and the windows T give (k, len(windows)). Each average
+    adds the trapezoids of the segments inside (0, T], in sample order, as
+    ``np.trapezoid`` does."""
+    terms = np.diff(times)[None, :] * (series[:, 1:] + series[:, :-1]) / 2.0
+    out = np.empty((len(series), len(windows)))
+    for j, T in enumerate(windows):
+        if times[0] != 0 or T <= 0 or T > times[-1] * (1 + _SPAN_RTOL):
+            raise ValueError(f"window (0, {T!r}] outside the sampled span [{times[0]!r}, {times[-1]!r}]")
+        T = min(T, float(times[-1]))
+        k = int(np.searchsorted(times, T, side="right")) - 1
+        total = np.add.reduce(terms[:, :k], axis=-1)
+        if k + 1 < len(times) and times[k] < T:
+            frac = (T - times[k]) / (times[k + 1] - times[k])
+            v_k = series[:, k]
+            v_t = v_k + frac * (series[:, k + 1] - v_k)
+            total = total + 0.5 * (v_k + v_t) * (T - times[k])
+        out[:, j] = total / T
     return out

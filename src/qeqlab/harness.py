@@ -77,7 +77,7 @@ _CHUNK_TIMES = 1024
 # (PreparedSystem.curvature): computed energy eigenstates of the chains up
 # to N = 8 read 1e-16 to 1.2e-15 range^2.
 _ROUND_OFF_CURVATURE = 64 * np.finfo(float).eps
-# Rows per block of the p_omega sum in prepare_system.
+# Rows per block of the p_omega sum in PreparedSystem.equilibrium.
 _P_OMEGA_ROWS = 256
 # Per site: columns are the +1 and -1 Pauli eigenvectors; None along z.
 _SITE_ROTATIONS = {
@@ -110,6 +110,10 @@ class PreparedSystem:
     ``weighted_contraction`` is ``measurement.in_basis(U) * amps_eig``: its
     rows, one per measurement vector, turn the level phases exp(-i E t)
     into amplitudes c_j(t); ``measurement.group_sums`` adds up |c_j(t)|^2.
+    It and the ``equilibrium`` built from it are cached on first read, so
+    a system that is never propagated builds neither. Python 3.12's
+    ``cached_property`` takes no lock: read them once before threads share
+    the system.
 
     ``decomposition.dim`` is the dimension that was solved; ``dim`` is the
     Hilbert-space dimension the bounds see. The two differ when a chain
@@ -121,9 +125,28 @@ class PreparedSystem:
     initial: PureState
     gap_stats: GapStatistics
     d_eff: float
-    equilibrium: EquilibriumReference
     amps_eig: np.ndarray = field(repr=False)
-    weighted_contraction: np.ndarray = field(repr=False)
+
+    @cached_property
+    def weighted_contraction(self) -> np.ndarray:
+        return self.measurement.in_basis(self.decomposition.eigenvectors) * self.amps_eig[None, :]
+
+    @cached_property
+    def equilibrium(self) -> EquilibriumReference:
+        """The dephased state's populations and series, without
+        materializing omega: |C[:, block] @ amps[block]|^2 accumulated over
+        the energy eigenspaces, with no m x m copy (single levels need no
+        reduceat, and |.|^2 is summed a block of rows at a time)."""
+        decomp, weighted = self.decomposition, self.weighted_contraction
+        edges = [sl.start for sl in decomp.cluster_slices]
+        per_block = weighted if len(edges) == decomp.dim else np.add.reduceat(weighted, edges, axis=1)
+        weights = np.empty(len(per_block))
+        for start in range(0, len(per_block), _P_OMEGA_ROWS):
+            rows = per_block[start : start + _P_OMEGA_ROWS]
+            weights[start : start + len(rows)] = np.sum(np.abs(rows) ** 2, axis=1)
+        p_omega = clamp_populations(self.measurement.outcome_sums(weights))
+        series = _outcome_series(p_omega[None, :], self.measurement)
+        return EquilibriumReference(p_omega, *(None if row is None else float(row[0]) for row in series))
 
     @property
     def observable_norm(self) -> float | None:
@@ -175,32 +198,19 @@ class PreparedSystem:
         return self.measurement.r
 
 
-def _outcome_series(pops: np.ndarray, samples, values, multiplicities):
+def _outcome_series(pops: np.ndarray, measurement: Measurement):
     """Expectation value (None for a measurement without values), Shannon,
-    observational and Boltzmann entropy of each population row. ``pops``
-    is (systems, rows, r), of which each system fills its first
-    ``samples``; ``values`` (or None) and ``multiplicities`` are (systems,
-    r), each system's outcome values and weights."""
-    logs = np.log(np.asarray(multiplicities, dtype=float))
-    expectation = None if values is None else _row_products(pops, samples, values)
+    observational and Boltzmann entropy of each population row."""
+    values = measurement.values
+    expectation = None if values is None else pops @ values
     shannon = -np.sum(_xlogx(pops), axis=-1)
-    boltzmann = _row_products(pops, samples, logs)
+    boltzmann = pops @ np.log(np.asarray(measurement.multiplicities, dtype=float))
     return expectation, shannon, shannon + boltzmann, boltzmann
 
 
-def _row_products(pops: np.ndarray, samples, vectors: np.ndarray) -> np.ndarray:
-    """``pops[i] @ vectors[i]`` over each system's own rows, 0 past them: a
-    GEMV's row count sets the last digits of its rows (with OpenBLAS), so
-    each system takes one of its own length."""
-    out = np.zeros(pops.shape[:-1])
-    for row, system_pops, vector, length in zip(out, pops, vectors, samples):
-        row[:length] = system_pops[:length] @ vector
-    return out
-
-
 def prepare_system(hamiltonian, observable, initial) -> PreparedSystem:
-    """Diagonalize, build the measurement, and precompute equilibrium
-    references and gap statistics.
+    """Diagonalize, build the measurement, and precompute the gap
+    statistics and effective dimension.
 
     ``observable`` may be a Hermitian matrix (a projective measurement is
     built from it) or an already constructed measurement; ``initial`` is a
@@ -214,62 +224,15 @@ def prepare_system(hamiltonian, observable, initial) -> PreparedSystem:
         measurement = observable
     else:
         measurement = pvm_from_observable(np.asarray(observable))
-    return _prepared_systems([decomp], [measurement], [initial])[0]
+    return _prepared(decomp, measurement, initial)
 
 
-def _stacked(arrays: list) -> np.ndarray:
-    """Equal-shape arrays along a new leading axis; one array is not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _prepared_systems(decomps: list, measurements: list, initials: list) -> list:
-    """:func:`prepare_system` of a stack of systems of one shape: the
-    decompositions share a dimension, the measurements their vector count
-    and outcome slices. The eigenbasis products are stacked; each system's
-    arrays do not depend on the stack."""
-    # the gap statistics, which the systems keep, are built before the
-    # products' temporaries, so that those are freed below them in the heap
-    stats = [gap_statistics(decomp) for decomp in decomps]
-    vectors = _stacked([decomp.eigenvectors for decomp in decomps])
-    amps = (np.swapaxes(vectors.conj(), 1, 2) @ _stacked([state.amplitudes for state in initials])[..., None])[..., 0]
-    # each system's eigenvectors in its measurement basis, written into one
-    # stack a system at a time: stacking the bases first would copy them twice
-    first = measurements[0].in_basis(decomps[0].eigenvectors)
-    weighted = np.empty((len(decomps), *first.shape), dtype=np.result_type(first, amps))
-    weighted[0] = first
-    del first
-    for out, measurement, decomp in zip(weighted[1:], measurements[1:], decomps[1:]):
-        out[...] = measurement.in_basis(decomp.eigenvectors)
-    weighted *= amps[:, None, :]
-    # dephased-state populations without materializing omega:
-    # accumulate |C[:, block] @ amps[block]|^2 over energy eigenspaces,
-    # with no m x m copy: single levels need no reduceat, and |.|^2 is
-    # summed a block of rows at a time
-    weights = np.empty(weighted.shape[:2])
-    for decomp, rows, out in zip(decomps, weighted, weights):
-        edges = [sl.start for sl in decomp.cluster_slices]
-        per_block = rows if len(edges) == decomp.dim else np.add.reduceat(rows, edges, axis=1)
-        for start in range(0, len(per_block), _P_OMEGA_ROWS):
-            block = per_block[start : start + _P_OMEGA_ROWS]
-            out[start : start + len(block)] = np.sum(np.abs(block) ** 2, axis=1)
-    p_omega = clamp_populations(measurements[0].outcome_sums(weights))
-    values = [m.values for m in measurements]
-    series = _outcome_series(p_omega[:, None, :], [1] * len(decomps), None if values[0] is None else _stacked(values),
-                             _stacked([np.asarray(m.multiplicities) for m in measurements]))
-    return [
-        PreparedSystem(
-            decomposition=decomp,
-            measurement=measurement,
-            initial=initial,
-            gap_stats=stats[i],
-            d_eff=effective_dimension(decomp, amps[i]),
-            equilibrium=EquilibriumReference(p_omega[i], *(None if row is None else float(row[i, 0])
-                                                           for row in series)),
-            amps_eig=amps[i],
-            weighted_contraction=weighted[i],
-        )
-        for i, (decomp, measurement, initial) in enumerate(zip(decomps, measurements, initials))
-    ]
+def _prepared(decomp: SpectralDecomposition, measurement: Measurement, initial: PureState) -> PreparedSystem:
+    """:func:`prepare_system` of a solved Hamiltonian."""
+    stats = gap_statistics(decomp)
+    amps = (decomp.eigenvectors.conj().T @ initial.amplitudes[:, None])[:, 0]
+    return PreparedSystem(decomposition=decomp, measurement=measurement, initial=initial, gap_stats=stats,
+                          d_eff=effective_dimension(decomp, amps), amps_eig=amps)
 
 
 def chain_system(params: SpinChainParams, axis: str = "z") -> PreparedSystem:
@@ -327,39 +290,25 @@ def _sq_amplitudes(weighted: np.ndarray, levels: np.ndarray, ts: np.ndarray) -> 
     return sq
 
 
-# How _stacked_populations maps over its chunks: the builtin map, one chunk
-# at a time, unless execute_experiment sets a map onto its two-worker pool.
+# How _populations_at maps over its chunks: the builtin map, one chunk at a
+# time, unless execute_experiment sets a map onto its two-worker pool.
 _chunk_map = contextvars.ContextVar("_chunk_map", default=map)
 
 
-def _stacked_populations(systems: list, grids: list) -> np.ndarray:
-    """Outcome populations of a stack of systems whose measurements share
-    their outcome slices, each on its own grid: (systems, samples, r),
-    ``samples`` the longest grid's length; a shorter grid's last row is
-    repeated past its end. Each system propagates alone, in chunks of at
-    most ``_CHUNK_TIMES`` of its own times: a GEMM's shape sets the last
-    digits of its columns (with OpenBLAS), so a system's populations do
-    not depend on the stack."""
-    measurement = systems[0].measurement
-    chunks = [(i, slice(start, start + _CHUNK_TIMES))
-              for i, grid in enumerate(grids) for start in range(0, len(grid), _CHUNK_TIMES)]
-    # one expression per chunk, so no chunk's array outlives its task
-    results = _chunk_map.get()(
-        lambda chunk: measurement.group_sums(_sq_amplitudes(
-            systems[chunk[0]].weighted_contraction, systems[chunk[0]].decomposition.level_values,
-            grids[chunk[0]][chunk[1]])).T, chunks)
-    out = np.empty((len(systems), max(map(len, grids)), measurement.r))
-    for (i, times), pops in zip(chunks, results):
-        out[i, times][: len(pops)] = pops
-    for row, grid in zip(out, grids):
-        if len(grid) < len(row):
-            row[len(grid):] = row[len(grid) - 1]
-    return clamp_populations(out)
-
-
 def _populations_at(system: PreparedSystem, times: np.ndarray) -> np.ndarray:
-    """Outcome populations at arbitrary times, (len(times), r)."""
-    return _stacked_populations([system], [times])[0]
+    """Outcome populations at arbitrary times, (len(times), r), propagated
+    in chunks of at most ``_CHUNK_TIMES`` times."""
+    levels = system.decomposition.level_values
+    measurement = system.measurement
+    weighted = system.weighted_contraction
+    starts = range(0, len(times), _CHUNK_TIMES)
+    # one expression per chunk, so no chunk's array outlives its task
+    chunks = _chunk_map.get()(lambda ts: measurement.group_sums(_sq_amplitudes(weighted, levels, ts)).T,
+                              (times[start : start + _CHUNK_TIMES] for start in starts))
+    out = np.empty((len(times), measurement.r))
+    for start, pops in zip(starts, chunks):
+        out[start : start + len(pops)] = pops
+    return clamp_populations(out)
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
@@ -379,20 +328,8 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
 def compute_trajectory(system: PreparedSystem, times) -> Trajectory:
     """Sample populations, expectation value, and entropies on a grid."""
     times = np.asarray(times, dtype=float)
-    return Trajectory(times, *(None if row is None else row[0] for row in _stack_trajectory([system], [times])))
-
-
-def _stack_trajectory(systems: list, grids: list) -> tuple:
-    """:func:`compute_trajectory` of a stack of systems of one shape (as for
-    :func:`_prepared_systems`), each on its own grid: the populations
-    (systems, samples, r) of :func:`_stacked_populations` and the
-    expectation (None without values), Shannon, observational and
-    Boltzmann series (systems, samples)."""
-    pops = _stacked_populations(systems, grids)
-    measurements = [system.measurement for system in systems]
-    values = None if measurements[0].values is None else _stacked([m.values for m in measurements])
-    samples = [len(grid) for grid in grids]
-    return pops, *_outcome_series(pops, samples, values, _stacked([np.asarray(m.multiplicities) for m in measurements]))
+    pops = _populations_at(system, times)
+    return Trajectory(times, pops, *_outcome_series(pops, system.measurement))
 
 
 def sample_deviations(system: PreparedSystem, window: float, count: int, seed: int):
@@ -409,22 +346,17 @@ def sample_deviations(system: PreparedSystem, window: float, count: int, seed: i
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, window, size=count)
-    _, _, shannon, observational, _ = _stack_trajectory([system], [times])
+    _, shannon, observational, _ = _outcome_series(_populations_at(system, times), system.measurement)
     eq = system.equilibrium
-    return np.abs(shannon[0] - eq.shannon), np.abs(observational[0] - eq.observational)
+    return np.abs(shannon - eq.shannon), np.abs(observational - eq.observational)
 
 
 def _asymptotic_bounds(system: PreparedSystem) -> dict:
     """The infinite-time Shannon bound delta, its ln(r + 1) variant, and
     the observational bound nu: the deviation bounds at the infinite-time,
     nondegenerate-gap distance bound ``(1/2) sqrt(r / d_eff)``."""
-    r = system.r
-    eta = _bounds.population_distance_bound(r, system.d_eff, 1.0)
-    return {
-        "delta": _bounds.shannon_deviation_bound(r, eta),
-        "delta_alt_prefactor": _bounds.shannon_deviation_bound(r, eta, alt_prefactor=True),
-        "nu": _bounds.observational_deviation_bound(system.dim, eta),
-    }
+    _, (delta, extra), (nu, _) = _rhs_rows(system, 1.0)[:3]
+    return {"delta": delta, "delta_alt_prefactor": extra["rhs_alt_prefactor"], "nu": nu}
 
 
 def fluctuation_checks(system: PreparedSystem, window: float, count: int, seed: int):
@@ -463,35 +395,27 @@ def fluctuation_checks(system: PreparedSystem, window: float, count: int, seed: 
 
 def _segment_jeffreys(pops: np.ndarray) -> np.ndarray:
     """Jeffreys divergence ``sum (q_b - q_a)(ln q_b - ln q_a)`` of each pair
-    of consecutive population rows (the second-to-last axis), q the rows
-    with every population at or below the entropies' zero cutoff set to 0,
-    as their entropies count them: infinite where an outcome is zero at one
-    end of a segment only."""
+    of consecutive population rows, q the rows with every population at or
+    below the entropies' zero cutoff set to 0, as their entropies count
+    them: infinite where an outcome is zero at one end of a segment only."""
     q = np.where(pops > _ZERO_CUTOFF, pops, 0.0)
-    change = np.diff(q, axis=-2)
+    change = np.diff(q, axis=0)
     with np.errstate(divide="ignore"):
         logs = np.log(q)
-    log_change = np.subtract(logs[..., 1:, :], logs[..., :-1, :], out=np.zeros_like(change), where=change != 0)
-    return np.sum(change * log_change, axis=-1)
+    log_change = np.subtract(logs[1:], logs[:-1], out=np.zeros_like(change), where=change != 0)
+    return np.sum(change * log_change, axis=1)
 
 
-def _quadrature_remainders(times: np.ndarray, samples, h: np.ndarray, windows: np.ndarray, second: np.ndarray,
-                           first: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Per system, report and window T, (1/T) times the sum over the grid
-    segments of [0, T] of ``min(l w2 + h triangle, l w1)``, l the segment's
-    length inside the window and h the system's largest step:
-    :func:`evaluate_bounds`' remainders. ``times`` (systems, length) holds
-    each system's grid in its first ``samples`` entries; ``h`` (systems,),
-    the pointwise terms ``second`` and ``first`` (systems, reports) and the
-    per-segment ``triangles`` (systems, reports, length - 1) give (systems,
-    reports, len(windows)). Each system sums its own segments."""
-    inside = np.clip(windows[None, :, None] - times[:, None, :-1], 0.0, h[:, None, None])
-    sums = np.empty(second.shape + windows.shape)
-    for j in range(second.shape[1]):  # a report at a time keeps the terms (systems, windows, segments)
-        terms = np.minimum(inside * second[:, j, None, None] + h[:, None, None] * triangles[:, j, None, :],
-                           inside * first[:, j, None, None])
-        sums[:, j] = [np.sum(row[:, : length - 1], axis=-1) for row, length in zip(terms, samples)]
-    return sums / windows
+def _quadrature_remainders(times: np.ndarray, h: float, windows: np.ndarray, second: list, first: list,
+                           triangles: list) -> np.ndarray:
+    """Per report and window T, (1/T) times the sum over the grid segments
+    of [0, T] of ``min(l w2 + h triangle, l w1)``, l the segment's length
+    inside the window and h the largest step: :func:`evaluate_bounds`'
+    remainders, from each report's pointwise terms w2 (``second``) and w1
+    (``first``) and its per-segment triangles (or 0)."""
+    inside = np.clip(windows[:, None] - times[None, :-1], 0.0, h)
+    return np.array([np.sum(np.minimum(inside * w2 + h * triangle, inside * w1), axis=-1)
+                     for w2, w1, triangle in zip(second, first, triangles)]) / windows
 
 
 # Each evaluate_bounds report: its name, its continuity bound w as a
@@ -508,34 +432,27 @@ _DEVIATIONS = (
 _CEILING_RTOL = 1e-9
 
 
-def _pointwise_terms(systems: list, taus, deviations) -> np.ndarray:
-    """Each report's continuity bound w at each system's distance tau:
-    (systems, reports)."""
-    return np.array([[w(system, float(tau)) for _, w, _ in deviations] for system, tau in zip(systems, taus)])
+def _pointwise_terms(system: PreparedSystem, tau: float, deviations) -> list:
+    """Each report's continuity bound w at the distance tau."""
+    return [w(system, tau) for _, w, _ in deviations]
 
 
-def _first_order_terms(systems: list, h: np.ndarray, deviations) -> np.ndarray:
-    """Each report's first-order pointwise term w(tau1), tau1 = sigma_E h / 2,
-    at each system's largest step h: (systems, reports)."""
-    return _pointwise_terms(systems, np.array([system.energy_spread for system in systems]) * h / 2, deviations)
-
-
-def _ceiling_certificates(systems: list, grids: list) -> np.ndarray:
-    """Per system of a stack without observable norms, each on its own grid,
-    an upper bound U on the lhs of each of its :func:`evaluate_bounds`
-    reports (population, Shannon, observational) at any window inside the
-    grid, from no propagation: ``U = (C + w(tau1)) (1 + _CEILING_RTOL)``,
-    C the report's ceiling (``bounds.CEILINGS``) and w(tau1) its
-    first-order pointwise term. The trapezoid average of a series bounded
-    by C is at most C, and each segment adds a remainder of at most its
-    length inside the window times w(tau1); on a :func:`time_grid`, whose
-    steps all equal h up to rounding, those lengths add up to the window.
-    (systems, 3)."""
+def _ceiling_certificates(system: PreparedSystem, times: np.ndarray) -> list:
+    """Of a system without an observable norm on the grid ``times``, an
+    upper bound U on the lhs of each of its :func:`evaluate_bounds` reports
+    (population, Shannon, observational) at any window inside the grid,
+    from no propagation: ``U = (C + w(tau1)) (1 + _CEILING_RTOL)``, C the
+    report's ceiling (``bounds.CEILINGS``) and w(tau1) its first-order
+    pointwise term, tau1 = sigma_E h / 2 at the largest step h. The
+    trapezoid average of a series bounded by C is at most C, and each
+    segment adds a remainder of at most its length inside the window times
+    w(tau1); on a :func:`time_grid`, whose steps all equal h up to
+    rounding, those lengths add up to the window."""
     deviations = _DEVIATIONS[:3]
-    h = np.array([np.max(np.diff(grid), initial=0.0) for grid in grids])
-    ceilings = np.array([[_bounds.CEILINGS[name](system.r, system.dim) for name, *_ in deviations]
-                         for system in systems])
-    return (ceilings + _first_order_terms(systems, h, deviations)) * (1 + _CEILING_RTOL)
+    h = float(np.max(np.diff(times), initial=0.0))
+    first = _pointwise_terms(system, system.energy_spread * h / 2, deviations)
+    return [(_bounds.CEILINGS[name](system.r, system.dim) + w1) * (1 + _CEILING_RTOL)
+            for (name, *_), w1 in zip(deviations, first)]
 
 
 def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
@@ -565,62 +482,31 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
     populations; their rounding in the samples enters through w at the
     round-off scale, and so does the entropies' zero cutoff, which J
     applies too."""
-    series = (trajectory.populations, trajectory.expectation, trajectory.shannon, trajectory.observational)
-    return _stack_reports([system], [trajectory.times], *(None if row is None else row[None] for row in series),
-                          T_grid, eps_points)[0]
-
-
-def _stack_reports(systems: list, grids: list, pops: np.ndarray, expectation, shannon: np.ndarray,
-                   observational: np.ndarray, T_grid, eps_points: int, bests: list | None = None) -> list:
-    """:func:`evaluate_bounds` of a stack of systems that all have an
-    observable norm or all have none, each on its own grid, from the
-    arrays of :func:`_stack_trajectory`: ``pops`` (systems, samples, r) and
-    the expectation (None without a norm), Shannon and observational series
-    (systems, samples), each row past its grid's end ignored. ``bests``
-    holds each system's optimal widths at the windows, if they are already
-    counted. One list of reports per system; each system's reports do not
-    depend on the stack."""
-    for system in systems:
-        if system.r < 2:
-            raise ValueError("bound evaluation needs a measurement with r >= 2")
-    deviations = _DEVIATIONS[:3] if systems[0].observable_norm is None else _DEVIATIONS
     windows = [float(T) for T in T_grid]
-    if bests is None:
-        # the optimal widths first, as a system alone counts them: their
-        # temporaries then come before the series' in the heap
-        bests = [_bounds.optimal_epsilon(system.gap_stats, windows, points=eps_points) if windows else []
-                 for system in systems]
-    samples = [len(grid) for grid in grids]
-    # each grid padded with its last time, so the padding adds no step
-    times = np.empty(pops.shape[:2])
-    for row, grid in zip(times, grids):
-        row[: len(grid)] = grid
-        if len(grid) < len(row):
-            row[len(grid):] = grid[-1]
-    h = np.max(np.diff(times, axis=-1), axis=-1, initial=0.0)
-    tau2 = np.array([system.curvature for system in systems]) * h * h / 16
-    second = _pointwise_terms(systems, tau2, deviations)
-    first = _first_order_terms(systems, h, deviations)
-    triangular = np.array([takes_triangle for *_, takes_triangle in deviations])
-    triangles = np.where(triangular[:, None], _segment_jeffreys(pops)[:, None, :] / 8, 0.0)
-    eqs = [system.equilibrium for system in systems]
+    best = _bounds.optimal_epsilon(system.gap_stats, windows, points=eps_points) if windows else []
+    return _reports(system, trajectory, windows, best)
+
+
+def _reports(system: PreparedSystem, trajectory: Trajectory, windows: list, best: list) -> list:
+    """:func:`evaluate_bounds` at the windows from their optimal widths
+    ``best``, one ``(eps, factor, count)`` per window."""
+    if system.r < 2:
+        raise ValueError("bound evaluation needs a measurement with r >= 2")
+    deviations = _DEVIATIONS[:3] if system.observable_norm is None else _DEVIATIONS
+    times, pops, eq = trajectory.times, trajectory.populations, system.equilibrium
+    h = float(np.max(np.diff(times), initial=0.0))
+    second = _pointwise_terms(system, system.curvature * h * h / 16, deviations)
+    first = _pointwise_terms(system, system.energy_spread * h / 2, deviations)
+    jeffreys = _segment_jeffreys(pops) / 8
+    triangles = [jeffreys if takes_triangle else 0.0 for *_, takes_triangle in deviations]
     # each report's deviation series
-    rows = [0.5 * np.sum(np.abs(pops - np.array([eq.populations for eq in eqs])[:, None, :]), axis=-1),
-            np.abs(shannon - np.array([eq.shannon for eq in eqs])[:, None]),
-            np.abs(observational - np.array([eq.observational for eq in eqs])[:, None])]
+    rows = [0.5 * np.sum(np.abs(pops - eq.populations), axis=-1),
+            np.abs(trajectory.shannon - eq.shannon),
+            np.abs(trajectory.observational - eq.observational)]
     if len(deviations) == 4:
-        rows.append((expectation - np.array([eq.expectation for eq in eqs])[:, None]) ** 2)
-    trapezoids = _trapezoids(times, samples, np.stack(rows, axis=1), windows)
-    remainders = _quadrature_remainders(times, samples, h, np.array(windows), second, first, triangles)
-    return [_system_reports(system, windows, best, trapezoid, remainder)
-            for system, best, trapezoid, remainder in zip(systems, bests, trapezoids, remainders)]
-
-
-def _system_reports(system: PreparedSystem, windows: list, best: list, trapezoids: np.ndarray,
-                    remainders: np.ndarray) -> list:
-    """One system's reports from its optimal widths (one ``(eps, factor,
-    count)`` per window) and (report, window) trapezoids and quadrature
-    remainders."""
+        rows.append((trajectory.expectation - eq.expectation) ** 2)
+    trapezoids = _trapezoids(times, np.stack(rows), windows)
+    remainders = _quadrature_remainders(times, h, np.array(windows), second, first, triangles)
     reports = []
     stats = system.gap_stats
     for i, (T, (eps, factor, count)) in enumerate(zip(windows, best)):
@@ -637,8 +523,8 @@ def _system_reports(system: PreparedSystem, windows: list, best: list, trapezoid
             "d_eff": system.d_eff,
             "dim": system.dim,
         }
-        for (name, *_), trapezoid, remainder, (rhs, extra) in zip(_DEVIATIONS[:len(rhs_rows)], trapezoids[:, i],
-                                                                   remainders[:, i], rhs_rows, strict=True):
+        for (name, *_), trapezoid, remainder, (rhs, extra) in zip(deviations, trapezoids[:, i], remainders[:, i],
+                                                                   rhs_rows, strict=True):
             trapezoid, remainder = float(trapezoid), float(remainder)
             reports.append(_bounds.BoundReport(
                 name=name, lhs=trapezoid + remainder, rhs=rhs,
@@ -914,6 +800,8 @@ def execute_experiment(config: ExperimentConfig):
     from concurrent.futures import ThreadPoolExecutor
 
     system = build_system(config)
+    # the caches are built here, before the pool: the threads only read them
+    system.equilibrium
     dt = config.dt if config.dt is not None else default_time_step(system.curvature)
     times = time_grid(config.t_max, dt)
     # The trajectory's and the sample's propagation chunks share one
@@ -1005,7 +893,7 @@ def _trajectory_report(config: ExperimentConfig, system: PreparedSystem, traject
         "spectral_range": system.decomposition.spectral_range,
         "d_eff": system.d_eff,
         "energy_spread": system.energy_spread,
-        "eta_infinite": _bounds.population_distance_bound(r, system.d_eff, 1.0),
+        "eta_infinite": _rhs_rows(system, 1.0)[0][0],
         **_asymptotic_bounds(system),
         "delta_applicable": system.gap_stats.degenerate_gap_multiplicity() <= 1,
     }

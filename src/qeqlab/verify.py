@@ -7,9 +7,10 @@ generator spawned from the seeded one, so a verification run is
 reproducible bit for bit and a block's cases do not depend on which other
 blocks are drawn. The Shannon suite draws blocks of 64 distribution pairs
 as one array; the observational, von Neumann and POVM suites draw one
-shape per block of 8 cases and evaluate the block as one stack, in which
-each case gives what it gives as a stack of one. The POVM suite
-propagates only the systems whose lhs could change its report.
+shape per block of 8 cases as one stack, in which each case gives what it
+gives as a stack of one. The observational and von Neumann suites
+evaluate the block as one stack too; the POVM suite evaluates each system
+alone and propagates only the systems whose lhs could change its report.
 :func:`run_verification` splits the run between its process and one
 forked worker; each process draws and evaluates alternate systems and
 blocks, and the parent merges the results back into case order, so every
@@ -39,11 +40,10 @@ from .harness import (
     _float,
     _int,
     _key,
-    _prepared_systems,
+    _prepared,
+    _reports,
     _require,
     _rhs_rows,
-    _stack_reports,
-    _stack_trajectory,
     _tuple,
     chain_system,
     compute_trajectory,
@@ -223,14 +223,15 @@ def random_partition_pvm(rng, dim: int, outcomes: int) -> Measurement:
 # (:func:`_blocks`) and yields their ``(lhs, rhs)`` pairs in case order.
 # The Shannon suite draws a block of pairs as one array. Every other suite
 # draws one shape per block, its dimension and outcome count (the rank of
-# the mixed states for the von Neumann suite), and evaluates the block's
-# cases as one stack; each case gives what it gives as a stack of one.
+# the mixed states for the von Neumann suite), and draws the block's cases
+# as one stack; each case gives what it gives as a stack of one. The POVM
+# suite then evaluates each system alone (_povm_pairs).
 
 # Cases per block of the Shannon suite, and of each suite drawn by shape.
 # 1000 cases of the POVM suite spread over about 200 (dimension, outcomes)
 # pairs, so a block of 64 grouped by shape would rarely stack two cases; a
 # shape drawn per block of 8 stacks 8, and a POVM block at the largest
-# shape peaks at about 5.5 MiB (tracemalloc), below a chain unit's 8.3 MiB.
+# shape peaks at about 5.7 MiB (tracemalloc), below a chain unit's 8.3 MiB.
 _BLOCK = 64
 _SHAPE_BLOCK = 8
 
@@ -328,21 +329,9 @@ def _povm_systems(rng, n: int, dim: int, outcomes: int) -> list:
     measured through a random POVM, started in a random pure state."""
     hamiltonians = _hermitians(rng, n, dim)
     povms = _povms_from_factors(_povm_factors(_ginibre(rng, n * outcomes, dim, dim).reshape(n, outcomes, dim, dim)))
-    states = [PureState(state) for state in _pure_states(rng, n, dim)]
-    return _prepared_systems(_decompositions(hamiltonians), povms, states)
-
-
-def _povm_grids(systems: list) -> list:
-    """Each system's grid over the window, at its own certified step."""
-    return [time_grid(_POVM_WINDOW, default_time_step(system.curvature)) for system in systems]
-
-
-def _povm_reports(systems: list, grids: list, bests: list | None = None) -> list:
-    """The window's bound reports of each system of a stack, each on its
-    own grid, from its optimal widths ``bests`` if they are counted."""
-    pops, _, shannon, observational, _ = _stack_trajectory(systems, grids)
-    return _stack_reports(systems, grids, pops, None, shannon, observational, [_POVM_WINDOW], _POVM_EPS_POINTS,
-                          bests)
+    states = _pure_states(rng, n, dim)
+    return [_prepared(decomp, povm, PureState(state))
+            for decomp, povm, state in zip(_decompositions(hamiltonians), povms, states)]
 
 
 def _settled(ceilings: list, rhs: list, floor: float) -> bool:
@@ -352,27 +341,28 @@ def _settled(ceilings: list, rhs: list, floor: float) -> bool:
     return all(u <= b + _bounds.ATOL_BOUND and u - b < floor for u, b in zip(ceilings, rhs))
 
 
-def _povm_block(rng, n: int, dim: int, outcomes: int) -> list:
-    """The ``(lhs, rhs)`` pairs of ``n`` random POVM systems of one shape.
+def _povm_pairs(system, floor: float) -> list:
+    """The ``(lhs, rhs)`` pairs of one random POVM system at the window.
 
-    Each system's optimal width and rhs come first. A system that its
-    ceiling certificates (:func:`~qeqlab.harness._ceiling_certificates`)
-    settle against the block's floor (:data:`_floor`, :func:`_settled`) is
-    not propagated; its pairs are ``(U, rhs)``, which give the suite's
-    report what the lhs would."""
-    systems = _povm_systems(rng, n, dim, outcomes)
-    grids = _povm_grids(systems)
-    bests = [_bounds.optimal_epsilon(system.gap_stats, [_POVM_WINDOW], _POVM_EPS_POINTS) for system in systems]
-    rhs = [[rhs for rhs, _ in _rhs_rows(system, best[0][1])] for system, best in zip(systems, bests)]
-    ceilings = _ceiling_certificates(systems, grids).tolist()
+    Its optimal width and rhs come first. A system that its ceiling
+    certificates (:func:`~qeqlab.harness._ceiling_certificates`) settle
+    against ``floor`` (:func:`_settled`) is not propagated; its pairs are
+    ``(U, rhs)``, which give the suite's report what the lhs would."""
+    grid = time_grid(_POVM_WINDOW, default_time_step(system.curvature))
+    best = _bounds.optimal_epsilon(system.gap_stats, [_POVM_WINDOW], _POVM_EPS_POINTS)
+    rhs = [rhs for rhs, _ in _rhs_rows(system, best[0][1])]
+    ceilings = _ceiling_certificates(system, grid)
+    if _settled(ceilings, rhs, floor):
+        return list(zip(ceilings, rhs))
+    reports = _reports(system, compute_trajectory(system, grid), [_POVM_WINDOW], best)
+    return [(report.lhs, report.rhs) for report in reports]
+
+
+def _povm_block(rng, n: int, dim: int, outcomes: int) -> list:
+    """The ``(lhs, rhs)`` pairs of ``n`` random POVM systems of one shape,
+    each system's at the block's floor (:data:`_floor`)."""
     floor = _floor.get()
-    pairs = [list(zip(us, bs)) for us, bs in zip(ceilings, rhs)]
-    kept = [i for i, (us, bs) in enumerate(zip(ceilings, rhs)) if not _settled(us, bs, floor)]
-    if kept:
-        reports = _povm_reports([systems[i] for i in kept], [grids[i] for i in kept], [bests[i] for i in kept])
-        for i, system_reports in zip(kept, reports):
-            pairs[i] = [(report.lhs, report.rhs) for report in system_reports]
-    return [pair for system_pairs in pairs for pair in system_pairs]
+    return [pair for system in _povm_systems(rng, n, dim, outcomes) for pair in _povm_pairs(system, floor)]
 
 
 def _povm_cases(rng, start: int, stop: int):

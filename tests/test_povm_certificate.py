@@ -31,23 +31,22 @@ def every_case_run(seed: int, cases: int) -> tuple:
     per system in case order, its reports' (name, lhs, rhs, trapezoid,
     remainder, ceiling) and its certified ceilings U."""
     systems = []
-    original = verify._povm_reports
+    original = verify._reports
 
-    def recorded(stack, grids, bests=None):
-        reports = original(stack, grids, bests)
-        for system, ceilings, system_reports in zip(stack, verify._ceiling_certificates(stack, grids).tolist(),
-                                                    reports):
-            rows = [(report.name, report.lhs, report.rhs, report.parameters["trapezoid"],
-                     report.parameters["quadrature_remainder"], CEILINGS[report.name](system.r, system.dim))
-                    for report in system_reports]
-            systems.append((rows, ceilings))
+    def recorded(system, trajectory, windows, best):
+        # the per-system step evaluates each propagated system here
+        reports = original(system, trajectory, windows, best)
+        rows = [(report.name, report.lhs, report.rhs, report.parameters["trapezoid"],
+                 report.parameters["quadrature_remainder"], CEILINGS[report.name](system.r, system.dim))
+                for report in reports]
+        systems.append((rows, verify._ceiling_certificates(system, trajectory.times)))
         return reports
 
     streams = np.random.default_rng(seed).spawn(-(-cases // SIZE))
     token = verify._floor.set(-math.inf)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify, "_povm_reports", recorded)
+            mp.setattr(verify, "_reports", recorded)
             blocks = [list(verify._povm_cases(stream, b * SIZE, min(cases, (b + 1) * SIZE)))
                       for b, stream in enumerate(streams)]
     finally:

@@ -1,27 +1,20 @@
 """verify's observational, von Neumann and POVM suites draw one shape per
-block of 8 cases and evaluate the block as one stack: stacked draws,
-eigensolves, products and series. Each case of a stack must equal the same
-case evaluated as a stack of one, bit for bit, and a POVM block at the
-largest shape must stay within the memory of a chain unit."""
+block of 8 cases as one stack: stacked draws, eigensolves and products.
+Each case of a stack must equal the same case drawn as a stack of one, bit
+for bit; each POVM system is then evaluated alone, as evaluate_bounds
+evaluates it; and a POVM block at the largest shape must stay within the
+memory of a chain unit."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qeqlab import verify
-from qeqlab.harness import (
-    _prepared_systems,
-    _stack_reports,
-    _stack_trajectory,
-    chain_system,
-    compute_trajectory,
-    evaluate_bounds,
-    time_grid,
-)
+from qeqlab.harness import compute_trajectory, evaluate_bounds, time_grid
 from qeqlab.linalg import _decompositions, decompose_hermitian
 from qeqlab.measurement import _povms_from_factors, _vector_weights, povm_from_factors
-from qeqlab.models import SpinChainParams
 from qeqlab.verify import VerifyConfig
 
 SHAPES = [(4, 2), (13, 5), (32, 8)]
@@ -57,43 +50,14 @@ def test_stacked_povm_factors_equal_single_ones(dim, outcomes):
         assert povm.outcome_slices == single.outcome_slices
 
 
-def report_dicts(reports):
-    return [report.to_json_dict() for report in reports]
-
-
 @pytest.mark.parametrize("dim, outcomes", SHAPES)
-def test_each_system_of_a_povm_block_equals_it_as_a_block_of_one(dim, outcomes):
-    systems = verify._povm_systems(np.random.default_rng(3), 8, dim, outcomes)
-    grids = verify._povm_grids(systems)
-    assert len({len(grid) for grid in grids}) > 1  # the stack is ragged
-    block = verify._povm_reports(systems, grids)
-    assert report_dicts(sum(block, [])) == report_dicts(sum(verify._povm_reports(systems, grids), []))
-    for system, grid, reports in zip(systems, grids, block):
-        (alone,) = _prepared_systems([system.decomposition], [system.measurement], [system.initial])
-        for name in ("amps_eig", "weighted_contraction"):
-            assert same_arrays(getattr(system, name), getattr(alone, name))
-        for name in ("populations", "expectation", "shannon", "observational", "boltzmann"):
-            assert same_arrays(getattr(system.equilibrium, name), getattr(alone.equilibrium, name))
-        assert (system.d_eff, system.curvature, system.energy_spread) == (
-            alone.d_eff, alone.curvature, alone.energy_spread)
-        assert report_dicts(reports) == report_dicts(verify._povm_reports([alone], [grid])[0])
-        # a stack of one is evaluate_bounds on compute_trajectory
-        single = evaluate_bounds(system, compute_trajectory(system, grid), [verify._POVM_WINDOW],
-                                 eps_points=verify._POVM_EPS_POINTS)
-        assert report_dicts(reports) == report_dicts(single)
-
-
-def test_a_stack_of_chains_with_values_equals_each_chain_alone():
-    # the expectation report and the trajectory series, on ragged grids
-    systems = [chain_system(SpinChainParams(sites=5, g=g)) for g in (0.7, 0.9, 1.3)]
-    grids = [time_grid(6.0, 0.05 + 0.01 * k) for k in range(3)]
-    rows = _stack_trajectory(systems, grids)
-    block = _stack_reports(systems, grids, rows[0], *rows[1:4], [2.5, 6.0], 32)
-    for k, (system, grid) in enumerate(zip(systems, grids)):
-        trajectory = compute_trajectory(system, grid)
-        for name, row in zip(("populations", "expectation", "shannon", "observational", "boltzmann"), rows):
-            assert same_arrays(getattr(trajectory, name), row[k, : len(grid)])
-        assert report_dicts(block[k]) == report_dicts(evaluate_bounds(system, trajectory, [2.5, 6.0]))
+def test_each_povm_system_reports_what_evaluate_bounds_reports(dim, outcomes):
+    # at a floor of -inf no system is settled, so each one is propagated
+    for system in verify._povm_systems(np.random.default_rng(3), 8, dim, outcomes):
+        grid = time_grid(verify._POVM_WINDOW, verify.default_time_step(system.curvature))
+        reports = evaluate_bounds(system, compute_trajectory(system, grid), [verify._POVM_WINDOW],
+                                  eps_points=verify._POVM_EPS_POINTS)
+        assert verify._povm_pairs(system, -math.inf) == [(report.lhs, report.rhs) for report in reports]
 
 
 def test_each_case_of_an_observational_block_equals_it_as_a_block_of_one():
