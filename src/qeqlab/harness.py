@@ -170,7 +170,7 @@ class PreparedSystem:
         propagate it: ``|d rho/dt|_1 = 2 sigma_E`` for a pure state."""
         return math.sqrt(self._energy_moments[0])
 
-    @property
+    @cached_property
     def curvature(self) -> float:
         """``M = 2 (sqrt(mu_4) + sigma_E^2)``, mu_4 the fourth central moment
         of the energy: ``|d^2 rho/dt^2|_1 = |[H, [H, rho]]|_1 <= M`` for a pure
@@ -291,7 +291,7 @@ def _sq_amplitudes(weighted: np.ndarray, levels: np.ndarray, ts: np.ndarray) -> 
 
 
 # How _populations_at maps over its chunks: the builtin map, one chunk at a
-# time, unless execute_experiment sets a map onto its two-worker pool.
+# time, unless execute_experiment sets its two-worker pool's map.
 _chunk_map = contextvars.ContextVar("_chunk_map", default=map)
 
 
@@ -482,16 +482,17 @@ def evaluate_bounds(system: PreparedSystem, trajectory: Trajectory, T_grid,
     populations; their rounding in the samples enters through w at the
     round-off scale, and so does the entropies' zero cutoff, which J
     applies too."""
+    if system.r < 2:
+        raise ValueError("bound evaluation needs a measurement with r >= 2")
     windows = [float(T) for T in T_grid]
     best = _bounds.optimal_epsilon(system.gap_stats, windows, points=eps_points) if windows else []
-    return _reports(system, trajectory, windows, best)
+    return _reports(system, trajectory, windows, [(*width, _rhs_rows(system, width[1])) for width in best])
 
 
 def _reports(system: PreparedSystem, trajectory: Trajectory, windows: list, best: list) -> list:
-    """:func:`evaluate_bounds` at the windows from their optimal widths
-    ``best``, one ``(eps, factor, count)`` per window."""
-    if system.r < 2:
-        raise ValueError("bound evaluation needs a measurement with r >= 2")
+    """:func:`evaluate_bounds` at the windows from their optimal widths and
+    right-hand sides ``best``, one ``(eps, factor, count, rhs_rows)`` per
+    window, ``rhs_rows`` the :func:`_rhs_rows` at that factor."""
     deviations = _DEVIATIONS[:3] if system.observable_norm is None else _DEVIATIONS
     times, pops, eq = trajectory.times, trajectory.populations, system.equilibrium
     h = float(np.max(np.diff(times), initial=0.0))
@@ -509,8 +510,7 @@ def _reports(system: PreparedSystem, trajectory: Trajectory, windows: list, best
     remainders = _quadrature_remainders(times, h, np.array(windows), second, first, triangles)
     reports = []
     stats = system.gap_stats
-    for i, (T, (eps, factor, count)) in enumerate(zip(windows, best)):
-        rhs_rows = _rhs_rows(system, factor)
+    for i, (T, (eps, factor, count, rhs_rows)) in enumerate(zip(windows, best)):
         params = {
             "T": T,
             "eps": eps,
@@ -534,18 +534,15 @@ def _reports(system: PreparedSystem, trajectory: Trajectory, windows: list, best
 
 def _rhs_rows(system: PreparedSystem, factor: float) -> list:
     """Each report's ``(rhs, extra parameters)`` at an equilibration factor,
-    in :data:`_DEVIATIONS` order; the population rhs is the distance bound
-    eta that the entropy bounds take."""
-    r, dim, norm = system.r, system.dim, system.observable_norm
-    eta = _bounds.population_distance_bound(r, system.d_eff, factor)
-    rows = [
-        (eta, {}),
-        (_bounds.shannon_deviation_bound(r, eta),
-         {"rhs_alt_prefactor": _bounds.shannon_deviation_bound(r, eta, alt_prefactor=True)}),
-        (_bounds.observational_deviation_bound(dim, eta), {}),
-    ]
-    if norm is not None:
-        rows.append((_bounds.expectation_bound(norm, system.d_eff, factor), {}))
+    in :data:`_DEVIATIONS` order. The population rhs is the distance bound
+    eta, and each entropy rhs is its report's continuity bound at eta."""
+    eta = _bounds.population_distance_bound(system.r, system.d_eff, factor)
+    population, shannon, observational = _pointwise_terms(system, eta, _DEVIATIONS[:3])
+    rows = [(population, {}),
+            (shannon, {"rhs_alt_prefactor": _bounds.shannon_deviation_bound(system.r, eta, alt_prefactor=True)}),
+            (observational, {})]
+    if system.observable_norm is not None:
+        rows.append((_bounds.expectation_bound(system.observable_norm, system.d_eff, factor), {}))
     return rows
 
 
@@ -804,36 +801,27 @@ def execute_experiment(config: ExperimentConfig):
     system.equilibrium
     dt = config.dt if config.dt is not None else default_time_step(system.curvature)
     times = time_grid(config.t_max, dt)
-    # The trajectory's and the sample's propagation chunks share one
-    # two-worker pool. The trajectory queues its chunks first, from this
-    # thread, then a task that holds one worker while the stages that need
-    # only the trajectory run here; the sample queues its chunks behind
-    # them, from a second thread. So two threads work until the last chunk,
-    # and at most two chunk sets, or one and those stages' temporaries, are
-    # live. Each chunk only reads the system, releases the GIL in its GEMMs
-    # and ufuncs and keeps its GEMM shape, so the results keep their bytes.
-    # A failure cancels every chunk not yet started.
+    # Both propagations run their chunks on one two-worker pool. The
+    # trajectory goes first, on both workers; then a task holds one worker
+    # while the stages that need only the trajectory run here, and the
+    # sample's chunks queue behind it from a second thread. So two threads
+    # work until the last chunk, with at most two chunk sets live. Each chunk
+    # only reads the system and keeps its GEMM shape, so the results keep
+    # their bytes. A failure cancels every chunk not yet started.
     with ThreadPoolExecutor(max_workers=2) as chunks, ThreadPoolExecutor(max_workers=1) as side:
-        queued, tail_done = threading.Event(), threading.Event()
-
-        def trajectory_chunks(fn, items):
-            results = chunks.map(fn, items)
-            chunks.submit(tail_done.wait)
-            queued.set()
-            return results
-
-        trajectory_context, sample_context = contextvars.copy_context(), contextvars.copy_context()
-        trajectory_context.run(_chunk_map.set, trajectory_chunks)
-        sample_context.run(_chunk_map.set, lambda fn, items: queued.wait() and chunks.map(fn, items))
+        tail_done = threading.Event()
+        # a context runs on one thread at a time: here, then on the side thread
+        pooled = contextvars.copy_context()
+        pooled.run(_chunk_map.set, chunks.map)
         try:
-            sample = side.submit(sample_context.run, fluctuation_checks, system,
+            trajectory = pooled.run(compute_trajectory, system, times)
+            chunks.submit(tail_done.wait)
+            sample = side.submit(pooled.run, fluctuation_checks, system,
                                  config.fluctuation_window, config.fluctuation_count, config.seed)
-            trajectory = trajectory_context.run(compute_trajectory, system, times)
             report = _trajectory_report(config, system, trajectory, dt)
             tail_done.set()
             checks, fluctuations = sample.result()
         except BaseException:
-            queued.set()
             tail_done.set()
             chunks.shutdown(cancel_futures=True)
             raise

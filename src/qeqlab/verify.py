@@ -349,12 +349,13 @@ def _povm_pairs(system, floor: float) -> list:
     against ``floor`` (:func:`_settled`) is not propagated; its pairs are
     ``(U, rhs)``, which give the suite's report what the lhs would."""
     grid = time_grid(_POVM_WINDOW, default_time_step(system.curvature))
-    best = _bounds.optimal_epsilon(system.gap_stats, [_POVM_WINDOW], _POVM_EPS_POINTS)
-    rhs = [rhs for rhs, _ in _rhs_rows(system, best[0][1])]
+    width = _bounds.optimal_epsilon(system.gap_stats, [_POVM_WINDOW], _POVM_EPS_POINTS)[0]
+    rows = _rhs_rows(system, width[1])
+    rhs = [rhs for rhs, _ in rows]
     ceilings = _ceiling_certificates(system, grid)
     if _settled(ceilings, rhs, floor):
         return list(zip(ceilings, rhs))
-    reports = _reports(system, compute_trajectory(system, grid), [_POVM_WINDOW], best)
+    reports = _reports(system, compute_trajectory(system, grid), [_POVM_WINDOW], [(*width, rows)])
     return [(report.lhs, report.rhs) for report in reports]
 
 

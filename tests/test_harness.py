@@ -757,6 +757,34 @@ def test_overlapped_stage_failure_cancels_queued_chunks(monkeypatch, stage):
 
 
 @pytest.mark.parametrize("run", [_OVERLAP_CONFIGS["chain"], _LONG_RUN], ids=["chain", "long"])
+def test_overlap_starts_no_sample_chunk_before_the_trajectory_has_returned(monkeypatch, run):
+    # the grid's chunks are the increasing ones; each sample chunk records
+    # how many of them had returned when it started
+    returned, starts = 0, []
+    lock = threading.Lock()
+    original = harness._sq_amplitudes
+
+    def counted(weighted, levels, ts):
+        nonlocal returned
+        on_grid = bool(np.all(np.diff(ts) > 0))
+        if not on_grid:
+            with lock:
+                starts.append(returned)
+        out = original(weighted, levels, ts)
+        if on_grid:
+            with lock:
+                returned += 1
+        return out
+
+    monkeypatch.setattr(harness, "_sq_amplitudes", counted)
+    config = ExperimentConfig.from_dict(run)
+    _, _, trajectory = execute_experiment(config)
+    grid_chunks = math.ceil(len(trajectory.times) / harness._CHUNK_TIMES)
+    assert grid_chunks >= 2
+    assert starts == [grid_chunks] * math.ceil(config.fluctuation_count / harness._CHUNK_TIMES)
+
+
+@pytest.mark.parametrize("run", [_OVERLAP_CONFIGS["chain"], _LONG_RUN], ids=["chain", "long"])
 def test_overlap_holds_at_most_two_chunk_sets(monkeypatch, run):
     # Each chunk holds three rows x 1024 arrays while _sq_amplitudes runs.
     # simulate's two streams share two workers, so at most two chunks run

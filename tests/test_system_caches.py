@@ -1,9 +1,10 @@
 """A prepared system builds its weighted contraction and its equilibrium on
 first read: a POVM system that verify settles without propagating builds
 neither, and simulate builds them once, before its threads share the
-system."""
+system. Each POVM system computes its curvature and its rhs rows once."""
 
 import threading
+from collections import Counter
 
 import numpy as np
 
@@ -33,6 +34,33 @@ def test_a_settled_povm_system_builds_neither_cache(monkeypatch):
     for system in systems:
         built = [name in vars(system) for name in CACHES]
         assert built == [id(system) in propagated] * len(CACHES)
+
+
+def test_each_povm_system_computes_its_rhs_rows_and_curvature_once(monkeypatch):
+    systems, propagated, rows = [], set(), Counter()
+    step, propagate, rhs_rows = verify._povm_pairs, verify.compute_trajectory, harness._rhs_rows
+
+    def recorded_step(system, floor):
+        systems.append(system)
+        return step(system, floor)
+
+    def recorded_propagation(system, times):
+        propagated.add(id(system))
+        return propagate(system, times)
+
+    def counted_rows(system, factor):
+        rows[id(system)] += 1
+        return rhs_rows(system, factor)
+
+    monkeypatch.setattr(verify, "_povm_pairs", recorded_step)
+    monkeypatch.setattr(verify, "compute_trajectory", recorded_propagation)
+    # the suite's step and the reports it builds each read the rows by name
+    monkeypatch.setattr(verify, "_rhs_rows", counted_rows)
+    monkeypatch.setattr(harness, "_rhs_rows", counted_rows)
+    verify.povm_equilibration_suite(np.random.default_rng(7), 64)
+    assert propagated
+    assert [rows[id(system)] for system in systems] == [1] * len(systems)
+    assert all("curvature" in vars(system) for system in systems)
 
 
 def test_simulate_builds_the_contraction_once_on_the_calling_thread(monkeypatch):
