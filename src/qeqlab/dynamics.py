@@ -42,13 +42,16 @@ _STEP_REMAINDER = 0.008
 # exactly at every _BLOCK-th gap.
 _BLOCK = 16
 # Entries of the (width, block head) table a grid count builds at once (a
-# group of widths holds as many as fit), and gaps of one candidate gather.
+# group of widths holds as many as fit), and candidate starts of one
+# slice, whose gaps and reach gaps are gathered together.
 _HEAD_ENTRIES = 2**18
 # Up to this many (width, gap) pairs a grid is counted directly, from
-# every gap: for the small spectra of verify's POVM systems the pruning's
-# passes cost more than they save (a 16-width grid at m = 12 levels took
-# 42 us directly against 111 us pruned, and at m = 32 360 us against 280).
-_DIRECT_KEYS = 2**13
+# every gap: for the smallest spectra of verify's POVM systems the
+# pruning's passes cost more than they save. A 16-width grid took, directly
+# against pruned, 47 against 82 us at m = 12 levels, 99 against 106 at
+# m = 16 and 514 against 237 at m = 32 (medians of 20 spectra); in two
+# sessions the two crossed between m = 15 and 18, about 2**12 pairs.
+_DIRECT_KEYS = 2**12
 
 
 def _check_dim(decomp: SpectralDecomposition, dim: int):
@@ -138,11 +141,14 @@ class GapStatistics:
     block [i0, i1) ends no later than the one starting at i1, because
     sorting and float rounding are both monotone, so the block's counts
     are at most ``upper[i1] - i0``. Only blocks whose bound beats the
-    best head count are then counted gap by gap. A grid of widths is
-    counted in groups that keep the (width, head) table within
-    ``_HEAD_ENTRIES``, one head pass per group, and the candidate blocks
-    are gathered in slices of at most ``_HEAD_ENTRIES`` gaps. A grid of at
-    most ``_DIRECT_KEYS`` (width, gap) pairs is counted at every gap at
+    best count c so far are candidates, and of their starts only those
+    whose window reaches past gap i + c (``gaps[i + c] < gaps[i] + eps``,
+    the comparison searchsorted makes) are counted. Near eps = 0 every
+    block passes its bound and the reach test does the pruning. A grid
+    of widths is counted in groups that keep the (width, head) table
+    within ``_HEAD_ENTRIES``, one head pass per group, and the candidates
+    are gathered in slices of at most ``_HEAD_ENTRIES`` starts. A grid of
+    at most ``_DIRECT_KEYS`` (width, gap) pairs is counted at every gap at
     once, which is faster there and gives the same counts.
     """
 
@@ -187,8 +193,11 @@ class GapStatistics:
                 row = rows[k:k + step]
                 # indices past the last gap clip to it and count less than it
                 idx = starts[blocks[k:k + step], None] + np.arange(_BLOCK)
-                ends = np.searchsorted(gaps, gaps.take(idx, mode="clip") + eps[row, None])
-                np.maximum.at(best, row, (ends - idx).max(axis=1))
+                edges = gaps.take(idx, mode="clip") + eps[row, None]
+                # the reach test: only a window reaching past gap i + best
+                # holds more than best gaps
+                i, j = np.nonzero(gaps.take(idx + best[row, None], mode="clip") < edges)
+                np.maximum.at(best, row[i], np.searchsorted(gaps, edges[i, j]) - idx[i, j])
             counts[lo:lo + group] = best
         return counts
 
@@ -202,32 +211,8 @@ class GapStatistics:
     def degenerate_gap_multiplicity(self) -> int:
         """Maximum multiplicity of a single gap value (the eps -> 0 limit
         of the window count), up to a relative tolerance of 1e-12: the
-        window count at eps = 1e-12 max(1, max_gap), without a count at
-        every gap.
-
-        eps is above half an ulp of every gap, so the window starting at
-        gap i holds it, and holds a second gap only if gap i is linked:
-        ``g[i+1] < fl(g[i] + eps)``. The links are tested in slices of at
-        most ``_HEAD_ENTRIES`` gaps. A window starting in a run of linked
-        gaps ends inside the run (the gap after it is at or past fl(g + eps)
-        for every g of the run), so a run whose last gap lies below
-        fl(g + eps) of its first holds no window of more than its gaps.
-        Every other run, and a run reaching its slice's end, is counted at
-        each start, as :meth:`window_counts` counts."""
-        gaps = self._gaps
-        eps = 1e-12 * max(1.0, self.max_gap)
-        best = min(gaps.size, 1)
-        for lo in range(0, gaps.size - 1, _HEAD_ENTRIES):
-            part = gaps[lo : lo + _HEAD_ENTRIES + 1]
-            linked = part[1:] < part[:-1] + eps
-            # runs of linked starts [a, b): gaps a to b of the part
-            a, b = np.flatnonzero(np.diff(linked, prepend=False, append=False)).reshape(-1, 2).T
-            whole = (part[b] < part[a] + eps) & (b < linked.size)
-            lengths = b[~whole] - a[~whole]
-            starts = np.arange(lengths.sum()) + np.repeat(a[~whole] - (np.cumsum(lengths) - lengths), lengths)
-            counts = np.searchsorted(gaps, part[starts] + eps) - lo - starts
-            best = max(best, int((b - a)[whole].max(initial=0)) + 1, int(counts.max(initial=0)))
-        return best
+        window count at eps = 1e-12 max(1, max_gap)."""
+        return self.window_count(1e-12 * max(1.0, self.max_gap))
 
 
 def gap_statistics(decomp: SpectralDecomposition) -> GapStatistics:

@@ -659,29 +659,32 @@ def test_verify_n9_chain_peak_rss(tmp_path):
     assert _peak_rss_mib(tmp_path, "verify", "verify_default.json", overrides) <= 60
 
 
-# Runs cli.main with the grid-count entry budget set from argv[1].
+# Runs cli.main with the grid count's entry budget and direct budget set
+# from argv[1] and argv[2].
 WITH_BUDGET = ("import sys; import qeqlab.dynamics as d; from qeqlab.cli import main; "
-               "d._HEAD_ENTRIES = int(sys.argv[1]); sys.exit(main(sys.argv[2:]))")
+               "d._HEAD_ENTRIES, d._DIRECT_KEYS = int(sys.argv[1]), int(sys.argv[2]); "
+               "sys.exit(main(sys.argv[3:]))")
 
 
 def test_verify_report_independent_of_grid_grouping(tmp_path):
     # The default budget counts each system's ε grid in one group; a budget
-    # of one entry counts every width alone. The counts, and so the report,
-    # must not move by a byte.
+    # of one entry counts every width alone. With no direct budget the POVM
+    # systems' small grids take the pruned count too, not the count at every
+    # gap. The counts, and so the report, must not move by a byte.
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     overrides = ["sites=[5, 7]", "suites.povm_cases=20", "suites.shannon_pairs=1",
                  "suites.observational_cases=1", "suites.von_neumann_cases=1",
                  "averaged_state.sites=[2]", "fluctuation.count=100"]
-    from qeqlab.dynamics import _HEAD_ENTRIES
+    from qeqlab.dynamics import _DIRECT_KEYS, _HEAD_ENTRIES
 
     reports = []
-    for budget in (_HEAD_ENTRIES, 1):
-        out = tmp_path / str(budget)
-        args = [sys.executable, "-c", WITH_BUDGET, str(budget), "verify",
+    for budgets in ((_HEAD_ENTRIES, _DIRECT_KEYS), (1, _DIRECT_KEYS), (_HEAD_ENTRIES, 0)):
+        out = tmp_path / "_".join(map(str, budgets))
+        args = [sys.executable, "-c", WITH_BUDGET, *map(str, budgets), "verify",
                 str(ROOT / "configs" / "verify_default.json"), "--out", str(out)]
         for item in overrides:
             args += ["--set", item]
         subprocess.run(args, env=env, check=True, stdout=subprocess.DEVNULL)
         reports.append((out / "verify_report.json").read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]

@@ -340,6 +340,8 @@ def test_pruned_window_count_matches_direct_count(gaps, data):
                           label="pairs")
         widths += [float(gaps[j] - gaps[i]) for i, j in pairs if gaps[j] > gaps[i]]
     widths += data.draw(st.lists(st.floats(1e-9, 1e7), max_size=5), label="grid")
+    # the width of degenerate_gap_multiplicity, where every block is a candidate
+    widths.append(1e-12 * max(1.0, stats.max_gap))
     direct = [direct_window_count(gaps, eps) for eps in widths]
     for eps, count in zip(widths, direct):
         assert stats.window_count(eps) == count
@@ -376,10 +378,11 @@ def test_window_count_gathers_candidates_in_slices(monkeypatch, params):
 
 
 def test_window_count_near_zero_stays_small():
-    # At a width near 0 every block is a candidate. Gathered all at once
-    # they peaked at 3.4 times the bytes of the gaps here, and gathered in
-    # slices at 0.8 times: the slices' buffers of fixed size and the
-    # candidate indices, 16 bytes a block.
+    # degenerate_gap_multiplicity counts at a width near 0, where every
+    # block is a candidate. Gathered all at once they peaked at 3.4 times
+    # the bytes of the gaps here, and gathered in slices, with or without
+    # the reach test's second gather, at 0.79 times: the slices' buffers of
+    # fixed size and the candidate indices, 16 bytes a block.
     m = 1500
     decomp = decompose_hermitian(np.diag(np.sort(np.random.default_rng(6).normal(size=m))))
     stats = gap_statistics(decomp)
@@ -391,11 +394,6 @@ def test_window_count_near_zero_stays_small():
         tracemalloc.stop()
     assert count == direct_window_count(stats._gaps, 1e-12 * stats.max_gap)
     assert peak <= stats._gaps.nbytes
-
-
-def tolerance_count(stats):
-    """The window count ``degenerate_gap_multiplicity`` stands for."""
-    return stats.window_count(1e-12 * max(1.0, stats.max_gap))
 
 
 @st.composite
@@ -417,7 +415,10 @@ def mirrored_gap_arrays(draw):
 def test_degenerate_gap_multiplicity_matches_the_window_count(gaps, entries):
     stats = GapStatistics(distinct_count=0, min_gap=None, _gaps=gaps)
     with pytest.MonkeyPatch.context() as mp:
-        # slices of a few gaps cut the runs at their edges
+        # these arrays would be counted directly; with no direct budget the
+        # chained runs go through the heads pass and the reach test, and
+        # slices of a few starts cut them at their edges
+        mp.setattr(dynamics, "_DIRECT_KEYS", 0)
         mp.setattr(dynamics, "_HEAD_ENTRIES", entries)
         assert stats.degenerate_gap_multiplicity() == direct_window_count(gaps, 1e-12 * max(1.0, stats.max_gap))
 
@@ -428,7 +429,7 @@ def test_degenerate_gap_multiplicity_on_random_spectra():
         for decomp in (decompose_hermitian(random_hermitian(rng, dim)),
                        decompose_hermitian(np.diag(rng.integers(0, 6, size=dim).astype(float)))):
             stats = gap_statistics(decomp)
-            assert stats.degenerate_gap_multiplicity() == tolerance_count(stats)
+            assert stats.degenerate_gap_multiplicity() == direct_window_count(stats._gaps, 1e-12 * max(1.0, stats.max_gap))
 
 
 def test_degenerate_gap_multiplicity_on_transverse_field_chains():
@@ -438,7 +439,7 @@ def test_degenerate_gap_multiplicity_on_transverse_field_chains():
     for sites in range(3, 12):
         stats = chain_system(SpinChainParams(sites=sites, h=0.0)).gap_stats
         multiplicities.append(stats.degenerate_gap_multiplicity())
-        assert multiplicities[-1] == tolerance_count(stats)
+        assert multiplicities[-1] == direct_window_count(stats._gaps, 1e-12 * max(1.0, stats.max_gap))
     assert multiplicities[0] == 2 and multiplicities[-1] > 200
 
 

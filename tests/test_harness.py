@@ -637,6 +637,17 @@ def test_delta_applicable_follows_the_degenerate_gap_multiplicity():
     assert report["system"]["delta_applicable"] is False
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "delta bounds only the infinite-time mean of the Shannon deviation, not its mean over "
+    "a short window, so at N = 10 and W = 0.25 the tail check reads lhs 1.0 against "
+    "rhs 0.9232"))
+def test_shannon_tail_check_holds_in_a_short_window():
+    system = chain_system(SpinChainParams(sites=10))
+    for seed in (0, 3):
+        reports, _ = fluctuation_checks(system, 0.25, 2000, seed)
+        assert all(report.status == "holds" for report in reports)
+
+
 def test_past_hypothesis_late_band_recomputed_from_the_trajectory():
     report, system, trajectory = _chain_report({"kind": "tilted_ising", "sites": 4}, t_max=40.0, grid=[40.0])
     late = trajectory.times >= 0.75 * 40.0
